@@ -60,7 +60,7 @@ def _compare(lhs, rhs, op: str):
 
 
 def _eval_branch(branch, A, B, d: int):
-    out = np.ones(A.shape, dtype=bool)
+    out = np.ones(np.broadcast_shapes(A.shape, B.shape), dtype=bool)
     for con in branch:
         if con[0] == "golden":
             m = _golden_below(A, B)
@@ -78,12 +78,6 @@ def eval_region(label: RegionLabel, A, B, d: int):
     for branch in branches:
         out |= _eval_branch(branch, A, B, d)
     return out
-
-
-def window_arrays(window: int):
-    coords = np.arange(-window, window + 1, dtype=np.int64)
-    A, B = np.meshgrid(coords, coords, indexing="ij")
-    return A, B
 
 
 def _axis_range(cons, coords, d: int):
@@ -121,26 +115,29 @@ def _branch_blocks(branch, window: int, d: int):
     j0, j1 = _axis_range(b_cons, coords, d)
     if i0 >= i1 or j0 >= j1:
         return None
-    A = coords[i0:i1, None]
-    B = coords[None, j0:j1]
-    sub = np.ones((i1 - i0, j1 - j0), dtype=bool)
-    for con in mixed:
-        if con[0] == "golden":
-            m = _golden_below(A, B)
-            sub &= m if con[1] < 0 else (~m & ((A != 0) | (B != 0)))
-        else:
-            ca, cb, cd, c1, op = con
-            sub &= _compare(ca * A + cb * B, cd * d + c1, op)
-    return i0, i1, j0, j1, sub
+    return i0, i1, j0, j1, _eval_branch(mixed, coords[i0:i1, None], coords[None, j0:j1], d)
+
+
+def _region_box(label: RegionLabel, window: int, d: int):
+    """(i0, j0, mask): the OR of the label's branch blocks over their joint
+    bounding box, mask[i, j] being window cell (i0 + i, j0 + j); None if empty."""
+    blocks = [_branch_blocks(branch, window, d) for branch in region_branches(label)]
+    blocks = [b for b in blocks if b is not None]
+    if not blocks:
+        return None
+    i0, j0 = min(b[0] for b in blocks), min(b[2] for b in blocks)
+    mask = np.zeros((max(b[1] for b in blocks) - i0, max(b[3] for b in blocks) - j0), dtype=bool)
+    for bi0, bi1, bj0, bj1, sub in blocks:
+        mask[bi0 - i0 : bi1 - i0, bj0 - j0 : bj1 - j0] |= sub
+    return i0, j0, mask
 
 
 def region_mask(label: RegionLabel, window: int, d: int):
     out = np.zeros((2 * window + 1, 2 * window + 1), dtype=bool)
-    for branch in region_branches(label):
-        block = _branch_blocks(branch, window, d)
-        if block is not None:
-            i0, i1, j0, j1, sub = block
-            out[i0:i1, j0:j1] |= sub
+    box = _region_box(label, window, d)
+    if box is not None:
+        i0, j0, mask = box
+        out[i0 : i0 + mask.shape[0], j0 : j0 + mask.shape[1]] = mask
     return out
 
 
@@ -225,7 +222,6 @@ def classifier_agreement(d: int, window: int, sample: int = 0, rng=None) -> int:
             checked += 1
     if sample and rng is not None:
         W2 = 4 * window
-        A, B = window_arrays(W2)
         for _ in range(sample):
             a = rng.randrange(-W2, W2 + 1)
             b = rng.randrange(-W2, W2 + 1)
@@ -258,11 +254,12 @@ class TransitionCheck:
     depth: int
     profiles_checked: int = 0
     outcomes_checked: int = 0
+    failed_outcomes: int = 0  # exact; counterexamples keeps at most 25 per frontier group
     counterexamples: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples
+        return self.failed_outcomes == 0
 
 
 def _targets_mask(targets, A, B, d: int):
@@ -278,18 +275,14 @@ def _source_cells(label: RegionLabel, d: int, window: int):
         # exhaustiveness costs nothing here.
         a, b = t_profile(label.index, d)
         return np.array([a], dtype=np.int64), np.array([b], dtype=np.int64)
-    parts = []
-    for branch in region_branches(label):
-        block = _branch_blocks(branch, window, d)
-        if block is None:
-            continue
-        i0, _, j0, _, sub = block
-        ii, jj = np.nonzero(sub)
-        parts.append(np.stack([ii + (i0 - window), jj + (j0 - window)], axis=1))
-    if not parts:
+    box = _region_box(label, window, d)
+    if box is None:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    cells = np.unique(np.concatenate(parts, axis=0), axis=0).astype(np.int64)
-    return cells[:, 0], cells[:, 1]
+    i0, j0, mask = box
+    # Row-major order of (i, j) is lexicographic order of (a, b), and each
+    # cell appears once however many branches contain it.
+    ii, jj = np.nonzero(mask)
+    return ii + (i0 - window), jj + (j0 - window)
 
 
 def _step_profiles(A, B, SA, SB, e0, d: int, cancel_depth: int):
@@ -350,7 +343,9 @@ def check_transition_profiles(
         ok = _targets_mask(targets, A, B, d)
         check.outcomes_checked += int(A.size)
         bad = ~ok
-        if bad.any():
+        failed = int(np.count_nonzero(bad))
+        if failed:
+            check.failed_outcomes += failed
             idx = np.argwhere(bad)[:25]
             for (k,) in idx:
                 check.counterexamples.append(

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from padic_henon.gridcheck import (
+    _branch_blocks,
+    _region_box,
+    _source_cells,
     check_all_transitions,
     check_partition,
     check_transition_profiles,
@@ -13,7 +16,16 @@ from padic_henon.gridcheck import (
     region_mask,
     region_masks,
 )
-from padic_henon.regions import Regime, RegionLabel, classify, profile_in_region
+from padic_henon.regions import (
+    Regime,
+    RegionLabel,
+    classify,
+    iter_region_labels,
+    profile_in_region,
+    regime_of_d,
+    region_branches,
+    t_profile,
+)
 
 
 @pytest.mark.parametrize("d", [-3, -2, -1, 0, 1, 2, 3])
@@ -98,6 +110,58 @@ def test_two_step_band_collapse_boundary():
     for ce in bad.counterexamples:
         assert profile_in_region(a5, *ce.outcome_profile, d)
         assert not profile_in_region(a2, *ce.outcome_profile, d)
+
+
+def test_failed_outcomes_counts_past_the_witness_cap():
+    # Two-step flat band at d = -20: neither step meets a = d, so there is
+    # one frontier group and its witnesses stop at 25, while every outcome
+    # (a - b, 2b - a) with 2b - a > d lands back in the band and fails.
+    d, W = -20, 100
+    a5 = RegionLabel(Regime.SMALL, "A", 5)
+    hand = {(a, b) for a in range(0, W + 1) for b in range(d + 1, 0) if 2 * b - a > d}
+    check = check_transition_profiles(a5, d, W, depth=2)
+    assert check.failed_outcomes == len(hand) == 90
+    assert len(check.counterexamples) == 25
+    assert {ce.source_profile for ce in check.counterexamples} <= hand
+    assert not check.ok
+    assert check_transition_profiles(a5, -2, W, depth=2).failed_outcomes == 0
+
+
+@pytest.mark.parametrize("W", [30, 61])
+@pytest.mark.parametrize("d", [-3, -1, 0, 1, 2, 3])
+def test_source_cells_enumerate_region_mask(d, W):
+    overlapping = 0
+    for label in iter_region_labels(regime_of_d(d), d, W):
+        A, B = _source_cells(label, d, W)
+        ii, jj = np.nonzero(region_mask(label, W, d))
+        assert A.dtype == B.dtype == np.int64
+        assert A.tolist() == (ii - W).tolist() and B.tolist() == (jj - W).tolist()
+        # Reference: the de-duplicated, sorted union of the branch blocks.
+        union, total = set(), 0
+        for branch in region_branches(label):
+            block = _branch_blocks(branch, W, d)
+            if block is not None:
+                i0, _, j0, _, sub = block
+                cells = [(int(i) + i0 - W, int(j) + j0 - W) for i, j in zip(*np.nonzero(sub))]
+                union.update(cells)
+                total += len(cells)
+        assert list(zip(A.tolist(), B.tolist())) == sorted(union)
+        overlapping += total > len(union)
+    # C0 at d = 0 has two branches that share a cell.
+    assert overlapping == (1 if d == 0 else 0)
+
+
+def test_source_cells_empty_region_and_t_cell():
+    a5 = RegionLabel(Regime.SMALL, "A", 5)
+    assert _region_box(a5, 30, -1) is None  # the flat band d < b < 0 is empty at d = -1
+    A, B = _source_cells(a5, -1, 30)
+    assert A.dtype == B.dtype == np.int64 and A.size == B.size == 0
+    assert not region_mask(a5, 30, -1).any()
+    # A T sphere is its single cell, even outside the window.
+    for n in (1, 9):
+        A, B = _source_cells(RegionLabel(Regime.LARGE, "T", n), 2, 30)
+        assert list(zip(A.tolist(), B.tolist())) == [t_profile(n, 2)]
+    assert max(map(abs, t_profile(9, 2))) > 30
 
 
 def test_two_step_collapse_repaired_form():

@@ -91,6 +91,21 @@ def test_determinism_same_seed_same_report():
     assert j1 == j2
 
 
+def test_exhaustive_runner_counts_every_failed_outcome():
+    # d = -20 (c = 3^20): the two-step flat band fails exactly where
+    # 2b - a > d, 90 outcomes, of which 25 are listed as witnesses.
+    d, W = -20, 100
+    spec = LemmaSpec("flat-band-two-step", "exhaustive", p=3, c=str(3**20),
+                     source=lbl(Regime.SMALL, "A", 5), depth=2, window=W)
+    hand = {(a, b) for a in range(0, W + 1) for b in range(d + 1, 0) if 2 * b - a > d}
+    band = [(a, b) for a in range(0, W + 1) for b in range(d + 1, 0)]
+    report = verify_transition_exhaustive(spec)
+    assert spec.params().d == d and len(hand) == 90
+    assert len(report.failures) == 25
+    assert report.passes == len(band) - 90
+    assert any("90 outcomes fail" in n for n in report.notes)
+
+
 def test_exhaustive_runner_matches_gridcheck():
     spec = LemmaSpec("window", "exhaustive", p=3, c="1/9",
                      source=lbl(Regime.LARGE, "G"), window=40)
