@@ -17,8 +17,6 @@ from .padics import (
     Point,
     TruncatedPadic,
     is_square,
-    make_rational,
-    norm_exponent,
     sample_with_norm,
     sqrt,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "TruncatedPadic",
     "Point",
     "NonSquareError",
-    "make_rational",
-    "norm_exponent",
     "is_square",
     "sqrt",
     "sample_with_norm",

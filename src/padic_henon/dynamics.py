@@ -244,12 +244,8 @@ def forward_orbit(
     label_regions: bool = True,
 ) -> OrbitRecord:
     """Forward iteration utility (used for fixed-point and cycle checks)."""
-
-    def step(p, prm, budget):
-        return forward(p, prm, budget)
-
     return _run_orbit(
-        pt, params, max_steps, escape_exponent, bit_budget, label_regions, step, "forward"
+        pt, params, max_steps, escape_exponent, bit_budget, label_regions, forward, "forward"
     )
 
 

@@ -12,6 +12,7 @@ __all__ = [
     "cassini",
     "cassini2",
     "golden_cmp",
+    "golden_below",
     "golden_bracket_holds",
     "growth_schedule",
 ]
@@ -61,6 +62,18 @@ def golden_cmp(b: int, a: int) -> int:
     if r >= 0:
         return -1
     return (rhs2 > lhs2) - (rhs2 < lhs2)
+
+
+def golden_below(a, b):
+    """beta*b < a, exactly, written without branches so that it holds
+    elementwise on integer arrays as well as on ints.
+
+    beta*b < a  <=>  b*sqrt5 < r with r = 2a - b: for b >= 0 that needs r > 0
+    and 5b^2 < r^2; for b < 0 it holds when r >= 0 or 5b^2 > r^2.
+    """
+    r = 2 * a - b
+    lhs2, rhs2 = 5 * b * b, r * r
+    return ((b >= 0) & (r > 0) & (lhs2 < rhs2)) | ((b < 0) & ((r >= 0) | (lhs2 > rhs2)))
 
 
 def golden_bracket_holds(n: int) -> bool:

@@ -16,8 +16,10 @@ from .regions import (
     RegionLabel,
     Regime,
     classify,
+    eval_constraint,
     expected_preimage_regions,
     iter_region_labels,
+    profile_in_region,
     region_branches,
     regime_of_d,
     t_profile,
@@ -37,60 +39,6 @@ __all__ = [
 ]
 
 
-def _golden_below(A, B):
-    # beta*b < a, elementwise, exact: sign of b*sqrt(5) vs (2a - b).
-    R = 2 * A - B
-    L2 = 5 * B * B
-    R2 = R * R
-    pos = (B >= 0) & (R > 0) & (L2 < R2)
-    neg = (B < 0) & ((R >= 0) | (L2 > R2))
-    return pos | neg
-
-
-def _compare(lhs, rhs, op: str):
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == "==":
-        return lhs == rhs
-    if op == ">=":
-        return lhs >= rhs
-    return lhs > rhs
-
-
-def _eval_branch(branch, A, B, d: int):
-    out = np.ones(np.broadcast_shapes(A.shape, B.shape), dtype=bool)
-    for con in branch:
-        if con[0] == "golden":
-            m = _golden_below(A, B)
-            out &= m if con[1] < 0 else (~m & ((A != 0) | (B != 0)))
-        else:
-            ca, cb, cd, c1, op = con
-            out &= _compare(ca * A + cb * B, cd * d + c1, op)
-    return out
-
-
-def eval_region(label: RegionLabel, A, B, d: int):
-    """Boolean membership of the region on arbitrary integer arrays (A, B)."""
-    branches = region_branches(label)
-    out = np.zeros(A.shape, dtype=bool)
-    for branch in branches:
-        out |= _eval_branch(branch, A, B, d)
-    return out
-
-
-def _axis_range(cons, coords, d: int):
-    """Index range [i0, i1) of a 1-D coordinate axis cut out by pure-axis constraints."""
-    mask = np.ones(coords.size, dtype=bool)
-    for c_axis, cd, c1, op in cons:
-        mask &= _compare(c_axis * coords, cd * d + c1, op)
-    nz = np.flatnonzero(mask)
-    if nz.size == 0:
-        return 0, 0
-    return int(nz[0]), int(nz[-1]) + 1
-
-
 def _branch_blocks(branch, window: int, d: int):
     """Evaluate one branch on its bounding sub-block of the window grid.
 
@@ -99,23 +47,24 @@ def _branch_blocks(branch, window: int, d: int):
     before the mixed constraints are evaluated densely.
     """
     coords = np.arange(-window, window + 1, dtype=np.int64)
-    a_cons, b_cons, mixed = [], [], []
+    rows = cols = np.ones(coords.size, dtype=bool)
+    mixed = []
     for con in branch:
-        if con[0] == "golden":
-            mixed.append(con)
+        # ("golden", +-1) matches neither axis test, so it lands in `mixed`.
+        if con[1] == 0 and con[0] != 0:
+            rows = rows & eval_constraint(con, coords, 0, d)
+        elif con[0] == 0 and con[1] != 0:
+            cols = cols & eval_constraint(con, 0, coords, d)
         else:
-            ca, cb, cd, c1, op = con
-            if cb == 0 and ca != 0:
-                a_cons.append((ca, cd, c1, op))
-            elif ca == 0 and cb != 0:
-                b_cons.append((cb, cd, c1, op))
-            else:
-                mixed.append(con)
-    i0, i1 = _axis_range(a_cons, coords, d)
-    j0, j1 = _axis_range(b_cons, coords, d)
-    if i0 >= i1 or j0 >= j1:
+            mixed.append(con)
+    (ii,), (jj,) = np.nonzero(rows), np.nonzero(cols)
+    if ii.size == 0 or jj.size == 0:
         return None
-    return i0, i1, j0, j1, _eval_branch(mixed, coords[i0:i1, None], coords[None, j0:j1], d)
+    i0, i1, j0, j1 = int(ii[0]), int(ii[-1]) + 1, int(jj[0]), int(jj[-1]) + 1
+    sub = np.ones((i1 - i0, j1 - j0), dtype=bool)
+    for con in mixed:
+        sub &= eval_constraint(con, coords[i0:i1, None], coords[None, j0:j1], d)
+    return i0, i1, j0, j1, sub
 
 
 def _region_box(label: RegionLabel, window: int, d: int):
@@ -226,9 +175,7 @@ def classifier_agreement(d: int, window: int, sample: int = 0, rng=None) -> int:
             a = rng.randrange(-W2, W2 + 1)
             b = rng.randrange(-W2, W2 + 1)
             lbl = classify((a, b), d)
-            arr_a = np.array([[a]], dtype=np.int64)
-            arr_b = np.array([[b]], dtype=np.int64)
-            if not eval_region(lbl, arr_a, arr_b, d)[0, 0]:
+            if not profile_in_region(lbl, a, b, d):
                 raise AssertionError(f"classifier label {lbl} fails its own inequalities at ({a}, {b})")
             checked += 1
     return checked
@@ -265,7 +212,7 @@ class TransitionCheck:
 def _targets_mask(targets, A, B, d: int):
     out = np.zeros(A.shape, dtype=bool)
     for t in targets:
-        out |= eval_region(t, A, B, d)
+        out |= profile_in_region(t, A, B, d)
     return out
 
 

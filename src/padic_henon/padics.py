@@ -22,8 +22,6 @@ __all__ = [
     "TruncatedPadic",
     "Point",
     "NonSquareError",
-    "make_rational",
-    "norm_exponent",
     "is_square",
     "sqrt",
     "sample_with_norm",
@@ -248,16 +246,6 @@ class PadicRational:
     def expand(self, precision: int) -> "TruncatedPadic":
         """Digit expansion of this value to `precision` significant p-adic digits."""
         return TruncatedPadic.from_rational(self, precision)
-
-
-def make_rational(num: int, den: int, p: int) -> PadicRational:
-    """Construct a reduced rational with a validated odd prime tag."""
-    return PadicRational(num, den, p)
-
-
-def norm_exponent(x: PadicRational):
-    """a with |x|_p = p^a, or None for x = 0."""
-    return x.norm_exponent
 
 
 @dataclass(frozen=True)

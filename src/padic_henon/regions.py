@@ -14,6 +14,12 @@ Every region is described twice, deliberately:
 * ``classify`` is an independent decision tree with a bounded ascending index
   search for the Fibonacci-indexed families.
 
+One evaluator, ``profile_in_region``, reads the table for the scalar checks
+and the grid checker alike: it uses only arithmetic, comparisons and & / |,
+so ints give a bool and integer arrays a mask.  Its golden test is the
+branch-free ``fib.golden_below``, while ``classify`` keeps ``fib.golden_cmp``,
+so the agreement check also compares two independent golden tests.
+
 The grid checker replays the declarative table over whole windows and
 certifies that the two agree and that the partition is exact.  Boundaries
 along the irrational line |y| = |x|^(1/beta) are never attained by integer
@@ -22,12 +28,13 @@ profiles, which is what makes the index search terminate.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .fib import fib, golden_cmp
+from .fib import fib, golden_below, golden_cmp
 from .padics import Point, sample_with_norm
 
 __all__ = [
@@ -38,6 +45,7 @@ __all__ = [
     "classify",
     "classify_point",
     "region_branches",
+    "eval_constraint",
     "profile_in_region",
     "iter_region_labels",
     "region_profiles",
@@ -92,8 +100,8 @@ class EmptyRegionError(ValueError):
 #
 # A linear constraint is (ca, cb, cd, c1, op) meaning  ca*a + cb*b  OP  cd*d + c1
 # with op one of "<", "<=", "==", ">=", ">".  GOLDEN_BELOW / GOLDEN_ABOVE stand
-# for beta*b < a and beta*b > a.  A region is a union (list) of conjunction
-# branches (lists of constraints).
+# for beta*b < a and beta*b > a (that is, beta*(-b) < -a).  A region is a
+# union (list) of conjunction branches (lists of constraints).
 # ---------------------------------------------------------------------------
 
 GOLDEN_BELOW = ("golden", -1)
@@ -283,29 +291,28 @@ def region_branches(label: RegionLabel):
     raise KeyError(f"unknown LARGE region {label}")
 
 
-def _eval_constraint(con, a: int, b: int, d: int) -> bool:
+_OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+
+def eval_constraint(con, a, b, d: int):
+    """One table constraint at (a, b): a bool for ints, a mask for integer
+    arrays (a and b broadcast against each other)."""
     if con[0] == "golden":
-        return golden_cmp(b, a) == con[1]
+        return golden_below(a, b) if con[1] < 0 else golden_below(-a, -b)
     ca, cb, cd, c1, op = con
-    lhs = ca * a + cb * b
-    rhs = cd * d + c1
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == "==":
-        return lhs == rhs
-    if op == ">=":
-        return lhs >= rhs
-    return lhs > rhs
+    return _OPS[op](ca * a + cb * b, cd * d + c1)
 
 
-def profile_in_region(label: RegionLabel, a: int, b: int, d: int) -> bool:
-    """Evaluate the declarative inequalities of `label` on the integer profile (a, b)."""
-    return any(
-        all(_eval_constraint(con, a, b, d) for con in branch)
-        for branch in region_branches(label)
-    )
+def profile_in_region(label: RegionLabel, a, b, d: int):
+    """The declarative inequalities of `label` at (a, b): constraints are ANDed
+    and branches ORed with & and |, so ints give a bool and arrays a mask."""
+    out = False
+    for branch in region_branches(label):
+        inside = True
+        for con in branch:
+            inside = inside & eval_constraint(con, a, b, d)
+        out = out | inside
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -149,10 +149,16 @@ class VerificationReport:
     undefined_inverse: int = 0
     notes: list = field(default_factory=list)
     wall_time: float = 0.0
+    unlisted_failures: int = 0  # failing outcomes beyond the listed witnesses
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def failed_outcomes(self) -> int:
+        """Exact number of failing outcomes, listed as witnesses or not."""
+        return len(self.failures) + self.unlisted_failures
 
     def to_json(self) -> dict:
         return {
@@ -239,7 +245,8 @@ def verify_transition_exhaustive(spec: LemmaSpec) -> VerificationReport:
                 "expected": sorted(str(t) for t in targets),
             }
         )
-    if check.failed_outcomes > len(check.counterexamples):
+    report.unlisted_failures = check.failed_outcomes - len(check.counterexamples)
+    if report.unlisted_failures:
         report.notes.append(f"{check.failed_outcomes} outcomes fail; at most 25 per frontier group listed")
     if check.profiles_checked == 0:
         report.notes.append("empty region in window")
@@ -646,7 +653,7 @@ def run_campaign(specs, samples_override: int | None = None) -> list:
 
 
 def campaign_summary(reports) -> dict:
-    failures = sum(len(r.failures) for r in reports)
+    failures = sum(r.failed_outcomes for r in reports)
     return {
         "specs": len(reports),
         "passes": sum(r.passes for r in reports),

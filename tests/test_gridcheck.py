@@ -11,11 +11,11 @@ from padic_henon.gridcheck import (
     check_partition,
     check_transition_profiles,
     classifier_agreement,
-    eval_region,
     label_grid,
     region_mask,
     region_masks,
 )
+from padic_henon.fib import golden_below, golden_cmp
 from padic_henon.regions import (
     Regime,
     RegionLabel,
@@ -62,11 +62,37 @@ def test_label_grid_matches_classify():
         assert labels[grid[a + W, b + W]] == classify((a, b), d)
 
 
-def test_eval_region_on_arbitrary_arrays():
+def test_profile_in_region_on_arbitrary_arrays():
     A = np.array([1, 5, -2], dtype=np.int64)
     B = np.array([1, -1, 3], dtype=np.int64)
-    mask = eval_region(RegionLabel(Regime.LARGE, "H", None), A, B, 2)
+    mask = profile_in_region(RegionLabel(Regime.LARGE, "H", None), A, B, 2)
     assert mask.tolist() == [False, True, False]
+    # The array mask of every label equals the scalar verdicts cell by cell.
+    W = 15
+    A, B = np.meshgrid(np.arange(-W, W + 1), np.arange(-W, W + 1), indexing="ij")
+    seen = set()
+    for d in (-3, 0, 2):
+        for label in iter_region_labels(regime_of_d(d), d, W, include_t=True):
+            seen.add(label)
+            mask = profile_in_region(label, A, B, d)
+            assert mask.dtype == bool and mask.shape == A.shape
+            scalar = [[profile_in_region(label, a, b, d) for b in range(-W, W + 1)] for a in range(-W, W + 1)]
+            assert mask.tolist() == scalar, (str(label), d)
+    golden = {RegionLabel(Regime.SMALL, n, i) for n, i in (("B", 1), ("B", 2), ("P", 4), ("P", 5))}
+    multi = {RegionLabel(Regime.SMALL, "P", 6), RegionLabel(Regime.UNIT, "C", 0), RegionLabel(Regime.LARGE, "C", 0)}
+    assert golden <= seen and multi <= seen
+    assert all(any(con[0] == "golden" for con in region_branches(lbl)[0]) for lbl in golden)
+    assert all(len(region_branches(lbl)) > 1 for lbl in multi)
+
+
+def test_golden_below_on_int64_meshgrid():
+    W = 300
+    A, B = np.meshgrid(np.arange(-W, W + 1), np.arange(-W, W + 1), indexing="ij")
+    below, above = golden_below(A, B), golden_below(-A, -B)
+    assert A.dtype == np.int64 and below.dtype == above.dtype == bool
+    sign = np.array([[golden_cmp(b, a) for b in range(-W, W + 1)] for a in range(-W, W + 1)])
+    assert (below == (sign < 0)).all() and (above == (sign > 0)).all()
+    assert below.any() and above.any()
 
 
 def test_all_transitions_hold_except_known_corner():

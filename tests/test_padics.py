@@ -11,8 +11,6 @@ from padic_henon.padics import (
     Point,
     TruncatedPadic,
     is_square,
-    make_rational,
-    norm_exponent,
     padic_valuation,
     sample_with_norm,
     sqrt,
@@ -28,19 +26,19 @@ def pr(num, den=1, p=5):
 
 
 def test_make_rational_reduces():
-    x = make_rational(10, 4, 5)
+    x = PadicRational(10, 4, 5)
     assert (x.numerator, x.denominator) == (5, 2)
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        make_rational(1, 0, 5)
+        PadicRational(1, 0, 5)
 
 
 @pytest.mark.parametrize("p", [2, 4, 9, 15, 1, -3, 21])
 def test_non_odd_prime_rejected(p):
     with pytest.raises(ValueError):
-        make_rational(1, 1, p)
+        PadicRational(1, 1, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 104729])
@@ -49,7 +47,7 @@ def test_odd_primes_accepted(p):
 
 
 def test_negative_denominator_normalized():
-    x = make_rational(3, -6, 5)
+    x = PadicRational(3, -6, 5)
     assert (x.numerator, x.denominator) == (-1, 2)
 
 
@@ -68,32 +66,32 @@ def test_padic_valuation_chunked_matches_naive():
 
 
 def test_unit_norm():
-    assert norm_exponent(pr(1, 1)) == 0
+    assert pr(1, 1).norm_exponent == 0
 
 
 def test_p_norm():
-    assert norm_exponent(pr(5, 1)) == -1
+    assert pr(5, 1).norm_exponent == -1
 
 
 def test_one_over_p_norm():
-    assert norm_exponent(pr(1, 5)) == 1
+    assert pr(1, 5).norm_exponent == 1
 
 
 def test_norm_of_zero_is_marker():
-    assert norm_exponent(pr(0, 1)) is None
+    assert pr(0, 1).norm_exponent is None
     assert pr(0).valuation is None
 
 
 def test_norm_exponent_mixed_example():
     # x = p + 2p^3 at p = 5 has |x| = p^-1.
     p = 5
-    assert norm_exponent(pr(p + 2 * p**3)) == -1
+    assert pr(p + 2 * p**3).norm_exponent == -1
 
 
 def test_norm_exponent_fraction_example():
     # (p - 1)/p^3 has norm p^3.
     p = 5
-    assert norm_exponent(pr(p - 1, p**3)) == 3
+    assert pr(p - 1, p**3).norm_exponent == 3
 
 
 # --- field arithmetic and the ultrametric -----------------------------------
@@ -103,7 +101,7 @@ def test_subtraction_cancels_to_higher_valuation():
     p = 5
     x = pr(p + 2 * p**3) - pr(p)
     assert x == pr(2 * p**3)
-    assert norm_exponent(x) == -3
+    assert x.norm_exponent == -3
 
 
 def test_additive_identity():
@@ -114,7 +112,7 @@ def test_additive_identity():
 def test_division_norm_example():
     p = 5
     x = (pr(1) - pr(1, p)) / pr(p**2)
-    assert norm_exponent(x) == 3
+    assert x.norm_exponent == 3
 
 
 def test_prime_mismatch_rejected():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padic_henon.fib import fib
+from padic_henon.fib import fib, golden_below, golden_cmp
 from padic_henon.regions import (
     EmptyRegionError,
     Regime,
@@ -81,6 +81,29 @@ def test_classify_point_uses_norms():
     pt = Point(PadicRational(1, 9, 3), PadicRational(3, 1, 3))  # profile (2, -1)
     assert pt.profile() == (2, -1)
     assert classify_point(pt, 1) == lbl(L, "H", None)
+
+
+# --- the table's golden test against the classifier's ------------------------
+
+
+def test_golden_below_matches_golden_cmp_on_ints():
+    for a in range(-300, 301):
+        for b in range(-300, 301):
+            sign = golden_cmp(b, a)
+            assert golden_below(a, b) is (sign < 0), (a, b)
+            assert golden_below(-a, -b) is (sign > 0), (a, b)
+
+
+def test_golden_below_matches_golden_cmp_on_fibonacci_pairs():
+    # F(n+1)/F(n) straddles beta, so these pairs sit as close to the golden
+    # line as integers get; from n = 91 on, a exceeds int64.
+    assert fib(199) > 2**63
+    for n in range(200):
+        for k in (-1, 0, 1):
+            a, b = fib(n + 1) + k, fib(n)
+            sign = golden_cmp(b, a)
+            assert golden_below(a, b) is (sign < 0), (n, k)
+            assert golden_below(-a, -b) is (sign > 0), (n, k)
 
 
 # --- exhaustive agreement between classifier and declarative table ------------

@@ -104,6 +104,11 @@ def test_exhaustive_runner_counts_every_failed_outcome():
     assert len(report.failures) == 25
     assert report.passes == len(band) - 90
     assert any("90 outcomes fail" in n for n in report.notes)
+    # The campaign summary counts every failing outcome, not the witnesses.
+    summary = campaign_summary([report])
+    assert report.failed_outcomes == summary["failures"] == 90
+    assert summary["passes"] + summary["failures"] == len(band) == 1919
+    assert not summary["ok"]
 
 
 def test_exhaustive_runner_matches_gridcheck():

@@ -7,9 +7,13 @@ negative-control  deliberately falsified targets; must produce counterexamples.
 known-anomalies   the two parameter corners where the classical claims fail
                   (two-step band collapse at |c| = p^-3; overlay descent at
                   |c| = p^2); kept separate so their failures are explicit.
+
+Takes no arguments: any argument prints the usage line and exits 2 without
+writing anything.
 """
 
 import json
+import sys
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "padic_henon" / "data"
@@ -173,9 +177,12 @@ def known_anomalies():
     return {"name": "known-anomalies", "specs": specs}
 
 
+BUILDERS = (all_lemmas, negative_control, known_anomalies)
+
+
 def main():
     DATA.mkdir(parents=True, exist_ok=True)
-    for build in (all_lemmas, negative_control, known_anomalies):
+    for build in BUILDERS:
         obj = build()
         path = DATA / f"{obj['name']}.json"
         path.write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
@@ -183,4 +190,7 @@ def main():
 
 
 if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        print("usage: gen_campaigns.py  (no arguments; rewrites src/padic_henon/data/)", file=sys.stderr)
+        sys.exit(2)
     main()
