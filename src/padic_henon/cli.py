@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .measure import measure_report, tn_rows
 from .padics import validate_odd_prime
-from .regions import RegionLabel, classify, regime_of_d
+from .regions import RegionLabel, classify, regime_of_d, region_branches
 from .verifier import (
     builtin_campaign,
     builtin_campaign_names,
@@ -51,7 +51,12 @@ def _parse_label(text: str, regime) -> RegionLabel:
     text = text.strip()
     head = text.rstrip("0123456789")
     tail = text[len(head):]
-    return RegionLabel(regime, head, int(tail) if tail else None)
+    label = RegionLabel(regime, head, int(tail) if tail else None)
+    try:
+        region_branches(label)
+    except KeyError as exc:
+        raise click.BadParameter(exc.args[0], param_hint="'--region'") from None
+    return label
 
 
 def _prime(ctx, param, value):
@@ -85,7 +90,7 @@ def main():
 @c_option
 @click.option("--x", "x", required=True, callback=_rational, help="x as 'num/den'.")
 @click.option("--y", "y", required=True, callback=_rational, help="y as 'num/den'.")
-@click.option("--steps", type=int, default=20, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--direction", type=click.Choice(["backward", "forward"]), default="backward",
               show_default=True)
 @click.option("--escape-exp", type=int, default=None,

@@ -22,6 +22,7 @@ from .padics import (
     Point,
     TruncatedPadic,
     is_square,
+    padic_valuation,
     sqrt,
 )
 from .regions import Regime, RegionLabel, classify
@@ -264,67 +265,79 @@ def default_escape_exponent(params: MapParams) -> int:
 # still has coordinate heights growing like phi^n (the numerators of step 30
 # of a typical bounded orbit already need ~10^5 bits), so horizons beyond ~30
 # steps are not computable exactly.  The engine below runs the same recursion
-# on scaled residues u * p^v with u known modulo p^digits: every reported
-# valuation is certified exact as long as the leading digit stays inside the
-# known window, and the computation aborts loudly the moment it would not.
+# on residues (v, n, m, k): the value p^v * n/m, with n and m p-adic units
+# known modulo p^k.  Numerator and denominator are kept apart, so no step
+# computes a modular inverse, and c enters as the exact integers of
+# p^v_c * c_num/c_den, split once per orbit.  Every reported valuation is
+# certified exact as long as the leading digit stays inside the known window,
+# and a step aborts loudly the moment it would not.  An orbit starts at
+# START_PRECISION digits and doubles them on each abort up to the caller's
+# cap; a run that finishes has exact profiles at any precision, so only the
+# cost depends on where it stops.
 # ---------------------------------------------------------------------------
+
+START_PRECISION = 16
 
 
 class PrecisionExhaustedError(RuntimeError):
     """A cancellation consumed the entire certified digit window."""
 
 
-@dataclass(frozen=True)
-class _Approx:
-    """p^v * (unit + O(p^digits)) with unit a p-adic unit; valuation v is exact."""
-
-    v: int
-    unit: int
-    digits: int
-
-
-def _approx_from_rational(x: PadicRational, digits: int):
+def _split(x: PadicRational):
+    """(v, num, den) with x = p^v * num/den and num, den prime to p; None for 0."""
     if x.is_zero:
         return None
-    u = x.unit_part()
-    mod = x.prime**digits
-    return _Approx(x.valuation, u.numerator * pow(u.denominator, -1, mod) % mod, digits)
+    v = x.valuation
+    p = x.prime
+    if v >= 0:
+        return v, x.numerator // p**v, x.denominator
+    return v, x.numerator, x.denominator // p**-v
 
 
-def _approx_sub_exact(x: _Approx, c: PadicRational, p: int) -> _Approx:
-    """x - c with c exact; certifies the valuation of the difference."""
-    if c.is_zero:
-        return x
-    vc = c.valuation
-    m = min(x.v, vc)
-    n = x.v - m + x.digits  # the sum is known modulo p^n
-    mod = p**n
-    uc = c.unit_part()
-    s = (x.unit * p ** (x.v - m) - uc.numerator * pow(uc.denominator, -1, mod) * p ** (vc - m)) % mod
+def _residue(x: PadicRational, k: int):
+    """x as a residue (v, n, m, k), or None for x = 0."""
+    split = _split(x)
+    if split is None:
+        return None
+    v, num, den = split
+    mod = x.prime**k
+    return v, num % mod, den % mod, k
+
+
+def _sub_c(x, c, p: int):
+    """x - c for a residue x and c = (v_c, c_num, c_den) exact; certifies the valuation."""
+    vx, nx, mx, kx = x
+    vc, c_num, c_den = c
+    lo = min(vx, vc)
+    n = vx - lo + kx  # the numerator of the difference is known modulo p^n
+    s = (nx * c_den * p ** (vx - lo) - c_num * mx * p ** (vc - lo)) % p**n
     if s == 0:
         raise PrecisionExhaustedError(
-            f"cancellation below p^{n} at valuation {m}; raise the precision"
+            f"cancellation below p^{n} at valuation {lo}; raise the precision"
         )
-    w = 0
-    while s % p == 0:
-        s //= p
-        w += 1
-    return _Approx(m + w, s % p ** (n - w), n - w)
+    w = 0 if s % p else padic_valuation(s, p)
+    k = n - w
+    return lo + w, s // p**w, mx * c_den % p**k, k
 
 
-def _approx_div(t: _Approx, y: _Approx, p: int) -> _Approx:
-    k = min(t.digits, y.digits)
+def _div(t, y, p: int):
+    """t / y for residues; the cross products need no inverse."""
+    k = min(t[3], y[3])
     mod = p**k
-    return _Approx(t.v - y.v, t.unit * pow(y.unit, -1, mod) % mod, k)
+    return t[0] - y[0], t[1] * y[2] % mod, t[2] * y[1] % mod, k
 
 
 @dataclass
 class ProfileOrbitRecord:
-    """Backward orbit trace carrying certified norm profiles (no exact points)."""
+    """Backward orbit trace carrying certified norm profiles (no exact points).
+
+    `precision` is the digit count of the run that certified every profile.
+    """
 
     profiles: list
     regions: list
     verdict: Verdict
+    precision: int
 
     def max_exponent(self):
         vals = [v for prof in self.profiles for v in prof if v is not None]
@@ -333,6 +346,8 @@ class ProfileOrbitRecord:
     def to_json(self) -> dict:
         return {
             "direction": "backward",
+            "engine": "certified",
+            "precision": self.precision,
             "steps": [
                 {"n": n, "a": prof[0], "b": prof[1],
                  "region": str(reg) if reg is not None else None}
@@ -353,25 +368,43 @@ def backward_profile_orbit(
     """Backward orbit on certified fixed-precision values; exact in every valuation.
 
     Suited to long horizons over norm-bounded orbits, where exact rationals
-    are infeasible.  Raises PrecisionExhaustedError rather than ever reporting
-    an uncertified norm.
+    are infeasible.  Runs at START_PRECISION digits and doubles them whenever
+    a cancellation exhausts the window; `precision` caps the digits, and at
+    the cap it raises PrecisionExhaustedError rather than ever reporting an
+    uncertified norm.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    digits = min(START_PRECISION, precision)
+    while True:
+        try:
+            return _profile_orbit_at(
+                pt, params, max_steps, digits, escape_exponent, label_regions
+            )
+        except PrecisionExhaustedError:
+            if digits >= precision:
+                raise
+            digits = min(2 * digits, precision)
+
+
+def _profile_orbit_at(pt, params, max_steps, digits, escape_exponent, label_regions):
     p = params.prime
-    d = params.d
-    c = params.c
-    x = _approx_from_rational(pt.x, precision)
-    y = _approx_from_rational(pt.y, precision)
+    d = params.d if label_regions else None
+    c = _split(params.c)
+    x = _residue(pt.x, digits)
+    y = _residue(pt.y, digits)
     profiles: list = []
     regions: list = []
     seen_max = None
 
-    def push(xa, ya) -> Verdict | None:
+    def record(verdict):
+        return ProfileOrbitRecord(profiles, regions, verdict, digits)
+
+    def push(xr, yr) -> Verdict | None:
         nonlocal seen_max
-        profile = (None if xa is None else -xa.v, None if ya is None else -ya.v)
+        profile = (None if xr is None else -xr[0], None if yr is None else -yr[0])
         profiles.append(profile)
-        regions.append(classify(profile, d) if (label_regions and d is not None) else None)
+        regions.append(classify(profile, d) if d is not None else None)
         m = _max_exponent(profile)
         if m is not None and (seen_max is None or m > seen_max):
             seen_max = m
@@ -381,19 +414,21 @@ def backward_profile_orbit(
 
     verdict = push(x, y)
     if verdict is not None:
-        return ProfileOrbitRecord(profiles, regions, verdict)
+        return record(verdict)
     for n in range(1, max_steps + 1):
         if y is None:
-            return ProfileOrbitRecord(profiles, regions, Verdict("undefined_inverse", n))
-        if x is None:
-            t = _approx_from_rational(-c, precision)
+            return record(Verdict("undefined_inverse", n))
+        if c is None:
+            t = x
+        elif x is None:
+            t = (c[0], -c[1], c[2], digits)
         else:
-            t = _approx_sub_exact(x, c, p)
-        x, y = y, _approx_div(t, y, p)
+            t = _sub_c(x, c, p)
+        x, y = y, None if t is None else _div(t, y, p)
         verdict = push(x, y)
         if verdict is not None:
-            return ProfileOrbitRecord(profiles, regions, verdict)
-    return ProfileOrbitRecord(profiles, regions, Verdict("completed", max_steps, seen_max))
+            return record(verdict)
+    return record(Verdict("completed", max_steps, seen_max))
 
 
 # ---------------------------------------------------------------------------

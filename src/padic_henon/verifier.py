@@ -150,6 +150,7 @@ class VerificationReport:
     notes: list = field(default_factory=list)
     wall_time: float = 0.0
     unlisted_failures: int = 0  # failing outcomes beyond the listed witnesses
+    uncertified: int = 0  # skipped samples whose exit no engine could certify
 
     @property
     def ok(self) -> bool:
@@ -287,12 +288,45 @@ def _schedule_bound_ok(profiles, d: int) -> int | None:
     return None
 
 
+def _sample_orbit(report, pt, params, steps, precision, threshold, label_regions):
+    """(profiles, regions, verdict) of one sample's backward orbit, or None if skipped.
+
+    Runs the certified engine up to `precision` digits.  If that exhausts, the
+    sample is rerun on the exact engine with the same horizon and threshold
+    and the default bit budget, and judged on that record.  An undefined
+    inverse (a real exit from the domain) counts as undefined_inverse and
+    skipped; a budget_exceeded rerun counts as skipped and uncertified.
+    """
+    try:
+        rec = backward_profile_orbit(
+            pt, params, steps, precision=precision,
+            escape_exponent=threshold, label_regions=label_regions,
+        )
+        profiles, regions, verdict = rec.profiles, rec.regions, rec.verdict
+    except PrecisionExhaustedError:
+        exact = backward_orbit(
+            pt, params, steps, escape_exponent=threshold, label_regions=label_regions
+        )
+        profiles, verdict = exact.profiles(), exact.verdict
+        regions = [s.region for s in exact.steps]
+    if verdict.kind == "undefined_inverse":
+        report.undefined_inverse += 1
+        report.skipped += 1
+        return None
+    if verdict.kind == "budget_exceeded":
+        report.uncertified += 1
+        report.skipped += 1
+        return None
+    return profiles, regions, verdict
+
+
 def verify_escape(spec: LemmaSpec) -> VerificationReport:
     """Sampled backward orbits from a proved-escaping region must cross the threshold.
 
     Runs on the certified fixed-precision engine: escaping orbits double their
     coordinate heights per step, so exact rationals cannot reach the large
-    thresholds, while certified valuations remain exact at modular cost.
+    thresholds, while certified valuations remain exact at modular cost.  A
+    sample that exhausts 256 digits is judged on the exact engine instead.
     """
     t0 = time.perf_counter()
     report = VerificationReport(spec=spec)
@@ -309,46 +343,37 @@ def verify_escape(spec: LemmaSpec) -> VerificationReport:
             report.skipped = spec.samples
             report.notes.append(f"empty region: {exc}")
             break
-        try:
-            rec = backward_profile_orbit(
-                pt, params, spec.steps, precision=256,
-                escape_exponent=threshold, label_regions=False,
-            )
-        except PrecisionExhaustedError:
-            # Indistinguishable (at this precision) from meeting c exactly,
-            # which would put the point outside the domain.
-            report.undefined_inverse += 1
-            report.skipped += 1
+        judged = _sample_orbit(report, pt, params, spec.steps, 256, threshold, False)
+        if judged is None:
             continue
-        if rec.verdict.kind == "undefined_inverse":
-            report.undefined_inverse += 1
-            report.skipped += 1
-            continue
-        if rec.verdict.kind != "escaped":
+        profiles, _, verdict = judged
+        if verdict.kind != "escaped":
             report.failures.append(
                 {
                     "start": pt.to_json(),
-                    "verdict": rec.verdict.to_json(),
-                    "profiles": [list(p) for p in rec.profiles],
+                    "verdict": verdict.to_json(),
+                    "profiles": [list(p) for p in profiles],
                 }
             )
             continue
         violation = None
         if spec.growth_check == "doubling":
-            violation = _doubling_bound_ok(rec.profiles, pt.profile()[1], d)
+            violation = _doubling_bound_ok(profiles, pt.profile()[1], d)
         elif spec.growth_check == "schedule":
-            violation = _schedule_bound_ok(rec.profiles, d)
+            violation = _schedule_bound_ok(profiles, d)
         if violation is not None:
             report.failures.append(
                 {
                     "start": pt.to_json(),
                     "growth_check": spec.growth_check,
                     "violated_at_step": violation,
-                    "profiles": [list(p) for p in rec.profiles],
+                    "profiles": [list(p) for p in profiles],
                 }
             )
         else:
             report.passes += 1
+    if report.uncertified:
+        report.notes.append(f"{report.uncertified} samples uncertified")
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -553,21 +578,21 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
                 report.skipped += spec.samples
                 break
             drawn += 1
-            rec = backward_profile_orbit(
-                pt, params, spec.steps, precision=6 * spec.steps + 64,
-                escape_exponent=None, label_regions=True,
+            judged = _sample_orbit(
+                report, pt, params, spec.steps, 6 * spec.steps + 64, None, True
             )
-            if rec.verdict.kind == "undefined_inverse":
-                report.undefined_inverse += 1
-                report.skipped += 1
+            if judged is None:
                 continue
-            if all(r == invariant for r in rec.regions):
+            regions = judged[1]
+            if all(r == invariant for r in regions):
                 stayed += 1
                 report.passes += 1
             else:
                 report.failures.append(
-                    {"start": pt.to_json(), "regions": [str(r) for r in rec.regions]}
+                    {"start": pt.to_json(), "regions": [str(r) for r in regions]}
                 )
+        if report.uncertified:
+            report.notes.append(f"{report.uncertified} samples uncertified")
         if drawn:
             report.notes.append(
                 f"{stayed}/{drawn} samples of {invariant} stayed for {spec.steps} steps "
@@ -593,6 +618,7 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
         report.passes += sub_report.passes
         report.skipped += sub_report.skipped
         report.undefined_inverse += sub_report.undefined_inverse
+        report.uncertified += sub_report.uncertified
         report.failures.extend(sub_report.failures)
         report.notes.extend(f"{label}: {n}" for n in sub_report.notes)
 

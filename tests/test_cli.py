@@ -65,6 +65,14 @@ def test_malformed_rational_usage_error(runner):
     assert result.exit_code == 2
 
 
+def test_orbit_zero_steps_usage_error(runner):
+    result = runner.invoke(main, [
+        "orbit", "--prime", "3", "--c", "1/1", "--x", "1/1", "--y", "1/1", "--steps", "0",
+    ])
+    assert result.exit_code == 2
+    assert "--steps" in result.output
+
+
 def test_classify_profile_mode(runner):
     result = runner.invoke(main, ["classify", "--prime", "3", "--c", "1/9", "--a", "1", "--b", "1"])
     obj = json.loads(result.output)
@@ -179,6 +187,14 @@ def test_measure_region_window(runner):
     ])
     obj = json.loads(result.output)
     assert obj["exact"] == "4/9"
+
+
+def test_measure_unknown_region_usage_error(runner):
+    result = runner.invoke(main, [
+        "measure", "--prime", "3", "--c", "1/3", "--region", "Q7", "--window", "5",
+    ])
+    assert result.exit_code == 2
+    assert "unknown LARGE region Q7" in result.output
 
 
 def test_fixed_points_single(runner):

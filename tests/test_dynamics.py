@@ -8,6 +8,7 @@ from padic_henon.dynamics import (
     MapParams,
     PrecisionExhaustedError,
     UndefinedInverseError,
+    Verdict,
     backward_orbit,
     backward_profile_orbit,
     default_escape_exponent,
@@ -184,26 +185,66 @@ def test_default_escape_exponent():
 # --- certified fixed-precision engine ---------------------------------------------
 
 
+def _random_start(rng, prm: MapParams) -> Point:
+    """A rational start.  Half of them are forward images f^j(q), j < 5, of a
+    point q with x within p^e of c: the backward orbit reaches q after j steps,
+    by then on reduced residues, and its next step cancels about e digits."""
+    p = prm.prime
+
+    def rational():
+        num = rng.randrange(-400, 401) * p ** rng.randrange(0, 4)
+        return PadicRational(num, rng.randrange(1, 200) * p ** rng.randrange(0, 4), p)
+
+    pt = Point(rational(), rational())
+    if rng.randrange(2):
+        near_c = prm.c + rng.randrange(1, 50) * p ** rng.randrange(1, 200)
+        pt = Point(near_c, pt.y)
+        for _ in range(rng.randrange(5)):
+            pt = forward(pt, prm)
+    return pt
+
+
 def test_profile_orbit_matches_exact_engine():
+    # On every orbit the exact engine completes, the certified engine (default
+    # cap, so escalating as needed) gives the same profiles and the same
+    # region labels, at every horizon: a horizon that ends on a deep
+    # cancellation leaves no later step to expose an uncertified valuation.
     rng = random.Random(8)
-    for c_num, c_den, p in ((5, 1, 5), (1, 3, 3), (2, 1, 3), (1, 9, 3)):
+    compared = escalated = 0
+    for c_num, c_den, p in ((5, 1, 5), (1, 3, 3), (2, 1, 3), (1, 9, 3), (1, 81, 3)):
         prm = MapParams(PadicRational(c_num, c_den, p))
-        for _ in range(10):
-            x = PadicRational(Fraction(rng.randrange(-400, 401), rng.randrange(1, 200)), 1, p)
-            y = PadicRational(Fraction(rng.randrange(-400, 401), rng.randrange(1, 200)), 1, p)
-            if x.is_zero or y.is_zero:
+        for _ in range(40):
+            pt = _random_start(rng, prm)
+            if pt.x.is_zero or pt.y.is_zero:
                 continue
-            pt = Point(x, y)
-            exact = backward_orbit(pt, prm, 12, escape_exponent=None, bit_budget=10**7,
-                                   label_regions=False)
+            exact = backward_orbit(pt, prm, 12, escape_exponent=None, bit_budget=10**7)
             if exact.verdict.kind != "completed":
                 continue
-            try:
-                cert = backward_profile_orbit(pt, prm, 12, precision=200,
-                                              escape_exponent=None, label_regions=False)
-            except PrecisionExhaustedError:
-                continue
-            assert cert.profiles == exact.profiles()
+            for n in range(1, 13):
+                cert = backward_profile_orbit(pt, prm, n, escape_exponent=None)
+                assert cert.profiles == exact.profiles()[: n + 1]
+                assert cert.regions == [s.region for s in exact.steps[: n + 1]]
+            assert cert.verdict == exact.verdict
+            compared += 1
+            escalated += cert.precision > 16
+    assert compared >= 150 and escalated >= 10, (compared, escalated)
+
+
+def test_profile_orbit_escalates_precision():
+    # x - c = 3^20 at valuation -1: the first step cancels 21 digits.
+    prm = params_for(1, 3, 3)
+    pt = Point(pr(1, 3, 3) + pr(3**20, 1, 3), pr(1, 1, 3))
+    with pytest.raises(PrecisionExhaustedError):
+        backward_profile_orbit(pt, prm, 10, precision=16, escape_exponent=None)
+    rec = backward_profile_orbit(pt, prm, 10, escape_exponent=None, label_regions=False)
+    exact = backward_orbit(pt, prm, 10, escape_exponent=None, label_regions=False)
+    assert rec.profiles == exact.profiles()
+    assert rec.profiles[:3] == [(1, 0), (0, -20), (-20, 21)]
+    assert rec.verdict == Verdict("completed", 10, exact.verdict.norm_exponent)
+    assert rec.precision == 32
+    obj = rec.to_json()
+    assert (obj["engine"], obj["precision"]) == ("certified", 32)
+    assert [(s["a"], s["b"]) for s in obj["steps"]] == rec.profiles
 
 
 def test_profile_orbit_escape_threshold():
@@ -226,6 +267,16 @@ def test_profile_orbit_undefined_inverse():
     pt = Point(pr(5, 1, 3), pr(0, 1, 3))
     rec = backward_profile_orbit(pt, prm, 5)
     assert rec.verdict.kind == "undefined_inverse"
+
+
+def test_profile_orbit_degenerate_c_at_zero_x():
+    # c = 0 and x = 0: the next y is exactly 0, then the inverse is undefined.
+    prm = params_for(0)
+    pt = Point(pr(0), pr(5))
+    rec = backward_profile_orbit(pt, prm, 5)
+    exact = backward_orbit(pt, prm, 5)
+    assert rec.profiles == exact.profiles() == [(None, -1), (-1, None)]
+    assert rec.verdict == exact.verdict == Verdict("undefined_inverse", 2)
 
 
 # --- fixed points ------------------------------------------------------------------

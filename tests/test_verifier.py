@@ -2,11 +2,20 @@ import json
 
 import pytest
 
-from padic_henon.dynamics import MapParams, inverse
+from padic_henon.dynamics import (
+    MapParams,
+    PrecisionExhaustedError,
+    backward_orbit,
+    backward_profile_orbit,
+    default_escape_exponent,
+    inverse,
+)
 from padic_henon.padics import PadicRational, Point
 from padic_henon.regions import Regime, RegionLabel, classify
 from padic_henon.verifier import (
     LemmaSpec,
+    VerificationReport,
+    _sample_orbit,
     builtin_campaign,
     builtin_campaign_names,
     campaign_summary,
@@ -124,6 +133,47 @@ def test_escape_with_doubling_bound():
                      steps=60, escape_exponent=500, growth_check="doubling")
     report = verify_escape(spec)
     assert report.ok and report.passes + report.skipped == 100
+
+
+def test_escape_certifies_exhausted_sample_on_exact_engine():
+    # At the bundled seed one sample of small-escape-A4, (184, 181/3) at c = 3,
+    # cancels below the 256-digit cap; the exact rerun shows a real exit from
+    # the domain (x_{-2} = c, so y_{-3} = 0 and step 4 is undefined), counted
+    # as before.
+    spec = next(s for s in builtin_campaign("all-lemmas") if s.identifier == "small-escape-A4")
+    params = spec.params()
+    pt = Point(PadicRational(184, 1, 3), PadicRational(181, 3, 3))
+    threshold = default_escape_exponent(params)
+    with pytest.raises(PrecisionExhaustedError):
+        backward_profile_orbit(pt, params, spec.steps, escape_exponent=threshold)
+    exact = backward_orbit(pt, params, spec.steps, escape_exponent=threshold)
+    assert (exact.verdict.kind, exact.verdict.step) == ("undefined_inverse", 4)
+    report = verify_escape(spec)
+    assert (report.passes, report.skipped, report.undefined_inverse) == (119, 1, 1)
+    assert report.ok and report.uncertified == 0 and report.notes == []
+
+
+def test_exhausted_sample_is_judged_on_the_exact_record():
+    # x - c = 3^20 at valuation -1 cancels 21 digits, past a 16-digit cap: the
+    # exact rerun gives the profiles and labels the certified engine gives
+    # with room to spare.
+    params = MapParams(PadicRational(1, 3, 3))
+    pt = Point(PadicRational(1 + 3**21, 3, 3), PadicRational(1, 1, 3))
+    report = VerificationReport(spec=LemmaSpec(identifier="probe", kind="sandwich", p=3))
+    profiles, regions, verdict = _sample_orbit(report, pt, params, 10, 16, None, True)
+    rec = backward_profile_orbit(pt, params, 10, escape_exponent=None)
+    assert (profiles, regions, verdict) == (rec.profiles, rec.regions, rec.verdict)
+    assert (report.skipped, report.undefined_inverse, report.uncertified) == (0, 0, 0)
+
+
+def test_exhausted_sample_past_the_bit_budget_is_uncertified():
+    # x - c = 3^300 exhausts the 256-digit cap, and the exact rerun of a
+    # norm-bounded orbit outgrows the default bit budget long before 60 steps.
+    params = MapParams(PadicRational(1, 3, 3))
+    pt = Point(PadicRational(1 + 3**301, 3, 3), PadicRational(1, 1, 3))
+    report = VerificationReport(spec=LemmaSpec(identifier="probe", kind="sandwich", p=3))
+    assert _sample_orbit(report, pt, params, 60, 256, None, True) is None
+    assert (report.skipped, report.undefined_inverse, report.uncertified) == (1, 0, 1)
 
 
 def test_escape_schedule_bound_small_regime():
