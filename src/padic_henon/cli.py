@@ -4,7 +4,8 @@ campaigns, measures and fixed points.
 Rationals enter as exact "num/den" strings; there is no floating-point entry
 point anywhere.  Structured output is JSON (CSV for grids) with stable keys.
 Exit codes: 0 on success (any orbit verdict counts as success), 1 when a
-verification campaign reports failures, 2 on usage errors.
+verification campaign reports failures, 2 on usage errors and malformed
+campaign files.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .measure import measure_report, tn_rows
 from .padics import validate_odd_prime
 from .regions import RegionLabel, classify, regime_of_d, region_branches
 from .verifier import (
+    CampaignError,
     builtin_campaign,
     builtin_campaign_names,
     campaign_summary,
@@ -183,6 +185,8 @@ def verify(campaign, seed, samples, list_builtin):
             specs = load_campaign(campaign)
         except OSError as exc:
             raise click.UsageError(f"cannot load campaign {campaign!r}: {exc}") from None
+        except CampaignError as exc:
+            raise click.UsageError(f"invalid campaign {campaign!r}: {exc}") from None
     if seed is not None:
         for spec in specs:
             spec.seed = seed

@@ -34,9 +34,12 @@ __all__ = [
     "OrbitStep",
     "Verdict",
     "OrbitRecord",
+    "ProfileOrbitRecord",
+    "PrecisionExhaustedError",
     "forward",
     "inverse",
     "backward_orbit",
+    "backward_profile_orbit",
     "forward_orbit",
     "fixed_points",
     "exact_fixed_points",

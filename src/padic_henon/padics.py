@@ -99,20 +99,33 @@ class PadicRational:
     Stored in lowest terms with positive denominator (delegated to
     ``fractions.Fraction``).  Arithmetic is exact field arithmetic; the prime
     tag only drives valuations, norms and digit expansions.
+
+    The valuation is cached in ``_v``: ``valuation`` fills it on first use,
+    and ``_with_valuation`` sets it when the value is built with a known
+    valuation (as ``sample_with_norm`` does).  Every arithmetic result is a
+    new object with an empty cache, so no result inherits a stale valuation.
     """
 
-    __slots__ = ("prime", "_f")
+    __slots__ = ("prime", "_f", "_v")
 
     def __init__(self, num, den=1, prime=None):
         if prime is None:
             raise ValueError("prime is required")
         self.prime = validate_odd_prime(prime)
+        self._v = None
         if isinstance(num, Fraction) and den == 1:
             self._f = num
         else:
             if den == 0:
                 raise ZeroDivisionError("zero denominator")
             self._f = Fraction(num, den)
+
+    @classmethod
+    def _with_valuation(cls, f: Fraction, prime: int, v: int) -> "PadicRational":
+        """The nonzero value f, with prime already validated and v = v_p(f) known."""
+        x = cls.__new__(cls)
+        x.prime, x._f, x._v = prime, f, v
+        return x
 
     @classmethod
     def from_fraction(cls, f: Fraction, prime: int) -> "PadicRational":
@@ -137,12 +150,13 @@ class PadicRational:
 
     @property
     def valuation(self):
-        """v_p(x) as an int, or None for x = 0."""
-        if self._f == 0:
-            return None
-        return padic_valuation(self._f.numerator, self.prime) - padic_valuation(
-            self._f.denominator, self.prime
-        )
+        """v_p(x) as an int, or None for x = 0; computed once, then cached."""
+        v = self._v
+        if v is None and self._f:
+            v = self._v = padic_valuation(self._f.numerator, self.prime) - padic_valuation(
+                self._f.denominator, self.prime
+            )
+        return v
 
     @property
     def norm_exponent(self):
@@ -523,8 +537,10 @@ class TruncatedPadic:
 def sample_with_norm(a: int, digit_count: int, rng: random.Random, p: int) -> PadicRational:
     """Draw x = u * p^(-a) with u a uniform unit of digit_count digits, so |x|_p = p^a exactly.
 
-    Deterministic for a fixed `rng` state; each concurrent worker should own
-    its own Random instance.
+    Built from integers, (u p^(-a), 1) for a <= 0 and (u, p^a) for a > 0,
+    both in lowest terms since p does not divide u, with the valuation -a
+    cached.  Deterministic for a fixed `rng` state; each concurrent worker
+    should own its own Random instance.
     """
     if digit_count < 1:
         raise ValueError("digit_count must be >= 1")
@@ -533,4 +549,5 @@ def sample_with_norm(a: int, digit_count: int, rng: random.Random, p: int) -> Pa
     u = rng.randrange(1, bound)
     while u % p == 0:
         u = rng.randrange(1, bound)
-    return PadicRational(Fraction(u) * Fraction(p) ** (-a), 1, p)
+    f = Fraction(u * p ** (-a)) if a <= 0 else Fraction(u, p**a)
+    return PadicRational._with_valuation(f, p, -a)

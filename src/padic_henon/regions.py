@@ -513,17 +513,89 @@ def t_profile(n: int, d: int):
     return ((d - 1) * fib(n + 1), (d - 1) * fib(n))
 
 
+_FLIP = {"<": ">", "<=": ">=", "==": "==", ">=": "<=", ">": "<"}
+
+
+def _golden_cut(sign: int, a: int, lo: int, hi: int):
+    """[lo, hi] cut to the b with beta*b < a (sign -1) or beta*b > a (sign 1).
+
+    The first set is down-closed in b, so its new upper end is found by
+    integer bisection on ``golden_below``; the second is the first mirrored,
+    beta*(-b) < -a.
+    """
+    if sign > 0:
+        mlo, mhi = _golden_cut(-1, -a, -hi, -lo)
+        return -mhi, -mlo
+    if not golden_below(a, lo):
+        return lo, lo - 1
+    yes, no = lo, hi + 1  # beta*yes < a, and no is past the last such b
+    while no - yes > 1:
+        mid = (yes + no) // 2
+        if golden_below(a, mid):
+            yes = mid
+        else:
+            no = mid
+    return lo, yes
+
+
+def _branch_row(branch, a: int, d: int, lo: int, hi: int):
+    """The interval lo..hi of b on which one branch holds in row a (empty if lo > hi).
+
+    Each constraint is monotone in b: a linear one is read as cb*b OP rhs
+    and turned into an integer bound (or one point for ==); golden ones are
+    applied last, on the interval the linear ones leave.
+    """
+    goldens = []
+    for con in branch:
+        if con[0] == "golden":
+            goldens.append(con[1])
+            continue
+        ca, cb, cd, c1, op = con
+        rhs = cd * d + c1 - ca * a
+        if cb == 0:
+            if not _OPS[op](0, rhs):
+                return lo, lo - 1
+            continue
+        if cb < 0:
+            cb, rhs, op = -cb, -rhs, _FLIP[op]
+        if op == "==":
+            if rhs % cb:
+                return lo, lo - 1
+            lo, hi = max(lo, rhs // cb), min(hi, rhs // cb)
+        elif op == "<":
+            hi = min(hi, (rhs - 1) // cb)
+        elif op == "<=":
+            hi = min(hi, rhs // cb)
+        elif op == ">":
+            lo = max(lo, rhs // cb + 1)
+        else:  # ">=": b >= ceil(rhs / cb)
+            lo = max(lo, -(-rhs // cb))
+    for sign in goldens:
+        if lo > hi:
+            break
+        lo, hi = _golden_cut(sign, a, lo, hi)
+    return lo, hi
+
+
 @lru_cache(maxsize=4096)
 def region_profiles(label: RegionLabel, d: int, window: int):
-    """All integer profiles of the region with |a|, |b| <= window (memoized)."""
+    """All integer profiles of the region with |a|, |b| <= window (memoized).
+
+    Row by row: each branch holds on an interval of b, and a row is the
+    sorted union of its branches' intervals, so the order is that of a scan
+    over a, then b.
+    """
     if label.name == "T":
         prof = t_profile(label.index, d)
         return (prof,) if max(abs(prof[0]), abs(prof[1])) <= window else ()
+    branches = region_branches(label)
     out = []
     for a in range(-window, window + 1):
-        for b in range(-window, window + 1):
-            if profile_in_region(label, a, b, d):
-                out.append((a, b))
+        row = set()
+        for branch in branches:
+            lo, hi = _branch_row(branch, a, d, -window, window)
+            row.update(range(lo, hi + 1))
+        out.extend((a, b) for b in sorted(row))
     return tuple(out)
 
 

@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from . import gridcheck
 from .dynamics import (
     MapParams,
     PrecisionExhaustedError,
@@ -28,7 +27,7 @@ from .dynamics import (
     three_cycle,
 )
 from .fib import growth_schedule
-from .padics import PadicRational, Point
+from .padics import PadicRational, Point, validate_odd_prime
 from .regions import (
     EmptyRegionError,
     Regime,
@@ -36,10 +35,13 @@ from .regions import (
     classify,
     expected_preimage_regions,
     profile_in_region,
+    regime_of_d,
+    region_branches,
     sample_in_region,
 )
 
 __all__ = [
+    "CampaignError",
     "LemmaSpec",
     "VerificationReport",
     "verify_transition",
@@ -63,6 +65,24 @@ def parse_rational(text: str, p: int) -> PadicRational:
         num_s, den_s = text.split("/", 1)
         return PadicRational(int(num_s), int(den_s), p)
     return PadicRational(int(text), 1, p)
+
+
+class CampaignError(ValueError):
+    """A campaign file or spec is malformed; raised at load time, before anything runs."""
+
+
+_KINDS = ("transition", "exhaustive", "escape", "sandwich", "worked_orbits")
+_INT_FIELDS = {"p": None, "depth": 1, "samples": 200, "window": 12, "seed": 0, "digit_count": 6,
+               "steps": 60}
+
+
+def _label(obj, what: str) -> RegionLabel:
+    try:
+        label = RegionLabel.from_json(obj)
+        region_branches(label)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CampaignError(f"bad {what} {obj!r}: {exc}") from None
+    return label
 
 
 @dataclass
@@ -98,26 +118,74 @@ class LemmaSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LemmaSpec":
-        source = RegionLabel.from_json(obj["source"]) if obj.get("source") else None
-        expected = None
-        if obj.get("expected") is not None:
-            expected = frozenset(RegionLabel.from_json(t) for t in obj["expected"])
-        return cls(
+        """Parse one spec, checking every field; a malformed one raises CampaignError."""
+        try:
+            return cls._checked(obj)
+        except CampaignError as exc:
+            ident = obj.get("id") if isinstance(obj, dict) else None
+            raise CampaignError(f"spec {ident!r}: {exc}") from None
+
+    @classmethod
+    def _checked(cls, obj: dict) -> "LemmaSpec":
+        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
+            raise CampaignError(f'a spec is an object with a string "id", got {obj!r}')
+        kind = obj.get("kind")
+        if kind not in _KINDS:
+            raise CampaignError(f"unknown kind {kind!r}; expected one of {list(_KINDS)}")
+        ints = {k: obj.get(k, default) for k, default in _INT_FIELDS.items()}
+        escape = obj.get("escape_exp")
+        for k, v in [*ints.items(), ("escape_exp", 0 if escape is None else escape)]:
+            if type(v) is not int:
+                raise CampaignError(f"{k!r} must be an integer, got {v!r}")
+        try:
+            validate_odd_prime(ints["p"])
+        except ValueError as exc:
+            raise CampaignError(str(exc)) from None
+        if ints["depth"] not in (1, 2) or ints["digit_count"] < 1:
+            raise CampaignError("depth must be 1 or 2, and digit_count at least 1")
+        growth_check = obj.get("growth_check")
+        if growth_check not in (None, "doubling", "schedule"):
+            raise CampaignError(f"unknown growth_check {growth_check!r}")
+        expected = obj.get("expected")
+        spec = cls(
             identifier=obj["id"],
-            kind=obj["kind"],
-            p=obj["p"],
+            kind=kind,
             c=obj.get("c"),
-            source=source,
-            depth=obj.get("depth", 1),
-            samples=obj.get("samples", 200),
-            window=obj.get("window", 12),
-            seed=obj.get("seed", 0),
-            digit_count=obj.get("digit_count", 6),
-            steps=obj.get("steps", 60),
-            escape_exponent=obj.get("escape_exp"),
-            expected=expected,
-            growth_check=obj.get("growth_check"),
+            source=_label(obj["source"], "source") if obj.get("source") else None,
+            escape_exponent=escape,
+            expected=None if expected is None else frozenset(_label(t, "target") for t in expected),
+            growth_check=growth_check,
+            **ints,
         )
+        if kind != "worked_orbits":
+            spec._check_regions()
+        return spec
+
+    def _check_regions(self) -> None:
+        """c is a nonzero rational, and the source and the claim fit its regime."""
+        try:
+            c = parse_rational(self.c, self.p) if isinstance(self.c, str) else None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CampaignError(f"bad c {self.c!r}: {exc}") from None
+        if c is None:
+            raise CampaignError(f'"c" must be a "num/den" string, got {self.c!r}')
+        if c.is_zero:
+            raise CampaignError("c = 0 is degenerate: no region partition exists")
+        regime = regime_of_d(c.norm_exponent)
+        if self.kind == "sandwich":
+            return
+        if self.source is None:
+            raise CampaignError(f"kind {self.kind!r} needs a source region")
+        if self.source.regime is not regime:
+            raise CampaignError(
+                f"source {self.source} is {self.source.regime.value}, but c = {self.c} "
+                f"is in regime {regime.value}"
+            )
+        if self.kind != "escape" and self.expected is None:
+            try:
+                _expected_targets(self)
+            except KeyError as exc:
+                raise CampaignError(exc.args[0]) from None
 
     def to_json(self) -> dict:
         obj = {
@@ -233,6 +301,8 @@ def verify_transition_exhaustive(spec: LemmaSpec) -> VerificationReport:
     report = VerificationReport(spec=spec)
     params = spec.params()
     targets = _expected_targets(spec)
+    from . import gridcheck  # numpy is loaded only when a window check runs
+
     check = gridcheck.check_transition_profiles(
         spec.source, params.d, spec.window, depth=spec.depth, targets=targets
     )
@@ -563,6 +633,8 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
         invariant = RegionLabel(regime, "J", 0)
 
     if invariant is not None:
+        from . import gridcheck  # numpy is loaded only when a window check runs
+
         cert = gridcheck.check_transition_profiles(invariant, d, max(spec.window, 12))
         if cert.ok:
             report.notes.append(f"one-step invariance of {invariant} certified on window")
@@ -648,10 +720,25 @@ def run_spec(spec: LemmaSpec) -> VerificationReport:
     return runner(spec)
 
 
-def load_campaign(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+def _parse_campaign(text: str) -> list:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CampaignError(f"not valid JSON: {exc}") from None
+    if not isinstance(obj, dict) or not isinstance(obj.get("specs"), list):
+        raise CampaignError('a campaign is an object with a "specs" list')
     return [LemmaSpec.from_json(s) for s in obj["specs"]]
+
+
+def load_campaign(path) -> list:
+    """Read and validate a campaign file: OSError if it cannot be read,
+    CampaignError if it is malformed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CampaignError(f"not UTF-8 text: {exc}") from None
+    return _parse_campaign(text)
 
 
 def builtin_campaign_names() -> list:
@@ -665,8 +752,7 @@ def builtin_campaign(name: str) -> list:
         raise FileNotFoundError(
             f"no builtin campaign {name!r}; available: {builtin_campaign_names()}"
         )
-    obj = json.loads(ref.read_text(encoding="utf-8"))
-    return [LemmaSpec.from_json(s) for s in obj["specs"]]
+    return _parse_campaign(ref.read_text(encoding="utf-8"))
 
 
 def run_campaign(specs, samples_override: int | None = None) -> list:

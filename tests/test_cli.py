@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import padic_henon
 from padic_henon.cli import main
 
 
@@ -164,6 +170,63 @@ def test_verify_campaign_file(runner, tmp_path):
     assert result.exit_code == 0, result.output
     summary = json.loads(result.output)
     assert summary["ok"] and summary["skipped"] == 40
+
+
+def _one_spec(**fields):
+    spec = {"id": "bad", "kind": "transition", "p": 3, "c": "1/1",
+            "source": {"regime": "small", "name": "A", "index": 1}, "samples": 5}
+    return json.dumps({"specs": [{**spec, **fields}]})
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"specs": [', "not valid JSON"),
+        ('{"name": "no specs key"}', 'a campaign is an object with a "specs" list'),
+        (_one_spec(c="0/1"), "c = 0 is degenerate"),
+        (_one_spec(p=4, c="4"), "prime must be an odd prime >= 3, got 4"),
+        (_one_spec(c="1/9"), "source A1 is small, but c = 1/9 is in regime large"),
+    ],
+    ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch"],
+)
+def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "invalid campaign" in result.output and message in result.output
+    assert result.stdout == ""
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """A cold `import padic_henon.cli` does not load numpy; the window checks
+    still run and load it when they are reached."""
+    code = textwrap.dedent("""
+        import json, sys
+        import padic_henon.cli
+        assert "numpy" not in sys.modules, "numpy loaded by import padic_henon.cli"
+        from padic_henon.verifier import LemmaSpec, run_spec
+        from padic_henon.regions import Regime, RegionLabel
+        exhaustive = LemmaSpec(identifier="ex", kind="exhaustive", p=3, c="1/9",
+                               source=RegionLabel(Regime.LARGE, "J", 0), window=12)
+        sandwich = LemmaSpec(identifier="sw", kind="sandwich", p=3, c="1/9",
+                             samples=8, window=6, steps=60)
+        reports = [run_spec(exhaustive), run_spec(sandwich)]
+        print(json.dumps({"numpy": "numpy" in sys.modules,
+                          "reports": [[r.ok, r.passes, r.notes] for r in reports]}))
+    """)
+    src = str(Path(padic_henon.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["numpy"]
+    (ex_ok, ex_passes, _), (sw_ok, sw_passes, sw_notes) = out["reports"]
+    assert ex_ok and ex_passes > 0
+    assert sw_ok and sw_passes > 0
+    assert "one-step invariance of J0 certified on window" in sw_notes
 
 
 def test_verify_missing_campaign(runner):

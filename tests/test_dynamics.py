@@ -371,3 +371,14 @@ def test_three_cycle_c_minus_one():
     rho, f1, f2 = three_cycle(prm)
     assert f1 == Point(pr(0, 1, 3), pr(-1, 1, 3))
     assert forward(f2, prm) == rho
+
+
+def test_dynamics_all_names_resolve():
+    import padic_henon.dynamics as dynamics
+
+    for name in dynamics.__all__:
+        assert hasattr(dynamics, name), name
+    namespace = {}
+    exec("from padic_henon.dynamics import *", namespace)
+    for name in ("backward_profile_orbit", "ProfileOrbitRecord", "PrecisionExhaustedError"):
+        assert namespace[name] is getattr(dynamics, name)

@@ -308,6 +308,43 @@ def test_sample_with_norm_no_drift_bulk():
         assert sample_with_norm(a, 4, rng, 3).norm_exponent == a
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_sample_with_norm_matches_fraction_formula(p):
+    """Same draws and same value as u * p^(-a) built with Fraction, and the
+    valuation cached at construction equals a fresh padic_valuation."""
+    for digit_count in (1, 2, 6, 13):
+        rng, ref = random.Random(1000 * p + digit_count), random.Random(1000 * p + digit_count)
+        for a in range(-40, 41):
+            x = sample_with_norm(a, digit_count, rng, p)
+            bound = p**digit_count
+            u = ref.randrange(1, bound)
+            while u % p == 0:
+                u = ref.randrange(1, bound)
+            assert x.as_fraction() == Fraction(u) * Fraction(p) ** (-a)
+            assert x._v == -a
+            fresh = padic_valuation(x.numerator, p) - padic_valuation(x.denominator, p)
+            assert x.valuation == fresh == -a
+        assert rng.getstate() == ref.getstate()
+
+
+def test_arithmetic_results_do_not_inherit_cached_valuations():
+    p = 5
+    rng = random.Random(17)
+    for _ in range(100):
+        x = sample_with_norm(rng.randint(-6, 6), 3, rng, p)
+        y = sample_with_norm(rng.randint(-6, 6), 3, rng, p)
+        # x + p^k - x cancels to valuation k, far from the operands' valuations.
+        k = rng.randint(-12, 12)
+        near = x + PadicRational(p**k, 1, p) if k >= 0 else x + PadicRational(1, p**-k, p)
+        assert x.valuation is not None and y.valuation is not None and near.valuation is not None
+        results = [x + y, x - y, x * y, x / y, -x, y - x, 2 * x, x + 1, 1 - x, 3 / x,
+                   near - x, x - near, (near - x) * y, y / (near - x), -(near - x), x - x]
+        for r in results:
+            fresh = PadicRational(r.numerator, r.denominator, p)
+            assert r.valuation == fresh.valuation
+        assert (near - x).valuation == k
+
+
 def test_sampler_deterministic():
     seq1 = [sample_with_norm(-1, 6, random.Random(99), 7) for _ in range(1)]
     rng1, rng2 = random.Random(42), random.Random(42)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from padic_henon.fib import fib, golden_below, golden_cmp
@@ -14,6 +15,8 @@ from padic_henon.regions import (
     export_transition_table,
     iter_region_labels,
     profile_in_region,
+    regime_of_d,
+    region_branches,
     region_profiles,
     sample_in_region,
     t_profile,
@@ -323,3 +326,37 @@ def test_overlay_sampling():
     rng = random.Random(9)
     pt = sample_in_region(lbl(L, "T", 2), 3, 3, 40, 4, rng)
     assert pt.profile() == t_profile(2, 3)
+
+
+# --- row-interval enumeration ------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [-5, -3, -1, 0, 1, 2, 3, 4, 7])
+def test_region_profiles_equal_cell_scan(d):
+    """The row-interval enumeration lists exactly the cells where the table's
+    own evaluator holds, in scan order (a, then b), with no duplicates."""
+    seen = set()
+    for W in (0, 1, 2, 12, 37, 60):
+        coords = np.arange(-W, W + 1)
+        A, B = np.meshgrid(coords, coords, indexing="ij")
+        for label in iter_region_labels(regime_of_d(d), d, W, include_t=True):
+            got = region_profiles.__wrapped__(label, d, W)
+            assert len(set(got)) == len(got)
+            if label.name == "T":
+                prof = t_profile(label.index, d)
+                expected = (prof,) if max(map(abs, prof)) <= W else ()
+            else:
+                mask = profile_in_region(label, A, B, d)
+                expected = tuple(zip(A[mask].tolist(), B[mask].tolist()))
+            assert got == expected, (str(label), d, W)
+            seen.add(label)
+    # Coverage: unit C0's two branches overlap at (0, 0); large C_i and D_i
+    # rows are == constraints with |cb| > 1, so many rows have no integer b;
+    # B1/B2 and P4/P5 cut rows at the golden line.
+    if d == 0:
+        assert len(region_branches(lbl(U, "C", 0))) == 2 and lbl(U, "C", 0) in seen
+    if d == 7:
+        assert {lbl(L, "C", 3), lbl(L, "D", 4), lbl(L, "T", 0)} <= seen
+        assert 0 < len(region_profiles(lbl(L, "C", 3), d, 60)) < 121
+    if d == -3:
+        assert {lbl(S, "B", 1), lbl(S, "B", 2), lbl(S, "P", 4), lbl(S, "P", 5)} <= seen

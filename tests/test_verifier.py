@@ -13,6 +13,7 @@ from padic_henon.dynamics import (
 from padic_henon.padics import PadicRational, Point
 from padic_henon.regions import Regime, RegionLabel, classify
 from padic_henon.verifier import (
+    CampaignError,
     LemmaSpec,
     VerificationReport,
     _sample_orbit,
@@ -240,6 +241,32 @@ def test_campaign_spec_roundtrip(tmp_path):
     path.write_text(json.dumps({"specs": [s.to_json() for s in specs]}))
     reloaded = load_campaign(path)
     assert [s.to_json() for s in reloaded] == [s.to_json() for s in specs]
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"kind": "lemma"}, "unknown kind 'lemma'"),
+        ({"samples": "5"}, "'samples' must be an integer"),
+        ({"depth": 3}, "depth must be 1 or 2"),
+        ({"source": {"regime": "large", "name": "Q", "index": 7}}, "bad source"),
+        ({"source": {"regime": "large", "name": "C", "index": 3}}, "no transition claim for C3"),
+        ({"c": "1/0"}, "bad c '1/0'"),
+        ({"c": None}, '"c" must be a "num/den" string'),
+        ({"growth_check": "tripling"}, "unknown growth_check"),
+        ({"expected": [{"regime": "large", "name": "Q"}]}, "bad target"),
+    ],
+)
+def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
+    spec = {"id": "bad", "kind": "transition", "p": 3, "c": "1/9",
+            "source": {"regime": "large", "name": "J", "index": 0}}
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"specs": [spec]}))
+    assert len(load_campaign(path)) == 1
+    path.write_text(json.dumps({"specs": [{**spec, **fields}]}))
+    with pytest.raises(CampaignError) as info:
+        load_campaign(path)
+    assert str(info.value).startswith("spec 'bad': ") and message in str(info.value)
 
 
 def test_negative_control_campaign_fails():
