@@ -1,7 +1,8 @@
 """Exact-arithmetic toolkit for the backward dynamics of f(x, y) = (xy + c, x) on Q_p^2.
 
 Modules:
-    padics    exact rationals in Q_p, digit expansions, Hensel square roots
+    padics    exact rationals in Q_p, certified residues and their digit view,
+              Hensel square roots
     fib       Fibonacci values, Cassini-type identities, golden-ratio comparisons
     dynamics  the map, its inverse, orbits with fate verdicts, fixed points
     regions   valuation-region classifier, samplers and the transition table
@@ -22,11 +23,9 @@ from .padics import (
 )
 from .fib import cassini, cassini2, fib, golden_cmp
 from .regions import (
-    AbstractPreimage,
     EmptyRegionError,
     Regime,
     RegionLabel,
-    abstract_inverse,
     classify,
     classify_point,
     expected_preimage_regions,
@@ -66,10 +65,8 @@ __all__ = [
     "Regime",
     "RegionLabel",
     "EmptyRegionError",
-    "AbstractPreimage",
     "classify",
     "classify_point",
-    "abstract_inverse",
     "expected_preimage_regions",
     "sample_in_region",
     "MapParams",

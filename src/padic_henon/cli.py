@@ -26,7 +26,7 @@ from .dynamics import (
     three_cycle,
 )
 from .measure import measure_report, tn_rows
-from .padics import validate_odd_prime
+from .padics import PrecisionExhaustedError, validate_odd_prime
 from .regions import RegionLabel, classify, regime_of_d, region_branches
 from .verifier import (
     CampaignError,
@@ -167,7 +167,8 @@ def grid(prime, c, window, fmt):
 @main.command()
 @click.argument("campaign")
 @seed_option
-@click.option("--samples", type=int, default=None, help="Override sample counts.")
+@click.option("--samples", type=click.IntRange(min=1), default=None,
+              help="Override sample counts.")
 @click.option("--list", "list_builtin", is_flag=True, help="List bundled campaign names.")
 def verify(campaign, seed, samples, list_builtin):
     """Run a verification campaign (a JSON file or a bundled name).
@@ -201,7 +202,8 @@ def verify(campaign, seed, samples, list_builtin):
 @prime_option
 @c_option
 @click.option("--tn", "tn", is_flag=True, help="Overlay sphere-pair measures and partial sums.")
-@click.option("--k", type=int, default=2, show_default=True, help="|c| = p^k for --tn (k >= 2).")
+@click.option("--k", type=click.IntRange(min=2), default=2, show_default=True,
+              help="|c| = p^k for --tn.")
 @click.option("--n", type=int, default=8, show_default=True, help="Largest index for --tn.")
 @click.option("--region", default=None, help="Region label, e.g. Z, J0, A3, C0.")
 @click.option("--window", type=int, default=8, show_default=True)
@@ -234,13 +236,20 @@ def measure(prime, c, tn, k, n, region, window):
 @main.command("fixed-points")
 @prime_option
 @c_option
-@click.option("--precision", type=int, default=20, show_default=True)
+@click.option("--precision", type=click.IntRange(min=1), default=20, show_default=True)
 def fixed_points_cmd(prime, c, precision):
     """Fixed points (digit expansions, exact rationals when they exist) and the 3-cycle."""
     if c is None:
         raise click.UsageError("--c is required")
+    if c.is_zero:
+        raise click.UsageError("c = 0 is degenerate: 1 - q cancels at every precision")
     params = MapParams(c)
-    pts = fixed_points(params, precision)
+    try:
+        pts = fixed_points(params, precision)
+    except PrecisionExhaustedError as exc:
+        raise click.UsageError(
+            f"fixed points not certified at --precision {precision}: {exc}"
+        ) from None
     exact = exact_fixed_points(params)
     cycle = three_cycle(params)
     report = {

@@ -17,12 +17,15 @@ from fractions import Fraction
 
 from .fib import fib
 from .padics import (
-    NonSquareError,
     PadicRational,
     Point,
+    PrecisionExhaustedError,
     TruncatedPadic,
+    _div,
+    _residue,
+    _split,
+    _sub_c,
     is_square,
-    padic_valuation,
     sqrt,
 )
 from .regions import Regime, RegionLabel, classify
@@ -268,66 +271,13 @@ def default_escape_exponent(params: MapParams) -> int:
 # still has coordinate heights growing like phi^n (the numerators of step 30
 # of a typical bounded orbit already need ~10^5 bits), so horizons beyond ~30
 # steps are not computable exactly.  The engine below runs the same recursion
-# on residues (v, n, m, k): the value p^v * n/m, with n and m p-adic units
-# known modulo p^k.  Numerator and denominator are kept apart, so no step
-# computes a modular inverse, and c enters as the exact integers of
-# p^v_c * c_num/c_den, split once per orbit.  Every reported valuation is
-# certified exact as long as the leading digit stays inside the known window,
-# and a step aborts loudly the moment it would not.  An orbit starts at
-# START_PRECISION digits and doubles them on each abort up to the caller's
-# cap; a run that finishes has exact profiles at any precision, so only the
-# cost depends on where it stops.
+# on the residues of `padics`, with c split once per orbit into exact
+# integers.  An orbit starts at START_PRECISION digits and doubles them on
+# each PrecisionExhaustedError up to the caller's cap; a run that finishes has
+# exact profiles at any precision, so only the cost depends on where it stops.
 # ---------------------------------------------------------------------------
 
 START_PRECISION = 16
-
-
-class PrecisionExhaustedError(RuntimeError):
-    """A cancellation consumed the entire certified digit window."""
-
-
-def _split(x: PadicRational):
-    """(v, num, den) with x = p^v * num/den and num, den prime to p; None for 0."""
-    if x.is_zero:
-        return None
-    v = x.valuation
-    p = x.prime
-    if v >= 0:
-        return v, x.numerator // p**v, x.denominator
-    return v, x.numerator, x.denominator // p**-v
-
-
-def _residue(x: PadicRational, k: int):
-    """x as a residue (v, n, m, k), or None for x = 0."""
-    split = _split(x)
-    if split is None:
-        return None
-    v, num, den = split
-    mod = x.prime**k
-    return v, num % mod, den % mod, k
-
-
-def _sub_c(x, c, p: int):
-    """x - c for a residue x and c = (v_c, c_num, c_den) exact; certifies the valuation."""
-    vx, nx, mx, kx = x
-    vc, c_num, c_den = c
-    lo = min(vx, vc)
-    n = vx - lo + kx  # the numerator of the difference is known modulo p^n
-    s = (nx * c_den * p ** (vx - lo) - c_num * mx * p ** (vc - lo)) % p**n
-    if s == 0:
-        raise PrecisionExhaustedError(
-            f"cancellation below p^{n} at valuation {lo}; raise the precision"
-        )
-    w = 0 if s % p else padic_valuation(s, p)
-    k = n - w
-    return lo + w, s // p**w, mx * c_den % p**k, k
-
-
-def _div(t, y, p: int):
-    """t / y for residues; the cross products need no inverse."""
-    k = min(t[3], y[3])
-    mod = p**k
-    return t[0] - y[0], t[1] * y[2] % mod, t[2] * y[1] % mod, k
 
 
 @dataclass
@@ -476,8 +426,11 @@ def exact_fixed_points(params: MapParams):
 def fixed_points(params: MapParams, precision: int):
     """Zero, one or two fixed points, with coordinates as digit expansions.
 
-    The two-root case uses the Hensel square root q of 1 - 4c and returns
-    ((1 - q)/2, (1 - q)/2) and ((1 + q)/2, (1 + q)/2), in that order.
+    The two-root case takes the Hensel square root q of 1 - 4c as a residue
+    and returns ((1 - q)/2, (1 - q)/2) and ((1 + q)/2, (1 + q)/2), in that
+    order.  Both are computed with the orbit engine's `_sub_c` and `_div`, so
+    a cancellation in 1 - q is certified by the same rule, and one that
+    consumes every digit raises PrecisionExhaustedError.
     """
     c = params.c
     p = params.prime
@@ -487,22 +440,13 @@ def fixed_points(params: MapParams, precision: int):
         return [(half, half)]
     if not is_square(disc):
         return []
-    try:
-        q = sqrt(disc, precision)
-    except NonSquareError:  # pragma: no cover - is_square filtered already
-        return []
-    one = PadicRational(1, 1, p)
-    half = PadicRational(1, 2, p)
-    alpha1 = (-q).add_rational(one).mul_rational(half)  # (1 - q)/2
-    alpha2 = q.add_rational(one).mul_rational(half)  # (1 + q)/2
-    return [(alpha1, alpha1), (alpha2, alpha2)]
-
-
-def fixed_point_residual(alpha: TruncatedPadic, params: MapParams):
-    """Norm exponent of a^2 - a + c at the truncated root (None when it is 0 exactly)."""
-    a = alpha.as_rational()
-    residual = a * a - a + params.c
-    return residual.norm_exponent
+    q = sqrt(disc, precision)
+    v, n, m, k = _sub_c(q, (0, 1, 1), p)  # q - 1
+    roots = []
+    for t in ((v, -n, m, k), _sub_c(q, (0, -1, 1), p)):  # 1 - q, then 1 + q
+        alpha = TruncatedPadic.from_residue(p, _div(t, (0, 2, 1, t[3]), p))
+        roots.append((alpha, alpha))
+    return roots
 
 
 def three_cycle(params: MapParams):

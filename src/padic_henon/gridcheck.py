@@ -233,7 +233,11 @@ def _source_cells(label: RegionLabel, d: int, window: int):
 
 
 def _step_profiles(A, B, SA, SB, e0, d: int, cancel_depth: int):
-    """One abstract backward step on profile arrays.
+    """One abstract backward step on profile arrays; the package's one profile-level inverse.
+
+    When a != d the ultrametric gives the single profile (b, max(a, d) - b).
+    When a = d the difference x - c can cancel to any depth e <= d, giving
+    (b, e - b); the branch x = c leaves the domain and is not enumerated.
 
     Yields (A', B', e, SA', SB') groups: the deterministic group plus one
     group per enumerated cancellation exponent e <= d for the a = d cells.

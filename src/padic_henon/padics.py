@@ -1,10 +1,12 @@
-"""Exact arithmetic in Q viewed inside Q_p, plus finite-precision p-adic expansions.
+"""Exact arithmetic in Q viewed inside Q_p, plus certified finite-precision residues.
 
 Everything dynamical in this package runs on exact rationals: the quadratic map
 and its inverse preserve Q, so valuations and norms are computed with zero
-rounding error.  Truncated digit expansions (`TruncatedPadic`) appear only
-where irrationality forces them, i.e. square roots and the fixed points built
-from them.
+rounding error.  Where exact rationals are infeasible (long certified orbits) or
+impossible (square roots and the fixed points built from them), values are
+residues (v, n, m, k): p^v * n/m with n and m p-adic units known modulo p^k.
+This is the package's only finite-precision arithmetic, and every valuation it
+reports is certified.  `TruncatedPadic` is its digit view, used for output.
 
 Norm convention: for x != 0 with p-adic valuation v = v_p(x), the norm is
 |x|_p = p^(-v) and the *norm exponent* is a = -v, so |x|_p = p^a.  The norm
@@ -22,6 +24,7 @@ __all__ = [
     "TruncatedPadic",
     "Point",
     "NonSquareError",
+    "PrecisionExhaustedError",
     "is_square",
     "sqrt",
     "sample_with_norm",
@@ -259,7 +262,9 @@ class PadicRational:
 
     def expand(self, precision: int) -> "TruncatedPadic":
         """Digit expansion of this value to `precision` significant p-adic digits."""
-        return TruncatedPadic.from_rational(self, precision)
+        if precision < 1:
+            raise ValueError("precision must be >= 1")
+        return TruncatedPadic.from_residue(self.prime, _residue(self, precision))
 
 
 @dataclass(frozen=True)
@@ -289,6 +294,65 @@ class Point:
 
     def __str__(self):
         return f"({self.x}, {self.y})"
+
+
+# -- certified residues ------------------------------------------------------
+#
+# A residue (v, n, m, k) is the value p^v * n/m, with n and m p-adic units
+# known modulo p^k; None stands for 0.  Numerator and denominator are kept
+# apart, so no operation computes a modular inverse.  An exact value such as c
+# enters as the integers (v_c, c_num, c_den) of p^v_c * c_num/c_den.  Every
+# valuation is certified exact as long as the leading digit stays inside the
+# known window, and a subtraction raises PrecisionExhaustedError the moment it
+# would not.
+
+
+class PrecisionExhaustedError(RuntimeError):
+    """A cancellation consumed the entire certified digit window."""
+
+
+def _split(x: PadicRational):
+    """(v, num, den) with x = p^v * num/den and num, den prime to p; None for 0."""
+    if x.is_zero:
+        return None
+    v = x.valuation
+    p = x.prime
+    if v >= 0:
+        return v, x.numerator // p**v, x.denominator
+    return v, x.numerator, x.denominator // p**-v
+
+
+def _residue(x: PadicRational, k: int):
+    """x as a residue (v, n, m, k), or None for x = 0."""
+    split = _split(x)
+    if split is None:
+        return None
+    v, num, den = split
+    mod = x.prime**k
+    return v, num % mod, den % mod, k
+
+
+def _sub_c(x, c, p: int):
+    """x - c for a residue x and c = (v_c, c_num, c_den) exact; certifies the valuation."""
+    vx, nx, mx, kx = x
+    vc, c_num, c_den = c
+    lo = min(vx, vc)
+    n = vx - lo + kx  # the numerator of the difference is known modulo p^n
+    s = (nx * c_den * p ** (vx - lo) - c_num * mx * p ** (vc - lo)) % p**n
+    if s == 0:
+        raise PrecisionExhaustedError(
+            f"cancellation below p^{n} at valuation {lo}; raise the precision"
+        )
+    w = 0 if s % p else padic_valuation(s, p)
+    k = n - w
+    return lo + w, s // p**w, mx * c_den % p**k, k
+
+
+def _div(t, y, p: int):
+    """t / y for residues; the cross products need no inverse."""
+    k = min(t[3], y[3])
+    mod = p**k
+    return t[0] - y[0], t[1] * y[2] % mod, t[2] * y[1] % mod, k
 
 
 # -- squares and square roots ----------------------------------------------
@@ -347,8 +411,8 @@ def is_square(x: PadicRational) -> bool:
     return _legendre(u_mod_p, p) == 1
 
 
-def sqrt(x: PadicRational, precision: int) -> "TruncatedPadic":
-    """Hensel square root of x in Q_p, truncated to `precision` digits.
+def sqrt(x: PadicRational, precision: int):
+    """Hensel square root of x in Q_p as a residue (v/2, r, 1, precision); None for x = 0.
 
     Lifts a root mod p by Newton iteration with doubling modulus.  Of the two
     roots, returns the one whose leading digit lies in {1, ..., (p-1)/2}; the
@@ -361,7 +425,7 @@ def sqrt(x: PadicRational, precision: int) -> "TruncatedPadic":
         raise ValueError("precision must be >= 1")
     p = x.prime
     if x.is_zero:
-        return TruncatedPadic.zero(p)
+        return None
     v = x.valuation
     if v % 2:
         raise NonSquareError(f"odd valuation v_p = {v}", reason="odd-valuation")
@@ -382,7 +446,7 @@ def sqrt(x: PadicRational, precision: int) -> "TruncatedPadic":
         r = (r + u_mod * pow(r, -1, mod)) * inv2 % mod
     if r % p > (p - 1) // 2:
         r = mod - r
-    return TruncatedPadic(p, v // 2, _digits_of(r, p, precision))
+    return v // 2, r, 1, precision
 
 
 def _digits_of(u: int, p: int, n: int) -> tuple:
@@ -394,10 +458,11 @@ def _digits_of(u: int, p: int, n: int) -> tuple:
 
 
 class TruncatedPadic:
-    """A finite-precision p-adic expansion p^val * (d0 + d1 p + d2 p^2 + ...).
+    """The digit view p^val * (d0 + d1 p + d2 p^2 + ...) of a residue, for output.
 
     The leading digit d0 is nonzero except for the distinguished zero element
     (valuation None, no digits).  The value is known modulo p^(val + len(digits)).
+    It carries no arithmetic: compute on residues, then take `from_residue`.
 
     Two expansions compare equal iff their valuations match and their digits
     agree on the overlap of the two precisions.
@@ -424,17 +489,13 @@ class TruncatedPadic:
         return cls(prime, None, ())
 
     @classmethod
-    def from_rational(cls, x: PadicRational, precision: int) -> "TruncatedPadic":
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
-        if x.is_zero:
-            return cls.zero(x.prime)
-        p = x.prime
-        v = x.valuation
-        u = x.unit_part()
-        mod = p**precision
-        u_mod = u.numerator * pow(u.denominator, -1, mod) % mod
-        return cls(p, v, _digits_of(u_mod, p, precision))
+    def from_residue(cls, prime: int, r) -> "TruncatedPadic":
+        """The k digits of the residue r = (v, n, m, k); None gives the zero element."""
+        if r is None:
+            return cls.zero(prime)
+        v, n, m, k = r
+        mod = prime**k
+        return cls(prime, v, _digits_of(n * pow(m, -1, mod) % mod, prime, k))
 
     @property
     def is_zero(self) -> bool:
@@ -443,67 +504,6 @@ class TruncatedPadic:
     @property
     def precision(self) -> int:
         return len(self.digits)
-
-    @property
-    def abs_precision(self):
-        """The value is known modulo p^abs_precision (None for the zero element)."""
-        if self.valuation is None:
-            return None
-        return self.valuation + len(self.digits)
-
-    @property
-    def norm_exponent(self):
-        return None if self.valuation is None else -self.valuation
-
-    def as_rational(self) -> PadicRational:
-        """The exact rational represented by the truncation itself."""
-        if self.is_zero:
-            return PadicRational(0, 1, self.prime)
-        p = self.prime
-        u = sum(d * p**i for i, d in enumerate(self.digits))
-        return PadicRational(Fraction(u) * Fraction(p) ** self.valuation, 1, self.prime)
-
-    # Arithmetic with exact rationals: compute exactly on the truncation's
-    # rational value, then re-truncate at the propagated absolute precision.
-
-    def _retruncate(self, value: Fraction, abs_prec: int) -> "TruncatedPadic":
-        if value == 0:
-            return TruncatedPadic.zero(self.prime)
-        x = PadicRational(value, 1, self.prime)
-        v = x.valuation
-        digits = abs_prec - v
-        if digits < 1:
-            # Nothing is known about the result at this precision.
-            raise ValueError("result below available precision")
-        return TruncatedPadic.from_rational(x, digits)
-
-    def add_rational(self, r: PadicRational) -> "TruncatedPadic":
-        if r.prime != self.prime:
-            raise ValueError("prime mismatch")
-        if self.is_zero:
-            raise ValueError("zero truncation has unlimited precision loss; expand r directly")
-        return self._retruncate(self.as_rational().as_fraction() + r.as_fraction(), self.abs_precision)
-
-    def mul_rational(self, r: PadicRational) -> "TruncatedPadic":
-        if r.prime != self.prime:
-            raise ValueError("prime mismatch")
-        if self.is_zero or r.is_zero:
-            return TruncatedPadic.zero(self.prime)
-        return self._retruncate(
-            self.as_rational().as_fraction() * r.as_fraction(),
-            self.abs_precision + r.valuation,
-        )
-
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return self._retruncate(-self.as_rational().as_fraction(), self.abs_precision)
-
-    def square(self) -> "TruncatedPadic":
-        if self.is_zero:
-            return self
-        f = self.as_rational().as_fraction()
-        return self._retruncate(f * f, self.abs_precision + self.valuation)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedPadic):

@@ -51,8 +51,6 @@ __all__ = [
     "region_profiles",
     "sample_in_region",
     "t_profile",
-    "AbstractPreimage",
-    "abstract_inverse",
     "expected_preimage_regions",
     "export_transition_table",
 ]
@@ -630,44 +628,8 @@ def sample_in_region(
 
 
 # ---------------------------------------------------------------------------
-# Profile-level inverse and the transition table.
+# The transition table.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AbstractPreimage:
-    """Norm-profile image of one backward step.
-
-    When a != d the ultrametric gives the single profile (b, max(a, d) - b).
-    When a = d the difference x - c can cancel to any depth: the outcomes form
-    the symbolic set {(b, e - b) : e <= d} together with the x = c branch, on
-    which the next inverse is undefined (the point was outside the domain).
-    """
-
-    b: int
-    d: int
-    exact: tuple | None  # None iff cancellation
-
-    @property
-    def is_cancellation(self) -> bool:
-        return self.exact is None
-
-    def outcomes(self, depth: int = 0):
-        """Concrete outcome profiles; `depth` bounds the cancellation enumeration e >= d - depth."""
-        if self.exact is not None:
-            return [self.exact]
-        return [(self.b, e - self.b) for e in range(self.d, self.d - depth - 1, -1)]
-
-
-def abstract_inverse(profile, d: int) -> AbstractPreimage:
-    """One backward step on norm profiles; requires b != None (y != 0)."""
-    a, b = profile
-    if b is None:
-        raise ValueError("inverse undefined on profiles with y = 0")
-    if a is not None and a == d:
-        return AbstractPreimage(b=b, d=d, exact=None)
-    e = d if (a is None or a < d) else a
-    return AbstractPreimage(b=b, d=d, exact=(b, e - b))
 
 
 def _j_component_labels(j: int) -> frozenset:

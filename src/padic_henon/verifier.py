@@ -143,6 +143,8 @@ class LemmaSpec:
             raise CampaignError(str(exc)) from None
         if ints["depth"] not in (1, 2) or ints["digit_count"] < 1:
             raise CampaignError("depth must be 1 or 2, and digit_count at least 1")
+        if ints["samples"] < 1 or ints["window"] < 0:
+            raise CampaignError("samples must be at least 1, and window at least 0")
         growth_check = obj.get("growth_check")
         if growth_check not in (None, "doubling", "schedule"):
             raise CampaignError(f"unknown growth_check {growth_check!r}")
@@ -242,10 +244,12 @@ class VerificationReport:
         }
 
 
-def _expected_targets(spec: LemmaSpec):
-    if spec.expected is not None:
-        return spec.expected
-    return expected_preimage_regions(spec.source, depth=spec.depth)
+def _expected_targets(spec: LemmaSpec) -> list:
+    """The claim's target regions, sorted by name so the checks run in a fixed order."""
+    targets = spec.expected
+    if targets is None:
+        targets = expected_preimage_regions(spec.source, depth=spec.depth)
+    return sorted(targets, key=str)
 
 
 def verify_transition(spec: LemmaSpec) -> VerificationReport:
@@ -288,7 +292,7 @@ def verify_transition(spec: LemmaSpec) -> VerificationReport:
                     "start_profile": list(pt.profile()),
                     "image_profile": [a_img, b_img],
                     "got": str(classify((a_img, b_img), d)),
-                    "expected": sorted(str(t) for t in targets),
+                    "expected": [str(t) for t in targets],
                 }
             )
     report.wall_time = time.perf_counter() - t0
@@ -313,7 +317,7 @@ def verify_transition_exhaustive(spec: LemmaSpec) -> VerificationReport:
                 "source_profile": list(ce.source_profile),
                 "outcome_profile": list(ce.outcome_profile),
                 "cancellation_exponent": ce.cancellation_exponent,
-                "expected": sorted(str(t) for t in targets),
+                "expected": [str(t) for t in targets],
             }
         )
     report.unlisted_failures = check.failed_outcomes - len(check.counterexamples)

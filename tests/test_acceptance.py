@@ -41,7 +41,7 @@ from padic_henon.gridcheck import (
     transition_sources,
 )
 from padic_henon.measure import tn_ball_product, tn_measure, tn_rows
-from padic_henon.padics import PadicRational, Point, TruncatedPadic, sqrt
+from padic_henon.padics import PadicRational, Point, _residue, sqrt
 from padic_henon.regions import Regime, RegionLabel, classify, regime_of_d
 from padic_henon.verifier import LemmaSpec, verify_escape, verify_transition
 
@@ -237,9 +237,9 @@ def test_criterion_04_fixed_points(p):
         assert forward(pt, params) == pt
     # Hensel square root agrees digitwise with the exact rational root.
     disc = 1 - 4 * params.c
-    q = sqrt(disc, 20)
-    root = TruncatedPadic.from_rational(pr(1 - 2 * p, 1, p), 20)
-    assert q == root or (-q) == root
+    vq, r, _, k = sqrt(disc, 20)
+    _, root, _, _ = _residue(pr(1 - 2 * p, 1, p), k)  # an integer: its denominator is 1
+    assert (vq, k) == (0, 20) and root in (r, -r % p**k)
     trunc = fixed_points(params, 20)
     wanted = [pr(p, 1, p).expand(20), pr(1 - p, 1, p).expand(20)]
     assert len(trunc) == 2

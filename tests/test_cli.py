@@ -186,8 +186,11 @@ def _one_spec(**fields):
         (_one_spec(c="0/1"), "c = 0 is degenerate"),
         (_one_spec(p=4, c="4"), "prime must be an odd prime >= 3, got 4"),
         (_one_spec(c="1/9"), "source A1 is small, but c = 1/9 is in regime large"),
+        (_one_spec(samples=0), "samples must be at least 1"),
+        (_one_spec(kind="exhaustive", window=-5), "window at least 0"),
     ],
-    ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch"],
+    ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch", "samples-zero",
+         "window-negative"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     path = tmp_path / "bad.json"
@@ -229,6 +232,12 @@ def test_cli_import_leaves_numpy_unloaded():
     assert "one-step invariance of J0 certified on window" in sw_notes
 
 
+def test_verify_samples_below_one_usage_error(runner):
+    result = runner.invoke(main, ["verify", "negative-control", "--samples", "-3"])
+    assert result.exit_code == 2
+    assert "--samples" in result.output and result.stdout == ""
+
+
 def test_verify_missing_campaign(runner):
     result = runner.invoke(main, ["verify", "no-such-campaign.json"])
     assert result.exit_code == 2
@@ -242,6 +251,12 @@ def test_measure_tn_rows(runner):
     assert obj["rows"][0]["sphere_to_ball_ratio"] == "4/9"
     sums = [r["partial_sum"] for r in obj["rows"]]
     assert sums[3] == "3040/1"
+
+
+def test_measure_tn_k_below_two_usage_error(runner):
+    result = runner.invoke(main, ["measure", "--prime", "3", "--tn", "--k", "1"])
+    assert result.exit_code == 2
+    assert "--k" in result.output and result.stdout == ""
 
 
 def test_measure_region_window(runner):
@@ -281,3 +296,31 @@ def test_fixed_points_pair_and_cycle(runner):
     exact = {pt["x"]["num"] for pt in obj["exact_fixed_points"]}
     assert exact == {"5", "-4"}
     assert len(obj["three_cycle"]) == 3
+
+
+@pytest.mark.parametrize("precision", ["0", "-2"])
+def test_fixed_points_precision_below_one_usage_error(runner, precision):
+    # 1 - 4c = 9 is a square, so these used to reach the square root and crash.
+    result = runner.invoke(main, ["fixed-points", "--prime", "5", "--c", "-2/1",
+                                  "--precision", precision])
+    assert result.exit_code == 2
+    assert "--precision" in result.output and result.stdout == ""
+
+
+def test_fixed_points_exhausted_precision_usage_error(runner):
+    # 1 - 4c = 6 and its root q = 1 mod 5: 1 - q cancels the one digit asked for.
+    args = ["fixed-points", "--prime", "5", "--c", "-5/4", "--precision"]
+    result = runner.invoke(main, [*args, "1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "raise the precision" in result.output and result.stdout == ""
+    result = runner.invoke(main, [*args, "2"])
+    assert result.exit_code == 0, result.output
+    assert [pt["x"]["val"] for pt in json.loads(result.output)["fixed_points"]] == [1, 0]
+
+
+def test_fixed_points_degenerate_c_usage_error(runner):
+    # c = 0 gives q = 1 exactly, so no precision certifies (1 - q)/2 = 0.
+    result = runner.invoke(main, ["fixed-points", "--prime", "5", "--c", "0"])
+    assert result.exit_code == 2
+    assert "c = 0 is degenerate" in result.output and result.stdout == ""

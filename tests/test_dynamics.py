@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padic_henon.dynamics import (
@@ -19,8 +20,9 @@ from padic_henon.dynamics import (
     inverse,
     three_cycle,
 )
+from padic_henon.gridcheck import _step_profiles
 from padic_henon.padics import PadicRational, Point
-from padic_henon.regions import Regime, abstract_inverse
+from padic_henon.regions import Regime
 
 
 def pr(num, den=1, p=5):
@@ -120,14 +122,23 @@ def test_backward_orbit_links_coordinates():
 
 
 def test_norm_recurrence_matches_abstract_inverse():
-    # Along any backward orbit with a != d the profile recurrence is exact.
+    # Along a backward orbit the profile recurrence is exact for a != d, and
+    # on the cancellation column a = d the next profile is one of the
+    # enumerated outcomes (b, e - b), e <= d.
     prm = params_for(5)
     rec = backward_orbit(Point(pr(255), pr(10)), prm, 10, escape_exponent=None)
     d = prm.d
+    cancellations = 0
     for prev, curr in zip(rec.steps, rec.steps[1:]):
-        pre = abstract_inverse(prev.profile, d)
-        if not pre.is_cancellation:
-            assert curr.profile == pre.outcomes()[0]
+        A, B = np.array([prev.profile[0]]), np.array([prev.profile[1]])
+        groups = _step_profiles(A, B, A, B, None, d, 10)
+        outcomes = [(int(A2[0]), int(B2[0])) for A2, B2, _, _, _ in groups]
+        if prev.profile[0] == d:
+            cancellations += 1
+            assert curr.profile in outcomes
+        else:
+            assert outcomes == [curr.profile]
+    assert cancellations == 2  # 255 - 5 = 2 * 5^3 cancels to e = -3, then 10 - 5 to e = -1
 
 
 def test_escape_verdict():
@@ -328,18 +339,61 @@ def test_hensel_fixed_points_match_exact():
     assert {w[:18] for w in wanted} == got
 
 
+def _residual_valuation(alpha, c):
+    """v_p(a^2 - a + c) at the rational a that the digits of alpha spell out; None if 0."""
+    p = alpha.prime
+    a = sum(dig * Fraction(p) ** (alpha.valuation + i) for i, dig in enumerate(alpha.digits))
+    return PadicRational(a * a - a + c.as_fraction(), 1, p).valuation
+
+
 def test_irrational_fixed_points_satisfy_equation():
     # 1 - 4c = 6, a residue mod 5 but not a rational square.
     prm = MapParams(PadicRational(-5, 4, 5))
     assert exact_fixed_points(prm) is None
     pts = fixed_points(prm, 24)
     assert len(pts) == 2
-    from padic_henon.dynamics import fixed_point_residual
-
     for alpha, _ in pts:
-        res = fixed_point_residual(alpha, prm)
-        # a^2 - a + c vanishes to within the certified precision (small slack).
-        assert res is None or res <= -(24 - 2)
+        # The digits are certified to p^(val + precision), and 2a - 1 = -+q is a
+        # unit, so a^2 - a + c vanishes there too.
+        res = _residual_valuation(alpha, prm.c)
+        assert res is None or res >= alpha.valuation + alpha.precision
+
+
+# (p, c, v_q, cancellation depth of (1 - q)/2 and of (1 + q)/2).  The roots
+# multiply to c, so their valuations add up to v_p(c).
+_ROOT_CASES = [
+    (5, Fraction(-6, 25), -1, (0, 0)),
+    (7, Fraction(-2, 49), -1, (0, 0)),
+    (3, Fraction(2, 9), -1, (0, 0)),
+    (5, Fraction(-6), 1, (0, 0)),
+    (3, Fraction(-2), 1, (0, 0)),
+    (7, Fraction(-12), 1, (0, 0)),
+    (3, Fraction(-20), 2, (0, 0)),
+    (5, Fraction(-2), 0, (0, 0)),
+    (7, Fraction(-2), 0, (0, 0)),
+    (5, Fraction(-5, 4), 0, (1, 0)),
+    (3, Fraction(-6), 0, (1, 0)),
+    (7, Fraction(-14), 0, (1, 0)),
+    (5, Fraction(-50), 0, (2, 0)),
+]
+
+
+@pytest.mark.parametrize("p,c,vq,depths", _ROOT_CASES)
+def test_fixed_point_precision_is_k_minus_cancellation(p, c, vq, depths):
+    # 1 -+ q is known to k + max(v_q, 0) digits above p^min(v_q, 0); a
+    # cancellation of depth w leaves exactly w fewer certified digits.
+    k = 12
+    prm = MapParams(PadicRational(c, 1, p))
+    pts = fixed_points(prm, k)
+    assert len(pts) == 2
+    lo = min(vq, 0)
+    for (alpha, beta), w in zip(pts, depths):
+        assert alpha == beta
+        assert alpha.valuation == lo + w
+        assert alpha.precision == k + max(vq, 0) - w
+        res = _residual_valuation(alpha, prm.c)
+        assert res is None or res >= alpha.valuation + alpha.precision + vq
+    assert sum(alpha.valuation for alpha, _ in pts) == prm.c.valuation
 
 
 # --- the 3-cycle ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ from padic_henon.gridcheck import (
     _branch_blocks,
     _region_box,
     _source_cells,
+    _step_profiles,
     check_all_transitions,
     check_partition,
     check_transition_profiles,
@@ -26,6 +27,22 @@ from padic_henon.regions import (
     region_branches,
     t_profile,
 )
+
+
+# (profile, d, cancel_depth, expected (a', b', e) groups of one backward step)
+_STEP_CASES = {
+    "deterministic": ((2, 0), 1, 0, [(0, 2, None)]),
+    "cancellation": ((1, 0), 1, 3, [(0, 1, 1), (0, 0, 0), (0, -1, -1), (0, -2, -2)]),
+    "torus_stays": ((0, 0), -1, 0, [(0, 0, None)]),
+}
+
+
+@pytest.mark.parametrize("case", _STEP_CASES.values(), ids=_STEP_CASES.keys())
+def test_step_profiles(case):
+    (a, b), d, cancel_depth, expected = case
+    A, B = np.array([a]), np.array([b])
+    groups = _step_profiles(A, B, A, B, None, d, cancel_depth)
+    assert [(int(A2[0]), int(B2[0]), e) for A2, B2, e, _, _ in groups] == expected
 
 
 @pytest.mark.parametrize("d", [-3, -2, -1, 0, 1, 2, 3])

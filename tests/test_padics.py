@@ -9,7 +9,12 @@ from padic_henon.padics import (
     NonSquareError,
     PadicRational,
     Point,
+    PrecisionExhaustedError,
     TruncatedPadic,
+    _div,
+    _residue,
+    _split,
+    _sub_c,
     is_square,
     padic_valuation,
     sample_with_norm,
@@ -182,31 +187,54 @@ def test_is_square_zero_degenerate():
     assert is_square(pr(0))
 
 
+def _squares_to(q, x) -> bool:
+    """q = (v_q, r, 1, k) is a root of x = p^v_x * num/den: 2 v_q = v_x and r^2 den = num mod p^k."""
+    vq, r, m, k = q
+    vx, num, den = _split(x)
+    return 2 * vq == vx and m == 1 and (r * r * den - num) % x.prime**k == 0
+
+
+def _is_root_up_to_sign(q, root) -> bool:
+    """q equals the exact root, or its negation mod p^k equals it."""
+    vq, r, _, k = q
+    mod = root.prime**k
+    v, n, m, _ = _residue(root, k)
+    return v == vq and n * pow(m, -1, mod) % mod in (r, -r % mod)
+
+
 def test_sqrt_of_exact_square_matches_digitwise():
     p = 5
     x = pr((1 - 2 * p) ** 2)
     q = sqrt(x, 10)
-    assert q.square() == TruncatedPadic.from_rational(x, 10)
+    assert _squares_to(q, x)
     # One of the two roots agrees digitwise with the exact rational root.
-    exact = TruncatedPadic.from_rational(pr(1 - 2 * p), 10)
-    assert q == exact or (-q) == exact
+    assert _is_root_up_to_sign(q, pr(1 - 2 * p))
 
 
 def test_sqrt_of_one():
-    q = sqrt(pr(1), 8)
-    assert q == TruncatedPadic.from_rational(pr(1), 8)
+    assert sqrt(pr(1), 8) == (0, 1, 1, 8)
 
 
 def test_sqrt_of_four():
-    q = sqrt(pr(4), 8)
-    two = TruncatedPadic.from_rational(pr(2), 8)
-    assert q == two or (-q) == two
+    assert _is_root_up_to_sign(sqrt(pr(4), 8), pr(2))
+
+
+def test_sqrt_of_zero_is_none():
+    assert sqrt(pr(0), 8) is None
+
+
+def test_sqrt_of_square_with_valuation():
+    x = pr(4 * 5**6, 9 * 5**2)
+    q = sqrt(x, 10)
+    assert q[0] == 2 and _squares_to(q, x)
+    assert _is_root_up_to_sign(q, pr(2 * 5**2, 3))
+    assert not _squares_to(q, pr(4 * 5**6 + 5**14, 9 * 5**2))  # x differs in its ninth digit
 
 
 def test_sqrt_sign_convention():
     for val in (4, 9, 16, 36, 49):
         q = sqrt(pr(val, 1, 7), 6)
-        assert 1 <= q.digits[0] <= 3
+        assert 1 <= q[1] % 7 <= 3
 
 
 def test_sqrt_obstruction_reasons():
@@ -226,7 +254,7 @@ def test_sqrt_square_roundtrip_random():
             u = rng.randrange(1, p**6)
             x = PadicRational(u * u, 1, p)
             q = sqrt(x, 12)
-            assert q.square() == TruncatedPadic.from_rational(x, 12)
+            assert _squares_to(q, x)
 
 
 # --- truncated expansions ----------------------------------------------------
@@ -258,12 +286,26 @@ def test_truncation_leading_digit_nonzero():
 
 
 def test_truncation_rational_arithmetic():
+    # Residue arithmetic with exact rationals, read back through the digit view.
     p = 5
-    t = pr(7).expand(8)  # unit
-    u = t.add_rational(pr(3))
-    assert u == pr(10).expand(7)  # valuation rose by 1: one digit of accuracy spent
-    v = t.mul_rational(pr(1, 2))
-    assert v == pr(7, 2).expand(8)
+    t = _residue(pr(7), 8)  # unit
+    u = _sub_c(t, (0, -3, 1), p)  # 7 + 3
+    assert u[3] == 7  # valuation rose by 1: one digit of accuracy spent
+    assert TruncatedPadic.from_residue(p, u) == pr(10).expand(7)
+    v = _div(t, (0, 2, 1, 8), p)
+    assert TruncatedPadic.from_residue(p, v) == pr(7, 2).expand(8)
+    with pytest.raises(PrecisionExhaustedError):
+        _sub_c(_residue(pr(7 + 5**8), 8), (0, 7, 1), p)  # agrees with 7 on all 8 digits
+
+
+def test_truncation_from_residue():
+    p = 7
+    x = pr(-45, 14 * 49, p)
+    t = TruncatedPadic.from_residue(p, _residue(x, 6))
+    assert t == x.expand(6) and t.valuation == -3 and t.precision == 6
+    u = sum(dig * p**i for i, dig in enumerate(t.digits))
+    assert (2 * u + 45) % p**6 == 0  # the digits spell the unit part -45/2 to six places
+    assert TruncatedPadic.from_residue(p, None).is_zero
 
 
 def test_truncation_serialization_roundtrip():

@@ -8,7 +8,6 @@ from padic_henon.regions import (
     EmptyRegionError,
     Regime,
     RegionLabel,
-    abstract_inverse,
     classify,
     classify_point,
     expected_preimage_regions,
@@ -176,36 +175,6 @@ def test_shell_decomposition(d):
                 hits = [c for c in comps if profile_in_region(c, a, b, d)]
                 assert member == (len(hits) == 1), (j, a, b, d)
                 assert len(hits) <= 1
-
-
-# --- profile-level inverse -----------------------------------------------------
-
-
-def test_abstract_inverse_deterministic_case():
-    r = abstract_inverse((2, 0), 1)
-    assert not r.is_cancellation
-    assert r.outcomes() == [(0, 2)]
-
-
-def test_abstract_inverse_cancellation_case():
-    r = abstract_inverse((1, 0), 1)
-    assert r.is_cancellation
-    assert r.outcomes(3) == [(0, 1), (0, 0), (0, -1), (0, -2)]
-
-
-def test_abstract_inverse_torus_stays():
-    r = abstract_inverse((0, 0), -1)
-    assert r.outcomes() == [(0, 0)]
-
-
-def test_abstract_inverse_zero_x():
-    r = abstract_inverse((None, 2), 1)
-    assert r.outcomes() == [(2, -1)]
-
-
-def test_abstract_inverse_requires_y():
-    with pytest.raises(ValueError):
-        abstract_inverse((1, None), 1)
 
 
 # --- transition table -----------------------------------------------------------

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from padic_henon import verifier
 from padic_henon.dynamics import (
     MapParams,
     PrecisionExhaustedError,
@@ -255,6 +261,9 @@ def test_campaign_spec_roundtrip(tmp_path):
         ({"c": None}, '"c" must be a "num/den" string'),
         ({"growth_check": "tripling"}, "unknown growth_check"),
         ({"expected": [{"regime": "large", "name": "Q"}]}, "bad target"),
+        ({"samples": 0}, "samples must be at least 1"),
+        ({"samples": -3}, "samples must be at least 1"),
+        ({"kind": "exhaustive", "window": -5}, "window at least 0"),
     ],
 )
 def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
@@ -288,3 +297,39 @@ def test_known_anomalies_campaign_fails():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         run_spec(LemmaSpec("bad", "nonsense", p=3))
+
+
+def test_transition_target_order_ignores_hash_seed():
+    """The targets are tried in a fixed order, so the traced number of
+    membership tests of a sampled transition does not depend on
+    PYTHONHASHSEED (set iteration order would)."""
+    code = textwrap.dedent("""
+        import json
+        from padic_henon import verifier
+
+        calls = 0
+        inner = verifier.profile_in_region
+
+        def counting(*args):
+            global calls
+            calls += 1
+            return inner(*args)
+
+        verifier.profile_in_region = counting
+        spec = next(s for s in verifier.builtin_campaign("all-lemmas")
+                    if s.identifier == "small-P6-step")
+        report = verifier.run_spec(spec).to_json()
+        del report["wall_time"]
+        print(json.dumps({"calls": calls, "report": report}))
+    """)
+    src = str(Path(verifier.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0]["report"]["passes"] == 300 and runs[0]["calls"] >= 300
