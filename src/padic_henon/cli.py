@@ -138,7 +138,7 @@ def classify_cmd(prime, c, x, y, a, b):
 @main.command()
 @prime_option
 @c_option
-@click.option("--window", type=int, default=12, show_default=True)
+@click.option("--window", type=click.IntRange(min=0), default=12, show_default=True)
 @format_option
 def grid(prime, c, window, fmt):
     """Region label for every integer profile |a|, |b| <= window (CSV or JSON)."""
@@ -204,9 +204,10 @@ def verify(campaign, seed, samples, list_builtin):
 @click.option("--tn", "tn", is_flag=True, help="Overlay sphere-pair measures and partial sums.")
 @click.option("--k", type=click.IntRange(min=2), default=2, show_default=True,
               help="|c| = p^k for --tn.")
-@click.option("--n", type=int, default=8, show_default=True, help="Largest index for --tn.")
+@click.option("--n", type=click.IntRange(min=0), default=8, show_default=True,
+              help="Largest index for --tn.")
 @click.option("--region", default=None, help="Region label, e.g. Z, J0, A3, C0.")
-@click.option("--window", type=int, default=8, show_default=True)
+@click.option("--window", type=click.IntRange(min=0), default=8, show_default=True)
 def measure(prime, c, tn, k, n, region, window):
     """Exact Haar measures: overlay family rows, or a region's window measure."""
     if tn:

@@ -1,9 +1,12 @@
 """Window-exhaustive checks over integer norm profiles, vectorized with numpy.
 
-These routines replay the declarative region table over a whole window
-|a|, |b| <= W at once: partition exactness (every profile in exactly one
-region), agreement with the scalar classifier, and profile-level transition
-claims including full enumeration of the cancellation column a = d.
+These routines check whole windows |a|, |b| <= W at once: partition
+exactness (every profile in exactly one region), agreement with the scalar
+classifier, and profile-level transition claims including full enumeration
+of the cancellation column a = d.  Region masks are painted from the row
+intervals of ``regions.region_rows``, the one reader of the table's
+constraints for window cells; transition outcomes are tested with
+``profile_in_region`` on integer arrays.
 """
 
 from __future__ import annotations
@@ -16,18 +19,16 @@ from .regions import (
     RegionLabel,
     Regime,
     classify,
-    eval_constraint,
     expected_preimage_regions,
     iter_region_labels,
     profile_in_region,
-    region_branches,
     regime_of_d,
+    region_rows,
     t_profile,
 )
 
 __all__ = [
     "region_mask",
-    "region_masks",
     "PartitionReport",
     "check_partition",
     "label_grid",
@@ -39,46 +40,17 @@ __all__ = [
 ]
 
 
-def _branch_blocks(branch, window: int, d: int):
-    """Evaluate one branch on its bounding sub-block of the window grid.
-
-    Indexed families are confined to narrow Fibonacci strips in a (and bands
-    in b), so pure-a and pure-b constraints are turned into row/column slices
-    before the mixed constraints are evaluated densely.
-    """
-    coords = np.arange(-window, window + 1, dtype=np.int64)
-    rows = cols = np.ones(coords.size, dtype=bool)
-    mixed = []
-    for con in branch:
-        # ("golden", +-1) matches neither axis test, so it lands in `mixed`.
-        if con[1] == 0 and con[0] != 0:
-            rows = rows & eval_constraint(con, coords, 0, d)
-        elif con[0] == 0 and con[1] != 0:
-            cols = cols & eval_constraint(con, 0, coords, d)
-        else:
-            mixed.append(con)
-    (ii,), (jj,) = np.nonzero(rows), np.nonzero(cols)
-    if ii.size == 0 or jj.size == 0:
-        return None
-    i0, i1, j0, j1 = int(ii[0]), int(ii[-1]) + 1, int(jj[0]), int(jj[-1]) + 1
-    sub = np.ones((i1 - i0, j1 - j0), dtype=bool)
-    for con in mixed:
-        sub &= eval_constraint(con, coords[i0:i1, None], coords[None, j0:j1], d)
-    return i0, i1, j0, j1, sub
-
-
 def _region_box(label: RegionLabel, window: int, d: int):
-    """(i0, j0, mask): the OR of the label's branch blocks over their joint
-    bounding box, mask[i, j] being window cell (i0 + i, j0 + j); None if empty."""
-    blocks = [_branch_blocks(branch, window, d) for branch in region_branches(label)]
-    blocks = [b for b in blocks if b is not None]
-    if not blocks:
+    """(i0, j0, mask): the label's ``region_rows`` painted over their bounding
+    box, mask[i, j] being window cell (i0 + i, j0 + j); None if empty."""
+    rows = region_rows(label, d, window)
+    if not rows:
         return None
-    i0, j0 = min(b[0] for b in blocks), min(b[2] for b in blocks)
-    mask = np.zeros((max(b[1] for b in blocks) - i0, max(b[3] for b in blocks) - j0), dtype=bool)
-    for bi0, bi1, bj0, bj1, sub in blocks:
-        mask[bi0 - i0 : bi1 - i0, bj0 - j0 : bj1 - j0] |= sub
-    return i0, j0, mask
+    a0, b0 = rows[0][0], min(lo for _, lo, _ in rows)
+    mask = np.zeros((rows[-1][0] - a0 + 1, max(hi for _, _, hi in rows) - b0 + 1), dtype=bool)
+    for a, lo, hi in rows:
+        mask[a - a0, lo - b0 : hi - b0 + 1] = True
+    return a0 + window, b0 + window, mask
 
 
 def region_mask(label: RegionLabel, window: int, d: int):
@@ -88,14 +60,6 @@ def region_mask(label: RegionLabel, window: int, d: int):
         i0, j0, mask = box
         out[i0 : i0 + mask.shape[0], j0 : j0 + mask.shape[1]] = mask
     return out
-
-
-def region_masks(d: int, window: int, include_t: bool = False):
-    regime = regime_of_d(d)
-    masks = {}
-    for label in iter_region_labels(regime, d, window, include_t=include_t):
-        masks[label] = region_mask(label, window, d)
-    return masks
 
 
 @dataclass
@@ -113,21 +77,20 @@ class PartitionReport:
 
 def check_partition(d: int, window: int, max_witnesses: int = 10) -> PartitionReport:
     """Certify that the declarative regions tile the window with no overlap."""
-    regime = regime_of_d(d)
+    labels = list(iter_region_labels(regime_of_d(d), d, window))
     count = np.zeros((2 * window + 1, 2 * window + 1), dtype=np.uint8)
-    for label in iter_region_labels(regime, d, window):
+    for label in labels:
         count += region_mask(label, window, d)
     report = PartitionReport(d=d, window=window, cells=count.size)
     if (count == 1).all():
         return report
-    masks = region_masks(d, window)
     for kind, where in (("uncovered", count == 0), ("overlaps", count > 1)):
         idx = np.argwhere(where)[:max_witnesses]
         witnesses = []
         for i, j in idx:
             a, b = int(i) - window, int(j) - window
-            labels = [str(lbl) for lbl, m in masks.items() if m[i, j]]
-            witnesses.append({"a": a, "b": b, "labels": labels})
+            names = [str(lbl) for lbl in labels if profile_in_region(lbl, a, b, d)]
+            witnesses.append({"a": a, "b": b, "labels": names})
         getattr(report, kind).extend(witnesses)
     return report
 

@@ -20,10 +20,13 @@ so ints give a bool and integer arrays a mask.  Its golden test is the
 branch-free ``fib.golden_below``, while ``classify`` keeps ``fib.golden_cmp``,
 so the agreement check also compares two independent golden tests.
 
-The grid checker replays the declarative table over whole windows and
-certifies that the two agree and that the partition is exact.  Boundaries
-along the irrational line |y| = |x|^(1/beta) are never attained by integer
-profiles, which is what makes the index search terminate.
+``region_rows`` turns the table into the cells of a window, one interval
+of b per row and merged branch, with exact integer bounds.  It is the one
+such path: the samplers and measures expand its rows, and the grid checker
+paints them into masks to certify that the partition is exact and that the
+classifier agrees with the table.  Boundaries along the irrational line
+|y| = |x|^(1/beta) are never attained by integer profiles, which is what
+makes the index search terminate.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "eval_constraint",
     "profile_in_region",
     "iter_region_labels",
+    "region_rows",
     "region_profiles",
     "sample_in_region",
     "t_profile",
@@ -536,65 +540,77 @@ def _golden_cut(sign: int, a: int, lo: int, hi: int):
     return lo, yes
 
 
-def _branch_row(branch, a: int, d: int, lo: int, hi: int):
-    """The interval lo..hi of b on which one branch holds in row a (empty if lo > hi).
+def _cut(coef: int, op: str, rhs: int, lo: int, hi: int):
+    """lo..hi cut to the integers x with coef*x OP rhs (coef != 0)."""
+    if coef < 0:
+        coef, rhs, op = -coef, -rhs, _FLIP[op]
+    if op == "==":
+        if rhs % coef:
+            return lo, lo - 1
+        return max(lo, rhs // coef), min(hi, rhs // coef)
+    if op == "<":
+        return lo, min(hi, (rhs - 1) // coef)
+    if op == "<=":
+        return lo, min(hi, rhs // coef)
+    if op == ">":
+        return max(lo, rhs // coef + 1), hi
+    return max(lo, -(-rhs // coef)), hi  # ">=": x >= ceil(rhs / coef)
 
-    Each constraint is monotone in b: a linear one is read as cb*b OP rhs
-    and turned into an integer bound (or one point for ==); golden ones are
-    applied last, on the interval the linear ones leave.
+
+def _branch_rows(branch, d: int, window: int):
+    """(a, lo, hi) for every window row a on which one branch holds for lo..hi of b.
+
+    The pure-a constraints bound the rows, so only those rows are scanned.
+    In each, a linear constraint is read as cb*b OP rhs and cuts the interval
+    of b (to one point for ==); golden ones are applied last, on the
+    interval the linear ones leave.
     """
-    goldens = []
+    alo, ahi = -window, window
+    linear, goldens = [], []
     for con in branch:
         if con[0] == "golden":
             goldens.append(con[1])
-            continue
-        ca, cb, cd, c1, op = con
-        rhs = cd * d + c1 - ca * a
-        if cb == 0:
-            if not _OPS[op](0, rhs):
-                return lo, lo - 1
-            continue
-        if cb < 0:
-            cb, rhs, op = -cb, -rhs, _FLIP[op]
-        if op == "==":
-            if rhs % cb:
-                return lo, lo - 1
-            lo, hi = max(lo, rhs // cb), min(hi, rhs // cb)
-        elif op == "<":
-            hi = min(hi, (rhs - 1) // cb)
-        elif op == "<=":
-            hi = min(hi, rhs // cb)
-        elif op == ">":
-            lo = max(lo, rhs // cb + 1)
-        else:  # ">=": b >= ceil(rhs / cb)
-            lo = max(lo, -(-rhs // cb))
-    for sign in goldens:
-        if lo > hi:
-            break
-        lo, hi = _golden_cut(sign, a, lo, hi)
-    return lo, hi
+        elif con[1] == 0:
+            alo, ahi = _cut(con[0], con[4], con[2] * d + con[3], alo, ahi)
+        else:
+            linear.append(con)
+    for a in range(alo, ahi + 1):
+        lo, hi = -window, window
+        for ca, cb, cd, c1, op in linear:
+            lo, hi = _cut(cb, op, cd * d + c1 - ca * a, lo, hi)
+        for sign in goldens:
+            if lo > hi:
+                break
+            lo, hi = _golden_cut(sign, a, lo, hi)
+        if lo <= hi:
+            yield a, lo, hi
+
+
+def region_rows(label: RegionLabel, d: int, window: int):
+    """The region's cells with |a|, |b| <= window as sorted rows (a, lo, hi).
+
+    The one path from the table to window cells.  A row is the union of its
+    branches' intervals of b, merged where they overlap or touch, so two
+    intervals of one row are at least two apart.
+    """
+    if label.name == "T":
+        a, b = t_profile(label.index, d)
+        return ((a, b, b),) if max(abs(a), abs(b)) <= window else ()
+    out = []
+    rows = sorted(r for branch in region_branches(label) for r in _branch_rows(branch, d, window))
+    for a, lo, hi in rows:
+        if out and out[-1][0] == a and lo <= out[-1][2] + 1:
+            out[-1] = (a, out[-1][1], max(hi, out[-1][2]))
+        else:
+            out.append((a, lo, hi))
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
 def region_profiles(label: RegionLabel, d: int, window: int):
-    """All integer profiles of the region with |a|, |b| <= window (memoized).
-
-    Row by row: each branch holds on an interval of b, and a row is the
-    sorted union of its branches' intervals, so the order is that of a scan
-    over a, then b.
-    """
-    if label.name == "T":
-        prof = t_profile(label.index, d)
-        return (prof,) if max(abs(prof[0]), abs(prof[1])) <= window else ()
-    branches = region_branches(label)
-    out = []
-    for a in range(-window, window + 1):
-        row = set()
-        for branch in branches:
-            lo, hi = _branch_row(branch, a, d, -window, window)
-            row.update(range(lo, hi + 1))
-        out.extend((a, b) for b in sorted(row))
-    return tuple(out)
+    """All integer profiles of the region with |a|, |b| <= window (memoized),
+    in the order of a scan over a, then b: ``region_rows`` expanded."""
+    return tuple((a, b) for a, lo, hi in region_rows(label, d, window) for b in range(lo, hi + 1))
 
 
 def sample_in_region(

@@ -135,6 +135,12 @@ def test_grid_small_regime_pins(runner):
     assert by_cell[(-1, -1)] == "R"
 
 
+def test_grid_negative_window_usage_error(runner):
+    result = runner.invoke(main, ["grid", "--prime", "3", "--c", "1/9", "--window", "-1"])
+    assert result.exit_code == 2
+    assert "--window" in result.output and result.stdout == ""
+
+
 def test_verify_builtin_list(runner):
     result = runner.invoke(main, ["verify", "x", "--list"])
     assert result.exit_code == 0
@@ -257,6 +263,20 @@ def test_measure_tn_k_below_two_usage_error(runner):
     result = runner.invoke(main, ["measure", "--prime", "3", "--tn", "--k", "1"])
     assert result.exit_code == 2
     assert "--k" in result.output and result.stdout == ""
+
+
+def test_measure_tn_negative_n_usage_error(runner):
+    result = runner.invoke(main, ["measure", "--prime", "3", "--tn", "--n", "-1"])
+    assert result.exit_code == 2
+    assert "--n" in result.output and result.stdout == ""
+
+
+def test_measure_region_negative_window_usage_error(runner):
+    result = runner.invoke(main, [
+        "measure", "--prime", "3", "--c", "3", "--region", "Z", "--window", "-2",
+    ])
+    assert result.exit_code == 2
+    assert "--window" in result.output and result.stdout == ""
 
 
 def test_measure_region_window(runner):

@@ -3,9 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from padic_henon import regions
 from padic_henon.gridcheck import (
-    _branch_blocks,
-    _region_box,
     _source_cells,
     _step_profiles,
     check_all_transitions,
@@ -14,17 +13,18 @@ from padic_henon.gridcheck import (
     classifier_agreement,
     label_grid,
     region_mask,
-    region_masks,
 )
 from padic_henon.fib import golden_below, golden_cmp
 from padic_henon.regions import (
     Regime,
     RegionLabel,
     classify,
+    eval_constraint,
     iter_region_labels,
     profile_in_region,
     regime_of_d,
     region_branches,
+    region_rows,
     t_profile,
 )
 
@@ -45,10 +45,29 @@ def test_step_profiles(case):
     assert [(int(A2[0]), int(B2[0]), e) for A2, B2, e, _, _ in groups] == expected
 
 
-@pytest.mark.parametrize("d", [-3, -2, -1, 0, 1, 2, 3])
-def test_partition_exact_medium_window(d):
-    report = check_partition(d, 120)
+_PARTITION_CASES = [(d, 120) for d in (-3, -2, -1, 0, 1, 2, 3)] + [(0, 30)]
+
+
+@pytest.mark.parametrize(
+    "d, W", _PARTITION_CASES, ids=[str(d) if W == 120 else f"{d}-{W}" for d, W in _PARTITION_CASES]
+)
+def test_partition_exact_medium_window(d, W):
+    report = check_partition(d, W)
+    assert report.cells == (2 * W + 1) ** 2
     assert report.exact, (report.uncovered[:3], report.overlaps[:3])
+
+
+def test_partition_reports_holes_and_overlaps(monkeypatch):
+    # A1 shrunk to a <= d - 1 leaves the column a = d, b >= 0 uncovered; A2
+    # widened to b <= d + 1 overlaps the flat band A5 on b = -1 at d = -2.
+    monkeypatch.setitem(regions._SMALL_TABLE, ("A", 1), [[(1, 0, 1, -1, "<="), (0, 1, 0, 0, ">=")]])
+    monkeypatch.setitem(regions._SMALL_TABLE, ("A", 2), [[(1, 0, 0, 0, ">="), (0, 1, 1, 1, "<=")]])
+    report = check_partition(-2, 5)
+    assert not report.exact
+    assert report.uncovered == [{"a": -2, "b": b, "labels": []} for b in range(6)]
+    assert report.overlaps == [{"a": a, "b": -1, "labels": ["A2", "A5"]} for a in range(6)]
+    capped = check_partition(-2, 5, max_witnesses=3)
+    assert capped.uncovered == report.uncovered[:3] and capped.overlaps == report.overlaps[:3]
 
 
 @pytest.mark.parametrize("d", [-2, 0, 2])
@@ -173,30 +192,33 @@ def test_failed_outcomes_counts_past_the_witness_cap():
 @pytest.mark.parametrize("W", [30, 61])
 @pytest.mark.parametrize("d", [-3, -1, 0, 1, 2, 3])
 def test_source_cells_enumerate_region_mask(d, W):
-    overlapping = 0
+    coords = np.arange(-W, W + 1)
+    AA, BB = np.meshgrid(coords, coords, indexing="ij")
+    overlapping = []
     for label in iter_region_labels(regime_of_d(d), d, W):
         A, B = _source_cells(label, d, W)
         ii, jj = np.nonzero(region_mask(label, W, d))
         assert A.dtype == B.dtype == np.int64
         assert A.tolist() == (ii - W).tolist() and B.tolist() == (jj - W).tolist()
-        # Reference: the de-duplicated, sorted union of the branch blocks.
-        union, total = set(), 0
+        # Reference: the table's own evaluator over the whole window, in scan
+        # order, each cell once however many branches hold there.
+        inside = profile_in_region(label, AA, BB, d)
+        assert A.tolist() == AA[inside].tolist() and B.tolist() == BB[inside].tolist()
+        per_branch = 0
         for branch in region_branches(label):
-            block = _branch_blocks(branch, W, d)
-            if block is not None:
-                i0, _, j0, _, sub = block
-                cells = [(int(i) + i0 - W, int(j) + j0 - W) for i, j in zip(*np.nonzero(sub))]
-                union.update(cells)
-                total += len(cells)
-        assert list(zip(A.tolist(), B.tolist())) == sorted(union)
-        overlapping += total > len(union)
-    # C0 at d = 0 has two branches that share a cell.
-    assert overlapping == (1 if d == 0 else 0)
+            held = np.ones(AA.shape, dtype=bool)
+            for con in branch:
+                held &= eval_constraint(con, AA, BB, d)
+            per_branch += int(np.count_nonzero(held))
+        if per_branch > A.size:
+            overlapping.append(str(label))
+    # C0 at d = 0 is the one label whose branches share a cell.
+    assert overlapping == (["C0"] if d == 0 else [])
 
 
 def test_source_cells_empty_region_and_t_cell():
     a5 = RegionLabel(Regime.SMALL, "A", 5)
-    assert _region_box(a5, 30, -1) is None  # the flat band d < b < 0 is empty at d = -1
+    assert region_rows(a5, -1, 30) == ()  # the flat band d < b < 0 is empty at d = -1
     A, B = _source_cells(a5, -1, 30)
     assert A.dtype == B.dtype == np.int64 and A.size == B.size == 0
     assert not region_mask(a5, 30, -1).any()
@@ -227,11 +249,3 @@ def test_depth_two_counts_cancellation_free():
     a5 = RegionLabel(Regime.SMALL, "A", 5)
     check = check_transition_profiles(a5, -2, 50, depth=2)
     assert check.outcomes_checked == check.profiles_checked
-
-
-def test_region_masks_cover_window():
-    masks = region_masks(0, 30)
-    total = np.zeros((61, 61), dtype=int)
-    for m in masks.values():
-        total += m
-    assert (total == 1).all()

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from padic_henon import regions
 from padic_henon.fib import fib, golden_below, golden_cmp
 from padic_henon.regions import (
     EmptyRegionError,
@@ -17,6 +18,7 @@ from padic_henon.regions import (
     regime_of_d,
     region_branches,
     region_profiles,
+    region_rows,
     sample_in_region,
     t_profile,
 )
@@ -311,6 +313,12 @@ def test_region_profiles_equal_cell_scan(d):
         for label in iter_region_labels(regime_of_d(d), d, W, include_t=True):
             got = region_profiles.__wrapped__(label, d, W)
             assert len(set(got)) == len(got)
+            # Rows are sorted, each interval is nonempty, and two intervals
+            # of one row have a gap, so neither could be extended.
+            rows = region_rows(label, d, W)
+            assert list(rows) == sorted(rows) and all(lo <= hi for _, lo, hi in rows)
+            assert all(a0 < a1 or lo1 >= hi0 + 2 for (a0, _, hi0), (a1, lo1, _) in zip(rows, rows[1:]))
+            assert tuple((a, b) for a, lo, hi in rows for b in range(lo, hi + 1)) == got
             if label.name == "T":
                 prof = t_profile(label.index, d)
                 expected = (prof,) if max(map(abs, prof)) <= W else ()
@@ -324,8 +332,32 @@ def test_region_profiles_equal_cell_scan(d):
     # B1/B2 and P4/P5 cut rows at the golden line.
     if d == 0:
         assert len(region_branches(lbl(U, "C", 0))) == 2 and lbl(U, "C", 0) in seen
+        # Its branches a = 0, b <= 0 and a <= 0, b = 0 merge in row 0.
+        assert [r for r in region_rows(lbl(U, "C", 0), 0, 12) if r[0] == 0] == [(0, -12, 0)]
     if d == 7:
         assert {lbl(L, "C", 3), lbl(L, "D", 4), lbl(L, "T", 0)} <= seen
         assert 0 < len(region_profiles(lbl(L, "C", 3), d, 60)) < 121
     if d == -3:
         assert {lbl(S, "B", 1), lbl(S, "B", 2), lbl(S, "P", 4), lbl(S, "P", 5)} <= seen
+        # P6 is the column a = d without the cell b = d: two intervals, gap 2.
+        assert region_rows(lbl(S, "P", 6), d, 12) == ((d, -12, d - 1), (d, d + 1, -1))
+
+
+def test_region_profiles_keeps_cold_start_hooks():
+    # The benchmark clears this one memo before each pass to model a fresh
+    # process, and the tests call the unmemoized function; the rows beneath
+    # it must stay unmemoized, or a cleared pass would still start warm.
+    assert callable(region_profiles.cache_clear) and callable(region_profiles.__wrapped__)
+    assert not hasattr(region_rows, "cache_info")
+
+
+def test_region_rows_merge_nested_and_touching_branches(monkeypatch):
+    # The bundled table has no nested branch intervals, so build one: in row
+    # 0 the second branch lies inside the first, and the third touches it.
+    monkeypatch.setitem(regions._SMALL_TABLE, ("Z", None), [
+        [(1, 0, 0, 0, "=="), (0, 1, 0, 3, "<=")],
+        [(1, 0, 0, 0, "=="), (0, 1, 0, -1, ">="), (0, 1, 0, 1, "<=")],
+        [(1, 0, 0, 0, "=="), (0, 1, 0, 4, "==")],
+        [(1, 0, 0, 2, "=="), (0, 1, 0, 1, ">")],
+    ])
+    assert region_rows(lbl(S, "Z"), -1, 6) == ((0, -6, 4), (2, 2, 6))
