@@ -6,7 +6,7 @@ Modules:
     fib       Fibonacci values, Cassini-type identities, golden-ratio comparisons
     dynamics  the map, its inverse, orbits with fate verdicts, fixed points
     regions   valuation-region classifier, samplers and the transition table
-    gridcheck window-exhaustive partition and transition verification (numpy)
+    gridcheck window-exhaustive partition and transition verification (row intervals)
     measure   exact Haar measures of balls, spheres and region windows
     verifier  sampling campaigns and structured verification reports
     cli       command-line frontend

@@ -97,7 +97,7 @@ def main():
               show_default=True)
 @click.option("--escape-exp", type=int, default=None,
               help="Escape threshold on max norm exponent (omit to disable).")
-@click.option("--bit-budget", type=int, default=1_000_000, show_default=True)
+@click.option("--bit-budget", type=click.IntRange(min=1), default=1_000_000, show_default=True)
 def orbit(prime, c, x, y, steps, direction, escape_exp, bit_budget):
     """Run an orbit and print its JSON trace; exit 0 on any verdict."""
     if c is None:
@@ -231,6 +231,8 @@ def measure(prime, c, tn, k, n, region, window):
         raise click.UsageError("c = 0 is degenerate: no region partition exists")
     d = c.norm_exponent
     label = _parse_label(region, regime_of_d(d))
+    if label.name == "T" and d < 2:
+        raise click.UsageError(f"overlay region {label} needs d >= 2, but --c has d = {d}")
     click.echo(json.dumps(measure_report(label, d, prime, window), indent=1))
 
 

@@ -1,37 +1,37 @@
-"""Window-exhaustive checks over integer norm profiles, vectorized with numpy.
+"""Window-exhaustive checks over integer norm profiles, on row intervals.
 
 These routines check whole windows |a|, |b| <= W at once: partition
 exactness (every profile in exactly one region), agreement with the scalar
 classifier, and profile-level transition claims including full enumeration
-of the cancellation column a = d.  Region masks are painted from the row
-intervals of ``regions.region_rows``, the one reader of the table's
-constraints for window cells; transition outcomes are tested with
-``profile_in_region`` on integer arrays.
+of the cancellation column a = d.  Every set of cells is a list of integer
+intervals.  A region's cells are the rows of ``regions.region_rows``; a
+transition check carries its source cells as pieces, runs of one source row
+on which each backward step is affine, so ``regions.branch_interval`` decides
+a target constraint on a whole piece at once, and one sweep over interval
+ends finds holes, overlaps and failing cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .regions import (
     RegionLabel,
     Regime,
+    branch_interval,
     classify,
     expected_preimage_regions,
     iter_region_labels,
     profile_in_region,
     regime_of_d,
+    region_branches,
     region_rows,
     t_profile,
 )
 
 __all__ = [
-    "region_mask",
     "PartitionReport",
     "check_partition",
-    "label_grid",
     "classifier_agreement",
     "TransitionCounterexample",
     "TransitionCheck",
@@ -40,26 +40,29 @@ __all__ = [
 ]
 
 
-def _region_box(label: RegionLabel, window: int, d: int):
-    """(i0, j0, mask): the label's ``region_rows`` painted over their bounding
-    box, mask[i, j] being window cell (i0 + i, j0 + j); None if empty."""
-    rows = region_rows(label, d, window)
-    if not rows:
-        return None
-    a0, b0 = rows[0][0], min(lo for _, lo, _ in rows)
-    mask = np.zeros((rows[-1][0] - a0 + 1, max(hi for _, _, hi in rows) - b0 + 1), dtype=bool)
-    for a, lo, hi in rows:
-        mask[a - a0, lo - b0 : hi - b0 + 1] = True
-    return a0 + window, b0 + window, mask
+def _coverage(intervals, lo: int, hi: int):
+    """Segments (first, last, n) that tile lo..hi in order, n being how many of
+    the intervals (nonempty, inside lo..hi) cover each cell of the segment."""
+    events = sorted([(l, 1) for l, _ in intervals] + [(h + 1, -1) for _, h in intervals])
+    n = 0
+    for x, step in events:
+        if x > lo:
+            yield lo, x - 1, n
+            lo = x
+        n += step
+    if lo <= hi:
+        yield lo, hi, n
 
 
-def region_mask(label: RegionLabel, window: int, d: int):
-    out = np.zeros((2 * window + 1, 2 * window + 1), dtype=bool)
-    box = _region_box(label, window, d)
-    if box is not None:
-        i0, j0, mask = box
-        out[i0 : i0 + mask.shape[0], j0 : j0 + mask.shape[1]] = mask
-    return out
+def _window_rows(d: int, window: int):
+    """(labels, rows) with rows[a + window] the (lo, hi, label) intervals of
+    every label's ``region_rows`` in row a, sorted by lo."""
+    labels = list(iter_region_labels(regime_of_d(d), d, window))
+    rows = [[] for _ in range(2 * window + 1)]
+    for label in labels:
+        for a, lo, hi in region_rows(label, d, window):
+            rows[a + window].append((lo, hi, label))
+    return labels, [sorted(row, key=lambda r: r[0]) for row in rows]
 
 
 @dataclass
@@ -77,61 +80,47 @@ class PartitionReport:
 
 def check_partition(d: int, window: int, max_witnesses: int = 10) -> PartitionReport:
     """Certify that the declarative regions tile the window with no overlap."""
-    labels = list(iter_region_labels(regime_of_d(d), d, window))
-    count = np.zeros((2 * window + 1, 2 * window + 1), dtype=np.uint8)
-    for label in labels:
-        count += region_mask(label, window, d)
-    report = PartitionReport(d=d, window=window, cells=count.size)
-    if (count == 1).all():
-        return report
-    for kind, where in (("uncovered", count == 0), ("overlaps", count > 1)):
-        idx = np.argwhere(where)[:max_witnesses]
-        witnesses = []
-        for i, j in idx:
-            a, b = int(i) - window, int(j) - window
-            names = [str(lbl) for lbl in labels if profile_in_region(lbl, a, b, d)]
-            witnesses.append({"a": a, "b": b, "labels": names})
-        getattr(report, kind).extend(witnesses)
+    return _partition_report(d, window, *_window_rows(d, window), max_witnesses)
+
+
+def _partition_report(d, window, labels, rows, max_witnesses) -> PartitionReport:
+    """The first uncovered and overlapping cells of the rows, in scan order."""
+    report = PartitionReport(d=d, window=window, cells=(2 * window + 1) ** 2)
+    for a, row in enumerate(rows, -window):
+        for lo, hi, n in _coverage([(lo, hi) for lo, hi, _ in row], -window, window):
+            if n == 1:
+                continue
+            found = report.uncovered if n == 0 else report.overlaps
+            for b in range(lo, min(hi + 1, lo + max_witnesses - len(found))):
+                names = [str(lbl) for lbl in labels if profile_in_region(lbl, a, b, d)]
+                found.append({"a": a, "b": b, "labels": names})
     return report
 
 
-def label_grid(d: int, window: int):
-    """(labels, id-grid) where grid[i, j] indexes the unique region of each cell.
-
-    Requires the partition to be exact; cells are asserted covered exactly once.
-    """
-    regime = regime_of_d(d)
-    labels = list(iter_region_labels(regime, d, window))
-    grid = np.full((2 * window + 1, 2 * window + 1), -1, dtype=np.int32)
-    for k, label in enumerate(labels):
-        m = region_mask(label, window, d)
-        if (grid[m] != -1).any():
-            raise AssertionError(f"overlap while assigning {label}")
-        grid[m] = k
-    if (grid == -1).any():
-        raise AssertionError("uncovered cells in label grid")
-    return labels, grid
-
-
 def classifier_agreement(d: int, window: int, sample: int = 0, rng=None) -> int:
-    """Check the scalar classifier against the declarative label grid.
+    """Check the scalar classifier against the declarative region table.
 
-    Exhaustive over the window; optionally `sample` extra random cells of a
-    larger implicit window are checked one by one.  Returns cells checked.
+    Exhaustive over the window, whose partition must be exact; optionally
+    `sample` extra random cells of a larger implicit window are checked one
+    by one.  Returns cells checked.
     """
-    labels, grid = label_grid(d, window)
-    checked = 0
-    for i in range(grid.shape[0]):
-        a = i - window
-        row = grid[i]
-        for j in range(grid.shape[1]):
-            b = j - window
-            if classify((a, b), d) != labels[row[j]]:
-                raise AssertionError(
-                    f"classifier disagrees with region table at ({a}, {b}), d={d}: "
-                    f"{classify((a, b), d)} vs {labels[row[j]]}"
-                )
-            checked += 1
+    labels, rows = _window_rows(d, window)
+    report = _partition_report(d, window, labels, rows, 1)
+    if not report.exact:
+        raise AssertionError(
+            f"region table does not tile the window at d={d}: "
+            f"uncovered {report.uncovered}, overlaps {report.overlaps}"
+        )
+    for a, row in enumerate(rows, -window):
+        for lo, hi, label in row:
+            for b in range(lo, hi + 1):
+                got = classify((a, b), d)
+                if got != label:
+                    raise AssertionError(
+                        f"classifier disagrees with region table at ({a}, {b}), d={d}: "
+                        f"{got} vs {label}"
+                    )
+    checked = (2 * window + 1) ** 2
     if sample and rng is not None:
         W2 = 4 * window
         for _ in range(sample):
@@ -172,51 +161,40 @@ class TransitionCheck:
         return self.failed_outcomes == 0
 
 
-def _targets_mask(targets, A, B, d: int):
-    out = np.zeros(A.shape, dtype=bool)
-    for t in targets:
-        out |= profile_in_region(t, A, B, d)
-    return out
+# A piece (a, lo, hi, a0, a1, b0, b1) is the run of source cells (a, t),
+# lo <= t <= hi, of one source row, now at the profiles (a0 + a1*t, b0 + b1*t).
+# The guards of the inverse below are region-table constraints on a.
+_BELOW_D, _ON_D, _ABOVE_D = [(1, 0, 1, 0, "<")], [(1, 0, 1, 0, "==")], [(1, 0, 1, 0, ">")]
 
 
-def _source_cells(label: RegionLabel, d: int, window: int):
-    if label.name == "T":
-        # A single cell; checked even when it sits outside the window, since
-        # exhaustiveness costs nothing here.
-        a, b = t_profile(label.index, d)
-        return np.array([a], dtype=np.int64), np.array([b], dtype=np.int64)
-    box = _region_box(label, window, d)
-    if box is None:
-        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    i0, j0, mask = box
-    # Row-major order of (i, j) is lexicographic order of (a, b), and each
-    # cell appears once however many branches contain it.
-    ii, jj = np.nonzero(mask)
-    return ii + (i0 - window), jj + (j0 - window)
+def _step_pieces(pieces, d: int, cancel_depth: int):
+    """One abstract backward step on pieces; the package's one profile-level inverse.
 
+    When a != d the ultrametric gives the single profile (b, max(a, d) - b):
+    (b, d - b) for a < d and (b, a - b) for a > d.  When a = d the difference
+    x - c can cancel to any depth e <= d, giving (b, e - b); the branch x = c
+    leaves the domain and is not enumerated.  Each part of a piece is again
+    a piece, since every map is affine.
 
-def _step_profiles(A, B, SA, SB, e0, d: int, cancel_depth: int):
-    """One abstract backward step on profile arrays; the package's one profile-level inverse.
-
-    When a != d the ultrametric gives the single profile (b, max(a, d) - b).
-    When a = d the difference x - c can cancel to any depth e <= d, giving
-    (b, e - b); the branch x = c leaves the domain and is not enumerated.
-
-    Yields (A', B', e, SA', SB') groups: the deterministic group plus one
-    group per enumerated cancellation exponent e <= d for the a = d cells.
-    SA/SB track the originating source profiles; e records the first
-    cancellation exponent taken along the branch (None if none).
+    Yields (pieces, e) groups in source order: the deterministic group with
+    e None, then one group per cancellation exponent e = d, d - 1, ...,
+    d - cancel_depth for the cells on a = d.  Empty groups are left out.
     """
-    det = A != d
-    if det.any():
-        Ad, Bd = A[det], B[det]
-        E = np.maximum(Ad, d)
-        yield Bd, E - Bd, e0, SA[det], SB[det]
-    canc = ~det
-    if canc.any():
-        Ac, Bc, SAc, SBc = A[canc], B[canc], SA[canc], SB[canc]
+    det, column = [], []
+    for sa, lo, hi, a0, a1, b0, b1 in pieces:
+        below = branch_interval(_BELOW_D, d, a0, a1, b0, b1, lo, hi), (b0, b1, d - b0, -b1)
+        above = branch_interval(_ABOVE_D, d, a0, a1, b0, b1, lo, hi), (b0, b1, a0 - b0, a1 - b1)
+        for (l, h), image in sorted([below, above]):
+            if l <= h:
+                det.append((sa, l, h, *image))
+        l, h = branch_interval(_ON_D, d, a0, a1, b0, b1, lo, hi)
+        if l <= h:
+            column.append((sa, l, h, b0, b1, -b0, -b1))
+    if det:
+        yield det, None
+    if column:
         for e in range(d, d - cancel_depth - 1, -1):
-            yield Bc, e - Bc, e, SAc, SBc
+            yield [(sa, l, h, a0, a1, e + b0, b1) for sa, l, h, a0, a1, b0, b1 in column], e
 
 
 def check_transition_profiles(
@@ -239,36 +217,45 @@ def check_transition_profiles(
     if targets is None:
         targets = expected_preimage_regions(source, depth=depth)
     check = TransitionCheck(source=source, d=d, window=window, depth=depth)
-    As, Bs = _source_cells(source, d, window)
-    check.profiles_checked = int(As.size)
-    if As.size == 0:
-        return check
+    if source.name == "T":
+        # A single cell; checked even when it sits outside the window, since
+        # exhaustiveness costs nothing here.
+        a, b = t_profile(source.index, d)
+        rows = ((a, b, b),)
+    else:
+        rows = region_rows(source, d, window)
+    check.profiles_checked = sum(hi - lo + 1 for _, lo, hi in rows)
 
-    # Each frontier entry: (A, B, first cancellation exponent, source A, source B)
-    frontier = [(As, Bs, None, As, Bs)]
+    # Each frontier entry: (pieces, first cancellation exponent or None).
+    frontier = [([(a, lo, hi, a, 0, 0, 1) for a, lo, hi in rows], None)]
     for _ in range(depth):
-        new_frontier = []
-        for A, B, e0, SA, SB in frontier:
-            for A2, B2, e, SA2, SB2 in _step_profiles(A, B, SA, SB, e0, d, cancel_depth):
-                new_frontier.append((A2, B2, e0 if e0 is not None else e, SA2, SB2))
-        frontier = new_frontier
+        frontier = [
+            (stepped, e0 if e0 is not None else e)
+            for pieces, e0 in frontier
+            for stepped, e in _step_pieces(pieces, d, cancel_depth)
+        ]
 
-    for A, B, e, SA, SB in frontier:
-        ok = _targets_mask(targets, A, B, d)
-        check.outcomes_checked += int(A.size)
-        bad = ~ok
-        failed = int(np.count_nonzero(bad))
-        if failed:
-            check.failed_outcomes += failed
-            idx = np.argwhere(bad)[:25]
-            for (k,) in idx:
-                check.counterexamples.append(
-                    TransitionCounterexample(
-                        source_profile=(int(SA[k]), int(SB[k])),
-                        outcome_profile=(int(A[k]), int(B[k])),
-                        cancellation_exponent=e,
-                    )
-                )
+    # An outcome fails where no target branch holds: the cells of a piece
+    # that none of the branches' intervals covers.  At most 25 are listed
+    # per frontier group.
+    branches = [branch for target in targets for branch in region_branches(target)]
+    for pieces, e in frontier:
+        listed = 0
+        for sa, lo, hi, a0, a1, b0, b1 in pieces:
+            check.outcomes_checked += hi - lo + 1
+            held = []
+            for branch in branches:
+                l, h = branch_interval(branch, d, a0, a1, b0, b1, lo, hi)
+                if l <= h:
+                    held.append((l, h))
+            for first, last, n in _coverage(held, lo, hi):
+                if n:
+                    continue
+                check.failed_outcomes += last - first + 1
+                for b in range(first, min(last + 1, first + 25 - listed)):
+                    outcome = (a0 + a1 * b, b0 + b1 * b)
+                    check.counterexamples.append(TransitionCounterexample((sa, b), outcome, e))
+                    listed += 1
     return check
 
 

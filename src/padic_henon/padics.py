@@ -130,10 +130,6 @@ class PadicRational:
         x.prime, x._f, x._v = prime, f, v
         return x
 
-    @classmethod
-    def from_fraction(cls, f: Fraction, prime: int) -> "PadicRational":
-        return cls(f, 1, prime)
-
     # -- basic structure ---------------------------------------------------
 
     @property

@@ -14,17 +14,17 @@ Every region is described twice, deliberately:
 * ``classify`` is an independent decision tree with a bounded ascending index
   search for the Fibonacci-indexed families.
 
-One evaluator, ``profile_in_region``, reads the table for the scalar checks
-and the grid checker alike: it uses only arithmetic, comparisons and & / |,
-so ints give a bool and integer arrays a mask.  Its golden test is the
-branch-free ``fib.golden_below``, while ``classify`` keeps ``fib.golden_cmp``,
-so the agreement check also compares two independent golden tests.
+One evaluator, ``profile_in_region``, reads the table at a point (ints give
+a bool, integer arrays a mask).  Its golden test is the branch-free
+``fib.golden_below``, while ``classify`` keeps ``fib.golden_cmp``, so the
+agreement check also compares two independent golden tests.
 
-``region_rows`` turns the table into the cells of a window, one interval
-of b per row and merged branch, with exact integer bounds.  It is the one
-such path: the samplers and measures expand its rows, and the grid checker
-paints them into masks to certify that the partition is exact and that the
-classifier agrees with the table.  Boundaries along the irrational line
+``branch_interval`` is the one path from the table to cells: along an affine
+segment t -> (a, b) every constraint, golden ones included, holds on an
+interval of t with exact integer ends.  ``region_rows`` cuts each window row
+with it for the samplers, measures and the grid checker's partition and
+agreement checks; the grid checker cuts its transition pieces with it too.
+Boundaries along the irrational line
 |y| = |x|^(1/beta) are never attained by integer profiles, which is what
 makes the index search terminate.
 """
@@ -51,6 +51,7 @@ __all__ = [
     "eval_constraint",
     "profile_in_region",
     "iter_region_labels",
+    "branch_interval",
     "region_rows",
     "region_profiles",
     "sample_in_region",
@@ -518,22 +519,24 @@ def t_profile(n: int, d: int):
 _FLIP = {"<": ">", "<=": ">=", "==": "==", ">=": "<=", ">": "<"}
 
 
-def _golden_cut(sign: int, a: int, lo: int, hi: int):
-    """[lo, hi] cut to the b with beta*b < a (sign -1) or beta*b > a (sign 1).
+def _golden_cut(sign: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int):
+    """lo..hi cut to the t with beta*B < A (sign -1) or beta*B > A (sign 1) at
+    (A, B) = (a0 + a1*t, b0 + b1*t); the second is the first on (-A, -B).
 
-    The first set is down-closed in b, so its new upper end is found by
-    integer bisection on ``golden_below``; the second is the first mirrored,
-    beta*(-b) < -a.
+    A - beta*B is affine in t.  Where it grows, t -> -t mirrors the up-closed
+    set to the down-closed case, cut by integer bisection on ``golden_below``.
     """
     if sign > 0:
-        mlo, mhi = _golden_cut(-1, -a, -hi, -lo)
+        return _golden_cut(-1, -a0, -a1, -b0, -b1, lo, hi)
+    if golden_below(a1, b1):
+        mlo, mhi = _golden_cut(-1, a0, -a1, b0, -b1, -hi, -lo)
         return -mhi, -mlo
-    if not golden_below(a, lo):
+    if not golden_below(a0 + a1 * lo, b0 + b1 * lo):
         return lo, lo - 1
-    yes, no = lo, hi + 1  # beta*yes < a, and no is past the last such b
+    yes, no = lo, hi + 1  # the test holds at yes, and no is past the last such t
     while no - yes > 1:
         mid = (yes + no) // 2
-        if golden_below(a, mid):
+        if golden_below(a0 + a1 * mid, b0 + b1 * mid):
             yes = mid
         else:
             no = mid
@@ -557,47 +560,56 @@ def _cut(coef: int, op: str, rhs: int, lo: int, hi: int):
     return max(lo, -(-rhs // coef)), hi  # ">=": x >= ceil(rhs / coef)
 
 
-def _branch_rows(branch, d: int, window: int):
-    """(a, lo, hi) for every window row a on which one branch holds for lo..hi of b.
+def branch_interval(branch, d: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int):
+    """The t in lo..hi at which one branch holds at (a, b) = (a0 + a1*t, b0 + b1*t),
+    as (lo', hi'), empty when lo' > hi'.
 
-    The pure-a constraints bound the rows, so only those rows are scanned.
-    In each, a linear constraint is read as cb*b OP rhs and cuts the interval
-    of b (to one point for ==); golden ones are applied last, on the
-    interval the linear ones leave.
+    A linear constraint reads coef*t OP rhs and cuts with exact integer
+    rounding (a constant one keeps or empties); golden ones are applied last,
+    on the interval the linear ones leave.
     """
-    alo, ahi = -window, window
-    linear, goldens = [], []
+    goldens = []
     for con in branch:
+        if lo > hi:
+            return lo, hi
         if con[0] == "golden":
             goldens.append(con[1])
-        elif con[1] == 0:
-            alo, ahi = _cut(con[0], con[4], con[2] * d + con[3], alo, ahi)
-        else:
-            linear.append(con)
-    for a in range(alo, ahi + 1):
-        lo, hi = -window, window
-        for ca, cb, cd, c1, op in linear:
-            lo, hi = _cut(cb, op, cd * d + c1 - ca * a, lo, hi)
-        for sign in goldens:
-            if lo > hi:
-                break
-            lo, hi = _golden_cut(sign, a, lo, hi)
-        if lo <= hi:
-            yield a, lo, hi
+            continue
+        ca, cb, cd, c1, op = con
+        coef, rhs = ca * a1 + cb * b1, cd * d + c1 - ca * a0 - cb * b0
+        if coef:
+            lo, hi = _cut(coef, op, rhs, lo, hi)
+        elif not _OPS[op](0, rhs):
+            return lo, lo - 1
+    for sign in goldens:
+        if lo > hi:
+            break
+        lo, hi = _golden_cut(sign, a0, a1, b0, b1, lo, hi)
+    return lo, hi
 
 
 def region_rows(label: RegionLabel, d: int, window: int):
     """The region's cells with |a|, |b| <= window as sorted rows (a, lo, hi).
 
-    The one path from the table to window cells.  A row is the union of its
-    branches' intervals of b, merged where they overlap or touch, so two
-    intervals of one row are at least two apart.
+    Each branch is cut by ``branch_interval`` along the row (a, b) = (a, t).
+    A row is the union of its branches' intervals of b, merged where they
+    overlap or touch, so two intervals of one row are at least two apart.
     """
     if label.name == "T":
         a, b = t_profile(label.index, d)
         return ((a, b, b),) if max(abs(a), abs(b)) <= window else ()
+    rows = []
+    for branch in region_branches(label):
+        # Pure-a constraints (cb = 0, never a golden sign) only bound the rows.
+        pure_a = [con for con in branch if con[1] == 0]
+        rest = [con for con in branch if con[1] != 0]
+        alo, ahi = branch_interval(pure_a, d, 0, 1, 0, 0, -window, window)
+        for a in range(alo, ahi + 1):
+            lo, hi = branch_interval(rest, d, a, 0, 0, 1, -window, window)
+            if lo <= hi:
+                rows.append((a, lo, hi))
+    rows.sort()
     out = []
-    rows = sorted(r for branch in region_branches(label) for r in _branch_rows(branch, d, window))
     for a, lo, hi in rows:
         if out and out[-1][0] == a and lo <= out[-1][2] + 1:
             out[-1] = (a, out[-1][1], max(hi, out[-1][2]))

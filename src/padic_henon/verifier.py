@@ -183,6 +183,9 @@ class LemmaSpec:
                 f"source {self.source} is {self.source.regime.value}, but c = {self.c} "
                 f"is in regime {regime.value}"
             )
+        overlay = [t for t in [self.source, *(self.expected or ())] if t.name == "T"]
+        if overlay and c.norm_exponent < 2:
+            raise CampaignError(f"overlay region {overlay[0]} needs d >= 2, got d = {c.norm_exponent}")
         if self.kind != "escape" and self.expected is None:
             try:
                 _expected_targets(self)
@@ -305,7 +308,7 @@ def verify_transition_exhaustive(spec: LemmaSpec) -> VerificationReport:
     report = VerificationReport(spec=spec)
     params = spec.params()
     targets = _expected_targets(spec)
-    from . import gridcheck  # numpy is loaded only when a window check runs
+    from . import gridcheck  # deferred: importing it adds milliseconds to every CLI start
 
     check = gridcheck.check_transition_profiles(
         spec.source, params.d, spec.window, depth=spec.depth, targets=targets
@@ -637,7 +640,7 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
         invariant = RegionLabel(regime, "J", 0)
 
     if invariant is not None:
-        from . import gridcheck  # numpy is loaded only when a window check runs
+        from . import gridcheck  # deferred: importing it adds milliseconds to every CLI start
 
         cert = gridcheck.check_transition_profiles(invariant, d, max(spec.window, 12))
         if cert.ok:

@@ -79,6 +79,15 @@ def test_orbit_zero_steps_usage_error(runner):
     assert "--steps" in result.output
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_orbit_non_positive_bit_budget_usage_error(runner, budget):
+    result = runner.invoke(main, [
+        "orbit", "--prime", "3", "--c", "1/1", "--x", "1/1", "--y", "1/1", "--bit-budget", budget,
+    ])
+    assert result.exit_code == 2
+    assert "--bit-budget" in result.output and result.stdout == ""
+
+
 def test_classify_profile_mode(runner):
     result = runner.invoke(main, ["classify", "--prime", "3", "--c", "1/9", "--a", "1", "--b", "1"])
     obj = json.loads(result.output)
@@ -178,6 +187,9 @@ def test_verify_campaign_file(runner, tmp_path):
     assert summary["ok"] and summary["skipped"] == 40
 
 
+_T1 = {"regime": "large", "name": "T", "index": 1}
+
+
 def _one_spec(**fields):
     spec = {"id": "bad", "kind": "transition", "p": 3, "c": "1/1",
             "source": {"regime": "small", "name": "A", "index": 1}, "samples": 5}
@@ -194,9 +206,15 @@ def _one_spec(**fields):
         (_one_spec(c="1/9"), "source A1 is small, but c = 1/9 is in regime large"),
         (_one_spec(samples=0), "samples must be at least 1"),
         (_one_spec(kind="exhaustive", window=-5), "window at least 0"),
+        *[(_one_spec(kind=kind, c="1/3", source=_T1), "overlay region T1 needs d >= 2")
+          for kind in ("exhaustive", "transition", "escape")],
+        (_one_spec(kind="exhaustive", c="1/3", source={"regime": "large", "name": "J", "index": 0},
+                   expected=[{"regime": "large", "name": "T", "index": 0}]),
+         "overlay region T0 needs d >= 2"),
     ],
     ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch", "samples-zero",
-         "window-negative"],
+         "window-negative", "overlay-exhaustive", "overlay-transition", "overlay-escape",
+         "overlay-target"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     path = tmp_path / "bad.json"
@@ -209,8 +227,8 @@ def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """A cold `import padic_henon.cli` does not load numpy; the window checks
-    still run and load it when they are reached."""
+    """Nothing in the package loads numpy: not a cold `import padic_henon.cli`,
+    and not the window checks of an exhaustive and a sandwich spec."""
     code = textwrap.dedent("""
         import json, sys
         import padic_henon.cli
@@ -223,6 +241,7 @@ def test_cli_import_leaves_numpy_unloaded():
                              samples=8, window=6, steps=60)
         reports = [run_spec(exhaustive), run_spec(sandwich)]
         print(json.dumps({"numpy": "numpy" in sys.modules,
+                          "gridcheck": "padic_henon.gridcheck" in sys.modules,
                           "reports": [[r.ok, r.passes, r.notes] for r in reports]}))
     """)
     src = str(Path(padic_henon.__file__).resolve().parents[1])
@@ -231,7 +250,7 @@ def test_cli_import_leaves_numpy_unloaded():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["numpy"]
+    assert out["gridcheck"] and not out["numpy"]
     (ex_ok, ex_passes, _), (sw_ok, sw_passes, sw_notes) = out["reports"]
     assert ex_ok and ex_passes > 0
     assert sw_ok and sw_passes > 0
@@ -277,6 +296,12 @@ def test_measure_region_negative_window_usage_error(runner):
     ])
     assert result.exit_code == 2
     assert "--window" in result.output and result.stdout == ""
+
+
+def test_measure_overlay_below_d_two_usage_error(runner):
+    result = runner.invoke(main, ["measure", "--prime", "3", "--c", "1/3", "--region", "T1"])
+    assert result.exit_code == 2
+    assert "overlay region T1 needs d >= 2" in result.output and result.stdout == ""
 
 
 def test_measure_region_window(runner):

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from padic_henon.dynamics import (
@@ -20,7 +19,7 @@ from padic_henon.dynamics import (
     inverse,
     three_cycle,
 )
-from padic_henon.gridcheck import _step_profiles
+from padic_henon.gridcheck import _step_pieces
 from padic_henon.padics import PadicRational, Point
 from padic_henon.regions import Regime
 
@@ -130,9 +129,9 @@ def test_norm_recurrence_matches_abstract_inverse():
     d = prm.d
     cancellations = 0
     for prev, curr in zip(rec.steps, rec.steps[1:]):
-        A, B = np.array([prev.profile[0]]), np.array([prev.profile[1]])
-        groups = _step_profiles(A, B, A, B, None, d, 10)
-        outcomes = [(int(A2[0]), int(B2[0])) for A2, B2, _, _, _ in groups]
+        a, b = prev.profile
+        groups = _step_pieces([(a, b, b, a, 0, 0, 1)], d, 10)
+        outcomes = [(a0 + a1 * b, b0 + b1 * b) for pieces, _ in groups for _, _, _, a0, a1, b0, b1 in pieces]
         if prev.profile[0] == d:
             cancellations += 1
             assert curr.profile in outcomes

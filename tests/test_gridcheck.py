@@ -5,21 +5,19 @@ import pytest
 
 from padic_henon import regions
 from padic_henon.gridcheck import (
-    _source_cells,
-    _step_profiles,
+    _step_pieces,
     check_all_transitions,
     check_partition,
     check_transition_profiles,
     classifier_agreement,
-    label_grid,
-    region_mask,
+    transition_sources,
 )
 from padic_henon.fib import golden_below, golden_cmp
 from padic_henon.regions import (
     Regime,
     RegionLabel,
-    classify,
     eval_constraint,
+    expected_preimage_regions,
     iter_region_labels,
     profile_in_region,
     regime_of_d,
@@ -40,9 +38,24 @@ _STEP_CASES = {
 @pytest.mark.parametrize("case", _STEP_CASES.values(), ids=_STEP_CASES.keys())
 def test_step_profiles(case):
     (a, b), d, cancel_depth, expected = case
-    A, B = np.array([a]), np.array([b])
-    groups = _step_profiles(A, B, A, B, None, d, cancel_depth)
-    assert [(int(A2[0]), int(B2[0]), e) for A2, B2, e, _, _ in groups] == expected
+    got = []
+    for pieces, e in _step_pieces([(a, b, b, a, 0, 0, 1)], d, cancel_depth):
+        ((sa, lo, hi, a0, a1, b0, b1),) = pieces
+        assert (sa, lo, hi) == (a, b, b)
+        got.append((a0 + a1 * b, b0 + b1 * b, e))
+    assert got == expected
+
+
+def test_step_pieces_keep_source_order_across_the_column():
+    # A piece whose profiles (a1*t, 0) cross a = d splits below, on and above
+    # the column; the deterministic group keeps increasing t for either slope.
+    d = 0
+    for a1 in (1, -1):
+        (det, e_det), (col0, e0), (col1, e1) = _step_pieces([(7, -3, 3, 0, a1, 0, 0)], d, 1)
+        assert (e_det, e0, e1) == (None, 0, -1)
+        outcomes = [(t, (p0 + p1 * t, q0 + q1 * t)) for _, lo, hi, p0, p1, q0, q1 in det for t in range(lo, hi + 1)]
+        assert outcomes == [(t, (0, max(a1 * t, d))) for t in (-3, -2, -1, 1, 2, 3)]
+        assert col0 == [(7, 0, 0, 0, 0, 0, 0)] and col1 == [(7, 0, 0, 0, 0, -1, 0)]
 
 
 _PARTITION_CASES = [(d, 120) for d in (-3, -2, -1, 0, 1, 2, 3)] + [(0, 30)]
@@ -68,34 +81,15 @@ def test_partition_reports_holes_and_overlaps(monkeypatch):
     assert report.overlaps == [{"a": a, "b": -1, "labels": ["A2", "A5"]} for a in range(6)]
     capped = check_partition(-2, 5, max_witnesses=3)
     assert capped.uncovered == report.uncovered[:3] and capped.overlaps == report.overlaps[:3]
+    # The agreement walk needs an exact tiling and says so before it classifies.
+    with pytest.raises(AssertionError, match=r"does not tile the window at d=-2: uncovered \[\{'a': -2, 'b': 0"):
+        classifier_agreement(-2, 5)
 
 
 @pytest.mark.parametrize("d", [-2, 0, 2])
 def test_classifier_agrees_with_table(d):
     rng = random.Random(31)
     assert classifier_agreement(d, 80, sample=500, rng=rng) > 0
-
-
-def test_region_mask_matches_scalar_membership():
-    d, W = 2, 20
-    for label in (
-        RegionLabel(Regime.LARGE, "M", 3),
-        RegionLabel(Regime.LARGE, "B", 2),
-        RegionLabel(Regime.LARGE, "C", 0),
-    ):
-        mask = region_mask(label, W, d)
-        for a in range(-W, W + 1):
-            for b in range(-W, W + 1):
-                assert mask[a + W, b + W] == profile_in_region(label, a, b, d)
-
-
-def test_label_grid_matches_classify():
-    d, W = -2, 40
-    labels, grid = label_grid(d, W)
-    rng = random.Random(7)
-    for _ in range(400):
-        a, b = rng.randrange(-W, W + 1), rng.randrange(-W, W + 1)
-        assert labels[grid[a + W, b + W]] == classify((a, b), d)
 
 
 def test_profile_in_region_on_arbitrary_arrays():
@@ -196,21 +190,24 @@ def test_source_cells_enumerate_region_mask(d, W):
     AA, BB = np.meshgrid(coords, coords, indexing="ij")
     overlapping = []
     for label in iter_region_labels(regime_of_d(d), d, W):
-        A, B = _source_cells(label, d, W)
-        ii, jj = np.nonzero(region_mask(label, W, d))
-        assert A.dtype == B.dtype == np.int64
-        assert A.tolist() == (ii - W).tolist() and B.tolist() == (jj - W).tolist()
         # Reference: the table's own evaluator over the whole window, in scan
         # order, each cell once however many branches hold there.
+        cells = [(a, b) for a, lo, hi in region_rows(label, d, W) for b in range(lo, hi + 1)]
         inside = profile_in_region(label, AA, BB, d)
-        assert A.tolist() == AA[inside].tolist() and B.tolist() == BB[inside].tolist()
+        assert cells == list(zip(AA[inside].tolist(), BB[inside].tolist()))
+        # With no target every outcome fails, so a transition check counts
+        # these cells and lists the first 25 off the column a = d in order.
+        check = check_transition_profiles(label, d, W, cancel_depth=0, targets=())
+        assert check.profiles_checked == check.outcomes_checked == check.failed_outcomes == len(cells)
+        off_column = [c for c in cells if c[0] != d][:25]
+        assert [ce.source_profile for ce in check.counterexamples[: len(off_column)]] == off_column
         per_branch = 0
         for branch in region_branches(label):
             held = np.ones(AA.shape, dtype=bool)
             for con in branch:
                 held &= eval_constraint(con, AA, BB, d)
             per_branch += int(np.count_nonzero(held))
-        if per_branch > A.size:
+        if per_branch > len(cells):
             overlapping.append(str(label))
     # C0 at d = 0 is the one label whose branches share a cell.
     assert overlapping == (["C0"] if d == 0 else [])
@@ -219,14 +216,83 @@ def test_source_cells_enumerate_region_mask(d, W):
 def test_source_cells_empty_region_and_t_cell():
     a5 = RegionLabel(Regime.SMALL, "A", 5)
     assert region_rows(a5, -1, 30) == ()  # the flat band d < b < 0 is empty at d = -1
-    A, B = _source_cells(a5, -1, 30)
-    assert A.dtype == B.dtype == np.int64 and A.size == B.size == 0
-    assert not region_mask(a5, 30, -1).any()
+    empty = check_transition_profiles(a5, -1, 30, targets=())
+    assert empty.profiles_checked == empty.outcomes_checked == 0 and empty.ok
     # A T sphere is its single cell, even outside the window.
     for n in (1, 9):
-        A, B = _source_cells(RegionLabel(Regime.LARGE, "T", n), 2, 30)
-        assert list(zip(A.tolist(), B.tolist())) == [t_profile(n, 2)]
+        check = check_transition_profiles(RegionLabel(Regime.LARGE, "T", n), 2, 30, cancel_depth=0, targets=())
+        assert check.profiles_checked == check.failed_outcomes == 1
+        assert [ce.source_profile for ce in check.counterexamples] == [t_profile(n, 2)]
     assert max(map(abs, t_profile(9, 2))) > 30
+
+
+# --- the cell-by-cell oracle ------------------------------------------------
+
+
+def _cells(label, d, W):
+    if label.name == "T":
+        return [t_profile(label.index, d)]
+    return [(a, b) for a in range(-W, W + 1) for b in range(-W, W + 1) if profile_in_region(label, a, b, d)]
+
+
+def _cell_oracle(cells, d, depth, cancel_depth, targets):
+    """check_transition_profiles written cell by cell on ints, as
+    (profiles, outcomes, failed, witnesses) with the same frontier groups."""
+    groups = [([(cell, cell) for cell in cells], None)]
+    for _ in range(depth):
+        stepped = []
+        for members, e0 in groups:
+            det = [(src, (b, max(a, d) - b)) for src, (a, b) in members if a != d]
+            column = [(src, b) for src, (a, b) in members if a == d]
+            if det:
+                stepped.append((det, e0))
+            if column:
+                for e in range(d, d - cancel_depth - 1, -1):
+                    stepped.append(([(src, (b, e - b)) for src, b in column], e if e0 is None else e0))
+        groups = stepped
+    outcomes, failed, witnesses = 0, 0, []
+    for members, e in groups:
+        bad = [(src, out) for src, out in members if not any(profile_in_region(t, *out, d) for t in targets)]
+        outcomes += len(members)
+        failed += len(bad)
+        witnesses += [(src, out, e) for src, out in bad[:25]]
+    return len(cells), outcomes, failed, witnesses
+
+
+def _summary(check):
+    return (check.profiles_checked, check.outcomes_checked, check.failed_outcomes,
+            [(ce.source_profile, ce.outcome_profile, ce.cancellation_exponent) for ce in check.counterexamples])
+
+
+@pytest.mark.parametrize("W", [0, 1, 7, 20])
+@pytest.mark.parametrize("d", range(-4, 5))
+def test_transition_checks_match_cell_oracle(d, W):
+    sources = list(transition_sources(regime_of_d(d), d, W))
+    for label in sources:
+        cells = _cells(label, d, W)
+        targets = expected_preimage_regions(label)
+        for cancel_depth in sorted({0, 3, W}):
+            got = check_transition_profiles(label, d, W, cancel_depth=cancel_depth)
+            assert _summary(got) == _cell_oracle(cells, d, 1, cancel_depth, targets), (str(label), cancel_depth)
+    assert sources and (W < 2 or d < 2 or any(label.name == "T" for label in sources))
+
+
+@pytest.mark.parametrize("d", range(-4, 5))
+def test_wrong_targets_match_cell_oracle(d):
+    # Each label against two other labels as its claimed targets, so most
+    # outcomes fail: the witness order and the 25-per-group cap are compared.
+    W = 12
+    labels = list(iter_region_labels(regime_of_d(d), d, W, include_t=True))
+    capped = 0
+    for i, label in enumerate(labels):
+        cells = _cells(label, d, W)
+        targets = [labels[(i + 1) % len(labels)], labels[(i + 2) % len(labels)]]
+        for depth in (1, 2):
+            got = check_transition_profiles(label, d, W, depth=depth, targets=targets)
+            want = _cell_oracle(cells, d, depth, W, targets)
+            assert _summary(got) == want, (str(label), depth)
+            capped += want[2] > len(want[3])
+    assert capped
 
 
 def test_two_step_collapse_repaired_form():

@@ -9,8 +9,10 @@ from padic_henon.regions import (
     EmptyRegionError,
     Regime,
     RegionLabel,
+    branch_interval,
     classify,
     classify_point,
+    eval_constraint,
     expected_preimage_regions,
     export_transition_table,
     iter_region_labels,
@@ -361,3 +363,46 @@ def test_region_rows_merge_nested_and_touching_branches(monkeypatch):
         [(1, 0, 0, 2, "=="), (0, 1, 0, 1, ">")],
     ])
     assert region_rows(lbl(S, "Z"), -1, 6) == ((0, -6, 4), (2, 2, 6))
+
+
+def test_branch_interval_matches_pointwise_constraints():
+    """On random affine segments t -> (a0 + a1*t, b0 + b1*t) the cutter gives
+    exactly the t where every constraint of the branch holds, by ``eval_constraint``."""
+    rng = random.Random(4103)
+    cases = []
+    for d in range(-4, 6):
+        for label in iter_region_labels(regime_of_d(d), d, 40, include_t=True):
+            cells = [(a, b) for a, lo, hi in region_rows(label, d, 40) for b in range(lo, hi + 1)]
+            cases += [(d, branch, cells) for branch in region_branches(label)]
+    golden = [[regions.GOLDEN_BELOW], [regions.GOLDEN_ABOVE], [regions.GOLDEN_ABOVE, regions.GOLDEN_BELOW]]
+    cases += [(d, branch, []) for d in (-2, 0, 3) for branch in golden]
+    segments, nonempty, empty_inputs, slopes = 0, 0, 0, set()
+    while segments < 3000:
+        for d, branch, cells in cases:
+            a1, b1 = rng.randint(-3, 3), rng.randint(-3, 3)
+            lo = rng.randint(-30, 30)
+            hi = lo + rng.randint(-3, 40)
+            # Half the segments pass through a cell of the region, so that
+            # the == branches are met too.
+            if cells and hi >= lo and rng.random() < 0.5:
+                (a, b), t = rng.choice(cells), rng.randint(lo, hi)
+                a0, b0 = a - a1 * t, b - b1 * t
+            else:
+                a0, b0 = rng.randint(-60, 60), rng.randint(-60, 60)
+            held = [t for t in range(lo, hi + 1)
+                    if all(eval_constraint(con, a0 + a1 * t, b0 + b1 * t, d) for con in branch)]
+            got = branch_interval(branch, d, a0, a1, b0, b1, lo, hi)
+            if held:
+                assert got == (held[0], held[-1]), (branch, d, a0, a1, b0, b1, lo, hi)
+                assert len(held) == held[-1] - held[0] + 1
+                nonempty += 1
+            else:
+                assert got[0] > got[1], (branch, d, a0, a1, b0, b1, lo, hi, got)
+            segments += 1
+            empty_inputs += lo > hi
+            slopes.add(((a1 > 0) - (a1 < 0), (b1 > 0) - (b1 < 0)))
+    assert nonempty > segments // 4 and empty_inputs and len(slopes) == 9
+    # An interval emptied by the linear constraints stays empty however the
+    # golden test reads at its ends: here b > 0 empties -5..-1 on row a = 100.
+    lo, hi = branch_interval([(0, 1, 0, 0, ">"), regions.GOLDEN_BELOW], 0, 100, 0, 0, 1, -5, -1)
+    assert lo > hi
