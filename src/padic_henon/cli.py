@@ -125,12 +125,12 @@ def classify_cmd(prime, c, x, y, a, b):
     if c.is_zero:
         raise click.UsageError("c = 0 is degenerate: no region partition exists")
     d = c.norm_exponent
-    if x is not None and y is not None:
+    if x is not None and y is not None and a is None and b is None:
         profile = (x.norm_exponent, y.norm_exponent)
-    elif a is not None and b is not None:
+    elif a is not None and b is not None and x is None and y is None:
         profile = (a, b)
     else:
-        raise click.UsageError("give either --x/--y or --a/--b")
+        raise click.UsageError("give exactly one complete pair: --x/--y or --a/--b")
     label = classify(profile, d)
     click.echo(json.dumps({"profile": list(profile), "d": d, "region": label.to_json()}))
 

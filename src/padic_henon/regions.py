@@ -12,7 +12,9 @@ Every region is described twice, deliberately:
   ca*a + cb*b OP cd*d + c1 (plus golden-ratio comparisons, which are exact
   integer sign computations).
 * ``classify`` is an independent decision tree with a bounded ascending index
-  search for the Fibonacci-indexed families.
+  search for the Fibonacci-indexed families.  The search slides a window of
+  consecutive Fibonacci numbers along by additions, and every label it
+  returns is one shared frozen instance per distinct label.
 
 One evaluator, ``profile_in_region``, reads the table at a point (ints give
 a bool, integer arrays a mask).  Its golden test is the branch-free
@@ -322,7 +324,9 @@ def profile_in_region(label: RegionLabel, a, b, d: int):
 # The classifier: an independent decision tree over (a, b, d).
 # ---------------------------------------------------------------------------
 
-_NEG_INF = float("-inf")
+# Labels are frozen values, so the classifier hands out one shared instance
+# per distinct label; there are logarithmically many in |a|.
+_label = lru_cache(maxsize=None)(RegionLabel)
 
 
 def classify(profile, d: int) -> RegionLabel:
@@ -330,18 +334,18 @@ def classify(profile, d: int) -> RegionLabel:
 
     `profile` is (a, b) with None marking a zero coordinate.  b = None (y = 0)
     yields the distinguished OutsideQ label; a = None (x = 0) is treated as
-    a = -infinity.  d = log_p|c| must be an integer, so c = 0 has no regime
-    partition (construct MapParams with nonzero c for classification).
+    a = -infinity, for which min(d, 0) - 1 stands in: the tree compares such
+    an a only with d and 0.  d = log_p|c| must be an integer, so c = 0 has no
+    regime partition (construct MapParams with nonzero c for classification).
     """
     a, b = profile
-    regime = regime_of_d(d)
     if b is None:
-        return RegionLabel(regime, "OutsideQ", None)
+        return _label(regime_of_d(d), "OutsideQ", None)
     if a is None:
-        a = _NEG_INF
-    if regime is Regime.SMALL:
+        a = min(d, 0) - 1
+    if d < 0:
         return _classify_small(a, b, d)
-    if regime is Regime.UNIT:
+    if d == 0:
         return _classify_unit(a, b)
     return _classify_large(a, b, d)
 
@@ -350,111 +354,116 @@ def classify_point(point: Point, d: int) -> RegionLabel:
     return classify(point.profile(), d)
 
 
-def _classify_small(a, b: int, d: int) -> RegionLabel:
+def _classify_small(a: int, b: int, d: int) -> RegionLabel:
     S = Regime.SMALL
     if b > 0:
         if a <= d:
-            return RegionLabel(S, "A", 1)
+            return _label(S, "A", 1)
         if a < 0:
-            return RegionLabel(S, "A", 6)
+            return _label(S, "A", 6)
         if a == 0:
-            return RegionLabel(S, "A", 4)
-        return RegionLabel(S, "B", 1 if golden_cmp(b, int(a)) < 0 else 2)
+            return _label(S, "A", 4)
+        return _label(S, "B", 1 if golden_cmp(b, a) < 0 else 2)
     if b == 0:
         if a <= d:
-            return RegionLabel(S, "A", 1)
+            return _label(S, "A", 1)
         if a < 0:
-            return RegionLabel(S, "A", 6)
+            return _label(S, "A", 6)
         if a == 0:
-            return RegionLabel(S, "Z", None)
-        return RegionLabel(S, "A", 3)
+            return _label(S, "Z", None)
+        return _label(S, "A", 3)
     if b <= d:
         if a >= 0:
-            return RegionLabel(S, "A", 2)
+            return _label(S, "A", 2)
         if a == d:
-            return RegionLabel(S, "R", None) if b == d else RegionLabel(S, "P", 6)
+            return _label(S, "R", None) if b == d else _label(S, "P", 6)
         if a < d:
-            return RegionLabel(S, "P", 1)
-        return RegionLabel(S, "P", 2)
+            return _label(S, "P", 1)
+        return _label(S, "P", 2)
     # d < b < 0
     if a >= 0:
-        return RegionLabel(S, "A", 5)
+        return _label(S, "A", 5)
     if a == d:
-        return RegionLabel(S, "P", 6)
+        return _label(S, "P", 6)
     if a < d:
-        return RegionLabel(S, "P", 3)
-    return RegionLabel(S, "P", 4 if golden_cmp(b, int(a)) < 0 else 5)
+        return _label(S, "P", 3)
+    return _label(S, "P", 4 if golden_cmp(b, a) < 0 else 5)
 
 
-def _classify_unit(a, b: int) -> RegionLabel:
+def _classify_unit(a: int, b: int) -> RegionLabel:
     U = Regime.UNIT
     if b > 0:
         if a <= 0:
-            return RegionLabel(U, "G", None)
+            return _label(U, "G", None)
     elif b == 0:
-        return RegionLabel(U, "H", None) if a > 0 else RegionLabel(U, "C", 0)
+        return _label(U, "H", None) if a > 0 else _label(U, "C", 0)
     else:
         if a > 0:
-            return RegionLabel(U, "H", None)
-        return RegionLabel(U, "C", 0) if a == 0 else RegionLabel(U, "F", None)
-    a = int(a)
+            return _label(U, "H", None)
+        return _label(U, "C", 0) if a == 0 else _label(U, "F", None)
     # a, b > 0: Fibonacci bands around the golden line, searched outward.
     if b >= a:
-        return RegionLabel(U, "M", 1)
+        return _label(U, "M", 1)
     if 2 * b <= a:
-        return RegionLabel(U, "M", 2)
+        return _label(U, "M", 2)
+    # F(2n-2)..F(2n+2), slid two indices per step.
     n = 1
-    while fib(2 * n - 2) <= 3 * (a + b):
-        if a * fib(2 * n) <= b * fib(2 * n + 1) and b * fib(2 * n - 1) < a * fib(2 * n - 2):
-            return RegionLabel(U, "M", 2 * n + 1)
-        if a * fib(2 * n - 1) < b * fib(2 * n) and b * fib(2 * n + 2) <= a * fib(2 * n + 1):
-            return RegionLabel(U, "M", 2 * n + 2)
+    f2n_2, f2n_1, f2n, f2n1, f2n2 = 1, 1, 2, 3, 5
+    while f2n_2 <= 3 * (a + b):
+        if a * f2n <= b * f2n1 and b * f2n_1 < a * f2n_2:
+            return _label(U, "M", 2 * n + 1)
+        if a * f2n_1 < b * f2n and b * f2n2 <= a * f2n1:
+            return _label(U, "M", 2 * n + 2)
         n += 1
+        f2n_2, f2n_1, f2n = f2n, f2n1, f2n2
+        f2n1 = f2n_1 + f2n
+        f2n2 = f2n + f2n1
     raise RuntimeError(f"band search failed for profile ({a}, {b})")  # pragma: no cover
 
 
-def _classify_large(a, b: int, d: int) -> RegionLabel:
+def _classify_large(a: int, b: int, d: int) -> RegionLabel:
     L = Regime.LARGE
     if a < d:
         if b < 0:
-            return RegionLabel(L, "F", None)
+            return _label(L, "F", None)
         if b == 0 or b == d:
-            return RegionLabel(L, "C", 0)
+            return _label(L, "C", 0)
         if b < d:
-            return RegionLabel(L, "J", 0)
-        return RegionLabel(L, "G", None)
+            return _label(L, "J", 0)
+        return _label(L, "G", None)
     if a == d:
-        return RegionLabel(L, "G", None) if b > d else RegionLabel(L, "C", 0)
+        return _label(L, "G", None) if b > d else _label(L, "C", 0)
     if b <= 0:
-        return RegionLabel(L, "H", None)
-    a = int(a)
+        return _label(L, "H", None)
+    # F(2n-2)..F(2n+3), slid two indices per step.
     n = 0
+    f2n_2, f2n_1, f2n, f2n1, f2n2, f2n3 = 1, 0, 1, 1, 2, 3
     while True:
-        f2n_2, f2n_1 = fib(2 * n - 2), fib(2 * n - 1)
-        f2n, f2n1 = fib(2 * n), fib(2 * n + 1)
-        f2n2, f2n3 = fib(2 * n + 2), fib(2 * n + 3)
         if a > d * f2n and d * f2n_1 < b <= d * f2n1 and a * f2n - b * f2n1 > d:
-            return RegionLabel(L, "M", 2 * n + 1)
+            return _label(L, "M", 2 * n + 1)
         if d * f2n1 < a <= d * f2n3 and b * f2n2 - a * f2n1 > d:
-            return RegionLabel(L, "M", 2 * n + 2)
+            return _label(L, "M", 2 * n + 2)
         if d * f2n < a <= d * f2n2 and a * f2n - b * f2n1 == d:
-            return RegionLabel(L, "C", 2 * n + 1)
+            return _label(L, "C", 2 * n + 1)
         if d * f2n1 < a <= d * f2n3 and b * f2n2 - a * f2n1 == d:
-            return RegionLabel(L, "C", 2 * n + 2)
+            return _label(L, "C", 2 * n + 2)
         if n >= 1 and d * f2n < a < d * f2n1 and a * f2n_2 - b * f2n_1 == d:
-            return RegionLabel(L, "D", 2 * n + 1)
+            return _label(L, "D", 2 * n + 1)
         if d * f2n1 < a < d * f2n2 and b * f2n - a * f2n_1 == d:
-            return RegionLabel(L, "D", 2 * n + 2)
+            return _label(L, "D", 2 * n + 2)
         if n >= 1 and d * f2n < a <= d * f2n1 and a * f2n - b * f2n1 < d and b * f2n_1 - a * f2n_2 < -d:
-            return RegionLabel(L, "B", 2 * n)
+            return _label(L, "B", 2 * n)
         if d * f2n1 < a < d * f2n2 and a * f2n - b * f2n1 < d and b * f2n - a * f2n_1 < d:
-            return RegionLabel(L, "B", 2 * n + 1)
+            return _label(L, "B", 2 * n + 1)
         if d * f2n1 < a <= d * f2n2 and b * f2n - a * f2n_1 > d and b * f2n2 - a * f2n1 < d:
-            return RegionLabel(L, "A", 2 * n + 1)
+            return _label(L, "A", 2 * n + 1)
         if d * f2n2 < a < d * f2n3 and a * f2n - b * f2n1 < d and b * f2n2 - a * f2n1 < d:
-            return RegionLabel(L, "A", 2 * n + 2)
+            return _label(L, "A", 2 * n + 2)
         n += 1
-        if d * fib(2 * n) > a and d * fib(2 * n - 1) > b:
+        f2n_2, f2n_1, f2n, f2n1 = f2n, f2n1, f2n2, f2n3
+        f2n2 = f2n + f2n1
+        f2n3 = f2n1 + f2n2
+        if d * f2n > a and d * f2n_1 > b:
             raise RuntimeError(
                 f"partition hole at profile ({a}, {b}), d={d}"
             )  # pragma: no cover

@@ -108,6 +108,21 @@ def test_classify_degenerate_c(runner):
     assert "degenerate" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--x", "3/1", "--y", "1/1", "--a", "5", "--b", "5"],  # both pairs
+        ["--x", "3/1", "--a", "5", "--b", "5"],  # a profile with half a point
+        ["--x", "3/1", "--y", "1/1", "--b", "5"],  # a point with half a profile
+        ["--x", "3/1"],  # half a point alone
+    ],
+)
+def test_classify_rejects_mixed_modes(runner, args):
+    result = runner.invoke(main, ["classify", "--prime", "3", "--c", "1/9", *args])
+    assert result.exit_code == 2
+    assert "exactly one complete pair" in result.output and result.stdout == ""
+
+
 def _grid_rows(runner, c):
     result = runner.invoke(main, [
         "grid", "--prime", "3", "--c", c, "--window", "6", "--format", "csv",

@@ -133,6 +133,37 @@ def test_exactly_one_region_per_profile(d):
             assert len(hits) == 1, (a, b, d, hits)
 
 
+def _deep_band_profiles(d):
+    """Profiles deep in the Fibonacci band search: seeded random ones with
+    a > d, b > 0 up to 10^12, and the neighbours of the band corners
+    (s*F(k+1), s*F(k)), k <= 60, with s = d (1 on the UNIT golden line)."""
+    rng = random.Random(7100 + d)
+    out = []
+    for _ in range(300):
+        top = 10 ** rng.randint(1, 12)
+        out.append((rng.randint(d + 1, max(top, d + 1)), rng.randint(1, top)))
+    s = max(d, 1)
+    for k in range(61):
+        for da in (-1, 0, 1):
+            for db in (-1, 0, 1):
+                out.append((s * fib(k + 1) + da, s * fib(k) + db))
+    return out
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 7])
+def test_deep_band_search_labels_exactly_one_region(d):
+    regime = regime_of_d(d)
+    for a, b in _deep_band_profiles(d):
+        got = classify((a, b), d)
+        assert profile_in_region(got, a, b, d), (a, b, d, str(got))
+        labels = iter_region_labels(regime, d, max(abs(a), abs(b)))
+        hits = [l for l in labels if profile_in_region(l, a, b, d)]
+        assert hits == [got], (a, b, d, [str(l) for l in hits])
+        again = classify((a, b), d)
+        fresh = RegionLabel(got.regime, got.name, got.index)
+        assert again == got == fresh and hash(again) == hash(got) == hash(fresh)
+
+
 # --- Fibonacci shells decompose exactly into their components -----------------
 
 
