@@ -27,7 +27,6 @@ from .regions import (
     Regime,
     RegionLabel,
     classify,
-    classify_point,
     expected_preimage_regions,
     sample_in_region,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "RegionLabel",
     "EmptyRegionError",
     "classify",
-    "classify_point",
     "expected_preimage_regions",
     "sample_in_region",
     "MapParams",

@@ -25,7 +25,7 @@ from .dynamics import (
     forward_orbit,
     three_cycle,
 )
-from .measure import measure_report, tn_rows
+from .measure import fraction_text, measure_report, tn_rows
 from .padics import PrecisionExhaustedError, validate_odd_prime
 from .regions import RegionLabel, classify, regime_of_d, region_branches
 from .verifier import (
@@ -215,11 +215,10 @@ def measure(prime, c, tn, k, n, region, window):
         out = [
             {
                 "n": row["n"],
-                "exact": f"{row['exact'].numerator}/{row['exact'].denominator}",
+                "exact": fraction_text(row["exact"]),
                 "ball_product": str(row["ball_product"]),
-                "sphere_to_ball_ratio":
-                    f"{row['sphere_to_ball_ratio'].numerator}/{row['sphere_to_ball_ratio'].denominator}",
-                "partial_sum": f"{row['partial_sum'].numerator}/{row['partial_sum'].denominator}",
+                "sphere_to_ball_ratio": fraction_text(row["sphere_to_ball_ratio"]),
+                "partial_sum": fraction_text(row["partial_sum"]),
             }
             for row in rows
         ]

@@ -91,10 +91,6 @@ class MapParams:
             return Regime.SMALL
         return Regime.UNIT if d == 0 else Regime.LARGE
 
-    @classmethod
-    def make(cls, num: int, den: int, p: int) -> "MapParams":
-        return cls(PadicRational(num, den, p))
-
 
 def _check_budget(pt: Point, bit_budget) -> None:
     if bit_budget is not None and pt.bit_size() > bit_budget:

@@ -64,16 +64,16 @@ def golden_cmp(b: int, a: int) -> int:
     return (rhs2 > lhs2) - (rhs2 < lhs2)
 
 
-def golden_below(a, b):
-    """beta*b < a, exactly, written without branches so that it holds
-    elementwise on integer arrays as well as on ints.
+def golden_below(a: int, b: int) -> bool:
+    """beta*b < a, exactly, by its own algebra (independent of golden_cmp).
 
     beta*b < a  <=>  b*sqrt5 < r with r = 2a - b: for b >= 0 that needs r > 0
     and 5b^2 < r^2; for b < 0 it holds when r >= 0 or 5b^2 > r^2.
     """
     r = 2 * a - b
-    lhs2, rhs2 = 5 * b * b, r * r
-    return ((b >= 0) & (r > 0) & (lhs2 < rhs2)) | ((b < 0) & ((r >= 0) | (lhs2 > rhs2)))
+    if b >= 0:
+        return r > 0 and 5 * b * b < r * r
+    return r >= 0 or 5 * b * b > r * r
 
 
 def golden_bracket_holds(n: int) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fib import fib
-from .regions import RegionLabel, region_profiles, t_profile
+from .regions import RegionLabel, region_rows, t_profile
 
 __all__ = [
     "ball_measure",
@@ -20,6 +20,7 @@ __all__ = [
     "tn_ball_product",
     "tn_rows",
     "region_window_measure",
+    "fraction_text",
     "measure_report",
 ]
 
@@ -83,19 +84,20 @@ def tn_rows(n_max: int, k: int, p: int) -> list:
 
 
 def region_window_measure(label: RegionLabel, d: int, p: int, window: int) -> Fraction:
-    """Exact mu_2 of the region's profiles restricted to |a|, |b| <= window."""
+    """Exact mu_2 of the region's profiles restricted to |a|, |b| <= window.
+
+    Summed by row: the spheres b = lo..hi of one row make the shell between
+    the balls of radius p^(lo-1) and p^hi.
+    """
     total = Fraction(0)
-    for a, b in region_profiles(label, d, window):
-        total += profile_measure(a, b, p)
+    for a, lo, hi in region_rows(label, d, window):
+        total += sphere_measure(a, p) * (ball_measure(hi, p) - ball_measure(lo - 1, p))
     return total
 
 
-def _fraction_json(f: Fraction) -> dict:
-    try:
-        hint = float(f)
-    except OverflowError:
-        hint = "overflow"
-    return {"exact": f"{f.numerator}/{f.denominator}", "decimal_hint": hint}
+def fraction_text(f: Fraction) -> str:
+    """f as "numerator/denominator", the denominator written even when it is 1."""
+    return f"{f.numerator}/{f.denominator}"
 
 
 def measure_report(label: RegionLabel, d: int, p: int, window: int) -> dict:
@@ -105,5 +107,5 @@ def measure_report(label: RegionLabel, d: int, p: int, window: int) -> dict:
         "d": d,
         "p": p,
         "window": window,
-        **_fraction_json(value),
+        "exact": fraction_text(value),
     }

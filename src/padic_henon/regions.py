@@ -16,10 +16,10 @@ Every region is described twice, deliberately:
   consecutive Fibonacci numbers along by additions, and every label it
   returns is one shared frozen instance per distinct label.
 
-One evaluator, ``profile_in_region``, reads the table at a point (ints give
-a bool, integer arrays a mask).  Its golden test is the branch-free
-``fib.golden_below``, while ``classify`` keeps ``fib.golden_cmp``, so the
-agreement check also compares two independent golden tests.
+One evaluator, ``profile_in_region``, reads the table at a profile and stops
+at the first branch that holds.  Its golden test is ``fib.golden_below``,
+while ``classify`` keeps ``fib.golden_cmp``, so the agreement check also
+compares two independent golden tests.
 
 ``branch_interval`` is the one path from the table to cells: along an affine
 segment t -> (a, b) every constraint, golden ones included, holds on an
@@ -48,7 +48,6 @@ __all__ = [
     "EmptyRegionError",
     "regime_of_d",
     "classify",
-    "classify_point",
     "region_branches",
     "eval_constraint",
     "profile_in_region",
@@ -59,7 +58,6 @@ __all__ = [
     "sample_in_region",
     "t_profile",
     "expected_preimage_regions",
-    "export_transition_table",
 ]
 
 
@@ -137,6 +135,9 @@ _SMALL_TABLE = {
 }
 
 
+# The indexed families are built once per index and shared, like the fixed
+# tables above.
+@lru_cache(maxsize=None)
 def _unit_m_branches(i: int):
     if i % 2:  # i = 2n+1, n >= 0, with F(-2) = 1 and F(-1) = 0
         n = (i - 1) // 2
@@ -164,6 +165,7 @@ _UNIT_TABLE = {
 }
 
 
+@lru_cache(maxsize=None)
 def _large_indexed_branches(name: str, i: int):
     if name == "C" and i == 0:
         return [
@@ -299,25 +301,24 @@ def region_branches(label: RegionLabel):
 _OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
 
-def eval_constraint(con, a, b, d: int):
-    """One table constraint at (a, b): a bool for ints, a mask for integer
-    arrays (a and b broadcast against each other)."""
+def eval_constraint(con, a: int, b: int, d: int) -> bool:
+    """One table constraint at the profile (a, b)."""
     if con[0] == "golden":
         return golden_below(a, b) if con[1] < 0 else golden_below(-a, -b)
     ca, cb, cd, c1, op = con
     return _OPS[op](ca * a + cb * b, cd * d + c1)
 
 
-def profile_in_region(label: RegionLabel, a, b, d: int):
-    """The declarative inequalities of `label` at (a, b): constraints are ANDed
-    and branches ORed with & and |, so ints give a bool and arrays a mask."""
-    out = False
+def profile_in_region(label: RegionLabel, a: int, b: int, d: int) -> bool:
+    """The declarative inequalities of `label` at (a, b): true at the first
+    branch whose constraints all hold, each branch left at its first failure."""
     for branch in region_branches(label):
-        inside = True
         for con in branch:
-            inside = inside & eval_constraint(con, a, b, d)
-        out = out | inside
-    return out
+            if not eval_constraint(con, a, b, d):
+                break
+        else:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +349,6 @@ def classify(profile, d: int) -> RegionLabel:
     if d == 0:
         return _classify_unit(a, b)
     return _classify_large(a, b, d)
-
-
-def classify_point(point: Point, d: int) -> RegionLabel:
-    return classify(point.profile(), d)
 
 
 def _classify_small(a: int, b: int, d: int) -> RegionLabel:
@@ -600,7 +597,8 @@ def branch_interval(branch, d: int, a0: int, a1: int, b0: int, b1: int, lo: int,
 def region_rows(label: RegionLabel, d: int, window: int):
     """The region's cells with |a|, |b| <= window as sorted rows (a, lo, hi).
 
-    Each branch is cut by ``branch_interval`` along the row (a, b) = (a, t).
+    Each branch is cut by ``branch_interval``: its pure-b constraints once,
+    then the rest along each row (a, b) = (a, t) inside that range of b.
     A row is the union of its branches' intervals of b, merged where they
     overlap or touch, so two intervals of one row are at least two apart.
     """
@@ -609,12 +607,17 @@ def region_rows(label: RegionLabel, d: int, window: int):
         return ((a, b, b),) if max(abs(a), abs(b)) <= window else ()
     rows = []
     for branch in region_branches(label):
-        # Pure-a constraints (cb = 0, never a golden sign) only bound the rows.
+        # Pure-a constraints (cb = 0) bound the rows and pure-b ones (ca = 0)
+        # the columns; a golden sign is neither.
         pure_a = [con for con in branch if con[1] == 0]
-        rest = [con for con in branch if con[1] != 0]
+        pure_b = [con for con in branch if con[0] == 0 and con[1] != 0]
+        rest = [con for con in branch if con[0] != 0 and con[1] != 0]
+        blo, bhi = branch_interval(pure_b, d, 0, 0, 0, 1, -window, window)
+        if blo > bhi:
+            continue
         alo, ahi = branch_interval(pure_a, d, 0, 1, 0, 0, -window, window)
         for a in range(alo, ahi + 1):
-            lo, hi = branch_interval(rest, d, a, 0, 0, 1, -window, window)
+            lo, hi = branch_interval(rest, d, a, 0, 0, 1, blo, bhi)
             if lo <= hi:
                 rows.append((a, lo, hi))
     rows.sort()
@@ -774,22 +777,3 @@ def expected_preimage_regions(label: RegionLabel, depth: int = 1) -> frozenset:
             raise KeyError(f"no transition claim for {label}")
         return frozenset({RegionLabel(regime, "T", label.index - 1)})
     raise KeyError(f"no transition claim for {label}")
-
-
-def export_transition_table(regime: Regime, d: int, max_window: int = 60) -> list:
-    """The transition table as JSON-able rows, for documentation and test generation."""
-    rows = []
-    for label in iter_region_labels(regime, d, max_window, include_t=True):
-        for depth in (1, 2):
-            try:
-                targets = expected_preimage_regions(label, depth=depth)
-            except KeyError:
-                continue
-            rows.append(
-                {
-                    "source": label.to_json(),
-                    "depth": depth,
-                    "targets": sorted((t.to_json() for t in targets), key=str),
-                }
-            )
-    return rows

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from padic_henon import regions
@@ -12,7 +11,6 @@ from padic_henon.gridcheck import (
     classifier_agreement,
     transition_sources,
 )
-from padic_henon.fib import golden_below, golden_cmp
 from padic_henon.regions import (
     Regime,
     RegionLabel,
@@ -92,37 +90,22 @@ def test_classifier_agrees_with_table(d):
     assert classifier_agreement(d, 80, sample=500, rng=rng) > 0
 
 
-def test_profile_in_region_on_arbitrary_arrays():
-    A = np.array([1, 5, -2], dtype=np.int64)
-    B = np.array([1, -1, 3], dtype=np.int64)
-    mask = profile_in_region(RegionLabel(Regime.LARGE, "H", None), A, B, 2)
-    assert mask.tolist() == [False, True, False]
-    # The array mask of every label equals the scalar verdicts cell by cell.
-    W = 15
-    A, B = np.meshgrid(np.arange(-W, W + 1), np.arange(-W, W + 1), indexing="ij")
-    seen = set()
-    for d in (-3, 0, 2):
-        for label in iter_region_labels(regime_of_d(d), d, W, include_t=True):
-            seen.add(label)
-            mask = profile_in_region(label, A, B, d)
-            assert mask.dtype == bool and mask.shape == A.shape
-            scalar = [[profile_in_region(label, a, b, d) for b in range(-W, W + 1)] for a in range(-W, W + 1)]
-            assert mask.tolist() == scalar, (str(label), d)
+def test_profile_in_region_on_arbitrary_cells():
+    h = RegionLabel(Regime.LARGE, "H", None)
+    assert [profile_in_region(h, a, b, 2) for a, b in ((1, 1), (5, -1), (-2, 3))] == [False, True, False]
+    seen = {label for d in (-3, 0, 2) for label in iter_region_labels(regime_of_d(d), d, 15, include_t=True)}
     golden = {RegionLabel(Regime.SMALL, n, i) for n, i in (("B", 1), ("B", 2), ("P", 4), ("P", 5))}
     multi = {RegionLabel(Regime.SMALL, "P", 6), RegionLabel(Regime.UNIT, "C", 0), RegionLabel(Regime.LARGE, "C", 0)}
     assert golden <= seen and multi <= seen
     assert all(any(con[0] == "golden" for con in region_branches(lbl)[0]) for lbl in golden)
     assert all(len(region_branches(lbl)) > 1 for lbl in multi)
-
-
-def test_golden_below_on_int64_meshgrid():
-    W = 300
-    A, B = np.meshgrid(np.arange(-W, W + 1), np.arange(-W, W + 1), indexing="ij")
-    below, above = golden_below(A, B), golden_below(-A, -B)
-    assert A.dtype == np.int64 and below.dtype == above.dtype == bool
-    sign = np.array([[golden_cmp(b, a) for b in range(-W, W + 1)] for a in range(-W, W + 1)])
-    assert (below == (sign < 0)).all() and (above == (sign > 0)).all()
-    assert below.any() and above.any()
+    # A cell that only a later branch holds is inside: a failed first branch
+    # moves on to the next one instead of deciding.
+    for label, d, cell in ((RegionLabel(Regime.SMALL, "P", 6), -3, (-3, -1)),
+                           (RegionLabel(Regime.UNIT, "C", 0), 0, (-4, 0)),
+                           (RegionLabel(Regime.LARGE, "C", 0), 2, (2, -3))):
+        held = [all(eval_constraint(con, *cell, d) for con in branch) for branch in region_branches(label)]
+        assert held[-1] and not any(held[:-1]) and profile_in_region(label, *cell, d), str(label)
 
 
 def test_all_transitions_hold_except_known_corner():
@@ -186,27 +169,23 @@ def test_failed_outcomes_counts_past_the_witness_cap():
 @pytest.mark.parametrize("W", [30, 61])
 @pytest.mark.parametrize("d", [-3, -1, 0, 1, 2, 3])
 def test_source_cells_enumerate_region_mask(d, W):
-    coords = np.arange(-W, W + 1)
-    AA, BB = np.meshgrid(coords, coords, indexing="ij")
+    scan = [(a, b) for a in range(-W, W + 1) for b in range(-W, W + 1)]
     overlapping = []
     for label in iter_region_labels(regime_of_d(d), d, W):
         # Reference: the table's own evaluator over the whole window, in scan
         # order, each cell once however many branches hold there.
         cells = [(a, b) for a, lo, hi in region_rows(label, d, W) for b in range(lo, hi + 1)]
-        inside = profile_in_region(label, AA, BB, d)
-        assert cells == list(zip(AA[inside].tolist(), BB[inside].tolist()))
+        assert cells == [(a, b) for a, b in scan if profile_in_region(label, a, b, d)]
         # With no target every outcome fails, so a transition check counts
         # these cells and lists the first 25 off the column a = d in order.
         check = check_transition_profiles(label, d, W, cancel_depth=0, targets=())
         assert check.profiles_checked == check.outcomes_checked == check.failed_outcomes == len(cells)
         off_column = [c for c in cells if c[0] != d][:25]
         assert [ce.source_profile for ce in check.counterexamples[: len(off_column)]] == off_column
-        per_branch = 0
-        for branch in region_branches(label):
-            held = np.ones(AA.shape, dtype=bool)
-            for con in branch:
-                held &= eval_constraint(con, AA, BB, d)
-            per_branch += int(np.count_nonzero(held))
+        # A branch holds only on cells of the region, so counting there
+        # covers the whole window.
+        per_branch = sum(all(eval_constraint(con, a, b, d) for con in branch)
+                         for branch in region_branches(label) for a, b in cells)
         if per_branch > len(cells):
             overlapping.append(str(label))
     # C0 at d = 0 is the one label whose branches share a cell.

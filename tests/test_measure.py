@@ -6,13 +6,14 @@ from padic_henon.fib import fib
 from padic_henon.measure import (
     ball_measure,
     measure_report,
+    profile_measure,
     region_window_measure,
     sphere_measure,
     tn_ball_product,
     tn_measure,
     tn_rows,
 )
-from padic_henon.regions import Regime, RegionLabel
+from padic_henon.regions import Regime, RegionLabel, iter_region_labels, regime_of_d, region_profiles
 
 
 def test_ball_measures():
@@ -96,6 +97,19 @@ def test_region_window_measure_geometric_block():
     assert got == col_a * col_b
 
 
+@pytest.mark.parametrize("d", [-3, -1, 0, 1, 2, 3])
+def test_region_window_measure_rows_equal_cell_sum(d):
+    # The row sum telescopes each row's spheres; the reference adds one
+    # profile rectangle per cell.  This meets P6's two-interval row, the
+    # golden cuts of B1/B2 and P4/P5, and the T cells.
+    for W in (0, 1, 6, 12):
+        for label in iter_region_labels(regime_of_d(d), d, W, include_t=True):
+            cells = region_profiles(label, d, W)
+            for p in (3, 5):
+                expected = sum((profile_measure(a, b, p) for a, b in cells), Fraction(0))
+                assert region_window_measure(label, d, p, W) == expected, (str(label), d, W, p)
+
+
 def test_region_window_measure_monotone_in_window():
     label = RegionLabel(Regime.UNIT, "M", 2)
     vals = [region_window_measure(label, 0, 3, W) for W in (2, 4, 6, 8)]
@@ -106,4 +120,4 @@ def test_measure_report_schema():
     rep = measure_report(RegionLabel(Regime.SMALL, "Z", None), -1, 3, 4)
     assert rep["exact"] == "4/9"
     assert rep["label"]["name"] == "Z"
-    assert abs(rep["decimal_hint"] - 4 / 9) < 1e-12
+    assert "decimal_hint" not in rep  # exact values only

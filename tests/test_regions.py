@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from padic_henon import regions
@@ -11,10 +10,8 @@ from padic_henon.regions import (
     RegionLabel,
     branch_interval,
     classify,
-    classify_point,
     eval_constraint,
     expected_preimage_regions,
-    export_transition_table,
     iter_region_labels,
     profile_in_region,
     regime_of_d,
@@ -86,7 +83,7 @@ def test_classify_point_uses_norms():
 
     pt = Point(PadicRational(1, 9, 3), PadicRational(3, 1, 3))  # profile (2, -1)
     assert pt.profile() == (2, -1)
-    assert classify_point(pt, 1) == lbl(L, "H", None)
+    assert classify(pt.profile(), 1) == lbl(L, "H", None)
 
 
 # --- the table's golden test against the classifier's ------------------------
@@ -260,16 +257,9 @@ def test_no_claim_for_boundary_regions():
         expected_preimage_regions(lbl(L, "D", 2))
     with pytest.raises(KeyError):
         expected_preimage_regions(lbl(L, "T", 0))
-
-
-def test_transition_table_export_is_jsonable():
-    import json
-
-    rows = export_transition_table(Regime.LARGE, 2, max_window=30)
-    text = json.dumps(rows)
-    assert '"depth": 2' not in text  # depth 2 exists only in the SMALL regime
-    rows_small = export_transition_table(Regime.SMALL, -2, max_window=10)
-    assert any(r["depth"] == 2 for r in rows_small)
+    # Depth 2 exists only for the SMALL band A5.
+    with pytest.raises(KeyError):
+        expected_preimage_regions(lbl(L, "B", 2), depth=2)
 
 
 # --- samplers --------------------------------------------------------------------
@@ -340,9 +330,13 @@ def test_region_profiles_equal_cell_scan(d):
     """The row-interval enumeration lists exactly the cells where the table's
     own evaluator holds, in scan order (a, then b), with no duplicates."""
     seen = set()
-    for W in (0, 1, 2, 12, 37, 60):
-        coords = np.arange(-W, W + 1)
-        A, B = np.meshgrid(coords, coords, indexing="ij")
+    windows = (0, 1, 2, 12, 37, 60)
+    # One scan of the largest window, in scan order; a smaller window's scan
+    # is its subsequence of cells with |a|, |b| <= W.
+    top = windows[-1]
+    scan = [(a, b) for a in range(-top, top + 1) for b in range(-top, top + 1)]
+    inside = {}
+    for W in windows:
         for label in iter_region_labels(regime_of_d(d), d, W, include_t=True):
             got = region_profiles.__wrapped__(label, d, W)
             assert len(set(got)) == len(got)
@@ -356,8 +350,9 @@ def test_region_profiles_equal_cell_scan(d):
                 prof = t_profile(label.index, d)
                 expected = (prof,) if max(map(abs, prof)) <= W else ()
             else:
-                mask = profile_in_region(label, A, B, d)
-                expected = tuple(zip(A[mask].tolist(), B[mask].tolist()))
+                if label not in inside:
+                    inside[label] = [(a, b) for a, b in scan if profile_in_region(label, a, b, d)]
+                expected = tuple((a, b) for a, b in inside[label] if abs(a) <= W and abs(b) <= W)
             assert got == expected, (str(label), d, W)
             seen.add(label)
     # Coverage: unit C0's two branches overlap at (0, 0); large C_i and D_i
@@ -374,6 +369,13 @@ def test_region_profiles_equal_cell_scan(d):
         assert {lbl(S, "B", 1), lbl(S, "B", 2), lbl(S, "P", 4), lbl(S, "P", 5)} <= seen
         # P6 is the column a = d without the cell b = d: two intervals, gap 2.
         assert region_rows(lbl(S, "P", 6), d, 12) == ((d, -12, d - 1), (d, d + 1, -1))
+    # Pure-b constraints that admit no integer b empty these before any row
+    # is scanned: d < b < 0 at d = -1, and 0 < b < 1 at d = 1.
+    if d == -1:
+        for label in (lbl(S, "A", 5), lbl(S, "P", 3)):
+            assert label in seen and region_rows(label, d, 60) == ()
+    if d == 1:
+        assert lbl(L, "J", 0) in seen and region_rows(lbl(L, "J", 0), d, 60) == ()
 
 
 def test_region_profiles_keeps_cold_start_hooks():
