@@ -35,7 +35,6 @@ from .dynamics import (
     MapParams,
     OrbitRecord,
     PrecisionExhaustedError,
-    ProfileOrbitRecord,
     UndefinedInverseError,
     backward_orbit,
     backward_profile_orbit,
@@ -69,7 +68,6 @@ __all__ = [
     "sample_in_region",
     "MapParams",
     "OrbitRecord",
-    "ProfileOrbitRecord",
     "UndefinedInverseError",
     "BitBudgetError",
     "PrecisionExhaustedError",

@@ -108,7 +108,7 @@ def orbit(prime, c, x, y, steps, direction, escape_exp, bit_budget):
     pt = Point(x, y)
     runner = backward_orbit if direction == "backward" else forward_orbit
     rec = runner(pt, params, steps, escape_exponent=escape_exp, bit_budget=bit_budget)
-    click.echo(json.dumps(rec.to_json(), indent=1))
+    click.echo(json.dumps(rec.to_json(params.d), indent=1))
 
 
 @main.command()

@@ -5,9 +5,12 @@ as long as y != 0.  Coordinate sizes can double per backward step (norms grow
 like p^(2^n) in escaping regions), so orbit computation takes a bit budget and
 fails loudly instead of truncating.
 
-Orbit fates are reported as finite-horizon verdicts, never as membership
-claims about the backward Julia set: boundedness of an infinite orbit is not
-decidable from a finite trace.
+Two engines compute orbits: exact rationals, and the certified residues of
+`padics`.  Each yields its states to one loop, which records their norm
+profiles in one OrbitRecord and applies one verdict rule.  Orbit fates are
+reported as finite-horizon verdicts, never as membership claims about the
+backward Julia set: boundedness of an infinite orbit is not decidable from a
+finite trace.
 """
 
 from __future__ import annotations
@@ -28,16 +31,14 @@ from .padics import (
     is_square,
     sqrt,
 )
-from .regions import Regime, RegionLabel, classify
+from .regions import classify
 
 __all__ = [
     "MapParams",
     "UndefinedInverseError",
     "BitBudgetError",
-    "OrbitStep",
     "Verdict",
     "OrbitRecord",
-    "ProfileOrbitRecord",
     "PrecisionExhaustedError",
     "forward",
     "inverse",
@@ -64,7 +65,7 @@ class BitBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class MapParams:
-    """The parameter c together with its derived regime data."""
+    """The parameter c, with its prime and d = log_p|c|."""
 
     c: PadicRational
 
@@ -76,20 +77,6 @@ class MapParams:
     def d(self):
         """log_p|c|, or None for the degenerate c = 0."""
         return self.c.norm_exponent
-
-    @property
-    def degenerate(self) -> bool:
-        return self.c.is_zero
-
-    @property
-    def regime(self) -> Regime:
-        # c = 0 sits under SMALL (|c| < 1) but has no region partition.
-        if self.c.is_zero:
-            return Regime.SMALL
-        d = self.d
-        if d < 0:
-            return Regime.SMALL
-        return Regime.UNIT if d == 0 else Regime.LARGE
 
 
 def _check_budget(pt: Point, bit_budget) -> None:
@@ -114,25 +101,6 @@ def inverse(pt: Point, params: MapParams, bit_budget=DEFAULT_BIT_BUDGET) -> Poin
 
 
 @dataclass(frozen=True)
-class OrbitStep:
-    n: int
-    point: Point
-    profile: tuple
-    region: RegionLabel | None = None
-
-    def to_json(self) -> dict:
-        a, b = self.profile
-        return {
-            "n": self.n,
-            "x": self.point.x.to_json(),
-            "y": self.point.y.to_json(),
-            "a": a,
-            "b": b,
-            "region": str(self.region) if self.region is not None else None,
-        }
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Orbit fate: completed | escaped | undefined_inverse | budget_exceeded.
 
@@ -152,71 +120,82 @@ class Verdict:
 
 @dataclass
 class OrbitRecord:
+    """The trace of one orbit, from either engine.
+
+    `profiles` holds one norm profile per recorded state, the start first.
+    The exact engine keeps its states in `steps`, one Point per profile; the
+    certified engine keeps none and sets `precision`, the digit count of the
+    run that certified every profile.
+    """
+
     direction: str
-    steps: list = field(default_factory=list)
+    steps: list | None = None
+    precision: int | None = None
+    profiles: list = field(default_factory=list)
     verdict: Verdict | None = None
 
-    def profiles(self) -> list:
-        return [s.profile for s in self.steps]
+    def to_json(self, d=None) -> dict:
+        """The trace as JSON; given d = log_p|c|, each step carries its region."""
+        out = {"direction": self.direction}
+        if self.precision is not None:
+            out["engine"] = "certified"
+            out["precision"] = self.precision
+        steps = []
+        for n, (a, b) in enumerate(self.profiles):
+            step = {"n": n}
+            if self.steps is not None:
+                step["x"] = self.steps[n].x.to_json()
+                step["y"] = self.steps[n].y.to_json()
+            step["a"] = a
+            step["b"] = b
+            step["region"] = None if d is None else str(classify((a, b), d))
+            steps.append(step)
+        out["steps"] = steps
+        out["verdict"] = self.verdict.to_json()
+        return out
 
-    def to_json(self) -> dict:
-        return {
-            "direction": self.direction,
-            "steps": [s.to_json() for s in self.steps],
-            "verdict": self.verdict.to_json() if self.verdict else None,
-        }
 
+def _trace(record: OrbitRecord, states, profile_of, max_steps: int, escape_exponent):
+    """The one verdict rule: record the states' profiles up to max_steps.
 
-def _max_exponent(profile) -> int | None:
-    vals = [v for v in profile if v is not None]
-    return max(vals) if vals else None
-
-
-def _run_orbit(
-    pt: Point,
-    params: MapParams,
-    max_steps: int,
-    escape_exponent,
-    bit_budget,
-    label_regions: bool,
-    step_fn,
-    direction: str,
-) -> OrbitRecord:
+    `states` yields the start and then one state per step, and raises
+    UndefinedInverseError or BitBudgetError at a step it cannot compute.
+    """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    d = params.d
-    record = OrbitRecord(direction=direction)
+    profiles = record.profiles
+    keep = None if record.steps is None else record.steps.append
     seen_max = None
-
-    def push(n, point) -> bool:
-        nonlocal seen_max
-        profile = point.profile()
-        region = classify(profile, d) if (label_regions and d is not None) else None
-        record.steps.append(OrbitStep(n, point, profile, region))
-        m = _max_exponent(profile)
-        if m is not None and (seen_max is None or m > seen_max):
-            seen_max = m
-        if escape_exponent is not None and m is not None and m > escape_exponent:
-            record.verdict = Verdict("escaped", n, m)
-            return True
-        return False
-
-    if push(0, pt):
-        return record
-    current = pt
-    for n in range(1, max_steps + 1):
-        try:
-            current = step_fn(current, params, bit_budget)
-        except UndefinedInverseError:
-            record.verdict = Verdict("undefined_inverse", n)
-            return record
-        except BitBudgetError:
-            record.verdict = Verdict("budget_exceeded", n)
-            return record
-        if push(n, current):
-            return record
-    record.verdict = Verdict("completed", max_steps, seen_max)
+    n = 0
+    try:
+        for n, state in zip(range(max_steps + 1), states):
+            profile = profile_of(state)
+            profiles.append(profile)
+            if keep is not None:
+                keep(state)
+            a, b = profile
+            m = b if a is None else a if b is None or a >= b else b
+            if m is None:
+                continue
+            if escape_exponent is not None and m > escape_exponent:
+                record.verdict = Verdict("escaped", n, m)
+                return record
+            if seen_max is None or m > seen_max:
+                seen_max = m
+    except UndefinedInverseError:
+        record.verdict = Verdict("undefined_inverse", n + 1)
+    except BitBudgetError:
+        record.verdict = Verdict("budget_exceeded", n + 1)
+    else:
+        record.verdict = Verdict("completed", max_steps, seen_max)
     return record
+
+
+def _exact_states(pt: Point, params: MapParams, step_fn, bit_budget):
+    """The exact engine: pt, then its images under step_fn."""
+    while True:
+        yield pt
+        pt = step_fn(pt, params, bit_budget)
 
 
 def backward_orbit(
@@ -225,7 +204,6 @@ def backward_orbit(
     max_steps: int,
     escape_exponent=None,
     bit_budget=DEFAULT_BIT_BUDGET,
-    label_regions: bool = True,
 ) -> OrbitRecord:
     """Iterate f^(-1) from pt, recording profiles until a verdict triggers.
 
@@ -233,9 +211,9 @@ def backward_orbit(
     (pass None to disable).  A completed verdict means only that the horizon
     was reached; the maximum observed exponent is attached as evidence.
     """
-    return _run_orbit(
-        pt, params, max_steps, escape_exponent, bit_budget, label_regions, inverse, "backward"
-    )
+    states = _exact_states(pt, params, inverse, bit_budget)
+    return _trace(OrbitRecord("backward", steps=[]), states, Point.profile, max_steps,
+                  escape_exponent)
 
 
 def forward_orbit(
@@ -244,12 +222,11 @@ def forward_orbit(
     max_steps: int,
     escape_exponent=None,
     bit_budget=DEFAULT_BIT_BUDGET,
-    label_regions: bool = True,
 ) -> OrbitRecord:
     """Forward iteration utility (used for fixed-point and cycle checks)."""
-    return _run_orbit(
-        pt, params, max_steps, escape_exponent, bit_budget, label_regions, forward, "forward"
-    )
+    states = _exact_states(pt, params, forward, bit_budget)
+    return _trace(OrbitRecord("forward", steps=[]), states, Point.profile, max_steps,
+                  escape_exponent)
 
 
 def default_escape_exponent(params: MapParams) -> int:
@@ -276,34 +253,29 @@ def default_escape_exponent(params: MapParams) -> int:
 START_PRECISION = 16
 
 
-@dataclass
-class ProfileOrbitRecord:
-    """Backward orbit trace carrying certified norm profiles (no exact points).
+def _residue_states(pt: Point, params: MapParams, digits: int):
+    """The certified engine: (x, y) as residues of `digits` digits, then their
+    backward images; None stands for an exact 0."""
+    p = params.prime
+    c = _split(params.c)
+    x = _residue(pt.x, digits)
+    y = _residue(pt.y, digits)
+    while True:
+        yield x, y
+        if y is None:
+            raise UndefinedInverseError("inverse undefined: y = 0")
+        if c is None:
+            t = x
+        elif x is None:
+            t = (c[0], -c[1], c[2], digits)
+        else:
+            t = _sub_c(x, c, p)
+        x, y = y, None if t is None else _div(t, y, p)
 
-    `precision` is the digit count of the run that certified every profile.
-    """
 
-    profiles: list
-    regions: list
-    verdict: Verdict
-    precision: int
-
-    def max_exponent(self):
-        vals = [v for prof in self.profiles for v in prof if v is not None]
-        return max(vals) if vals else None
-
-    def to_json(self) -> dict:
-        return {
-            "direction": "backward",
-            "engine": "certified",
-            "precision": self.precision,
-            "steps": [
-                {"n": n, "a": prof[0], "b": prof[1],
-                 "region": str(reg) if reg is not None else None}
-                for n, (prof, reg) in enumerate(zip(self.profiles, self.regions))
-            ],
-            "verdict": self.verdict.to_json(),
-        }
+def _residue_profile(state) -> tuple:
+    x, y = state
+    return None if x is None else -x[0], None if y is None else -y[0]
 
 
 def backward_profile_orbit(
@@ -312,8 +284,7 @@ def backward_profile_orbit(
     max_steps: int,
     precision: int = 256,
     escape_exponent=None,
-    label_regions: bool = True,
-) -> ProfileOrbitRecord:
+) -> OrbitRecord:
     """Backward orbit on certified fixed-precision values; exact in every valuation.
 
     Suited to long horizons over norm-bounded orbits, where exact rationals
@@ -322,62 +293,16 @@ def backward_profile_orbit(
     the cap it raises PrecisionExhaustedError rather than ever reporting an
     uncertified norm.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     digits = min(START_PRECISION, precision)
     while True:
+        states = _residue_states(pt, params, digits)
         try:
-            return _profile_orbit_at(
-                pt, params, max_steps, digits, escape_exponent, label_regions
-            )
+            return _trace(OrbitRecord("backward", precision=digits), states, _residue_profile,
+                          max_steps, escape_exponent)
         except PrecisionExhaustedError:
             if digits >= precision:
                 raise
             digits = min(2 * digits, precision)
-
-
-def _profile_orbit_at(pt, params, max_steps, digits, escape_exponent, label_regions):
-    p = params.prime
-    d = params.d if label_regions else None
-    c = _split(params.c)
-    x = _residue(pt.x, digits)
-    y = _residue(pt.y, digits)
-    profiles: list = []
-    regions: list = []
-    seen_max = None
-
-    def record(verdict):
-        return ProfileOrbitRecord(profiles, regions, verdict, digits)
-
-    def push(xr, yr) -> Verdict | None:
-        nonlocal seen_max
-        profile = (None if xr is None else -xr[0], None if yr is None else -yr[0])
-        profiles.append(profile)
-        regions.append(classify(profile, d) if d is not None else None)
-        m = _max_exponent(profile)
-        if m is not None and (seen_max is None or m > seen_max):
-            seen_max = m
-        if escape_exponent is not None and m is not None and m > escape_exponent:
-            return Verdict("escaped", len(profiles) - 1, m)
-        return None
-
-    verdict = push(x, y)
-    if verdict is not None:
-        return record(verdict)
-    for n in range(1, max_steps + 1):
-        if y is None:
-            return record(Verdict("undefined_inverse", n))
-        if c is None:
-            t = x
-        elif x is None:
-            t = (c[0], -c[1], c[2], digits)
-        else:
-            t = _sub_c(x, c, p)
-        x, y = y, None if t is None else _div(t, y, p)
-        verdict = push(x, y)
-        if verdict is not None:
-            return record(verdict)
-    return record(Verdict("completed", max_steps, seen_max))
 
 
 # ---------------------------------------------------------------------------

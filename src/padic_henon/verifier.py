@@ -79,6 +79,8 @@ _INT_FIELDS = {"p": None, "depth": 1, "samples": 200, "window": 12, "seed": 0, "
 def _label(obj, what: str) -> RegionLabel:
     try:
         label = RegionLabel.from_json(obj)
+        if label.index is not None and type(label.index) is not int:
+            raise TypeError(f"index must be an integer or null, got {label.index!r}")
         region_branches(label)
     except (KeyError, TypeError, ValueError) as exc:
         raise CampaignError(f"bad {what} {obj!r}: {exc}") from None
@@ -149,6 +151,8 @@ class LemmaSpec:
         if growth_check not in (None, "doubling", "schedule"):
             raise CampaignError(f"unknown growth_check {growth_check!r}")
         expected = obj.get("expected")
+        if expected is not None and (type(expected) is not list or not expected):
+            raise CampaignError(f'"expected" must be a nonempty list of regions, got {expected!r}')
         spec = cls(
             identifier=obj["id"],
             kind=kind,
@@ -365,36 +369,35 @@ def _schedule_bound_ok(profiles, d: int) -> int | None:
     return None
 
 
-def _sample_orbit(report, pt, params, steps, precision, threshold, label_regions):
-    """(profiles, regions, verdict) of one sample's backward orbit, or None if skipped.
-
-    Runs the certified engine up to `precision` digits.  If that exhausts, the
-    sample is rerun on the exact engine with the same horizon and threshold
-    and the default bit budget, and judged on that record.  An undefined
-    inverse (a real exit from the domain) counts as undefined_inverse and
-    skipped; a budget_exceeded rerun counts as skipped and uncertified.
-    """
+def _certified_or_exact(pt, params, steps, precision, threshold):
+    """The backward orbit of pt on the certified engine, capped at `precision`
+    digits.  If the cap is exhausted, the exact engine's orbit with the same
+    horizon and threshold and the default bit budget instead."""
     try:
-        rec = backward_profile_orbit(
-            pt, params, steps, precision=precision,
-            escape_exponent=threshold, label_regions=label_regions,
+        return backward_profile_orbit(
+            pt, params, steps, precision=precision, escape_exponent=threshold
         )
-        profiles, regions, verdict = rec.profiles, rec.regions, rec.verdict
     except PrecisionExhaustedError:
-        exact = backward_orbit(
-            pt, params, steps, escape_exponent=threshold, label_regions=label_regions
-        )
-        profiles, verdict = exact.profiles(), exact.verdict
-        regions = [s.region for s in exact.steps]
-    if verdict.kind == "undefined_inverse":
+        return backward_orbit(pt, params, steps, escape_exponent=threshold)
+
+
+def _sample_orbit(report, pt, params, steps, precision, threshold):
+    """The orbit record one sample is judged on, or None if it is skipped.
+
+    An undefined inverse (a real exit from the domain) counts as
+    undefined_inverse and skipped; a budget_exceeded exact rerun counts as
+    skipped and uncertified.
+    """
+    rec = _certified_or_exact(pt, params, steps, precision, threshold)
+    if rec.verdict.kind == "undefined_inverse":
         report.undefined_inverse += 1
         report.skipped += 1
         return None
-    if verdict.kind == "budget_exceeded":
+    if rec.verdict.kind == "budget_exceeded":
         report.uncertified += 1
         report.skipped += 1
         return None
-    return profiles, regions, verdict
+    return rec
 
 
 def verify_escape(spec: LemmaSpec) -> VerificationReport:
@@ -420,10 +423,10 @@ def verify_escape(spec: LemmaSpec) -> VerificationReport:
             report.skipped = spec.samples
             report.notes.append(f"empty region: {exc}")
             break
-        judged = _sample_orbit(report, pt, params, spec.steps, 256, threshold, False)
-        if judged is None:
+        rec = _sample_orbit(report, pt, params, spec.steps, 256, threshold)
+        if rec is None:
             continue
-        profiles, _, verdict = judged
+        profiles, verdict = rec.profiles, rec.verdict
         if verdict.kind != "escaped":
             report.failures.append(
                 {
@@ -497,11 +500,11 @@ def _expected_unit_escape(steps: int) -> list:
 
 def _orbit_profile_check(identifier, params, start, expected, report):
     steps = len(expected)
-    rec = backward_orbit(start, params, steps, escape_exponent=None, label_regions=False)
+    rec = backward_orbit(start, params, steps, escape_exponent=None)
     if rec.verdict.kind != "completed":
         report.failures.append({"orbit": identifier, "verdict": rec.verdict.to_json()})
         return
-    got = rec.profiles()[1 : steps + 1]
+    got = rec.profiles[1 : steps + 1]
     if got == expected:
         report.passes += 1
         report.notes.append(f"{identifier}: {steps} steps match")
@@ -535,8 +538,8 @@ def verify_worked_orbits(p: int, depth: int = 12) -> VerificationReport:
     # |c| < 1: the fixed point (p, p) for c = p - p^2 stays put exactly.
     params = MapParams(PadicRational(p - p * p, 1, p))
     fixed = Point(PadicRational(p, 1, p), PadicRational(p, 1, p))
-    rec = backward_orbit(fixed, params, depth, escape_exponent=None, label_regions=False)
-    if rec.verdict.kind == "completed" and all(s.point == fixed for s in rec.steps):
+    rec = backward_orbit(fixed, params, depth, escape_exponent=None)
+    if rec.verdict.kind == "completed" and all(pt == fixed for pt in rec.steps):
         report.passes += 1
         report.notes.append("small-fixed: backward orbit constant")
     else:
@@ -553,31 +556,27 @@ def verify_worked_orbits(p: int, depth: int = 12) -> VerificationReport:
     # grow like phi^n even though norms stay bounded, so this runs on the
     # certified fixed-precision engine.  At p = 3 the orbit genuinely exits
     # the domain: the fourth backward x-coordinate is (p-2)/p, which equals
-    # c = 1/p exactly when p = 3, so the next inverse divides by zero.
+    # c = 1/p exactly when p = 3, so the certified engine cannot certify the
+    # next step and the exact rerun finds the inverse undefined.
     one = PadicRational(1, 1, p)
-    start = Point(one, one)
-    try:
-        rec = backward_profile_orbit(
-            start, params, 50, precision=300, escape_exponent=None, label_regions=False
-        )
-    except PrecisionExhaustedError:
-        exact = backward_orbit(start, params, 50, escape_exponent=None, label_regions=False)
+    rec = _certified_or_exact(Point(one, one), params, 50, 300, None)
+    verdict = rec.verdict
+    if verdict.kind == "completed" and verdict.norm_exponent <= 1:
+        report.passes += 1
+        report.notes.append("large-bounded: 50 steps, max norm exponent <= 1")
+    elif verdict.kind == "undefined_inverse":
         report.failures.append(
             {
                 "orbit": "large-bounded",
-                "verdict": exact.verdict.to_json(),
+                "verdict": verdict.to_json(),
                 "note": "a backward x-coordinate met c exactly; the point is outside the domain",
             }
         )
     else:
-        max_exp = rec.max_exponent()
-        if rec.verdict.kind == "completed" and max_exp <= 1:
-            report.passes += 1
-            report.notes.append("large-bounded: 50 steps, max norm exponent <= 1")
-        else:
-            report.failures.append(
-                {"orbit": "large-bounded", "verdict": rec.verdict.to_json(), "max_exponent": max_exp}
-            )
+        report.failures.append(
+            {"orbit": "large-bounded", "verdict": verdict.to_json(),
+             "max_exponent": verdict.norm_exponent}
+        )
 
     # |c| = 1: escape from (-1, -p).
     params = MapParams(PadicRational(1, 1, p))
@@ -586,10 +585,10 @@ def verify_worked_orbits(p: int, depth: int = 12) -> VerificationReport:
 
     # |c| = 1 (c = 1): (-1, -1) is exactly 3-periodic backward.
     rho, f_rho, f2_rho = three_cycle(params)
-    rec = backward_orbit(rho, params, 300, escape_exponent=None, label_regions=False)
+    rec = backward_orbit(rho, params, 300, escape_exponent=None)
     cycle = (rho, f2_rho, f_rho)  # backward orbit visits the cycle in reverse
     if rec.verdict.kind == "completed" and all(
-        s.point == cycle[i % 3] for i, s in enumerate(rec.steps)
+        pt == cycle[i % 3] for i, pt in enumerate(rec.steps)
     ):
         report.passes += 1
         report.notes.append("unit-cycle: exact period 3 over 300 steps")
@@ -627,7 +626,7 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
     report = VerificationReport(spec=spec)
     params = spec.params()
     d = params.d
-    regime = params.regime
+    regime = regime_of_d(d)
     rng = random.Random(spec.seed)
     threshold = spec.escape_exponent
     if threshold is None:
@@ -657,18 +656,16 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
                 report.skipped += spec.samples
                 break
             drawn += 1
-            judged = _sample_orbit(
-                report, pt, params, spec.steps, 6 * spec.steps + 64, None, True
-            )
-            if judged is None:
+            rec = _sample_orbit(report, pt, params, spec.steps, 6 * spec.steps + 64, None)
+            if rec is None:
                 continue
-            regions = judged[1]
-            if all(r == invariant for r in regions):
+            if all(classify(prof, d) == invariant for prof in rec.profiles):
                 stayed += 1
                 report.passes += 1
             else:
                 report.failures.append(
-                    {"start": pt.to_json(), "regions": [str(r) for r in regions]}
+                    {"start": pt.to_json(),
+                     "regions": [str(classify(prof, d)) for prof in rec.profiles]}
                 )
         if report.uncertified:
             report.notes.append(f"{report.uncertified} samples uncertified")

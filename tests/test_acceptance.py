@@ -65,13 +65,13 @@ def test_criterion_01_small_regime_worked_orbit():
     params = MapParams(pr(p, 1, p))
     start = Point(pr(p + 2 * p**3, 1, p), pr(2 * p, 1, p))
     t0 = time.perf_counter()
-    rec = backward_orbit(start, params, 22, escape_exponent=None, label_regions=False)
+    rec = backward_orbit(start, params, 22, escape_exponent=None)
     elapsed = time.perf_counter() - t0
     expected = [(-1, -2), (-2, 1)]
     for n in range(1, 11):
         expected.append((2**n - 1, -(2**n)))
         expected.append((-(2**n), 2 ** (n + 1) - 1))
-    got = rec.profiles()[1:23]
+    got = rec.profiles[1:23]
     assert got == expected[:22], f"first mismatch at {next(i for i,(g,e) in enumerate(zip(got, expected)) if g != e)}"
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
     print(f"criterion 1 PASS: 22 exact steps, pattern n<=10, {elapsed * 1000:.0f} ms")
@@ -84,9 +84,9 @@ def test_criterion_02_boundary_orbit_profiles():
     p = 3
     params = MapParams(pr(1, p, p))
     start = Point(pr(1 + p**3, p, p), pr(1, 1, p))  # x = 1/3 + 9
-    rec = backward_orbit(start, params, 12, escape_exponent=None, label_regions=False)
+    rec = backward_orbit(start, params, 12, escape_exponent=None)
     frozen = [(0, -2), (-2, 3), (3, -2), (-2, 5), (5, -4), (-4, 9), (9, -8), (-8, 17)]
-    got = rec.profiles()[1:]
+    got = rec.profiles[1:]
     assert got[:8] == frozen
     # Independent oracle: the profile recurrence (a, b) -> (b, max(a, d) - b)
     # is exact from step 1 on, since the x-exponent never equals d again.
@@ -128,27 +128,25 @@ def test_criterion_02_bounded_orbit_50_steps():
     hand_profiles = [(_norm_exponent(x, p), _norm_exponent(y, p)) for x, y in hand]
     assert max(v for prof in hand_profiles for v in prof if v is not None) <= 1
 
-    exact = backward_orbit(start, params, 50, escape_exponent=None, label_regions=False)
+    exact = backward_orbit(start, params, 50, escape_exponent=None)
     assert (exact.verdict.kind, exact.verdict.step) == ("undefined_inverse", len(hand)), (
         f"criterion 2 (bounded half): at p=3 the orbit of (1,1) must exit the domain "
         f"at step {len(hand)} (x_{{-4}} = c, y_{{-5}} = 0), got {exact.verdict}"
     )
-    assert [(s.point.x.as_fraction(), s.point.y.as_fraction()) for s in exact.steps] == hand
-    assert exact.profiles() == hand_profiles
+    assert [(pt.x.as_fraction(), pt.y.as_fraction()) for pt in exact.steps] == hand
+    assert exact.profiles == hand_profiles
     # The certified engine refuses to certify the total cancellation x_{-4} - c = 0.
     with pytest.raises(PrecisionExhaustedError):
-        backward_profile_orbit(
-            start, params, 50, precision=400, escape_exponent=None, label_regions=False
-        )
+        backward_profile_orbit(start, params, 50, precision=400, escape_exponent=None)
 
     # The stated 50-step bound, at p = 5.
     p = 5
     rec = backward_profile_orbit(
         Point(pr(1, 1, p), pr(1, 1, p)), MapParams(pr(1, p, p)), 50, precision=400,
-        escape_exponent=None, label_regions=False,
+        escape_exponent=None,
     )
     assert (rec.verdict.kind, rec.verdict.step) == ("completed", 50)
-    assert rec.max_exponent() <= 1
+    assert rec.verdict.norm_exponent <= 1
     print(
         "criterion 2 PASS (bounded half): p=3 exits the domain at step 6; "
         "p=5 stays at norm exponent <= 1 for 50 steps"
@@ -160,11 +158,9 @@ def test_supplementary_bounded_orbit_at_p5():
     p = 5
     params = MapParams(pr(1, p, p))
     start = Point(pr(1, 1, p), pr(1, 1, p))
-    rec = backward_profile_orbit(
-        start, params, 50, precision=400, escape_exponent=None, label_regions=False
-    )
+    rec = backward_profile_orbit(start, params, 50, precision=400, escape_exponent=None)
     assert rec.verdict.kind == "completed"
-    assert rec.max_exponent() <= 1
+    assert rec.verdict.norm_exponent <= 1
 
 
 def test_supplementary_bounded_orbit_exits_domain_at_p3():
@@ -172,12 +168,12 @@ def test_supplementary_bounded_orbit_exits_domain_at_p3():
     p = 3
     params = MapParams(pr(1, p, p))
     rec = backward_orbit(
-        Point(pr(1, 1, p), pr(1, 1, p)), params, 50, escape_exponent=None, label_regions=False
+        Point(pr(1, 1, p), pr(1, 1, p)), params, 50, escape_exponent=None
     )
     assert rec.verdict.kind == "undefined_inverse"
     assert rec.verdict.step == 6
-    assert rec.steps[4].point.x == pr(1, 3, p)  # equals c
-    assert rec.steps[5].point.y == pr(0, 1, p)
+    assert rec.steps[4].x == pr(1, 3, p)  # equals c
+    assert rec.steps[5].y == pr(0, 1, p)
 
 
 def test_supplementary_bounded_orbit_escapes_at_p7():
@@ -186,16 +182,15 @@ def test_supplementary_bounded_orbit_escapes_at_p7():
     p = 7
     params = MapParams(pr(1, p, p))
     rec = backward_profile_orbit(
-        Point(pr(1, 1, p), pr(1, 1, p)), params, 60, precision=400, escape_exponent=100,
-        label_regions=False,
+        Point(pr(1, 1, p), pr(1, 1, p)), params, 60, precision=400, escape_exponent=100
     )
     assert rec.verdict.kind == "escaped"
     assert all(max(x for x in prof) <= 1 for prof in rec.profiles[:21])
     exact = backward_orbit(
         Point(pr(1, 1, p), pr(1, 1, p)), params, 25, escape_exponent=None,
-        bit_budget=10**7, label_regions=False,
+        bit_budget=10**7,
     )
-    assert exact.profiles()[:22] == rec.profiles[:22]
+    assert exact.profiles[:22] == rec.profiles[:22]
 
 
 # --- criterion 3: worked-orbit reproduction, |c| = 1 ----------------------------
@@ -205,12 +200,12 @@ def test_criterion_03_unit_regime_worked_orbit():
     p = 3
     params = MapParams(pr(1, 1, p))
     start = Point(pr(-1, 1, p), pr(-p, 1, p))
-    rec = backward_orbit(start, params, 8, escape_exponent=None, label_regions=False)
+    rec = backward_orbit(start, params, 8, escape_exponent=None)
     expected = [(-1, 1)]
     for n in range(1, 5):
         expected.append((2 ** (n - 1), -(2 ** (n - 1))))
         expected.append((-(2 ** (n - 1)), 2**n))
-    assert rec.profiles()[1:9] == expected[:8]
+    assert rec.profiles[1:9] == expected[:8]
     print("criterion 3 PASS (escape half): 8 steps match the doubling pattern")
 
 
@@ -218,10 +213,10 @@ def test_criterion_03_exact_period_three():
     p = 3
     params = MapParams(pr(1, 1, p))
     rho = Point(pr(-1, 1, p), pr(-1, 1, p))
-    rec = backward_orbit(rho, params, 300, escape_exponent=None, label_regions=False)
+    rec = backward_orbit(rho, params, 300, escape_exponent=None)
     assert rec.verdict.kind == "completed"
-    assert all(rec.steps[i].point == rho for i in range(0, 301, 3))
-    assert rec.steps[1].point == Point(pr(-1, 1, p), pr(2, 1, p))
+    assert all(rec.steps[i] == rho for i in range(0, 301, 3))
+    assert rec.steps[1] == Point(pr(-1, 1, p), pr(2, 1, p))
     print("criterion 3 PASS (cycle half): exact period 3 over 300 steps")
 
 

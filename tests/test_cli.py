@@ -61,6 +61,99 @@ def test_orbit_round_trips_through_schema(runner):
         assert int(step["x"]["num"]) is not None
 
 
+# --- orbit stdout, pinned byte for byte ------------------------------------------
+#
+# The expected traces were read off the `orbit` command at commit 6921e99,
+# before the two engines shared one orbit record, and are compared with the
+# whole of stdout: key order, indentation and the trailing newline included.
+# Each row is (x, y, a, b, region) with x and y as "num/den".
+
+ORBIT_PINS = {
+    "backward-two-cancellations": (
+        "--prime 5 --c 5/1 --x 255/1 --y 10/1 --steps 4", "backward",
+        [("255/1", "10/1", -1, -1, "R"), ("10/1", "25/1", -1, -2, "P6"),
+         ("25/1", "1/5", -2, 1, "A1"), ("1/5", "100/1", 1, -2, "A2"),
+         ("100/1", "-6/125", -2, 3, "A1")],
+        ("completed", 4, 3),
+    ),
+    "forward-escaped": (
+        "--prime 3 --c 1/1 --x 1/3 --y 1/1 --steps 5 --direction forward --escape-exp 6",
+        "forward",
+        [("1/3", "1/1", 1, 0, "H"), ("4/3", "1/3", 1, 1, "M1"), ("13/9", "4/3", 2, 1, "M2"),
+         ("79/27", "13/9", 3, 2, "M3"), ("1270/243", "79/27", 5, 3, "M4"),
+         ("106891/6561", "1270/243", 8, 5, "M5")],
+        ("escaped", 5, 8),
+    ),
+    "undefined-at-step-one": (
+        "--prime 5 --c 5/1 --x 1/1 --y 0/1 --steps 3", "backward",
+        [("1/1", "0/1", 0, None, "OutsideQ")],
+        ("undefined_inverse", 1, None),
+    ),
+    "backward-escaped": (
+        "--prime 5 --c 5/1 --x 255/1 --y 10/1 --steps 8 --escape-exp 2", "backward",
+        [("255/1", "10/1", -1, -1, "R"), ("10/1", "25/1", -1, -2, "P6"),
+         ("25/1", "1/5", -2, 1, "A1"), ("1/5", "100/1", 1, -2, "A2"),
+         ("100/1", "-6/125", -2, 3, "A1")],
+        ("escaped", 4, 3),
+    ),
+    "budget-exceeded": (
+        "--prime 5 --c 1/5 --x 1/1 --y 1/1 --steps 50 --bit-budget 8", "backward",
+        [("1/1", "1/1", 0, 0, "C0"), ("1/1", "4/5", 0, 1, "C0"), ("4/5", "1/1", 1, 0, "C0"),
+         ("1/1", "3/5", 0, 1, "C0")],
+        ("budget_exceeded", 4, None),
+    ),
+    "degenerate-c-unlabelled": (
+        "--prime 5 --c 0/1 --x 3/1 --y 5/1 --steps 2", "backward",
+        [("3/1", "5/1", 0, -1, None), ("5/1", "3/5", -1, 1, None), ("3/5", "25/3", 1, -2, None)],
+        ("completed", 2, 1),
+    ),
+}
+
+
+def _rational_json(text, p):
+    num, den = text.split("/")
+    return {"num": num, "den": den, "p": p}
+
+
+def _pinned_trace(head, rows, verdict, p):
+    steps = []
+    for n, row in enumerate(rows):
+        step = {"n": n}
+        if len(row) == 5:
+            step["x"] = _rational_json(row[0], p)
+            step["y"] = _rational_json(row[1], p)
+        a, b, region = row[-3:]
+        steps.append({**step, "a": a, "b": b, "region": region})
+    kind, at, exponent = verdict
+    obj = {**head, "steps": steps, "verdict": {"kind": kind, "step": at, "norm_exponent": exponent}}
+    return json.dumps(obj, indent=1)
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_PINS))
+def test_orbit_stdout_pinned(runner, name):
+    args, direction, rows, verdict = ORBIT_PINS[name]
+    result = runner.invoke(main, ["orbit", *args.split()])
+    assert result.exit_code == 0
+    p = int(args.split()[1])
+    assert result.stdout == _pinned_trace({"direction": direction}, rows, verdict, p) + "\n"
+
+
+def test_certified_record_json_pinned():
+    from padic_henon.dynamics import MapParams, backward_profile_orbit
+    from padic_henon.padics import PadicRational, Point
+
+    params = MapParams(PadicRational(5, 1, 5))
+    start = Point(PadicRational(255, 1, 5), PadicRational(10, 1, 5))
+    rec = backward_profile_orbit(start, params, 8)
+    rows = [(-1, -1, "R"), (-1, -2, "P6"), (-2, 1, "A1"), (1, -2, "A2"), (-2, 3, "A1"),
+            (3, -4, "A2"), (-4, 7, "A1"), (7, -8, "A2"), (-8, 15, "A1")]
+    head = {"direction": "backward", "engine": "certified", "precision": 16}
+    expected = _pinned_trace(head, rows, ("completed", 8, 15), 5)
+    assert json.dumps(rec.to_json(params.d), indent=1) == expected
+    unlabelled = [(a, b, None) for a, b, _ in rows]
+    assert json.dumps(rec.to_json(), indent=1) == _pinned_trace(head, unlabelled, ("completed", 8, 15), 5)
+
+
 def test_even_prime_usage_error(runner):
     result = runner.invoke(main, ["orbit", "--prime", "2", "--c", "1/1", "--x", "1", "--y", "1"])
     assert result.exit_code == 2
@@ -226,10 +319,14 @@ def _one_spec(**fields):
         (_one_spec(kind="exhaustive", c="1/3", source={"regime": "large", "name": "J", "index": 0},
                    expected=[{"regime": "large", "name": "T", "index": 0}]),
          "overlay region T0 needs d >= 2"),
+        (_one_spec(source={"regime": "small", "name": "A", "index": True}),
+         "index must be an integer or null, got True"),
+        (_one_spec(kind="exhaustive", c="3/1", window=4, expected=[]),
+         '"expected" must be a nonempty list'),
     ],
     ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch", "samples-zero",
          "window-negative", "overlay-exhaustive", "overlay-transition", "overlay-escape",
-         "overlay-target"],
+         "overlay-target", "index-true", "expected-empty"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     path = tmp_path / "bad.json"

@@ -167,9 +167,12 @@ def test_exhausted_sample_is_judged_on_the_exact_record():
     params = MapParams(PadicRational(1, 3, 3))
     pt = Point(PadicRational(1 + 3**21, 3, 3), PadicRational(1, 1, 3))
     report = VerificationReport(spec=LemmaSpec(identifier="probe", kind="sandwich", p=3))
-    profiles, regions, verdict = _sample_orbit(report, pt, params, 10, 16, None, True)
+    judged = _sample_orbit(report, pt, params, 10, 16, None)
     rec = backward_profile_orbit(pt, params, 10, escape_exponent=None)
-    assert (profiles, regions, verdict) == (rec.profiles, rec.regions, rec.verdict)
+    assert judged.precision is None  # the exact engine's record
+    assert (judged.profiles, judged.verdict) == (rec.profiles, rec.verdict)
+    labels = [s["region"] for s in judged.to_json(params.d)["steps"]]
+    assert labels == [s["region"] for s in rec.to_json(params.d)["steps"]]
     assert (report.skipped, report.undefined_inverse, report.uncertified) == (0, 0, 0)
 
 
@@ -179,7 +182,7 @@ def test_exhausted_sample_past_the_bit_budget_is_uncertified():
     params = MapParams(PadicRational(1, 3, 3))
     pt = Point(PadicRational(1 + 3**301, 3, 3), PadicRational(1, 1, 3))
     report = VerificationReport(spec=LemmaSpec(identifier="probe", kind="sandwich", p=3))
-    assert _sample_orbit(report, pt, params, 60, 256, None, True) is None
+    assert _sample_orbit(report, pt, params, 60, 256, None) is None
     assert (report.skipped, report.undefined_inverse, report.uncertified) == (1, 0, 1)
 
 
@@ -264,6 +267,14 @@ def test_campaign_spec_roundtrip(tmp_path):
         ({"samples": 0}, "samples must be at least 1"),
         ({"samples": -3}, "samples must be at least 1"),
         ({"kind": "exhaustive", "window": -5}, "window at least 0"),
+        ({"expected": [{"regime": "large", "name": "A", "index": True}]},
+         "index must be an integer or null, got True"),
+        ({"source": {"regime": "large", "name": "J", "index": 0.0}},
+         "index must be an integer or null, got 0.0"),
+        ({"expected": [{"regime": "large", "name": "A", "index": 1.0}]},
+         "index must be an integer or null, got 1.0"),
+        ({"expected": []}, '"expected" must be a nonempty list'),
+        ({"expected": {"regime": "large", "name": "A", "index": 1}}, '"expected" must be a nonempty list'),
     ],
 )
 def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
