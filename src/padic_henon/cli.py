@@ -11,6 +11,7 @@ campaign files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -188,10 +189,8 @@ def verify(campaign, seed, samples, list_builtin):
             raise click.UsageError(f"cannot load campaign {campaign!r}: {exc}") from None
         except CampaignError as exc:
             raise click.UsageError(f"invalid campaign {campaign!r}: {exc}") from None
-    if seed is not None:
-        for spec in specs:
-            spec.seed = seed
-    reports = run_campaign(specs, samples_override=samples)
+    overrides = {k: v for k, v in (("seed", seed), ("samples", samples)) if v is not None}
+    reports = run_campaign([dataclasses.replace(spec, **overrides) for spec in specs])
     summary = campaign_summary(reports)
     click.echo(json.dumps(summary, indent=1))
     if not summary["ok"]:

@@ -96,6 +96,26 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
+def _decimal(n: int) -> str:
+    """str(n) at any size: Python prints at most sys.get_int_max_str_digits()
+    digits at once (640 at the least), so a longer n goes in two halves."""
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of its digits
+    hi, lo = divmod(abs(n), 10**k)
+    return "-" * (n < 0) + _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _from_decimal(text) -> int:
+    """int(text) at any length; the inverse of _decimal."""
+    digits = text.removeprefix("-") if type(text) is str else ""
+    if len(digits) <= 600 or not (digits.isascii() and digits.isdigit()):
+        return int(text)
+    k = len(digits) // 2
+    n = _from_decimal(digits[:-k]) * 10**k + _from_decimal(digits[-k:])
+    return -n if text[0] == "-" else n
+
+
 class PadicRational:
     """An exact rational number tagged with an odd prime, viewed as an element of Q_p.
 
@@ -250,11 +270,12 @@ class PadicRational:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"num": str(self._f.numerator), "den": str(self._f.denominator), "p": self.prime}
+        return {"num": _decimal(self._f.numerator), "den": _decimal(self._f.denominator),
+                "p": self.prime}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PadicRational":
-        return cls(int(obj["num"]), int(obj["den"]), int(obj["p"]))
+        return cls(_from_decimal(obj["num"]), _from_decimal(obj["den"]), int(obj["p"]))
 
     def expand(self, precision: int) -> "TruncatedPadic":
         """Digit expansion of this value to `precision` significant p-adic digits."""
@@ -431,7 +452,6 @@ def sqrt(x: PadicRational, precision: int):
         raise NonSquareError(f"unit part is a non-residue mod {p}", reason="non-residue")
 
     r = _tonelli_shanks(u0, p)
-    inv2 = pow(2, -1, p)
     mod, k = p, 1
     while k < precision:
         k = min(2 * k, precision)

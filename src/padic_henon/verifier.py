@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .dynamics import (
+    BitBudgetError,
     MapParams,
     PrecisionExhaustedError,
     backward_orbit,
@@ -259,6 +260,19 @@ def _expected_targets(spec: LemmaSpec) -> list:
     return sorted(targets, key=str)
 
 
+def _samples(report, spec, label, d, samples, rng, empty_note):
+    """Yield `samples` exact points of `label` in the spec's window.  If the
+    region has no cell there, count them all as skipped and note why."""
+    for _ in range(samples):
+        try:
+            pt = sample_in_region(label, d, spec.p, spec.window, spec.digit_count, rng)
+        except EmptyRegionError as exc:
+            report.skipped += samples
+            report.notes.append(f"{empty_note}: {exc}")
+            return
+        yield pt
+
+
 def verify_transition(spec: LemmaSpec) -> VerificationReport:
     """Sample exact points in the source region and check where one (or two)
     backward steps land.  Failures carry the exact starting point."""
@@ -268,19 +282,19 @@ def verify_transition(spec: LemmaSpec) -> VerificationReport:
     d = params.d
     targets = _expected_targets(spec)
     rng = random.Random(spec.seed)
-    for _ in range(spec.samples):
-        try:
-            pt = sample_in_region(spec.source, d, spec.p, spec.window, spec.digit_count, rng)
-        except EmptyRegionError as exc:
-            report.skipped = spec.samples
-            report.notes.append(f"empty region: {exc}")
-            break
+    for pt in _samples(report, spec, spec.source, d, spec.samples, rng, "empty region"):
         current, undefined = pt, False
-        for _step in range(spec.depth):
-            if current.y.is_zero:
-                undefined = True
-                break
-            current = inverse(current, params)
+        try:
+            for _step in range(spec.depth):
+                if current.y.is_zero:
+                    undefined = True
+                    break
+                current = inverse(current, params)
+        except BitBudgetError:
+            # The exact image outgrew the bit budget: nothing was judged.
+            report.uncertified += 1
+            report.skipped += 1
+            continue
         a_img, b_img = current.profile()
         if undefined or b_img is None:
             # The branch x = c leaves the domain; excluded-null, reported.
@@ -302,6 +316,8 @@ def verify_transition(spec: LemmaSpec) -> VerificationReport:
                     "expected": [str(t) for t in targets],
                 }
             )
+    if report.uncertified:
+        report.notes.append(f"{report.uncertified} samples uncertified")
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -336,7 +352,7 @@ def verify_transition_exhaustive(spec: LemmaSpec) -> VerificationReport:
     return report
 
 
-def _doubling_bound_ok(profiles, b0: int, d: int) -> int | None:
+def _doubling_violation(profiles, b0: int, d: int) -> int | None:
     """Index of the first step violating max-norm >= p^(2^(n//2) (b0-d) + d), else None."""
     for n, (a, b) in enumerate(profiles):
         bound = (1 << (n // 2)) * (b0 - d) + d
@@ -346,7 +362,7 @@ def _doubling_bound_ok(profiles, b0: int, d: int) -> int | None:
     return None
 
 
-def _schedule_bound_ok(profiles, d: int) -> int | None:
+def _schedule_violation(profiles, d: int) -> int | None:
     """First index violating the two-band growth schedule for |c| < 1, else None.
 
     From a start in the flat band: the x-exponent at odd steps 2i+1 and the
@@ -400,6 +416,39 @@ def _sample_orbit(report, pt, params, steps, precision, threshold):
     return rec
 
 
+def _threshold(spec: LemmaSpec, params: MapParams) -> int:
+    return default_escape_exponent(params) if spec.escape_exponent is None else spec.escape_exponent
+
+
+def _check_escapes(report, spec, label, params, samples, threshold, note_prefix="",
+                   growth_check=None):
+    """Sampled backward orbits from `label` must cross the threshold, and meet
+    `growth_check` on the way; the verdicts go into `report`, and its notes
+    carry `note_prefix`.  The samples are drawn afresh from the spec's seed."""
+    uncertified = report.uncertified
+    rng = random.Random(spec.seed)
+    for pt in _samples(report, spec, label, params.d, samples, rng, f"{note_prefix}empty region"):
+        rec = _sample_orbit(report, pt, params, spec.steps, 256, threshold)
+        if rec is None:
+            continue
+        profiles = rec.profiles
+        if rec.verdict.kind != "escaped":
+            why = {"verdict": rec.verdict.to_json()}
+        else:
+            step = None
+            if growth_check == "doubling":
+                step = _doubling_violation(profiles, pt.profile()[1], params.d)
+            elif growth_check == "schedule":
+                step = _schedule_violation(profiles, params.d)
+            if step is None:
+                report.passes += 1
+                continue
+            why = {"growth_check": growth_check, "violated_at_step": step}
+        report.failures.append({"start": pt.to_json(), **why, "profiles": [list(p) for p in profiles]})
+    if report.uncertified > uncertified:
+        report.notes.append(f"{note_prefix}{report.uncertified - uncertified} samples uncertified")
+
+
 def verify_escape(spec: LemmaSpec) -> VerificationReport:
     """Sampled backward orbits from a proved-escaping region must cross the threshold.
 
@@ -411,49 +460,8 @@ def verify_escape(spec: LemmaSpec) -> VerificationReport:
     t0 = time.perf_counter()
     report = VerificationReport(spec=spec)
     params = spec.params()
-    d = params.d
-    threshold = spec.escape_exponent
-    if threshold is None:
-        threshold = default_escape_exponent(params)
-    rng = random.Random(spec.seed)
-    for _ in range(spec.samples):
-        try:
-            pt = sample_in_region(spec.source, d, spec.p, spec.window, spec.digit_count, rng)
-        except EmptyRegionError as exc:
-            report.skipped = spec.samples
-            report.notes.append(f"empty region: {exc}")
-            break
-        rec = _sample_orbit(report, pt, params, spec.steps, 256, threshold)
-        if rec is None:
-            continue
-        profiles, verdict = rec.profiles, rec.verdict
-        if verdict.kind != "escaped":
-            report.failures.append(
-                {
-                    "start": pt.to_json(),
-                    "verdict": verdict.to_json(),
-                    "profiles": [list(p) for p in profiles],
-                }
-            )
-            continue
-        violation = None
-        if spec.growth_check == "doubling":
-            violation = _doubling_bound_ok(profiles, pt.profile()[1], d)
-        elif spec.growth_check == "schedule":
-            violation = _schedule_bound_ok(profiles, d)
-        if violation is not None:
-            report.failures.append(
-                {
-                    "start": pt.to_json(),
-                    "growth_check": spec.growth_check,
-                    "violated_at_step": violation,
-                    "profiles": [list(p) for p in profiles],
-                }
-            )
-        else:
-            report.passes += 1
-    if report.uncertified:
-        report.notes.append(f"{report.uncertified} samples uncertified")
+    _check_escapes(report, spec, spec.source, params, spec.samples, _threshold(spec, params),
+                   growth_check=spec.growth_check)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -627,10 +635,6 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
     params = spec.params()
     d = params.d
     regime = regime_of_d(d)
-    rng = random.Random(spec.seed)
-    threshold = spec.escape_exponent
-    if threshold is None:
-        threshold = default_escape_exponent(params)
 
     invariant = None
     if regime is Regime.SMALL:
@@ -642,25 +646,20 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
         from . import gridcheck  # deferred: importing it adds milliseconds to every CLI start
 
         cert = gridcheck.check_transition_profiles(invariant, d, max(spec.window, 12))
-        if cert.ok:
+        if cert.profiles_checked == 0:
+            report.notes.append(f"{invariant} has no cell in window; one-step invariance not checked")
+        elif cert.ok:
             report.notes.append(f"one-step invariance of {invariant} certified on window")
         else:
             report.failures.append({"invariance": str(invariant), "counterexamples": cert.failed_outcomes})
-        stayed = 0
         drawn = 0
-        for _ in range(spec.samples):
-            try:
-                pt = sample_in_region(invariant, d, spec.p, spec.window, spec.digit_count, rng)
-            except EmptyRegionError as exc:
-                report.notes.append(f"lower-bound region empty: {exc}")
-                report.skipped += spec.samples
-                break
+        rng = random.Random(spec.seed)
+        for pt in _samples(report, spec, invariant, d, spec.samples, rng, "lower-bound region empty"):
             drawn += 1
             rec = _sample_orbit(report, pt, params, spec.steps, 6 * spec.steps + 64, None)
             if rec is None:
                 continue
             if all(classify(prof, d) == invariant for prof in rec.profiles):
-                stayed += 1
                 report.passes += 1
             else:
                 report.failures.append(
@@ -671,32 +670,15 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
             report.notes.append(f"{report.uncertified} samples uncertified")
         if drawn:
             report.notes.append(
-                f"{stayed}/{drawn} samples of {invariant} stayed for {spec.steps} steps "
+                f"{report.passes}/{drawn} samples of {invariant} stayed for {spec.steps} steps "
                 "(finite-horizon evidence)"
             )
 
+    threshold = _threshold(spec, params)
     for name, index in _ESCAPING[regime]:
         label = RegionLabel(regime, name, index)
-        sub = LemmaSpec(
-            identifier=f"{spec.identifier}:{label}",
-            kind="escape",
-            p=spec.p,
-            c=spec.c,
-            source=label,
-            samples=max(spec.samples // 4, 25),
-            window=spec.window,
-            seed=spec.seed,
-            digit_count=spec.digit_count,
-            steps=spec.steps,
-            escape_exponent=threshold,
-        )
-        sub_report = verify_escape(sub)
-        report.passes += sub_report.passes
-        report.skipped += sub_report.skipped
-        report.undefined_inverse += sub_report.undefined_inverse
-        report.uncertified += sub_report.uncertified
-        report.failures.extend(sub_report.failures)
-        report.notes.extend(f"{label}: {n}" for n in sub_report.notes)
+        _check_escapes(report, spec, label, params, max(spec.samples // 4, 25), threshold,
+                       f"{label}: ")
 
     report.wall_time = time.perf_counter() - t0
     return report
@@ -711,12 +693,11 @@ _RUNNERS = {
     "exhaustive": verify_transition_exhaustive,
     "escape": verify_escape,
     "sandwich": verify_sandwich,
+    "worked_orbits": lambda spec: verify_worked_orbits(spec.p),
 }
 
 
 def run_spec(spec: LemmaSpec) -> VerificationReport:
-    if spec.kind == "worked_orbits":
-        return verify_worked_orbits(spec.p)
     try:
         runner = _RUNNERS[spec.kind]
     except KeyError:
@@ -759,13 +740,8 @@ def builtin_campaign(name: str) -> list:
     return _parse_campaign(ref.read_text(encoding="utf-8"))
 
 
-def run_campaign(specs, samples_override: int | None = None) -> list:
-    reports = []
-    for spec in specs:
-        if samples_override is not None:
-            spec = LemmaSpec(**{**spec.__dict__, "samples": samples_override})
-        reports.append(run_spec(spec))
-    return reports
+def run_campaign(specs) -> list:
+    return [run_spec(spec) for spec in specs]
 
 
 def campaign_summary(reports) -> dict:

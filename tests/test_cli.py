@@ -110,6 +110,27 @@ ORBIT_PINS = {
 }
 
 
+def test_orbit_prints_coordinates_past_the_str_digit_limit(runner):
+    # Heights grow by about 1.6 per backward step at c = 1/5: from step 23 on
+    # a coordinate has more than 4,300 digits, and step 29 outgrows the
+    # default bit budget.
+    from padic_henon.dynamics import MapParams, backward_orbit
+    from padic_henon.padics import PadicRational, Point
+
+    result = runner.invoke(main, [
+        "orbit", "--prime", "5", "--c", "1/5", "--x", "1/1", "--y", "1/1", "--steps", "40",
+    ])
+    assert result.exit_code == 0, result.output
+    obj = json.loads(result.stdout)
+    assert obj["verdict"] == {"kind": "budget_exceeded", "step": 29, "norm_exponent": None}
+    rec = backward_orbit(Point(PadicRational(1, 1, 5), PadicRational(1, 1, 5)),
+                         MapParams(PadicRational(1, 5, 5)), 40)
+    assert len(obj["steps"]) == len(rec.steps) == 29
+    for step, pt in zip(obj["steps"], rec.steps):
+        assert Point(PadicRational.from_json(step["x"]), PadicRational.from_json(step["y"])) == pt
+    assert max(len(s["x"]["num"]) for s in obj["steps"]) > 4_300
+
+
 def _rational_json(text, p):
     num, den = text.split("/")
     return {"num": num, "den": den, "p": p}
@@ -295,6 +316,22 @@ def test_verify_campaign_file(runner, tmp_path):
     assert summary["ok"] and summary["skipped"] == 40
 
 
+def test_verify_transition_past_the_bit_budget_is_uncertified(runner, tmp_path):
+    # 400,000 digits per coordinate: one exact inverse step outgrows the
+    # default 1,000,000-bit budget, so each sample is skipped, not a failure.
+    spec = {"id": "huge-digits", "kind": "transition", "p": 3, "c": "1/9",
+            "source": {"regime": "large", "name": "J", "index": 0},
+            "window": 10, "digit_count": 400000, "samples": 2}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"specs": [spec]}))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads(result.stdout)
+    (report,) = summary["reports"]
+    assert (report["passes"], report["skipped"], report["undefined_inverse"]) == (0, 2, 0)
+    assert report["notes"] == ["2 samples uncertified"] and summary["ok"]
+
+
 _T1 = {"regime": "large", "name": "T", "index": 1}
 
 
@@ -369,6 +406,23 @@ def test_cli_import_leaves_numpy_unloaded():
     assert "one-step invariance of J0 certified on window" in sw_notes
 
 
+def test_verify_seed_and_samples_match_library_run(runner):
+    from dataclasses import replace
+
+    from padic_henon.verifier import builtin_campaign, campaign_summary, run_campaign
+
+    result = runner.invoke(main, ["verify", "negative-control", "--seed", "7", "--samples", "40"])
+    assert result.exit_code == 1
+    specs = [replace(s, seed=7, samples=40) for s in builtin_campaign("negative-control")]
+    library = campaign_summary(run_campaign(specs))
+    cli = json.loads(result.stdout)
+    for summary in (cli, library):
+        for report in summary["reports"]:
+            del report["wall_time"]
+    assert cli == library
+    assert [r["spec"]["seed"] for r in cli["reports"]] == [7, 7]
+
+
 def test_verify_samples_below_one_usage_error(runner):
     result = runner.invoke(main, ["verify", "negative-control", "--samples", "-3"])
     assert result.exit_code == 2
@@ -430,6 +484,27 @@ def test_measure_unknown_region_usage_error(runner):
     ])
     assert result.exit_code == 2
     assert "unknown LARGE region Q7" in result.output
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["orbit", "--prime", "3", "--x", "1/1", "--y", "1/1"], "--c is required"),
+        (["classify", "--prime", "3", "--a", "0", "--b", "0"], "--c is required"),
+        (["grid", "--prime", "3"], "--c is required"),
+        (["fixed-points", "--prime", "3"], "--c is required"),
+        (["grid", "--prime", "3", "--c", "0"], "c = 0 is degenerate"),
+        (["measure", "--prime", "3", "--c", "1/3"], "give --tn, or both --region and --c"),
+        (["measure", "--prime", "3", "--region", "Z"], "give --tn, or both --region and --c"),
+        (["measure", "--prime", "3", "--c", "0", "--region", "Z"], "c = 0 is degenerate"),
+    ],
+    ids=["orbit-no-c", "classify-no-c", "grid-no-c", "fixed-points-no-c", "grid-c-zero",
+         "measure-no-region", "measure-no-c", "measure-c-zero"],
+)
+def test_missing_or_degenerate_c_exits_2(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert message in result.output and result.stdout == ""
 
 
 def test_fixed_points_single(runner):

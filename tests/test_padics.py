@@ -319,6 +319,20 @@ def test_rational_serialization_roundtrip():
     assert x.to_json() == {"num": "-22", "den": "7", "p": 5}
 
 
+def test_rational_serialization_roundtrip_past_the_str_digit_limit():
+    # Python prints at most 4,300 digits of an int at once by default; the
+    # JSON form stays exact decimal strings at any size, without that setting.
+    num = 10**9_999 + 12_345  # 10,000 digits
+    for sign in (1, -1):
+        x = pr(sign * num, 3**5, 7)
+        obj = x.to_json()
+        assert obj["num"] == ("-" if sign < 0 else "") + "1" + "0" * 9_994 + "12345"
+        assert obj["den"] == "243" and PadicRational.from_json(obj) == x
+    big = pr(3**40_000 + 1, 2**30_000, 5)
+    assert PadicRational.from_json(big.to_json()) == big
+    assert len(big.to_json()["den"]) == 9_031  # 30,000 log10 2 = 9,030.9
+
+
 # --- points ------------------------------------------------------------------
 
 

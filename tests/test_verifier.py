@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,9 @@ from padic_henon.verifier import (
     CampaignError,
     LemmaSpec,
     VerificationReport,
+    _doubling_violation,
     _sample_orbit,
+    _schedule_violation,
     builtin_campaign,
     builtin_campaign_names,
     campaign_summary,
@@ -204,6 +207,51 @@ def test_invariant_region_never_escapes():
     assert report.passes == 0
 
 
+def test_doubling_violation_on_hand_built_profiles():
+    # b0 - d = 1 at d = 2: the bound 2^(n//2) + 2 reads 3, 3, 4, 4, 6.
+    holds = [(1, 3), (3, 0), (0, 4), (4, 0), (0, 6)]
+    assert _doubling_violation(holds, 3, 2) is None
+    assert _doubling_violation([*holds[:3], (3, 1), holds[4]], 3, 2) == 3
+    assert _doubling_violation([*holds[:2], (None, None), *holds[3:]], 3, 2) == 2
+    assert _doubling_violation([*holds[:2], (None, 5), *holds[3:]], 3, 2) is None
+    assert _doubling_violation([(2, 2)], 3, 2) == 0
+
+
+def test_schedule_violation_on_hand_built_profiles():
+    # d = -1 and K(1), K(3) = 1, 3: a at step 3 and b at step 4 are at least 1,
+    # a at step 5 and b at step 6 at least 3; steps 0 to 2 are not checked.
+    holds = [(0, 0), (None, None), (0, 0), (1, 0), (0, 1), (3, 0), (0, 3)]
+    assert _schedule_violation(holds, -1) is None
+    assert _schedule_violation([*holds[:5], (2, 9), holds[6]], -1) == 5
+    assert _schedule_violation([*holds[:4], (9, None), *holds[5:]], -1) == 4
+    assert _schedule_violation([*holds[:6], (9, 2)], -1) == 6
+    assert _schedule_violation(holds[:3], -1) is None
+
+
+def test_escape_growth_violation_is_a_failure_record():
+    # UNIT M1 at c = 1 escapes, but not at the tall band's doubling rate: the
+    # record names the first step whose max exponent is below 2^(n//2) b0.
+    spec = LemmaSpec("unit-M1-doubling", "escape", p=3, c="1/1",
+                     source=lbl(Regime.UNIT, "M", 1), samples=3, window=6, seed=1,
+                     steps=30, escape_exponent=200, growth_check="doubling")
+    report = verify_escape(spec)
+    assert (report.passes, len(report.failures), report.skipped) == (0, 3, 0)
+    for failure in report.failures:
+        assert set(failure) == {"start", "growth_check", "violated_at_step", "profiles"}
+        assert failure["growth_check"] == "doubling"
+        profiles = failure["profiles"]
+        b0 = profiles[0][1]
+        first = next(n for n, prof in enumerate(profiles)
+                     if max(v for v in prof if v is not None) < (1 << (n // 2)) * b0)
+        assert failure["violated_at_step"] == first
+
+
+def test_run_spec_dispatches_worked_orbits():
+    report = run_spec(LemmaSpec("w", "worked_orbits", p=5))
+    assert report.ok and report.passes == 6
+    assert report.spec.identifier == "worked-orbits"
+
+
 @pytest.mark.parametrize("p,expect_ok", [(5, True), (3, False), (7, False)])
 def test_worked_orbits_by_prime(p, expect_ok):
     report = verify_worked_orbits(p)
@@ -227,6 +275,20 @@ def test_sandwich_large_regime():
     report = verify_sandwich(spec)
     assert report.ok
     assert any("invariance of J0 certified" in n for n in report.notes)
+
+
+def test_sandwich_at_d_one_notes_the_empty_lower_bound():
+    # J0 = {a < d, 0 < b < d} has no integer cell at d = 1: neither the
+    # invariance nor the lower bound examined anything, and the notes say so.
+    spec = LemmaSpec("sandwich", "sandwich", p=3, c="1/3", samples=24, window=6,
+                     seed=3, steps=40)
+    report = verify_sandwich(spec)
+    assert report.notes[:2] == [
+        "J0 has no cell in window; one-step invariance not checked",
+        "lower-bound region empty: region J0 has no profile with window 6 (d=1)",
+    ]
+    assert not any("certified" in n for n in report.notes)
+    assert report.ok and report.skipped == spec.samples  # every escaping region has cells
 
 
 def test_sandwich_unit_regime():
@@ -290,14 +352,14 @@ def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
 
 
 def test_negative_control_campaign_fails():
-    reports = run_campaign(builtin_campaign("negative-control"), samples_override=50)
+    reports = run_campaign([replace(s, samples=50) for s in builtin_campaign("negative-control")])
     summary = campaign_summary(reports)
     assert not summary["ok"]
     assert summary["failures"] >= 1
 
 
 def test_known_anomalies_campaign_fails():
-    reports = run_campaign(builtin_campaign("known-anomalies"), samples_override=60)
+    reports = run_campaign([replace(s, samples=60) for s in builtin_campaign("known-anomalies")])
     summary = campaign_summary(reports)
     assert not summary["ok"]
     by_id = {r.spec.identifier: r for r in reports}
