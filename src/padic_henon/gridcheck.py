@@ -266,8 +266,6 @@ def transition_sources(regime: Regime, d: int, window: int, include_t: bool = Tr
             expected_preimage_regions(label, depth=1)
         except KeyError:
             continue
-        if label.name == "T" and (d < 2 or label.index < 1):
-            continue
         yield label
 
 

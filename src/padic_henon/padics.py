@@ -183,13 +183,6 @@ class PadicRational:
         v = self.valuation
         return None if v is None else -v
 
-    def unit_part(self) -> Fraction:
-        """x / p^v_p(x), a p-adic unit, as an exact rational (x != 0)."""
-        v = self.valuation
-        if v is None:
-            raise ValueError("0 has no unit part")
-        return self._f / Fraction(self.prime) ** v
-
     def bit_size(self) -> int:
         return self._f.numerator.bit_length() + self._f.denominator.bit_length()
 
@@ -262,10 +255,12 @@ class PadicRational:
         return hash((self.prime, self._f))
 
     def __repr__(self):
-        return f"PadicRational({self._f.numerator}, {self._f.denominator}, prime={self.prime})"
+        num, den = _decimal(self._f.numerator), _decimal(self._f.denominator)
+        return f"PadicRational({num}, {den}, prime={self.prime})"
 
     def __str__(self):
-        return f"{self._f}"
+        num, den = self._f.numerator, self._f.denominator
+        return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
 
     # -- serialization -----------------------------------------------------
 
@@ -419,13 +414,11 @@ def is_square(x: PadicRational) -> bool:
     """
     if x.is_zero:
         return True
-    v = x.valuation
+    v, num, den = _split(x)
     if v % 2:
         return False
-    u = x.unit_part()
     p = x.prime
-    u_mod_p = u.numerator * pow(u.denominator, -1, p) % p
-    return _legendre(u_mod_p, p) == 1
+    return _legendre(num * pow(den, -1, p) % p, p) == 1
 
 
 def sqrt(x: PadicRational, precision: int):
@@ -443,11 +436,10 @@ def sqrt(x: PadicRational, precision: int):
     p = x.prime
     if x.is_zero:
         return None
-    v = x.valuation
+    v, num, den = _split(x)
     if v % 2:
         raise NonSquareError(f"odd valuation v_p = {v}", reason="odd-valuation")
-    u = x.unit_part()
-    u0 = u.numerator * pow(u.denominator, -1, p) % p
+    u0 = num * pow(den, -1, p) % p
     if _legendre(u0, p) != 1:
         raise NonSquareError(f"unit part is a non-residue mod {p}", reason="non-residue")
 
@@ -456,7 +448,7 @@ def sqrt(x: PadicRational, precision: int):
     while k < precision:
         k = min(2 * k, precision)
         mod = p**k
-        u_mod = u.numerator * pow(u.denominator, -1, mod) % mod
+        u_mod = num * pow(den, -1, mod) % mod
         # Newton step r <- (r + u/r)/2 lifts r^2 = u to the doubled modulus.
         inv2 = pow(2, -1, mod)
         r = (r + u_mod * pow(r, -1, mod)) * inv2 % mod

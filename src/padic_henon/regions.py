@@ -5,10 +5,17 @@ A point (x, y) is classified purely through its *norm profile* (a, b) =
 (|c| < 1, d < 0), UNIT (|c| = 1, d = 0) and LARGE (|c| > 1, d > 0), each with
 its own total partition of the marker-free profiles.
 
+One catalogue names the regions.  Each regime's table lists every fixed
+label once, in enumeration order; the Fibonacci-indexed families (UNIT M;
+LARGE C, D, B, A, M and the overlay T) are built per index.
+``region_branches``, ``iter_region_labels`` and ``expected_preimage_regions``
+all read it, and each one-step transition rule is written once for every
+regime it holds in.
+
 Every region is described twice, deliberately:
 
-* ``REGION_TABLE``/``region_branches`` hold the verbatim defining
-  inequalities, one declarative constraint tuple per <=/< choice, in the form
+* ``region_branches`` gives the verbatim defining inequalities, one
+  declarative constraint tuple per <=/< choice, in the form
   ca*a + cb*b OP cd*d + c1 (plus golden-ratio comparisons, which are exact
   integer sign computations).
 * ``classify`` is an independent decision tree with a bounded ascending index
@@ -167,12 +174,6 @@ _UNIT_TABLE = {
 
 @lru_cache(maxsize=None)
 def _large_indexed_branches(name: str, i: int):
-    if name == "C" and i == 0:
-        return [
-            [(1, 0, 1, 0, "<"), (0, 1, 0, 0, "==")],
-            [(1, 0, 1, 0, "<"), (0, 1, 1, 0, "==")],
-            [(1, 0, 1, 0, "=="), (0, 1, 1, 0, "<=")],
-        ]
     odd = i % 2 == 1
     if name == "C":
         n = (i - 1) // 2 if odd else (i - 2) // 2
@@ -271,31 +272,40 @@ _LARGE_TABLE = {
     ("G", None): [[(1, 0, 1, 0, "<="), (0, 1, 1, 0, ">")]],
     ("H", None): [[(1, 0, 1, 0, ">"), (0, 1, 0, 0, "<=")]],
     ("J", 0): [[(1, 0, 1, 0, "<"), (0, 1, 0, 0, ">"), (0, 1, 1, 0, "<")]],
+    ("C", 0): [
+        [(1, 0, 1, 0, "<"), (0, 1, 0, 0, "==")],
+        [(1, 0, 1, 0, "<"), (0, 1, 1, 0, "==")],
+        [(1, 0, 1, 0, "=="), (0, 1, 1, 0, "<=")],
+    ],
+}
+
+# Every fixed label, once, in enumeration order.
+_TABLES = {Regime.SMALL: _SMALL_TABLE, Regime.UNIT: _UNIT_TABLE, Regime.LARGE: _LARGE_TABLE}
+
+# The indexed families of each regime, in enumeration order, with the first
+# index that ``iter_region_labels`` yields.
+_FAMILIES = {
+    Regime.SMALL: {},
+    Regime.UNIT: {"M": 1},
+    Regime.LARGE: {"C": 1, "D": 2, "B": 1, "A": 1, "M": 1, "T": 0},
 }
 
 
 def region_branches(label: RegionLabel):
-    """The region's defining inequalities as a union of conjunction branches."""
-    key = (label.name, label.index)
-    if label.regime is Regime.SMALL:
-        try:
-            return _SMALL_TABLE[key]
-        except KeyError:
-            raise KeyError(f"unknown SMALL region {label}") from None
-    if label.regime is Regime.UNIT:
-        if label.name == "M":
-            if label.index is None or label.index < 1:
-                raise KeyError(f"unknown UNIT region {label}")
-            return _unit_m_branches(label.index)
-        try:
-            return _UNIT_TABLE[key]
-        except KeyError:
-            raise KeyError(f"unknown UNIT region {label}") from None
-    if key in _LARGE_TABLE:
-        return _LARGE_TABLE[key]
-    if label.name in ("C", "D", "B", "A", "M", "T") and label.index is not None:
-        return _large_indexed_branches(label.name, label.index)
-    raise KeyError(f"unknown LARGE region {label}")
+    """The region's defining inequalities as a union of conjunction branches:
+    its regime's table entry, else its member of an indexed family."""
+    regime, i = label.regime, label.index
+    try:
+        return _TABLES[regime][(label.name, i)]
+    except KeyError:
+        pass
+    first = _FAMILIES[regime].get(label.name)
+    if first is not None and i is not None:
+        if regime is Regime.LARGE:  # each LARGE family checks its own first index
+            return _large_indexed_branches(label.name, i)
+        if i >= first:
+            return _unit_m_branches(i)
+    raise KeyError(f"unknown {regime.name} region {label}")
 
 
 _OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
@@ -472,46 +482,21 @@ def _classify_large(a: int, b: int, d: int) -> RegionLabel:
 
 
 def iter_region_labels(regime: Regime, d: int, window: int, include_t: bool = False):
-    """All region labels that can meet the window |a|, |b| <= window.
+    """All region labels that can meet the window |a|, |b| <= window: the
+    regime's table, then its indexed families.
 
-    Indexed families are enumerated until Fibonacci growth pushes them past
-    the window; one extra (possibly empty) index is included for safety.
+    A family is enumerated until Fibonacci growth pushes it past the window;
+    one extra (possibly empty) index is included for safety.  The overlay
+    family T is enumerated only on request, and only for d >= 2.
     """
-    W = window
-    if regime is Regime.SMALL:
-        yield RegionLabel(regime, "Z", None)
-        yield RegionLabel(regime, "R", None)
-        for i in range(1, 7):
-            yield RegionLabel(regime, "A", i)
-        for i in (1, 2):
-            yield RegionLabel(regime, "B", i)
-        for i in range(1, 7):
-            yield RegionLabel(regime, "P", i)
-        return
-    if regime is Regime.UNIT:
-        yield RegionLabel(regime, "C", 0)
-        for name in ("F", "G", "H"):
-            yield RegionLabel(regime, name, None)
-        i = 1
-        while fib(i - 1) <= W:
-            yield RegionLabel(regime, "M", i)
-            i += 1
-        return
-    for name in ("F", "G", "H"):
-        yield RegionLabel(regime, name, None)
-    yield RegionLabel(regime, "J", 0)
-    yield RegionLabel(regime, "C", 0)
-    for name, start in (("C", 1), ("D", 2), ("B", 1), ("A", 1), ("M", 1)):
-        i = start
-        while d * fib(i - 2) <= W:
+    yield from (RegionLabel(regime, name, i) for name, i in _TABLES[regime])
+    for name, i in _FAMILIES[regime].items():
+        if name == "T" and not (include_t and d >= 2):
+            continue
+        scale, shift = (1, -1) if regime is Regime.UNIT else (d - 1, 1) if name == "T" else (d, -2)
+        while scale * fib(i + shift) <= window:
             yield RegionLabel(regime, name, i)
             i += 1
-    if include_t and d >= 2:
-        n = 0
-        while (d - 1) * fib(n + 1) <= W:
-            yield RegionLabel(regime, "T", n)
-            n += 1
-
 
 def t_profile(n: int, d: int):
     """The unique norm profile of the n-th overlay sphere pair, defined for d >= 2."""
@@ -672,30 +657,6 @@ def sample_in_region(
 # ---------------------------------------------------------------------------
 
 
-def _j_component_labels(j: int) -> frozenset:
-    """Labels of the j-th bounded Fibonacci shell: J0, then B/A decompositions."""
-    L = Regime.LARGE
-    if j == 0:
-        return frozenset({RegionLabel(L, "J", 0)})
-    if j == 1:
-        return frozenset({RegionLabel(L, "B", 1)})
-    if j % 2:  # J_{2m+1} = B_{2m} u B_{2m+1}
-        return frozenset({RegionLabel(L, "B", j - 1), RegionLabel(L, "B", j)})
-    if j == 2:
-        return frozenset({RegionLabel(L, "A", 1), RegionLabel(L, "A", 2)})
-    return frozenset({RegionLabel(L, "A", j - 1), RegionLabel(L, "A", j)})
-
-
-def _shell_index(label: RegionLabel) -> int:
-    """The Fibonacci-shell index j with label contained in the j-th shell."""
-    i = label.index
-    if label.name == "B":
-        return i if i % 2 else i + 1
-    if label.name == "A":
-        return i + 1 if i % 2 else i
-    raise KeyError(label)
-
-
 _SMALL_TRANSITIONS = {
     ("Z", None): [("Z", None)],
     ("A", 1): [("A", 2)],
@@ -719,61 +680,42 @@ _SMALL_TRANSITIONS = {
 def expected_preimage_regions(label: RegionLabel, depth: int = 1) -> frozenset:
     """The admissible regions of f^(-depth) of the region, per the transition claims.
 
-    Depth 2 exists only for the SMALL band A5.  Regions without a one-step
-    claim (R and the boundary C/D families) raise KeyError.
+    Depth 2 exists only for the SMALL band A5.  A label that names no region
+    raises ``region_branches``' KeyError; regions without a one-step claim
+    (R, T0 and the boundary C/D families) raise KeyError too.
     """
-    regime = label.regime
+    region_branches(label)
+    regime, name, i = label.regime, label.name, label.index
     if depth == 2:
-        if regime is Regime.SMALL and (label.name, label.index) == ("A", 5):
+        if regime is Regime.SMALL and (name, i) == ("A", 5):
             return frozenset({RegionLabel(regime, "A", 2)})
         raise KeyError(f"no depth-2 claim for {label}")
     if depth != 1:
         raise ValueError("depth must be 1 or 2")
     if regime is Regime.SMALL:
-        try:
-            names = _SMALL_TRANSITIONS[(label.name, label.index)]
-        except KeyError:
-            raise KeyError(f"no transition claim for {label}") from None
-        return frozenset(RegionLabel(regime, n, i) for n, i in names)
-    if regime is Regime.UNIT:
-        if label.name == "F":
-            return frozenset({RegionLabel(regime, "G", None)})
-        if label.name == "G":
-            return frozenset({RegionLabel(regime, "H", None)})
-        if label.name == "H":
-            return frozenset({RegionLabel(regime, "G", None)})
-        if label.name == "M":
-            if label.index == 1:
-                return frozenset({RegionLabel(regime, "H", None)})
-            return frozenset({RegionLabel(regime, "M", label.index - 1)})
-        raise KeyError(f"no transition claim for {label}")
-    # LARGE
-    if label.name == "F":
-        return frozenset({RegionLabel(regime, "G", None)})
-    if label.name == "G":
-        return frozenset({RegionLabel(regime, "H", None)})
-    if label.name == "H":
-        return frozenset({RegionLabel(regime, "G", None)})
-    if (label.name, label.index) == ("J", 0):
-        return frozenset({RegionLabel(regime, "J", 0)})
-    if label.name == "M":
-        i = label.index
+        keys = _SMALL_TRANSITIONS.get((name, i))
+    elif name in ("F", "G", "H"):  # the unbounded bands cycle F -> G -> H -> G
+        keys = [("H" if name == "G" else "G", None)]
+    elif name == "M":
         if i == 1:
-            return frozenset({RegionLabel(regime, "G", None)})
-        if i == 2:
-            # The one-step derivation lands in H u M1 (the H part is reached
-            # whenever |y| >= |x|).
-            return frozenset({RegionLabel(regime, "H", None), RegionLabel(regime, "M", 1)})
-        if i % 2:
-            return frozenset({RegionLabel(regime, "M", i - 1)})
-        n = (i - 2) // 2
-        targets = {RegionLabel(regime, "H", None)}
-        targets.update(RegionLabel(regime, "M", 2 * k + 1) for k in range(n + 1))
-        return frozenset(targets)
-    if label.name in ("B", "A"):
-        return _j_component_labels(_shell_index(label) - 1)
-    if label.name == "T":
-        if label.index is None or label.index < 1:
-            raise KeyError(f"no transition claim for {label}")
-        return frozenset({RegionLabel(regime, "T", label.index - 1)})
-    raise KeyError(f"no transition claim for {label}")
+            keys = [("H" if regime is Regime.UNIT else "G", None)]
+        elif i % 2 or regime is Regime.UNIT:
+            keys = [("M", i - 1)]
+        else:  # LARGE M_{2n+2}: H and every odd band M_1, ..., M_{2n+1}
+            keys = [("H", None)] + [("M", k) for k in range(1, i, 2)]
+    elif name in ("B", "A"):
+        # B_i and A_i lie in the Fibonacci shell j in {i, i + 1}, odd for B
+        # and even for A.  f^-1 maps it into the shell j - 1: J0 when j = 1,
+        # else the other family's members j - 2 and j - 1 (there is no B0).
+        j = i if i % 2 == (name == "B") else i + 1
+        other = "A" if name == "B" else "B"
+        keys = [("J", 0)] if j == 1 else [(other, k) for k in (j - 2, j - 1) if k >= 1]
+    elif (name, i) == ("J", 0):
+        keys = [("J", 0)]
+    elif name == "T" and i >= 1:
+        keys = [("T", i - 1)]
+    else:
+        keys = None
+    if keys is None:
+        raise KeyError(f"no transition claim for {label}")
+    return frozenset(RegionLabel(regime, n, k) for n, k in keys)

@@ -93,10 +93,11 @@ class LemmaSpec:
     """One verification campaign entry.
 
     kind is one of "transition", "exhaustive", "escape", "worked_orbits",
-    "sandwich".  `expected` overrides the transition table (used by negative
-    controls); `growth_check` may name an additional per-step lower bound
-    ("doubling" for the tall band when |c| > 1, "schedule" for the |c| < 1
-    two-band cycle).
+    "sandwich".  `expected` overrides the transition table of a transition
+    or exhaustive spec (used by negative controls); `growth_check` may name an
+    additional per-step lower bound for an escape spec ("doubling" for the
+    tall band when |c| > 1, "schedule" for the |c| < 1 two-band cycle).  Any
+    other kind rejects both fields at load time.
     """
 
     identifier: str
@@ -151,9 +152,15 @@ class LemmaSpec:
         growth_check = obj.get("growth_check")
         if growth_check not in (None, "doubling", "schedule"):
             raise CampaignError(f"unknown growth_check {growth_check!r}")
+        if growth_check is not None and kind != "escape":
+            raise CampaignError(f"growth_check applies only to escape specs, not {kind!r}")
         expected = obj.get("expected")
         if expected is not None and (type(expected) is not list or not expected):
             raise CampaignError(f'"expected" must be a nonempty list of regions, got {expected!r}')
+        if expected is not None and kind not in ("transition", "exhaustive"):
+            raise CampaignError(
+                f'"expected" applies only to transition and exhaustive specs, not {kind!r}'
+            )
         spec = cls(
             identifier=obj["id"],
             kind=kind,
@@ -528,13 +535,13 @@ def _orbit_profile_check(identifier, params, start, expected, report):
         )
 
 
-def verify_worked_orbits(p: int, depth: int = 12) -> VerificationReport:
-    """Reproduce the worked backward orbits with exact arithmetic.
+def verify_worked_orbits(spec: LemmaSpec, depth: int = 12) -> VerificationReport:
+    """Reproduce the worked backward orbits at the spec's prime with exact arithmetic.
 
     Each norm-profile sequence is matched against its closed-form pattern for
     at least `depth` steps (bounded pieces run longer).
     """
-    spec = LemmaSpec(identifier="worked-orbits", kind="worked_orbits", p=p)
+    p = spec.p
     t0 = time.perf_counter()
     report = VerificationReport(spec=spec)
 
@@ -611,13 +618,18 @@ def verify_worked_orbits(p: int, depth: int = 12) -> VerificationReport:
 # Two-sided boundedness evidence per regime.
 # ---------------------------------------------------------------------------
 
+# For |c| >= 1 the unbounded bands and the first M bands escape in both regimes.
+_BANDS_ESCAPING = [("F", None), ("G", None), ("H", None)] + [("M", i) for i in range(1, 5)]
 _ESCAPING = {
     Regime.SMALL: [("A", i) for i in range(1, 7)]
     + [("B", 1), ("B", 2)]
     + [("P", i) for i in range(1, 7)],
-    Regime.UNIT: [("F", None), ("G", None), ("H", None)] + [("M", i) for i in range(1, 5)],
-    Regime.LARGE: [("F", None), ("G", None), ("H", None)] + [("M", i) for i in range(1, 5)],
+    Regime.UNIT: _BANDS_ESCAPING,
+    Regime.LARGE: _BANDS_ESCAPING,
 }
+
+# The invariant region of the lower bound; |c| = 1 has none.
+_INVARIANT = {Regime.SMALL: ("Z", None), Regime.LARGE: ("J", 0)}
 
 
 def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
@@ -636,13 +648,8 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
     d = params.d
     regime = regime_of_d(d)
 
-    invariant = None
-    if regime is Regime.SMALL:
-        invariant = RegionLabel(regime, "Z", None)
-    elif regime is Regime.LARGE:
-        invariant = RegionLabel(regime, "J", 0)
-
-    if invariant is not None:
+    if regime in _INVARIANT:
+        invariant = RegionLabel(regime, *_INVARIANT[regime])
         from . import gridcheck  # deferred: importing it adds milliseconds to every CLI start
 
         cert = gridcheck.check_transition_profiles(invariant, d, max(spec.window, 12))
@@ -693,7 +700,7 @@ _RUNNERS = {
     "exhaustive": verify_transition_exhaustive,
     "escape": verify_escape,
     "sandwich": verify_sandwich,
-    "worked_orbits": lambda spec: verify_worked_orbits(spec.p),
+    "worked_orbits": verify_worked_orbits,
 }
 
 

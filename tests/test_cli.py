@@ -360,10 +360,12 @@ def _one_spec(**fields):
          "index must be an integer or null, got True"),
         (_one_spec(kind="exhaustive", c="3/1", window=4, expected=[]),
          '"expected" must be a nonempty list'),
+        (_one_spec(kind="sandwich", growth_check="schedule"),
+         "growth_check applies only to escape specs"),
     ],
     ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch", "samples-zero",
          "window-negative", "overlay-exhaustive", "overlay-transition", "overlay-escape",
-         "overlay-target", "index-true", "expected-empty"],
+         "overlay-target", "index-true", "expected-empty", "growth-check-on-sandwich"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     path = tmp_path / "bad.json"

@@ -183,6 +183,14 @@ def test_is_square_random_squares():
         assert is_square(PadicRational(n * n, 1, 7))
 
 
+def test_square_root_of_a_unit_over_a_power_of_p():
+    # x = (2/3)^2 / 5^2 at p = 5: valuation -2 and unit part 4/9.
+    x = pr(4, 9 * 25)
+    assert is_square(x) and not is_square(pr(3, 25))  # 3 is a non-residue mod 5
+    v, r, m, k = sqrt(x, 6)
+    assert (v, m, k) == (-1, 1, 6) and (9 * r * r - 4) % 5**6 == 0
+
+
 def test_is_square_zero_degenerate():
     assert is_square(pr(0))
 
@@ -331,6 +339,18 @@ def test_rational_serialization_roundtrip_past_the_str_digit_limit():
     big = pr(3**40_000 + 1, 2**30_000, 5)
     assert PadicRational.from_json(big.to_json()) == big
     assert len(big.to_json()["den"]) == 9_031  # 30,000 log10 2 = 9,030.9
+
+
+def test_str_and_repr_past_the_str_digit_limit():
+    big = 10**5_000  # 5,001 digits, past the 4,300 that str(int) prints at once
+    digits = "1" + "0" * 5_000
+    x = PadicRational(big, 1, 3)
+    assert str(x) == digits
+    assert repr(x) == f"PadicRational({digits}, 1, prime=3)"
+    assert str(Point(x, x)) == f"({digits}, {digits})"
+    y = PadicRational(-big, 7, 3)
+    assert str(y) == f"-{digits}/7" and repr(y) == f"PadicRational(-{digits}, 7, prime=3)"
+    assert str(pr(-3, 4)) == "-3/4" and repr(pr(6)) == "PadicRational(6, 1, prime=5)"
 
 
 # --- points ------------------------------------------------------------------

@@ -248,6 +248,44 @@ def test_unit_transition_entries():
     assert expected_preimage_regions(lbl(U, "F")) == {lbl(U, "G")}
 
 
+def test_large_even_m_bands_reach_h_and_every_odd_band_below():
+    for n in range(6):
+        expected = {lbl(L, "H")} | {lbl(L, "M", 2 * k + 1) for k in range(n + 1)}
+        assert expected_preimage_regions(lbl(L, "M", 2 * n + 2)) == expected
+
+
+def test_large_shell_descent():
+    # B_i and A_i make up the Fibonacci shells J_1 = B_1, J_{2m+1} = B_{2m} u
+    # B_{2m+1} and J_{2m} = A_{2m-1} u A_{2m}; f^-1 maps J_j into J_{j-1}.
+    def shell(name, i):
+        return i + (i % 2 == 0) if name == "B" else i + (i % 2)
+
+    def parts(j):
+        if j == 0:
+            return {lbl(L, "J", 0)}
+        family = "B" if j % 2 else "A"
+        return {lbl(L, family, k) for k in (j - 1, j) if k >= 1}
+
+    for name in ("B", "A"):
+        for i in range(1, 9):
+            assert lbl(L, name, i) in parts(shell(name, i))
+            assert expected_preimage_regions(lbl(L, name, i)) == parts(shell(name, i) - 1)
+
+
+def test_iter_region_labels_sequence_pinned():
+    W = 12
+    small = "Z R A1 A2 A3 A4 A5 A6 B1 B2 P1 P2 P3 P4 P5 P6"
+    unit = "C0 F G H M1 M2 M3 M4 M5 M6"
+    # d = 3: an indexed member i is listed while 3 F(i - 2) <= 12, so up to
+    # i = 5; the overlay T_n while 2 F(n + 1) <= 12, so up to n = 3.
+    large = ("F G H J0 C0 C1 C2 C3 C4 C5 D2 D3 D4 D5 B1 B2 B3 B4 B5 A1 A2 A3 A4 A5 "
+             "M1 M2 M3 M4 M5 T0 T1 T2 T3")
+    for d, names, include_t in ((-2, small, False), (0, unit, False), (3, large, True)):
+        labels = list(iter_region_labels(regime_of_d(d), d, W, include_t=include_t))
+        assert [str(label) for label in labels] == names.split()
+        assert all(label.regime is regime_of_d(d) for label in labels)
+
+
 def test_no_claim_for_boundary_regions():
     with pytest.raises(KeyError):
         expected_preimage_regions(lbl(S, "R"))
@@ -260,6 +298,13 @@ def test_no_claim_for_boundary_regions():
     # Depth 2 exists only for the SMALL band A5.
     with pytest.raises(KeyError):
         expected_preimage_regions(lbl(L, "B", 2), depth=2)
+    # Labels that name no region have no claim either.
+    for label in (lbl(U, "M", 0), lbl(U, "M", -1), lbl(L, "B", 0), lbl(L, "A", 0),
+                  lbl(L, "M", 0), lbl(L, "M")):
+        with pytest.raises(KeyError):
+            region_branches(label)
+        with pytest.raises(KeyError):
+            expected_preimage_regions(label)
 
 
 # --- samplers --------------------------------------------------------------------

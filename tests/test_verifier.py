@@ -247,14 +247,16 @@ def test_escape_growth_violation_is_a_failure_record():
 
 
 def test_run_spec_dispatches_worked_orbits():
-    report = run_spec(LemmaSpec("w", "worked_orbits", p=5))
+    spec = LemmaSpec("w", "worked_orbits", p=5)
+    report = run_spec(spec)
     assert report.ok and report.passes == 6
-    assert report.spec.identifier == "worked-orbits"
+    assert report.spec is spec and report.spec.identifier == "w"
 
 
 @pytest.mark.parametrize("p,expect_ok", [(5, True), (3, False), (7, False)])
 def test_worked_orbits_by_prime(p, expect_ok):
-    report = verify_worked_orbits(p)
+    report = verify_worked_orbits(LemmaSpec(f"orbits-p{p}", "worked_orbits", p=p))
+    assert report.spec.identifier == f"orbits-p{p}"
     assert report.ok is expect_ok
     if not expect_ok:
         # only the norm-bounded example degenerates away from p = 5
@@ -337,6 +339,11 @@ def test_campaign_spec_roundtrip(tmp_path):
          "index must be an integer or null, got 1.0"),
         ({"expected": []}, '"expected" must be a nonempty list'),
         ({"expected": {"regime": "large", "name": "A", "index": 1}}, '"expected" must be a nonempty list'),
+        ({"kind": "sandwich", "growth_check": "schedule"},
+         "growth_check applies only to escape specs, not 'sandwich'"),
+        ({"growth_check": "doubling"}, "growth_check applies only to escape specs, not 'transition'"),
+        ({"kind": "escape", "expected": [{"regime": "large", "name": "F", "index": None}]},
+         '"expected" applies only to transition and exhaustive specs, not \'escape\''),
     ],
 )
 def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
