@@ -8,7 +8,8 @@ intervals.  A region's cells are the rows of ``regions.region_rows``; a
 transition check carries its source cells as pieces, runs of one source row
 on which each backward step is affine, so ``regions.branch_interval`` decides
 a target constraint on a whole piece at once, and one sweep over interval
-ends finds holes, overlaps and failing cells.
+ends finds holes, overlaps and failing cells.  A source row steps whole, and
+a piece that one target branch covers settles without a sweep.
 """
 
 from __future__ import annotations
@@ -101,9 +102,11 @@ def classifier_agreement(d: int, window: int, sample: int = 0, rng=None) -> int:
     """Check the scalar classifier against the declarative region table.
 
     Exhaustive over the window, whose partition must be exact; optionally
-    `sample` extra random cells of a larger implicit window are checked one
-    by one.  Returns cells checked.
+    `sample` extra random cells of a larger implicit window, drawn from
+    `rng`, are checked one by one.  Returns cells checked.
     """
+    if sample < 0 or (sample and rng is None):
+        raise ValueError(f"sample must be >= 0 and needs an rng when positive, got {sample}")
     labels, rows = _window_rows(d, window)
     report = _partition_report(d, window, labels, rows, 1)
     if not report.exact:
@@ -115,13 +118,13 @@ def classifier_agreement(d: int, window: int, sample: int = 0, rng=None) -> int:
         for lo, hi, label in row:
             for b in range(lo, hi + 1):
                 got = classify((a, b), d)
-                if got != label:
+                if got is not label and got != label:
                     raise AssertionError(
                         f"classifier disagrees with region table at ({a}, {b}), d={d}: "
                         f"{got} vs {label}"
                     )
     checked = (2 * window + 1) ** 2
-    if sample and rng is not None:
+    if sample:
         W2 = 4 * window
         for _ in range(sample):
             a = rng.randrange(-W2, W2 + 1)
@@ -164,7 +167,7 @@ class TransitionCheck:
 # A piece (a, lo, hi, a0, a1, b0, b1) is the run of source cells (a, t),
 # lo <= t <= hi, of one source row, now at the profiles (a0 + a1*t, b0 + b1*t).
 # The guards of the inverse below are region-table constraints on a.
-_BELOW_D, _ON_D, _ABOVE_D = [(1, 0, 1, 0, "<")], [(1, 0, 1, 0, "==")], [(1, 0, 1, 0, ">")]
+_GUARDS = [(1, 0, 1, 0, "<")], [(1, 0, 1, 0, "==")], [(1, 0, 1, 0, ">")]  # a < d, a = d, a > d
 
 
 def _step_pieces(pieces, d: int, cancel_depth: int):
@@ -174,7 +177,8 @@ def _step_pieces(pieces, d: int, cancel_depth: int):
     (b, d - b) for a < d and (b, a - b) for a > d.  When a = d the difference
     x - c can cancel to any depth e <= d, giving (b, e - b); the branch x = c
     leaves the domain and is not enumerated.  Each part of a piece is again
-    a piece, since every map is affine.
+    a piece, since every map is affine.  A row piece (a1 = 0, as at depth 1)
+    lies on one side of a = d and steps whole; the guards cut sloped pieces.
 
     Yields (pieces, e) groups in source order: the deterministic group with
     e None, then one group per cancellation exponent e = d, d - 1, ...,
@@ -182,12 +186,21 @@ def _step_pieces(pieces, d: int, cancel_depth: int):
     """
     det, column = [], []
     for sa, lo, hi, a0, a1, b0, b1 in pieces:
-        below = branch_interval(_BELOW_D, d, a0, a1, b0, b1, lo, hi), (b0, b1, d - b0, -b1)
-        above = branch_interval(_ABOVE_D, d, a0, a1, b0, b1, lo, hi), (b0, b1, a0 - b0, a1 - b1)
-        for (l, h), image in sorted([below, above]):
+        if a1:  # a sloped piece: each guard cuts it
+            below, on, above = [branch_interval(g, d, a0, a1, b0, b1, lo, hi) for g in _GUARDS]
+        else:  # a row piece lies wholly on one side of a = d
+            below = on = above = (lo, lo - 1)
+            if a0 < d:
+                below = lo, hi
+            elif a0 == d:
+                on = lo, hi
+            else:
+                above = lo, hi
+        images = [(below, (b0, b1, d - b0, -b1)), (above, (b0, b1, a0 - b0, a1 - b1))]
+        for (l, h), image in sorted(images):
             if l <= h:
                 det.append((sa, l, h, *image))
-        l, h = branch_interval(_ON_D, d, a0, a1, b0, b1, lo, hi)
+        l, h = on
         if l <= h:
             column.append((sa, l, h, b0, b1, -b0, -b1))
     if det:
@@ -210,10 +223,13 @@ def check_transition_profiles(
     Applies the abstract inverse `depth` times to every profile of the source
     region inside the window and requires each outcome to satisfy the
     inequalities of some expected target region.  The cancellation column
-    a = d is enumerated down to e = d - cancel_depth (default: the window).
+    a = d is enumerated down to e = d - cancel_depth (default: the window;
+    never negative).  A piece settles at the first branch covering all of it.
     """
     if cancel_depth is None:
         cancel_depth = window
+    if cancel_depth < 0:
+        raise ValueError(f"cancel_depth must be >= 0, got {cancel_depth}")
     if targets is None:
         targets = expected_preimage_regions(source, depth=depth)
     check = TransitionCheck(source=source, d=d, window=window, depth=depth)
@@ -246,16 +262,19 @@ def check_transition_profiles(
             held = []
             for branch in branches:
                 l, h = branch_interval(branch, d, a0, a1, b0, b1, lo, hi)
+                if l == lo and h == hi:  # a covered piece settles: no outcome fails
+                    break
                 if l <= h:
                     held.append((l, h))
-            for first, last, n in _coverage(held, lo, hi):
-                if n:
-                    continue
-                check.failed_outcomes += last - first + 1
-                for b in range(first, min(last + 1, first + 25 - listed)):
-                    outcome = (a0 + a1 * b, b0 + b1 * b)
-                    check.counterexamples.append(TransitionCounterexample((sa, b), outcome, e))
-                    listed += 1
+            else:
+                for first, last, n in _coverage(held, lo, hi):
+                    if n:
+                        continue
+                    check.failed_outcomes += last - first + 1
+                    for b in range(first, min(last + 1, first + 25 - listed)):
+                        outcome = (a0 + a1 * b, b0 + b1 * b)
+                        check.counterexamples.append(TransitionCounterexample((sa, b), outcome, e))
+                        listed += 1
     return check
 
 

@@ -30,10 +30,11 @@ compares two independent golden tests.
 
 ``branch_interval`` is the one path from the table to cells: along an affine
 segment t -> (a, b) every constraint, golden ones included, holds on an
-interval of t with exact integer ends.  ``region_rows`` cuts each window row
-with it for the samplers, measures and the grid checker's partition and
-agreement checks; the grid checker cuts its transition pieces with it too.
-Boundaries along the irrational line
+interval of t with exact integer ends.  It cuts each linear constraint inline,
+with one multiply-add for its coefficient and one floor division for its end.
+``region_rows`` cuts each window row with it for the samplers, measures and
+the grid checker's partition and agreement checks; the grid checker cuts its
+transition pieces with it too.  Boundaries along the irrational line
 |y| = |x|^(1/beta) are never attained by integer profiles, which is what
 makes the index search terminate.
 """
@@ -175,7 +176,9 @@ _UNIT_TABLE = {
 @lru_cache(maxsize=None)
 def _large_indexed_branches(name: str, i: int):
     odd = i % 2 == 1
-    if name == "C":
+    if name == "C":  # C0 is a fixed label of the LARGE table
+        if i < 1:
+            raise KeyError("C family starts at index 1")
         n = (i - 1) // 2 if odd else (i - 2) // 2
         if odd:
             return [[
@@ -487,15 +490,16 @@ def iter_region_labels(regime: Regime, d: int, window: int, include_t: bool = Fa
 
     A family is enumerated until Fibonacci growth pushes it past the window;
     one extra (possibly empty) index is included for safety.  The overlay
-    family T is enumerated only on request, and only for d >= 2.
+    family T is enumerated only on request, and only for d >= 2.  The labels
+    are the shared instances that ``classify`` returns.
     """
-    yield from (RegionLabel(regime, name, i) for name, i in _TABLES[regime])
+    yield from (_label(regime, name, i) for name, i in _TABLES[regime])
     for name, i in _FAMILIES[regime].items():
         if name == "T" and not (include_t and d >= 2):
             continue
         scale, shift = (1, -1) if regime is Regime.UNIT else (d - 1, 1) if name == "T" else (d, -2)
         while scale * fib(i + shift) <= window:
-            yield RegionLabel(regime, name, i)
+            yield _label(regime, name, i)
             i += 1
 
 def t_profile(n: int, d: int):
@@ -534,44 +538,50 @@ def _golden_cut(sign: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int)
     return lo, yes
 
 
-def _cut(coef: int, op: str, rhs: int, lo: int, hi: int):
-    """lo..hi cut to the integers x with coef*x OP rhs (coef != 0)."""
-    if coef < 0:
-        coef, rhs, op = -coef, -rhs, _FLIP[op]
-    if op == "==":
-        if rhs % coef:
-            return lo, lo - 1
-        return max(lo, rhs // coef), min(hi, rhs // coef)
-    if op == "<":
-        return lo, min(hi, (rhs - 1) // coef)
-    if op == "<=":
-        return lo, min(hi, rhs // coef)
-    if op == ">":
-        return max(lo, rhs // coef + 1), hi
-    return max(lo, -(-rhs // coef)), hi  # ">=": x >= ceil(rhs / coef)
-
-
 def branch_interval(branch, d: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int):
     """The t in lo..hi at which one branch holds at (a, b) = (a0 + a1*t, b0 + b1*t),
     as (lo', hi'), empty when lo' > hi'.
 
-    A linear constraint reads coef*t OP rhs and cuts with exact integer
-    rounding (a constant one keeps or empties); golden ones are applied last,
-    on the interval the linear ones leave.
+    A linear constraint reads coef*t OP rhs, made coef > 0 by flipping, and
+    cuts inline with one floor division (a constant one keeps or empties);
+    golden ones are applied last, on the interval the linear ones leave.
     """
-    goldens = []
+    goldens = ()  # allocated only for a branch with a golden constraint
     for con in branch:
         if lo > hi:
             return lo, hi
         if con[0] == "golden":
-            goldens.append(con[1])
+            goldens += (con[1],)
             continue
         ca, cb, cd, c1, op = con
         coef, rhs = ca * a1 + cb * b1, cd * d + c1 - ca * a0 - cb * b0
-        if coef:
-            lo, hi = _cut(coef, op, rhs, lo, hi)
-        elif not _OPS[op](0, rhs):
+        if coef < 0:
+            coef, rhs, op = -coef, -rhs, _FLIP[op]
+        elif not coef:
+            if not _OPS[op](0, rhs):
+                return lo, lo - 1
+            continue
+        if op == "<":
+            q = (rhs - 1) // coef
+            if q < hi:
+                hi = q
+        elif op == "<=":
+            q = rhs // coef
+            if q < hi:
+                hi = q
+        elif op == ">":
+            q = rhs // coef + 1
+            if q > lo:
+                lo = q
+        elif op == ">=":
+            q = -(-rhs // coef)  # ceil(rhs / coef)
+            if q > lo:
+                lo = q
+        elif rhs % coef:  # "=="
             return lo, lo - 1
+        else:
+            q = rhs // coef
+            lo, hi = (q if q > lo else lo), (q if q < hi else hi)
     for sign in goldens:
         if lo > hi:
             break

@@ -362,10 +362,13 @@ def _one_spec(**fields):
          '"expected" must be a nonempty list'),
         (_one_spec(kind="sandwich", growth_check="schedule"),
          "growth_check applies only to escape specs"),
+        (_one_spec(kind="escape", c="1/9", source={"regime": "large", "name": "C", "index": -1}),
+         "C family starts at index 1"),
     ],
     ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch", "samples-zero",
          "window-negative", "overlay-exhaustive", "overlay-transition", "overlay-escape",
-         "overlay-target", "index-true", "expected-empty", "growth-check-on-sandwich"],
+         "overlay-target", "index-true", "expected-empty", "growth-check-on-sandwich",
+         "large-c-minus-one"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     path = tmp_path / "bad.json"

@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from padic_henon import regions
+from padic_henon import gridcheck, regions
 from padic_henon.gridcheck import (
     _step_pieces,
     check_all_transitions,
@@ -88,6 +89,40 @@ def test_partition_reports_holes_and_overlaps(monkeypatch):
 def test_classifier_agrees_with_table(d):
     rng = random.Random(31)
     assert classifier_agreement(d, 80, sample=500, rng=rng) > 0
+
+
+def test_agreement_compares_labels_by_value(monkeypatch):
+    """The identity test is only a shortcut: an equal label that is another
+    object still agrees, and a different label still raises."""
+    classify = gridcheck.classify
+    copies = []
+
+    def equal_copy(profile, d):
+        copies.append(dataclasses.replace(classify(profile, d)))
+        return copies[-1]
+
+    monkeypatch.setattr(gridcheck, "classify", equal_copy)
+    assert classifier_agreement(-2, 5) == 121
+    assert len(copies) == 121
+    assert not any(c is regions._label(c.regime, c.name, c.index) for c in copies)
+
+    def wrong_at_one_cell(profile, d):
+        label = classify(profile, d)
+        return RegionLabel(label.regime, "A", 4) if profile == (1, 1) else label
+
+    monkeypatch.setattr(gridcheck, "classify", wrong_at_one_cell)
+    with pytest.raises(AssertionError, match=r"disagrees with region table at \(1, 1\), d=-2: A4 vs B2"):
+        classifier_agreement(-2, 5)
+
+
+def test_agreement_sample_needs_an_rng():
+    # Without an rng the samples were dropped silently: 121 cells, 0 samples.
+    with pytest.raises(ValueError, match="needs an rng"):
+        classifier_agreement(-3, 5, sample=500)
+    with pytest.raises(ValueError, match="sample must be >= 0"):
+        classifier_agreement(-3, 5, sample=-1, rng=random.Random(0))
+    assert classifier_agreement(-3, 5) == 121
+    assert classifier_agreement(-3, 5, sample=7, rng=random.Random(0)) == 128
 
 
 def test_profile_in_region_on_arbitrary_cells():
@@ -190,6 +225,17 @@ def test_source_cells_enumerate_region_mask(d, W):
             overlapping.append(str(label))
     # C0 at d = 0 is the one label whose branches share a cell.
     assert overlapping == (["C0"] if d == 0 else [])
+
+
+def test_negative_cancel_depth_rejected():
+    # A negative depth used to enumerate no e at all, so the column passed
+    # unchecked: 19 cells, 0 outcomes and ok.  Depth 0 checks every cell.
+    p6 = RegionLabel(Regime.SMALL, "P", 6)
+    for depth in (-1, -3):
+        with pytest.raises(ValueError, match="cancel_depth must be >= 0"):
+            check_transition_profiles(p6, -3, 20, cancel_depth=depth, targets=[])
+    check = check_transition_profiles(p6, -3, 20, cancel_depth=0, targets=[])
+    assert check.profiles_checked == check.outcomes_checked == check.failed_outcomes == 19
 
 
 def test_source_cells_empty_region_and_t_cell():

@@ -286,6 +286,15 @@ def test_iter_region_labels_sequence_pinned():
         assert all(label.regime is regime_of_d(d) for label in labels)
 
 
+def test_large_c_family_starts_at_index_1():
+    # C0 is the fixed boundary label of the LARGE table; below it the family
+    # names no region (C-1 used to give two branches that no profile meets).
+    assert len(region_branches(lbl(L, "C", 0))) == 3 and region_branches(lbl(L, "C", 1))
+    for i in (-1, -2):
+        with pytest.raises(KeyError, match="C family starts at index 1"):
+            region_branches(lbl(L, "C", i))
+
+
 def test_no_claim_for_boundary_regions():
     with pytest.raises(KeyError):
         expected_preimage_regions(lbl(S, "R"))
@@ -300,7 +309,7 @@ def test_no_claim_for_boundary_regions():
         expected_preimage_regions(lbl(L, "B", 2), depth=2)
     # Labels that name no region have no claim either.
     for label in (lbl(U, "M", 0), lbl(U, "M", -1), lbl(L, "B", 0), lbl(L, "A", 0),
-                  lbl(L, "M", 0), lbl(L, "M")):
+                  lbl(L, "M", 0), lbl(L, "M"), lbl(L, "C", -1), lbl(L, "C", -2)):
         with pytest.raises(KeyError):
             region_branches(label)
         with pytest.raises(KeyError):
@@ -484,3 +493,72 @@ def test_branch_interval_matches_pointwise_constraints():
     # golden test reads at its ends: here b > 0 empties -5..-1 on row a = 100.
     lo, hi = branch_interval([(0, 1, 0, 0, ">"), regions.GOLDEN_BELOW], 0, 100, 0, 0, 1, -5, -1)
     assert lo > hi
+
+
+def _holds(branch, d, a0, a1, b0, b1, t):
+    return all(eval_constraint(con, a0 + a1 * t, b0 + b1 * t, d) for con in branch)
+
+
+def _check_single(con, d, a0, a1, b0, b1, lo, hi):
+    """branch_interval of the one constraint `con`, checked pointwise: a
+    constraint holds on an interval of t, so an interval result is exact when
+    it holds at both ends and fails just outside them, and an empty result is
+    exact when it fails at lo, at hi and (for ==) at its one crossing."""
+    l, h = branch_interval([con], d, a0, a1, b0, b1, lo, hi)
+    if l <= h:
+        assert lo <= l and h <= hi
+        assert _holds([con], d, a0, a1, b0, b1, l) and _holds([con], d, a0, a1, b0, b1, h)
+        assert l == lo or not _holds([con], d, a0, a1, b0, b1, l - 1)
+        assert h == hi or not _holds([con], d, a0, a1, b0, b1, h + 1)
+        return l, h
+    assert not _holds([con], d, a0, a1, b0, b1, lo) and not _holds([con], d, a0, a1, b0, b1, hi)
+    if con[0] != "golden" and con[4] == "==":
+        ca, cb, cd, c1, _ = con
+        coef = ca * a1 + cb * b1
+        if coef:
+            t = (cd * d + c1 - ca * a0 - cb * b0) // coef
+            assert not (lo <= t <= hi and _holds([con], d, a0, a1, b0, b1, t))
+    return None
+
+
+def test_branch_interval_on_long_segments():
+    """Segments up to 10^5 long, slopes up to 50, coefficients up to F(25),
+    every op and both golden signs: each constraint's interval is exact at its
+    ends, and a branch's interval is the intersection of its constraints'."""
+    rng = random.Random(1515)
+    ops = ("<", "<=", "==", ">=", ">")
+    big = [0, 1, 2, 3] + [fib(k) for k in range(4, 26)]
+    table = [branch for d in (-3, 5) for label in iter_region_labels(regime_of_d(d), d, 10**6)
+             if label.name != "T" for branch in region_branches(label)]
+    seen, nonempty = set(), 0
+    for _ in range(4000):
+        d = rng.randint(-5, 5)
+        a1, b1 = rng.randint(-50, 50), rng.randint(-50, 50)
+        lo = rng.randint(-10**5, 10**5)
+        hi = lo + rng.choice([0, 1, rng.randint(0, 10**5), 10**5])
+        # The segment passes near the golden line at t0, so golden cuts fall inside.
+        t0, k = rng.randint(lo, hi), rng.randint(2, 24)
+        b_at = rng.randint(-10**6, 10**6)
+        a_at = b_at * fib(k + 1) // fib(k) + rng.randint(-2, 2)
+        a0, b0 = a_at - a1 * t0, b_at - b1 * t0
+        if rng.random() < 0.3:
+            branch = list(rng.choice(table))
+        else:
+            branch = []
+            for _ in range(rng.randint(1, 3)):
+                ca, cb = rng.choice(big) * rng.choice((-1, 1)), rng.choice(big) * rng.choice((-1, 1))
+                cd = rng.choice(big[:8]) * rng.choice((-1, 1))
+                # c1 puts the boundary through (or next to) the cell at t0.
+                c1 = ca * a_at + cb * b_at - cd * d + rng.choice([0, 0, -1, 1, rng.randint(-10**6, 10**6)])
+                branch.append((ca, cb, cd, c1, rng.choice(ops)))
+            if rng.random() < 0.5:
+                branch.insert(rng.randint(0, len(branch)), rng.choice([regions.GOLDEN_BELOW, regions.GOLDEN_ABOVE]))
+        singles = [_check_single(con, d, a0, a1, b0, b1, lo, hi) for con in branch]
+        got = branch_interval(branch, d, a0, a1, b0, b1, lo, hi)
+        if None in singles or max(l for l, _ in singles) > min(h for _, h in singles):
+            assert got[0] > got[1], (branch, d, a0, a1, b0, b1, lo, hi, got)
+        else:
+            assert got == (max(l for l, _ in singles), min(h for _, h in singles))
+            nonempty += 1
+        seen.update(con[1] if con[0] == "golden" else con[4] for con in branch)
+    assert seen == {*ops, -1, 1} and 1000 < nonempty < 3000

@@ -344,6 +344,7 @@ def test_campaign_spec_roundtrip(tmp_path):
         ({"growth_check": "doubling"}, "growth_check applies only to escape specs, not 'transition'"),
         ({"kind": "escape", "expected": [{"regime": "large", "name": "F", "index": None}]},
          '"expected" applies only to transition and exhaustive specs, not \'escape\''),
+        ({"source": {"regime": "large", "name": "C", "index": -1}}, "C family starts at index 1"),
     ],
 )
 def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
