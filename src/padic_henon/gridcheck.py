@@ -55,6 +55,12 @@ def _coverage(intervals, lo: int, hi: int):
         yield lo, hi, n
 
 
+def _check_window(window: int) -> None:
+    """A negative window has no cells; it must not pass as an empty check."""
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+
+
 def _window_rows(d: int, window: int):
     """(labels, rows) with rows[a + window] the (lo, hi, label) intervals of
     every label's ``region_rows`` in row a, sorted by lo."""
@@ -81,6 +87,7 @@ class PartitionReport:
 
 def check_partition(d: int, window: int, max_witnesses: int = 10) -> PartitionReport:
     """Certify that the declarative regions tile the window with no overlap."""
+    _check_window(window)
     return _partition_report(d, window, *_window_rows(d, window), max_witnesses)
 
 
@@ -102,9 +109,10 @@ def classifier_agreement(d: int, window: int, sample: int = 0, rng=None) -> int:
     """Check the scalar classifier against the declarative region table.
 
     Exhaustive over the window, whose partition must be exact; optionally
-    `sample` extra random cells of a larger implicit window, drawn from
+    `sample` extra random cells with |a|, |b| <= 4 * window, drawn from
     `rng`, are checked one by one.  Returns cells checked.
     """
+    _check_window(window)
     if sample < 0 or (sample and rng is None):
         raise ValueError(f"sample must be >= 0 and needs an rng when positive, got {sample}")
     labels, rows = _window_rows(d, window)
@@ -226,6 +234,7 @@ def check_transition_profiles(
     a = d is enumerated down to e = d - cancel_depth (default: the window;
     never negative).  A piece settles at the first branch covering all of it.
     """
+    _check_window(window)
     if cancel_depth is None:
         cancel_depth = window
     if cancel_depth < 0:
@@ -289,7 +298,8 @@ def transition_sources(regime: Regime, d: int, window: int, include_t: bool = Tr
 
 
 def check_all_transitions(d: int, window: int, include_t: bool = True, cancel_depth=None):
-    """Run every depth-1 window transition check for this d; returns the list of checks."""
+    """Run every depth-1 window transition check for this d; returns the list of checks.
+    Every regime has a source, whose check rejects a negative window."""
     regime = regime_of_d(d)
     checks = []
     for label in transition_sources(regime, d, window, include_t=include_t):

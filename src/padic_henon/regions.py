@@ -18,10 +18,13 @@ Every region is described twice, deliberately:
   declarative constraint tuple per <=/< choice, in the form
   ca*a + cb*b OP cd*d + c1 (plus golden-ratio comparisons, which are exact
   integer sign computations).
-* ``classify`` is an independent decision tree with a bounded ascending index
+* ``classify`` is an independent decision tree with an ascending index
   search for the Fibonacci-indexed families.  The search slides a window of
-  consecutive Fibonacci numbers along by additions, and every label it
-  returns is one shared frozen instance per distinct label.
+  consecutive Fibonacci numbers along by additions.  In LARGE it tests the
+  rungs only from the first one that can hold the profile, where a <=
+  d*F(2n+3) or b <= d*F(2n+1), so a call costs about one rung.  Every label
+  it returns is one shared frozen instance per distinct label, built before
+  the call: the fixed labels at import, each family member on first use.
 
 One evaluator, ``profile_in_region``, reads the table at a profile and stops
 at the first branch that holds.  Its golden test is ``fib.golden_below``,
@@ -343,6 +346,29 @@ def profile_in_region(label: RegionLabel, a: int, b: int, d: int) -> bool:
 _label = lru_cache(maxsize=None)(RegionLabel)
 
 
+class _Family(dict):
+    """One indexed family's shared labels by index, each fetched from
+    ``_label`` on first use, so a lookup hashes only the index."""
+
+    def __init__(self, regime: Regime, name: str):
+        super().__init__()
+        self.regime, self.name = regime, name
+
+    def __missing__(self, i: int) -> RegionLabel:
+        label = self[i] = _label(self.regime, self.name, i)
+        return label
+
+
+# The fixed labels, in table order, are built at import; the families'
+# members on first use, for any index.
+(_SZ, _SR, _SA1, _SA2, _SA3, _SA4, _SA5, _SA6, _SB1, _SB2,
+ _SP1, _SP2, _SP3, _SP4, _SP5, _SP6) = (_label(Regime.SMALL, *key) for key in _SMALL_TABLE)
+_UC0, _UF, _UG, _UH = (_label(Regime.UNIT, *key) for key in _UNIT_TABLE)
+_LF, _LG, _LH, _LJ0, _LC0 = (_label(Regime.LARGE, *key) for key in _LARGE_TABLE)
+_UM = _Family(Regime.UNIT, "M")
+_LC, _LD, _LB, _LA, _LM = (_Family(Regime.LARGE, name) for name in "CDBAM")
+
+
 def classify(profile, d: int) -> RegionLabel:
     """Total classification of a norm profile into exactly one region.
 
@@ -365,65 +391,63 @@ def classify(profile, d: int) -> RegionLabel:
 
 
 def _classify_small(a: int, b: int, d: int) -> RegionLabel:
-    S = Regime.SMALL
     if b > 0:
         if a <= d:
-            return _label(S, "A", 1)
+            return _SA1
         if a < 0:
-            return _label(S, "A", 6)
+            return _SA6
         if a == 0:
-            return _label(S, "A", 4)
-        return _label(S, "B", 1 if golden_cmp(b, a) < 0 else 2)
+            return _SA4
+        return _SB1 if golden_cmp(b, a) < 0 else _SB2
     if b == 0:
         if a <= d:
-            return _label(S, "A", 1)
+            return _SA1
         if a < 0:
-            return _label(S, "A", 6)
+            return _SA6
         if a == 0:
-            return _label(S, "Z", None)
-        return _label(S, "A", 3)
+            return _SZ
+        return _SA3
     if b <= d:
         if a >= 0:
-            return _label(S, "A", 2)
+            return _SA2
         if a == d:
-            return _label(S, "R", None) if b == d else _label(S, "P", 6)
+            return _SR if b == d else _SP6
         if a < d:
-            return _label(S, "P", 1)
-        return _label(S, "P", 2)
+            return _SP1
+        return _SP2
     # d < b < 0
     if a >= 0:
-        return _label(S, "A", 5)
+        return _SA5
     if a == d:
-        return _label(S, "P", 6)
+        return _SP6
     if a < d:
-        return _label(S, "P", 3)
-    return _label(S, "P", 4 if golden_cmp(b, a) < 0 else 5)
+        return _SP3
+    return _SP4 if golden_cmp(b, a) < 0 else _SP5
 
 
 def _classify_unit(a: int, b: int) -> RegionLabel:
-    U = Regime.UNIT
     if b > 0:
         if a <= 0:
-            return _label(U, "G", None)
+            return _UG
     elif b == 0:
-        return _label(U, "H", None) if a > 0 else _label(U, "C", 0)
+        return _UH if a > 0 else _UC0
     else:
         if a > 0:
-            return _label(U, "H", None)
-        return _label(U, "C", 0) if a == 0 else _label(U, "F", None)
+            return _UH
+        return _UC0 if a == 0 else _UF
     # a, b > 0: Fibonacci bands around the golden line, searched outward.
     if b >= a:
-        return _label(U, "M", 1)
+        return _UM[1]
     if 2 * b <= a:
-        return _label(U, "M", 2)
+        return _UM[2]
     # F(2n-2)..F(2n+2), slid two indices per step.
     n = 1
     f2n_2, f2n_1, f2n, f2n1, f2n2 = 1, 1, 2, 3, 5
     while f2n_2 <= 3 * (a + b):
         if a * f2n <= b * f2n1 and b * f2n_1 < a * f2n_2:
-            return _label(U, "M", 2 * n + 1)
+            return _UM[2 * n + 1]
         if a * f2n_1 < b * f2n and b * f2n2 <= a * f2n1:
-            return _label(U, "M", 2 * n + 2)
+            return _UM[2 * n + 2]
         n += 1
         f2n_2, f2n_1, f2n = f2n, f2n1, f2n2
         f2n1 = f2n_1 + f2n
@@ -432,43 +456,45 @@ def _classify_unit(a: int, b: int) -> RegionLabel:
 
 
 def _classify_large(a: int, b: int, d: int) -> RegionLabel:
-    L = Regime.LARGE
     if a < d:
         if b < 0:
-            return _label(L, "F", None)
+            return _LF
         if b == 0 or b == d:
-            return _label(L, "C", 0)
+            return _LC0
         if b < d:
-            return _label(L, "J", 0)
-        return _label(L, "G", None)
+            return _LJ0
+        return _LG
     if a == d:
-        return _label(L, "G", None) if b > d else _label(L, "C", 0)
+        return _LG if b > d else _LC0
     if b <= 0:
-        return _label(L, "H", None)
-    # F(2n-2)..F(2n+3), slid two indices per step.
+        return _LH
+    # F(2n-2)..F(2n+3), slid two indices per step.  Each test of rung n
+    # needs a <= d*F(2n+3) or b <= d*F(2n+1), so the search starts at the
+    # first rung where one of the two holds: no rung it passes can match.
     n = 0
     f2n_2, f2n_1, f2n, f2n1, f2n2, f2n3 = 1, 0, 1, 1, 2, 3
     while True:
-        if a > d * f2n and d * f2n_1 < b <= d * f2n1 and a * f2n - b * f2n1 > d:
-            return _label(L, "M", 2 * n + 1)
-        if d * f2n1 < a <= d * f2n3 and b * f2n2 - a * f2n1 > d:
-            return _label(L, "M", 2 * n + 2)
-        if d * f2n < a <= d * f2n2 and a * f2n - b * f2n1 == d:
-            return _label(L, "C", 2 * n + 1)
-        if d * f2n1 < a <= d * f2n3 and b * f2n2 - a * f2n1 == d:
-            return _label(L, "C", 2 * n + 2)
-        if n >= 1 and d * f2n < a < d * f2n1 and a * f2n_2 - b * f2n_1 == d:
-            return _label(L, "D", 2 * n + 1)
-        if d * f2n1 < a < d * f2n2 and b * f2n - a * f2n_1 == d:
-            return _label(L, "D", 2 * n + 2)
-        if n >= 1 and d * f2n < a <= d * f2n1 and a * f2n - b * f2n1 < d and b * f2n_1 - a * f2n_2 < -d:
-            return _label(L, "B", 2 * n)
-        if d * f2n1 < a < d * f2n2 and a * f2n - b * f2n1 < d and b * f2n - a * f2n_1 < d:
-            return _label(L, "B", 2 * n + 1)
-        if d * f2n1 < a <= d * f2n2 and b * f2n - a * f2n_1 > d and b * f2n2 - a * f2n1 < d:
-            return _label(L, "A", 2 * n + 1)
-        if d * f2n2 < a < d * f2n3 and a * f2n - b * f2n1 < d and b * f2n2 - a * f2n1 < d:
-            return _label(L, "A", 2 * n + 2)
+        if a <= d * f2n3 or b <= d * f2n1:
+            if a > d * f2n and d * f2n_1 < b <= d * f2n1 and a * f2n - b * f2n1 > d:
+                return _LM[2 * n + 1]
+            if d * f2n1 < a <= d * f2n3 and b * f2n2 - a * f2n1 > d:
+                return _LM[2 * n + 2]
+            if d * f2n < a <= d * f2n2 and a * f2n - b * f2n1 == d:
+                return _LC[2 * n + 1]
+            if d * f2n1 < a <= d * f2n3 and b * f2n2 - a * f2n1 == d:
+                return _LC[2 * n + 2]
+            if n >= 1 and d * f2n < a < d * f2n1 and a * f2n_2 - b * f2n_1 == d:
+                return _LD[2 * n + 1]
+            if d * f2n1 < a < d * f2n2 and b * f2n - a * f2n_1 == d:
+                return _LD[2 * n + 2]
+            if n >= 1 and d * f2n < a <= d * f2n1 and a * f2n - b * f2n1 < d and b * f2n_1 - a * f2n_2 < -d:
+                return _LB[2 * n]
+            if d * f2n1 < a < d * f2n2 and a * f2n - b * f2n1 < d and b * f2n - a * f2n_1 < d:
+                return _LB[2 * n + 1]
+            if d * f2n1 < a <= d * f2n2 and b * f2n - a * f2n_1 > d and b * f2n2 - a * f2n1 < d:
+                return _LA[2 * n + 1]
+            if d * f2n2 < a < d * f2n3 and a * f2n - b * f2n1 < d and b * f2n2 - a * f2n1 < d:
+                return _LA[2 * n + 2]
         n += 1
         f2n_2, f2n_1, f2n, f2n1 = f2n, f2n1, f2n2, f2n3
         f2n2 = f2n + f2n1

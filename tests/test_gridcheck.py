@@ -85,7 +85,8 @@ def test_partition_reports_holes_and_overlaps(monkeypatch):
         classifier_agreement(-2, 5)
 
 
-@pytest.mark.parametrize("d", [-2, 0, 2])
+# The six d of the window-1000 benchmark, d = -2 and d = 5.
+@pytest.mark.parametrize("d", [-3, -2, -1, 0, 1, 2, 3, 5])
 def test_classifier_agrees_with_table(d):
     rng = random.Random(31)
     assert classifier_agreement(d, 80, sample=500, rng=rng) > 0
@@ -123,6 +124,33 @@ def test_agreement_sample_needs_an_rng():
         classifier_agreement(-3, 5, sample=-1, rng=random.Random(0))
     assert classifier_agreement(-3, 5) == 121
     assert classifier_agreement(-3, 5, sample=7, rng=random.Random(0)) == 128
+
+
+# Each window entry point, called with a window, and what it must report at
+# window 0: the one cell (0, 0).  A negative window used to pass with phantom
+# cells: 1 cell and exact, 1 agreeing cell, 15 ok checks with no profile.
+_WINDOW_ENTRY_POINTS = {
+    "check_partition": (lambda w: check_partition(-3, w), lambda r: r.cells == 1 and r.exact),
+    "classifier_agreement": (lambda w: classifier_agreement(-3, w), lambda r: r == 1),
+    "check_all_transitions": (
+        lambda w: check_all_transitions(-3, w, cancel_depth=0),
+        lambda r: sum(c.profiles_checked for c in r) == 1 and all(c.ok for c in r),
+    ),
+    "check_transition_profiles": (
+        lambda w: check_transition_profiles(RegionLabel(Regime.SMALL, "Z"), -3, w),
+        lambda r: r.profiles_checked == r.outcomes_checked == 1 and r.ok,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, at_zero", _WINDOW_ENTRY_POINTS.values(), ids=_WINDOW_ENTRY_POINTS.keys())
+def test_negative_window_rejected(call, at_zero):
+    for window in (-1, -2):
+        # check_transition_profiles defaults cancel_depth to the window, and
+        # the message names the window, the parameter the caller passed.
+        with pytest.raises(ValueError, match=rf"^window must be >= 0, got {window}$"):
+            call(window)
+    assert at_zero(call(0))
 
 
 def test_profile_in_region_on_arbitrary_cells():

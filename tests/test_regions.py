@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_henon import regions
 from padic_henon.fib import fib, golden_below, golden_cmp
@@ -159,6 +161,39 @@ def test_deep_band_search_labels_exactly_one_region(d):
         again = classify((a, b), d)
         fresh = RegionLabel(got.regime, got.name, got.index)
         assert again == got == fresh and hash(again) == hash(got) == hash(fresh)
+
+
+def _band_corner_cells():
+    """(a, b, d): the cells within 2 of each band corner (d*F(k), d*F(k-1)),
+    k <= 300, for LARGE d, and of (F(k+1), F(k)) on the UNIT golden line."""
+    for d in (1, 2, 3, 5, 8, 13):
+        corners = [(d * fib(k), d * fib(k - 1)) for k in range(301)]
+        yield from ((a + da, b + db, d) for a, b in corners for da in range(-2, 3) for db in range(-2, 3))
+    corners = [(fib(k + 1), fib(k)) for k in range(301)]
+    yield from ((a + da, b + db, 0) for a, b in corners for da in range(-2, 3) for db in range(-2, 3))
+
+
+def test_deep_rung_labels_hold_and_are_shared():
+    # Far past any small index: the LARGE search starts at the first rung
+    # that can hold the cell, and family labels are built for any index.
+    deepest = 0
+    for a, b, d in _band_corner_cells():
+        got = classify((a, b), d)
+        assert profile_in_region(got, a, b, d), (a, b, d, str(got))
+        assert got is regions._label(got.regime, got.name, got.index), (a, b, d, str(got))
+        deepest = max(deepest, got.index or 0)
+    assert deepest >= 290
+
+
+_REGIME_D = st.one_of(st.integers(-(10**6), -1), st.just(0), st.integers(1, 10**6))
+_BIG = st.integers(-(10**40), 10**40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=_REGIME_D, a=_BIG, b=_BIG)
+def test_classify_label_holds_on_huge_profiles(d, a, b):
+    got = classify((a, b), d)
+    assert profile_in_region(got, a, b, d), str(got)
 
 
 # --- Fibonacci shells decompose exactly into their components -----------------
