@@ -7,9 +7,11 @@ of the cancellation column a = d.  Every set of cells is a list of integer
 intervals.  A region's cells are the rows of ``regions.region_rows``; a
 transition check carries its source cells as pieces, runs of one source row
 on which each backward step is affine, so ``regions.branch_interval`` decides
-a target constraint on a whole piece at once, and one sweep over interval
-ends finds holes, overlaps and failing cells.  A source row steps whole, and
-a piece that one target branch covers settles without a sweep.
+a target constraint on a whole piece at once.  A row that its intervals tile
+passes in one scan, and one sweep over interval ends finds holes, overlaps
+and failing cells elsewhere.  A source row steps whole, a covered piece
+settles without a sweep, and a piece with its predecessor's image reuses its
+decision.
 """
 
 from __future__ import annotations
@@ -95,6 +97,12 @@ def _partition_report(d, window, labels, rows, max_witnesses) -> PartitionReport
     """The first uncovered and overlapping cells of the rows, in scan order."""
     report = PartitionReport(d=d, window=window, cells=(2 * window + 1) ** 2)
     for a, row in enumerate(rows, -window):
+        # A row tiled by its sorted intervals from -W to W needs no sweep.
+        end = -window
+        for lo, hi, _ in row:
+            end = hi + 1 if lo == end else None
+        if end == window + 1:
+            continue
         for lo, hi, n in _coverage([(lo, hi) for lo, hi, _ in row], -window, window):
             if n == 1:
                 continue
@@ -194,16 +202,13 @@ def _step_pieces(pieces, d: int, cancel_depth: int):
     """
     det, column = [], []
     for sa, lo, hi, a0, a1, b0, b1 in pieces:
-        if a1:  # a sloped piece: each guard cuts it
-            below, on, above = [branch_interval(g, d, a0, a1, b0, b1, lo, hi) for g in _GUARDS]
-        else:  # a row piece lies wholly on one side of a = d
-            below = on = above = (lo, lo - 1)
-            if a0 < d:
-                below = lo, hi
-            elif a0 == d:
-                on = lo, hi
+        if not a1:  # a row piece lies wholly on one side of a = d
+            if a0 == d:
+                column.append((sa, lo, hi, b0, b1, -b0, -b1))
             else:
-                above = lo, hi
+                det.append((sa, lo, hi, b0, b1, max(a0, d) - b0, -b1))
+            continue
+        below, on, above = [branch_interval(g, d, a0, a1, b0, b1, lo, hi) for g in _GUARDS]
         images = [(below, (b0, b1, d - b0, -b1)), (above, (b0, b1, a0 - b0, a1 - b1))]
         for (l, h), image in sorted(images):
             if l <= h:
@@ -261,29 +266,35 @@ def check_transition_profiles(
         ]
 
     # An outcome fails where no target branch holds: the cells of a piece
-    # that none of the branches' intervals covers.  At most 25 are listed
-    # per frontier group.
+    # that none of the branches' intervals covers.  A piece with the image of
+    # the group's previous piece keeps its decision.  The branch that settled
+    # the last piece is tried first, so the cost does not follow the order in
+    # which a set of targets iterates.  At most 25 failing cells are listed
+    # per frontier group, in source order.
     branches = [branch for target in targets for branch in region_branches(target)]
     for pieces, e in frontier:
-        listed = 0
+        listed, decided = 0, None
         for sa, lo, hi, a0, a1, b0, b1 in pieces:
             check.outcomes_checked += hi - lo + 1
-            held = []
-            for branch in branches:
-                l, h = branch_interval(branch, d, a0, a1, b0, b1, lo, hi)
-                if l == lo and h == hi:  # a covered piece settles: no outcome fails
-                    break
-                if l <= h:
-                    held.append((l, h))
-            else:
-                for first, last, n in _coverage(held, lo, hi):
-                    if n:
-                        continue
-                    check.failed_outcomes += last - first + 1
-                    for b in range(first, min(last + 1, first + 25 - listed)):
-                        outcome = (a0 + a1 * b, b0 + b1 * b)
-                        check.counterexamples.append(TransitionCounterexample((sa, b), outcome, e))
-                        listed += 1
+            image = lo, hi, a0, a1, b0, b1
+            if image != decided:
+                decided, gaps, held = image, (), []
+                for k, branch in enumerate(branches):
+                    l, h = branch_interval(branch, d, a0, a1, b0, b1, lo, hi)
+                    if l == lo and h == hi:  # a covered piece settles: no outcome fails
+                        if k:  # tried first from now on
+                            branches.insert(0, branches.pop(k))
+                        break
+                    if l <= h:
+                        held.append((l, h))
+                else:
+                    gaps = [(first, last) for first, last, n in _coverage(held, lo, hi) if not n]
+            for first, last in gaps:
+                check.failed_outcomes += last - first + 1
+                for b in range(first, min(last + 1, first + 25 - listed)):
+                    outcome = (a0 + a1 * b, b0 + b1 * b)
+                    check.counterexamples.append(TransitionCounterexample((sa, b), outcome, e))
+                    listed += 1
     return check
 
 

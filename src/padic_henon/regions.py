@@ -31,15 +31,16 @@ at the first branch that holds.  Its golden test is ``fib.golden_below``,
 while ``classify`` keeps ``fib.golden_cmp``, so the agreement check also
 compares two independent golden tests.
 
-``branch_interval`` is the one path from the table to cells: along an affine
-segment t -> (a, b) every constraint, golden ones included, holds on an
-interval of t with exact integer ends.  It cuts each linear constraint inline,
-with one multiply-add for its coefficient and one floor division for its end.
-``region_rows`` cuts each window row with it for the samplers, measures and
-the grid checker's partition and agreement checks; the grid checker cuts its
-transition pieces with it too.  Boundaries along the irrational line
-|y| = |x|^(1/beta) are never attained by integer profiles, which is what
-makes the index search terminate.
+``branch_interval`` cuts a branch along an affine segment t -> (a, b): every
+constraint holds on an interval of t with exact integer ends.  A linear one
+takes one floor division by the rounding rule ``_ROUNDING``; a golden one
+ends at the floor of its crossing with beta*b = a, from one ``isqrt`` and
+confirmed by ``golden_below``.  The grid checker cuts its transition pieces
+with it.  ``region_rows`` cuts each branch once for all its window rows, by
+the same rule per row and by the Beatty bound floor(a/beta) for a golden
+constraint.  Boundaries along the irrational line |y| = |x|^(1/beta) are
+never attained by integer profiles, which is what makes the index search
+terminate.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import isqrt
 
 from .fib import fib, golden_below, golden_cmp
 from .padics import Point, sample_with_norm
@@ -539,13 +541,44 @@ def t_profile(n: int, d: int):
 
 _FLIP = {"<": ">", "<=": ">=", "==": "==", ">=": "<=", ">": "<"}
 
+# The one op-to-rounding rule: coef*t OP rhs with coef > 0 holds for
+# t >= (rhs + down) // coef + 1 and t <= (rhs + up) // coef, a side whose
+# shift is None being unbounded; == bounds both sides.
+_ROUNDING = {"<": (None, -1), "<=": (None, 0), "==": (-1, 0), ">=": (-1, None), ">": (0, None)}
+
+
+def _golden_crossing(a0: int, a1: int, b0: int, b1: int) -> int:
+    """floor(t) at the t where a0 + a1*t = beta*(b0 + b1*t), (a1, b1) != (0, 0):
+    t = (2a0 - b0 - b0*sqrt5) / (b1 - 2a1 + b1*sqrt5) = (p + q*sqrt5) / m, and
+    one ``isqrt`` gives floor(q*sqrt5) exactly, sqrt5 being irrational."""
+    u, v = 2 * a0 - b0, b1 - 2 * a1
+    p, q, m = u * v + 5 * b0 * b1, -(u * b1 + b0 * v), v * v - 5 * b1 * b1
+    if m < 0:
+        p, q, m = -p, -q, -m
+    r = isqrt(5 * q * q)
+    return (p + (r if q >= 0 else -r - 1)) // m
+
+
+def _golden_row(a: int) -> int:
+    """The largest b with beta*b < a, confirmed by ``golden_below``: the
+    Beatty value floor(a/beta), or -1 at a = 0."""
+    b = _golden_crossing(a, 0, 0, 1)
+    while not golden_below(a, b):
+        b -= 1
+    while golden_below(a, b + 1):
+        b += 1
+    return b
+
 
 def _golden_cut(sign: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int):
     """lo..hi cut to the t with beta*B < A (sign -1) or beta*B > A (sign 1) at
     (A, B) = (a0 + a1*t, b0 + b1*t); the second is the first on (-A, -B).
 
     A - beta*B is affine in t.  Where it grows, t -> -t mirrors the up-closed
-    set to the down-closed case, cut by integer bisection on ``golden_below``.
+    set to the down-closed case.  There the cut ends at the floor of the
+    crossing, ``_golden_crossing``, once ``golden_below`` confirms it at t and
+    t + 1.  Only a crossing at an integer t, where (A, B) = (0, 0), fails that;
+    then a binary search on ``golden_below`` finds the end.
     """
     if sign > 0:
         return _golden_cut(-1, -a0, -a1, -b0, -b1, lo, hi)
@@ -554,6 +587,11 @@ def _golden_cut(sign: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int)
         return -mhi, -mlo
     if not golden_below(a0 + a1 * lo, b0 + b1 * lo):
         return lo, lo - 1
+    t = min(_golden_crossing(a0, a1, b0, b1), hi) if a1 or b1 else hi  # else constant
+    if lo <= t and golden_below(a0 + a1 * t, b0 + b1 * t) and (
+        t == hi or not golden_below(a0 + a1 * (t + 1), b0 + b1 * (t + 1))
+    ):
+        return lo, t
     yes, no = lo, hi + 1  # the test holds at yes, and no is past the last such t
     while no - yes > 1:
         mid = (yes + no) // 2
@@ -569,8 +607,8 @@ def branch_interval(branch, d: int, a0: int, a1: int, b0: int, b1: int, lo: int,
     as (lo', hi'), empty when lo' > hi'.
 
     A linear constraint reads coef*t OP rhs, made coef > 0 by flipping, and
-    cuts inline with one floor division (a constant one keeps or empties);
-    golden ones are applied last, on the interval the linear ones leave.
+    cuts inline by ``_ROUNDING`` (a constant one keeps or empties); golden
+    ones are applied last, on the interval the linear ones leave.
     """
     goldens = ()  # allocated only for a branch with a golden constraint
     for con in branch:
@@ -587,27 +625,15 @@ def branch_interval(branch, d: int, a0: int, a1: int, b0: int, b1: int, lo: int,
             if not _OPS[op](0, rhs):
                 return lo, lo - 1
             continue
-        if op == "<":
-            q = (rhs - 1) // coef
+        down, up = _ROUNDING[op]
+        if up is not None:
+            q = (rhs + up) // coef
             if q < hi:
                 hi = q
-        elif op == "<=":
-            q = rhs // coef
-            if q < hi:
-                hi = q
-        elif op == ">":
-            q = rhs // coef + 1
+        if down is not None:
+            q = (rhs + down) // coef + 1
             if q > lo:
                 lo = q
-        elif op == ">=":
-            q = -(-rhs // coef)  # ceil(rhs / coef)
-            if q > lo:
-                lo = q
-        elif rhs % coef:  # "=="
-            return lo, lo - 1
-        else:
-            q = rhs // coef
-            lo, hi = (q if q > lo else lo), (q if q < hi else hi)
     for sign in goldens:
         if lo > hi:
             break
@@ -618,29 +644,52 @@ def branch_interval(branch, d: int, a0: int, a1: int, b0: int, b1: int, lo: int,
 def region_rows(label: RegionLabel, d: int, window: int):
     """The region's cells with |a|, |b| <= window as sorted rows (a, lo, hi).
 
-    Each branch is cut by ``branch_interval``: its pure-b constraints once,
-    then the rest along each row (a, b) = (a, t) inside that range of b.
-    A row is the union of its branches' intervals of b, merged where they
-    overlap or touch, so two intervals of one row are at least two apart.
+    Each branch is cut once for all of its rows.  ``branch_interval`` cuts
+    its pure-a constraints to a range of rows and its pure-b ones to a range
+    of b.  Each two-variable constraint then bounds b in every row at once,
+    one floor division per row by ``_ROUNDING``, and a golden one by the
+    row's Beatty bound ``_golden_row``; a branch without either gives whole
+    rows.  A row is the union of its branches' intervals of b, merged where
+    they overlap or touch, so two intervals of one row are at least two apart.
     """
     if label.name == "T":
         a, b = t_profile(label.index, d)
         return ((a, b, b),) if max(abs(a), abs(b)) <= window else ()
     rows = []
-    for branch in region_branches(label):
+    branches = region_branches(label)
+    for branch in branches:
         # Pure-a constraints (cb = 0) bound the rows and pure-b ones (ca = 0)
         # the columns; a golden sign is neither.
         pure_a = [con for con in branch if con[1] == 0]
         pure_b = [con for con in branch if con[0] == 0 and con[1] != 0]
-        rest = [con for con in branch if con[0] != 0 and con[1] != 0]
         blo, bhi = branch_interval(pure_b, d, 0, 0, 0, 1, -window, window)
         if blo > bhi:
             continue
         alo, ahi = branch_interval(pure_a, d, 0, 1, 0, 0, -window, window)
-        for a in range(alo, ahi + 1):
-            lo, hi = branch_interval(rest, d, a, 0, 0, 1, blo, bhi)
-            if lo <= hi:
-                rows.append((a, lo, hi))
+        a_range = range(alo, ahi + 1)
+        los, his = [blo] * len(a_range), [bhi] * len(a_range)
+        for con in branch:
+            if con[0] == "golden":
+                if con[1] < 0:  # b <= the row's bound
+                    his = list(map(min, his, map(_golden_row, a_range)))
+                else:  # -b <= the bound of row -a
+                    los = list(map(max, los, [-_golden_row(-a) for a in a_range]))
+                continue
+            ca, cb, cd, c1, op = con
+            if not (ca and cb):
+                continue
+            # cb*b OP cd*d + c1 - ca*a along row a, made cb > 0 by flipping.
+            rhs = cd * d + c1
+            if cb < 0:
+                ca, cb, rhs, op = -ca, -cb, -rhs, _FLIP[op]
+            down, up = _ROUNDING[op]
+            if up is not None:
+                his = list(map(min, his, [(rhs + up - ca * a) // cb for a in a_range]))
+            if down is not None:
+                los = list(map(max, los, [(rhs + down - ca * a) // cb + 1 for a in a_range]))
+        rows += [(a, lo, hi) for a, lo, hi in zip(a_range, los, his) if lo <= hi]
+    if len(branches) == 1:  # one interval per row, already in order
+        return tuple(rows)
     rows.sort()
     out = []
     for a, lo, hi in rows:

@@ -368,3 +368,27 @@ def test_depth_two_counts_cancellation_free():
     a5 = RegionLabel(Regime.SMALL, "A", 5)
     check = check_transition_profiles(a5, -2, 50, depth=2)
     assert check.outcomes_checked == check.profiles_checked
+
+
+def test_image_decisions_stay_inside_their_frontier_group():
+    # SMALL A1 has many rows a < d that share one image, and P6 is the
+    # column a = d, stepped into one group per cancellation exponent.
+    # Targets from other labels, UNIT ones included, leave outcomes failing
+    # in part of a piece, so each group's witnesses, their order and the
+    # 25-per-group cap are compared with the cell oracle.
+    d, W = -3, 40
+    U, S = Regime.UNIT, Regime.SMALL
+    targets = [[(U, "H")], [(U, "G")], [(U, "M", 1), (U, "F")], [(U, "C", 0), (S, "B", 2)],
+               [(S, "P", 1), (S, "P", 3)]]
+    partial = capped = 0
+    for source in (RegionLabel(S, "A", 1), RegionLabel(S, "P", 6)):
+        cells = _cells(source, d, W)
+        for keys in targets:
+            labels = [RegionLabel(*key) for key in keys]
+            for depth in (1, 2):
+                got = check_transition_profiles(source, d, W, depth=depth, targets=labels)
+                want = _cell_oracle(cells, d, depth, W, labels)
+                assert _summary(got) == want, (str(source), keys, depth)
+                partial += 0 < want[2] < want[1]
+                capped += want[2] > len(want[3])
+    assert partial >= 8 and capped >= 8

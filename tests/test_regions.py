@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padic_henon import regions
@@ -597,3 +597,98 @@ def test_branch_interval_on_long_segments():
             nonempty += 1
         seen.update(con[1] if con[0] == "golden" else con[4] for con in branch)
     assert seen == {*ops, -1, 1} and 1000 < nonempty < 3000
+
+
+# --- golden bounds in closed form ---------------------------------------------
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=_BIG)
+@example(a=0)
+@example(a=1)
+@example(a=-1)
+def test_golden_row_bound_is_the_last_b_below_the_line(a):
+    b = regions._golden_row(a)
+    assert golden_below(a, b) and not golden_below(a, b + 1)
+    # The estimate is already exact off the line's one integer point (0, 0).
+    assert regions._golden_crossing(a, 0, 0, 1) == (b if a else 0)
+
+
+def _golden_scan(sign, a0, a1, b0, b1, lo, hi):
+    sa, sb = (a0, b0) if sign < 0 else (-a0, -b0)
+    da, db = (a1, b1) if sign < 0 else (-a1, -b1)
+    held = [t for t in range(lo, hi + 1) if golden_below(sa + da * t, sb + db * t)]
+    assert not held or len(held) == held[-1] - held[0] + 1
+    return held
+
+
+def _fibonacci_segments(rng):
+    """Segments with slope +-(F(k+1), F(k)), k <= 200, that pass at t0 within a
+    few cells of a multiple of (F(j+1), F(j)), j near k, so the golden line is
+    crossed inside lo..hi or just outside; some pass through (0, 0) at an
+    integer t, where the estimated crossing is not a cut."""
+    for _ in range(1500):
+        k = rng.randint(0, 200)
+        j = max(0, k + rng.randint(-4, 4))
+        s1, s2, m = rng.choice((-1, 1)), rng.choice((-1, 1)), rng.randint(1, 3)
+        a1, b1 = s1 * fib(k + 1), s1 * fib(k)
+        t0 = rng.randint(-10**6, 10**6)
+        a_at = s2 * m * fib(j + 1) + rng.choice((0, 0, rng.randint(-2, 2)))
+        b_at = s2 * m * fib(j) + rng.choice((0, 0, rng.randint(-2, 2)))
+        lo = t0 - rng.randint(0, 40)
+        yield a_at - a1 * t0, a1, b_at - b1 * t0, b1, lo, lo + rng.randint(0, 80)
+
+
+def test_golden_cut_on_fibonacci_slopes_matches_a_scan():
+    rng = random.Random(1717)
+    inner = origin = 0
+    for a0, a1, b0, b1, lo, hi in _fibonacci_segments(rng):
+        for sign in (-1, 1):
+            held = _golden_scan(sign, a0, a1, b0, b1, lo, hi)
+            got = regions._golden_cut(sign, a0, a1, b0, b1, lo, hi)
+            assert (got == (held[0], held[-1])) if held else got[0] > got[1], (sign, a0, a1, b0, b1, lo, hi)
+            inner += 0 < len(held) < hi - lo + 1
+        # The estimate is the floor of the crossing: a0 + a1*t - beta*(b0 + b1*t)
+        # is zero at t, or changes sign from t to t + 1 (by ``golden_cmp``).
+        t = regions._golden_crossing(a0, a1, b0, b1)
+        at_t, past_t = (golden_cmp(b0 + b1 * u, a0 + a1 * u) for u in (t, t + 1))
+        assert past_t and at_t != past_t
+        # Through (0, 0) at an integer z of lo..hi, the estimate is no cut
+        # and the binary search runs.
+        z = -a0 // a1 if a1 else lo
+        origin += lo <= z <= hi and a0 + a1 * z == 0 and b0 + b1 * z == 0
+    assert inner > 500 and origin > 20
+
+
+def test_golden_cut_falls_back_when_the_estimate_is_off(monkeypatch):
+    # An estimate off by up to 10^6 fails its confirmation and the binary
+    # search finds the same cut.
+    rng = random.Random(1718)
+    estimate = regions._golden_crossing
+    segments = list(_fibonacci_segments(rng))[:300]
+    for offset in (-(10**6), -3, -1, 1, 2, 10**6):
+        monkeypatch.setattr(regions, "_golden_crossing", lambda *seg, k=offset: estimate(*seg) + k)
+        fell_back = 0
+        for a0, a1, b0, b1, lo, hi in segments:
+            for sign in (-1, 1):
+                held = _golden_scan(sign, a0, a1, b0, b1, lo, hi)
+                got = regions._golden_cut(sign, a0, a1, b0, b1, lo, hi)
+                assert (got == (held[0], held[-1])) if held else got[0] > got[1], (offset, sign, a0, lo, hi)
+                fell_back += 0 < len(held) < hi - lo + 1
+        assert fell_back > 50
+
+
+@pytest.mark.parametrize("d", [-3, -1, 0, 1, 2, 3])
+def test_region_rows_are_maximal_at_window_1000(d):
+    """Every row interval holds at both ends and stops where the region or
+    the window stops; O(rows) evaluations per label."""
+    W = 1000
+    rows_seen = 0
+    for label in iter_region_labels(regime_of_d(d), d, W, include_t=True):
+        for a, lo, hi in region_rows(label, d, W):
+            assert -W <= lo <= hi <= W and abs(a) <= W
+            assert profile_in_region(label, a, lo, d) and profile_in_region(label, a, hi, d), (str(label), a)
+            assert lo == -W or not profile_in_region(label, a, lo - 1, d), (str(label), a, lo)
+            assert hi == W or not profile_in_region(label, a, hi + 1, d), (str(label), a, hi)
+            rows_seen += 1
+    assert rows_seen > 2000
