@@ -9,9 +9,8 @@ transition check carries its source cells as pieces, runs of one source row
 on which each backward step is affine, so ``regions.branch_interval`` decides
 a target constraint on a whole piece at once.  A row that its intervals tile
 passes in one scan, and one sweep over interval ends finds holes, overlaps
-and failing cells elsewhere.  A source row steps whole, a covered piece
-settles without a sweep, and a piece with its predecessor's image reuses its
-decision.
+and failing cells elsewhere.  A source row steps whole, and a piece that one
+target branch covers settles without a sweep.
 """
 
 from __future__ import annotations
@@ -266,35 +265,29 @@ def check_transition_profiles(
         ]
 
     # An outcome fails where no target branch holds: the cells of a piece
-    # that none of the branches' intervals covers.  A piece with the image of
-    # the group's previous piece keeps its decision.  The branch that settled
-    # the last piece is tried first, so the cost does not follow the order in
-    # which a set of targets iterates.  At most 25 failing cells are listed
-    # per frontier group, in source order.
+    # that none of the branches' intervals covers.  At most 25 are listed
+    # per frontier group.
     branches = [branch for target in targets for branch in region_branches(target)]
     for pieces, e in frontier:
-        listed, decided = 0, None
+        listed = 0
         for sa, lo, hi, a0, a1, b0, b1 in pieces:
             check.outcomes_checked += hi - lo + 1
-            image = lo, hi, a0, a1, b0, b1
-            if image != decided:
-                decided, gaps, held = image, (), []
-                for k, branch in enumerate(branches):
-                    l, h = branch_interval(branch, d, a0, a1, b0, b1, lo, hi)
-                    if l == lo and h == hi:  # a covered piece settles: no outcome fails
-                        if k:  # tried first from now on
-                            branches.insert(0, branches.pop(k))
-                        break
-                    if l <= h:
-                        held.append((l, h))
-                else:
-                    gaps = [(first, last) for first, last, n in _coverage(held, lo, hi) if not n]
-            for first, last in gaps:
-                check.failed_outcomes += last - first + 1
-                for b in range(first, min(last + 1, first + 25 - listed)):
-                    outcome = (a0 + a1 * b, b0 + b1 * b)
-                    check.counterexamples.append(TransitionCounterexample((sa, b), outcome, e))
-                    listed += 1
+            held = []
+            for branch in branches:
+                l, h = branch_interval(branch, d, a0, a1, b0, b1, lo, hi)
+                if l == lo and h == hi:  # a covered piece settles: no outcome fails
+                    break
+                if l <= h:
+                    held.append((l, h))
+            else:
+                for first, last, n in _coverage(held, lo, hi):
+                    if n:
+                        continue
+                    check.failed_outcomes += last - first + 1
+                    for b in range(first, min(last + 1, first + 25 - listed)):
+                        outcome = (a0 + a1 * b, b0 + b1 * b)
+                        check.counterexamples.append(TransitionCounterexample((sa, b), outcome, e))
+                        listed += 1
     return check
 
 

@@ -563,11 +563,7 @@ def _golden_row(a: int) -> int:
     """The largest b with beta*b < a, confirmed by ``golden_below``: the
     Beatty value floor(a/beta), or -1 at a = 0."""
     b = _golden_crossing(a, 0, 0, 1)
-    while not golden_below(a, b):
-        b -= 1
-    while golden_below(a, b + 1):
-        b += 1
-    return b
+    return b if golden_below(a, b) else b - 1
 
 
 def _golden_cut(sign: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int):
@@ -575,10 +571,10 @@ def _golden_cut(sign: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int)
     (A, B) = (a0 + a1*t, b0 + b1*t); the second is the first on (-A, -B).
 
     A - beta*B is affine in t.  Where it grows, t -> -t mirrors the up-closed
-    set to the down-closed case.  There the cut ends at the floor of the
-    crossing, ``_golden_crossing``, once ``golden_below`` confirms it at t and
-    t + 1.  Only a crossing at an integer t, where (A, B) = (0, 0), fails that;
-    then a binary search on ``golden_below`` finds the end.
+    set to the down-closed case.  There the test holds at lo, so the cut ends
+    at the floor of the crossing, ``_golden_crossing``, where ``golden_below``
+    confirms it; else the crossing is an integer t, at (A, B) = (0, 0), and
+    the cut ends at t - 1.
     """
     if sign > 0:
         return _golden_cut(-1, -a0, -a1, -b0, -b1, lo, hi)
@@ -587,19 +583,12 @@ def _golden_cut(sign: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int)
         return -mhi, -mlo
     if not golden_below(a0 + a1 * lo, b0 + b1 * lo):
         return lo, lo - 1
-    t = min(_golden_crossing(a0, a1, b0, b1), hi) if a1 or b1 else hi  # else constant
-    if lo <= t and golden_below(a0 + a1 * t, b0 + b1 * t) and (
-        t == hi or not golden_below(a0 + a1 * (t + 1), b0 + b1 * (t + 1))
-    ):
-        return lo, t
-    yes, no = lo, hi + 1  # the test holds at yes, and no is past the last such t
-    while no - yes > 1:
-        mid = (yes + no) // 2
-        if golden_below(a0 + a1 * mid, b0 + b1 * mid):
-            yes = mid
-        else:
-            no = mid
-    return lo, yes
+    if not (a1 or b1):  # constant: the test holds everywhere
+        return lo, hi
+    t = _golden_crossing(a0, a1, b0, b1)
+    if not golden_below(a0 + a1 * t, b0 + b1 * t):
+        t -= 1
+    return lo, min(t, hi)
 
 
 def branch_interval(branch, d: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int):

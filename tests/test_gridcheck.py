@@ -370,7 +370,7 @@ def test_depth_two_counts_cancellation_free():
     assert check.outcomes_checked == check.profiles_checked
 
 
-def test_image_decisions_stay_inside_their_frontier_group():
+def test_wrong_targets_on_repeated_images_match_the_cell_oracle():
     # SMALL A1 has many rows a < d that share one image, and P6 is the
     # column a = d, stepped into one group per cancellation exponent.
     # Targets from other labels, UNIT ones included, leave outcomes failing
