@@ -269,7 +269,7 @@ def _residue_states(pt: Point, params: MapParams, digits: int):
         elif x is None:
             t = (c[0], -c[1], c[2], digits)
         else:
-            t = _sub_c(x, c, p)
+            t = _sub_c(x, c, p, y[3])
         x, y = y, None if t is None else _div(t, y, p)
 
 

@@ -16,6 +16,7 @@ target branch covers settles without a sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .regions import (
     RegionLabel,
@@ -70,7 +71,9 @@ def _window_rows(d: int, window: int):
     for label in labels:
         for a, lo, hi in region_rows(label, d, window):
             rows[a + window].append((lo, hi, label))
-    return labels, [sorted(row, key=lambda r: r[0]) for row in rows]
+    for row in rows:
+        row.sort(key=itemgetter(0))  # stable: ties keep label order
+    return labels, rows
 
 
 @dataclass

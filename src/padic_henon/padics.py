@@ -2,11 +2,14 @@
 
 Everything dynamical in this package runs on exact rationals: the quadratic map
 and its inverse preserve Q, so valuations and norms are computed with zero
-rounding error.  Where exact rationals are infeasible (long certified orbits) or
-impossible (square roots and the fixed points built from them), values are
-residues (v, n, m, k): p^v * n/m with n and m p-adic units known modulo p^k.
-This is the package's only finite-precision arithmetic, and every valuation it
-reports is certified.  `TruncatedPadic` is its digit view, used for output.
+rounding error.  `PadicRational` keeps each one as a bare pair of integers in
+lowest terms, so an exact backward step costs a few integer products and gcds
+and builds no ``fractions.Fraction``.  Where exact rationals are infeasible
+(long certified orbits) or impossible (square roots and the fixed points built
+from them), values are residues (v, n, m, k): p^v * n/m with n and m p-adic
+units known modulo p^k.  This is the package's only finite-precision
+arithmetic, and every valuation it reports is certified.  `TruncatedPadic` is
+its digit view, used for output.
 
 Norm convention: for x != 0 with p-adic valuation v = v_p(x), the norm is
 |x|_p = p^(-v) and the *norm exponent* is a = -v, so |x|_p = p^a.  The norm
@@ -18,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "PadicRational",
@@ -119,61 +123,58 @@ def _from_decimal(text) -> int:
 class PadicRational:
     """An exact rational number tagged with an odd prime, viewed as an element of Q_p.
 
-    Stored in lowest terms with positive denominator (delegated to
-    ``fractions.Fraction``).  Arithmetic is exact field arithmetic; the prime
-    tag only drives valuations, norms and digit expansions.
+    Stored as the two integers ``numerator`` and ``denominator``, in lowest
+    terms with a positive denominator.  Arithmetic is exact field arithmetic
+    on that pair, with Henrici's gcd steps (Knuth, TAOCP vol. 2, 4.5.1) that
+    keep results in lowest terms without reducing a full product.  Keeping
+    the bare integers rather than a ``fractions.Fraction`` saves a layer of
+    pure-Python calls and objects on every exact backward step; `as_fraction`
+    builds a Fraction on demand.  ``int`` and ``Fraction`` operands are
+    accepted.  The prime tag only drives valuations, norms and digit
+    expansions.
 
     The valuation is cached in ``_v``: ``valuation`` fills it on first use,
-    and ``_with_valuation`` sets it when the value is built with a known
+    and ``_rational`` sets it when the value is built with a known
     valuation (as ``sample_with_norm`` does).  Every arithmetic result is a
     new object with an empty cache, so no result inherits a stale valuation.
     """
 
-    __slots__ = ("prime", "_f", "_v")
+    __slots__ = ("prime", "numerator", "denominator", "_v")
 
     def __init__(self, num, den=1, prime=None):
         if prime is None:
             raise ValueError("prime is required")
         self.prime = validate_odd_prime(prime)
         self._v = None
-        if isinstance(num, Fraction) and den == 1:
-            self._f = num
-        else:
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            self._f = Fraction(num, den)
-
-    @classmethod
-    def _with_valuation(cls, f: Fraction, prime: int, v: int) -> "PadicRational":
-        """The nonzero value f, with prime already validated and v = v_p(f) known."""
-        x = cls.__new__(cls)
-        x.prime, x._f, x._v = prime, f, v
-        return x
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if type(num) is int and type(den) is int:
+            if den < 0:
+                num, den = -num, -den
+            g = gcd(num, den)
+            if g != 1:
+                num, den = num // g, den // g
+        else:  # a Fraction or another Rational: let Fraction reduce it
+            f = Fraction(num, den)
+            num, den = f.numerator, f.denominator
+        self.numerator, self.denominator = num, den
 
     # -- basic structure ---------------------------------------------------
 
     @property
-    def numerator(self) -> int:
-        return self._f.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self._f.denominator
-
-    @property
     def is_zero(self) -> bool:
-        return self._f == 0
+        return not self.numerator
 
     def as_fraction(self) -> Fraction:
-        return self._f
+        return Fraction(self.numerator, self.denominator)
 
     @property
     def valuation(self):
         """v_p(x) as an int, or None for x = 0; computed once, then cached."""
         v = self._v
-        if v is None and self._f:
-            v = self._v = padic_valuation(self._f.numerator, self.prime) - padic_valuation(
-                self._f.denominator, self.prime
+        if v is None and self.numerator:
+            v = self._v = padic_valuation(self.numerator, self.prime) - padic_valuation(
+                self.denominator, self.prime
             )
         return v
 
@@ -184,88 +185,99 @@ class PadicRational:
         return None if v is None else -v
 
     def bit_size(self) -> int:
-        return self._f.numerator.bit_length() + self._f.denominator.bit_length()
+        return self.numerator.bit_length() + self.denominator.bit_length()
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
+    def _pair(self, other):
+        """other as (numerator, denominator) in lowest terms, or NotImplemented."""
         if isinstance(other, PadicRational):
             if other.prime != self.prime:
                 raise ValueError(f"prime mismatch: {self.prime} vs {other.prime}")
-            return other._f
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        return NotImplemented
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return other.numerator, other.denominator
 
     def __add__(self, other):
-        f = self._coerce(other)
-        if f is NotImplemented:
+        pair = self._pair(other)
+        if pair is NotImplemented:
             return NotImplemented
-        return PadicRational(self._f + f, 1, self.prime)
+        return _sum(self.prime, self.numerator, self.denominator, *pair)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        f = self._coerce(other)
-        if f is NotImplemented:
+        pair = self._pair(other)
+        if pair is NotImplemented:
             return NotImplemented
-        return PadicRational(self._f - f, 1, self.prime)
+        return _sum(self.prime, self.numerator, self.denominator, -pair[0], pair[1])
 
     def __rsub__(self, other):
-        f = self._coerce(other)
-        if f is NotImplemented:
+        pair = self._pair(other)
+        if pair is NotImplemented:
             return NotImplemented
-        return PadicRational(f - self._f, 1, self.prime)
+        return _sum(self.prime, -self.numerator, self.denominator, *pair)
 
     def __mul__(self, other):
-        f = self._coerce(other)
-        if f is NotImplemented:
+        pair = self._pair(other)
+        if pair is NotImplemented:
             return NotImplemented
-        return PadicRational(self._f * f, 1, self.prime)
+        return _product(self.prime, self.numerator, self.denominator, *pair)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        f = self._coerce(other)
-        if f is NotImplemented:
+        pair = self._pair(other)
+        if pair is NotImplemented:
             return NotImplemented
-        if f == 0:
+        c, d = pair
+        if not c:
             raise ZeroDivisionError("division by zero")
-        return PadicRational(self._f / f, 1, self.prime)
+        if c < 0:
+            c, d = -c, -d
+        return _product(self.prime, self.numerator, self.denominator, d, c)
 
     def __rtruediv__(self, other):
-        f = self._coerce(other)
-        if f is NotImplemented:
+        pair = self._pair(other)
+        if pair is NotImplemented:
             return NotImplemented
-        if self._f == 0:
+        a, b = self.numerator, self.denominator
+        if not a:
             raise ZeroDivisionError("division by zero")
-        return PadicRational(f / self._f, 1, self.prime)
+        if a < 0:
+            a, b = -a, -b
+        return _product(self.prime, *pair, b, a)
 
     def __neg__(self):
-        return PadicRational(-self._f, 1, self.prime)
+        return _rational(-self.numerator, self.denominator, self.prime)
 
     def __eq__(self, other):
         if isinstance(other, PadicRational):
-            return self.prime == other.prime and self._f == other._f
-        if isinstance(other, (int, Fraction)):
-            return self._f == other
-        return NotImplemented
+            if self.prime != other.prime:
+                return False
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.numerator == other.numerator and self.denominator == other.denominator
 
     def __hash__(self):
-        return hash((self.prime, self._f))
+        # The hash of the rational value, as int and Fraction hash it, so that
+        # x == 2 or x == Fraction(1, 2) implies equal hashes.
+        if self.denominator == 1:
+            return hash(self.numerator)
+        return hash(self.as_fraction())
 
     def __repr__(self):
-        num, den = _decimal(self._f.numerator), _decimal(self._f.denominator)
+        num, den = _decimal(self.numerator), _decimal(self.denominator)
         return f"PadicRational({num}, {den}, prime={self.prime})"
 
     def __str__(self):
-        num, den = self._f.numerator, self._f.denominator
+        num, den = self.numerator, self.denominator
         return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"num": _decimal(self._f.numerator), "den": _decimal(self._f.denominator),
+        return {"num": _decimal(self.numerator), "den": _decimal(self.denominator),
                 "p": self.prime}
 
     @classmethod
@@ -277,6 +289,44 @@ class PadicRational:
         if precision < 1:
             raise ValueError("precision must be >= 1")
         return TruncatedPadic.from_residue(self.prime, _residue(self, precision))
+
+
+_new = object.__new__
+
+
+def _rational(num: int, den: int, prime: int, v=None) -> PadicRational:
+    """num/den, already in lowest terms with den > 0, at a validated prime;
+    v is v_p(num/den) when it is known, else None."""
+    x = _new(PadicRational)
+    x.prime = prime
+    x.numerator = num
+    x.denominator = den
+    x._v = v
+    return x
+
+
+def _sum(prime: int, a: int, b: int, c: int, d: int) -> PadicRational:
+    """a/b + c/d in lowest terms, for reduced fractions with b, d > 0."""
+    g = gcd(b, d)
+    if g == 1:
+        return _rational(a * d + b * c, b * d, prime)
+    s = b // g
+    t = a * (d // g) + c * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _rational(t, s * d, prime)
+    return _rational(t // g2, s * (d // g2), prime)
+
+
+def _product(prime: int, a: int, b: int, c: int, d: int) -> PadicRational:
+    """(a/b) * (c/d) in lowest terms, for reduced fractions with b, d > 0."""
+    g1 = gcd(a, d)
+    if g1 > 1:
+        a, d = a // g1, d // g1
+    g2 = gcd(c, b)
+    if g2 > 1:
+        c, b = c // g2, b // g2
+    return _rational(a * c, b * d, prime)
 
 
 @dataclass(frozen=True)
@@ -344,18 +394,33 @@ def _residue(x: PadicRational, k: int):
     return v, num % mod, den % mod, k
 
 
-def _sub_c(x, c, p: int):
-    """x - c for a residue x and c = (v_c, c_num, c_den) exact; certifies the valuation."""
+def _sub_c(x, c, p: int, precision=None):
+    """x - c for a residue x and c = (v_c, c_num, c_den) exact; certifies the valuation.
+
+    `precision` is the number of digits the caller keeps of the result; None
+    keeps them all.  It caps the window only when v_x != v_c: then one term is
+    a unit at the lower valuation and the other is divisible by p, so the
+    difference has exactly that valuation whatever the cap, and the result is
+    the uncapped one reduced to `precision` digits.  The powers of p are taken
+    modulo the window p^n, so one of n or more digits is 0 and never built.
+    When v_x = v_c the digits can cancel, so the full window is kept and the
+    same PrecisionExhaustedError is raised as without a cap.
+    """
     vx, nx, mx, kx = x
     vc, c_num, c_den = c
     lo = min(vx, vc)
     n = vx - lo + kx  # the numerator of the difference is known modulo p^n
-    s = (nx * c_den * p ** (vx - lo) - c_num * mx * p ** (vc - lo)) % p**n
+    if precision is not None and vx != vc and n > precision:
+        n = precision
+    mod = p**n
+    s = (nx * c_den * pow(p, vx - lo, mod) - c_num * mx * pow(p, vc - lo, mod)) % mod
     if s == 0:
         raise PrecisionExhaustedError(
             f"cancellation below p^{n} at valuation {lo}; raise the precision"
         )
-    w = 0 if s % p else padic_valuation(s, p)
+    if s % p:
+        return lo, s, mx * c_den % mod, n
+    w = padic_valuation(s, p)
     k = n - w
     return lo + w, s // p**w, mx * c_den % p**k, k
 
@@ -557,5 +622,6 @@ def sample_with_norm(a: int, digit_count: int, rng: random.Random, p: int) -> Pa
     u = rng.randrange(1, bound)
     while u % p == 0:
         u = rng.randrange(1, bound)
-    f = Fraction(u * p ** (-a)) if a <= 0 else Fraction(u, p**a)
-    return PadicRational._with_valuation(f, p, -a)
+    if a <= 0:
+        return _rational(u * p**-a, 1, p, -a)
+    return _rational(u, p**a, p, -a)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padic_henon import dynamics, padics
 from padic_henon.dynamics import (
     BitBudgetError,
     MapParams,
@@ -21,7 +22,7 @@ from padic_henon.dynamics import (
 )
 from padic_henon.gridcheck import _step_pieces
 from padic_henon.padics import PadicRational, Point
-from padic_henon.regions import Regime, regime_of_d
+from padic_henon.regions import Regime, RegionLabel, regime_of_d, sample_in_region
 
 
 def pr(num, den=1, p=5):
@@ -285,6 +286,49 @@ def test_profile_orbit_degenerate_c_at_zero_x():
     exact = backward_orbit(pt, prm, 5)
     assert rec.profiles == exact.profiles == [(None, -1), (-1, None)]
     assert rec.verdict == exact.verdict == Verdict("undefined_inverse", 2)
+
+
+def test_capped_subtraction_gives_the_uncapped_orbits_at_large_d(monkeypatch):
+    """LARGE d = 2 (c = 1/9 at p = 3), threshold 3728: each step's x - c keeps
+    only the digits of y, yet every record equals the one from a loop whose
+    subtraction keeps all of its digits, escalations and exhaustion included."""
+    prm = params_for(1, 9, 3)
+    assert prm.d == 2 and default_escape_exponent(prm) == 3728
+    rng = random.Random(20240811)
+    starts = [sample_in_region(RegionLabel(Regime.LARGE, name, index), 2, 3, 8, 6, rng)
+              for name, index in (("F", None), ("G", None), ("H", None), ("M", 1), ("M", 2),
+                                  ("M", 3), ("M", 4)) for _ in range(12)]
+    starts += [Point(pr(1, 9, 3) + pr(3**e, 1, 3), pr(1, 3**j, 3)) for e in (3, 20, 40)
+               for j in (1, 2, 5)]
+    clamped = []
+
+    def counting(x, c, p, precision=None):
+        if x[0] != c[0] and x[0] - min(x[0], c[0]) + x[3] > precision:
+            clamped.append(x[0] - c[0])
+        return padics._sub_c(x, c, p, precision)
+
+    def run(pt, cap):
+        try:
+            rec = backward_profile_orbit(pt, prm, 60, precision=cap, escape_exponent=3728)
+        except PrecisionExhaustedError as exc:
+            return str(exc)
+        return rec.profiles, rec.precision, rec.verdict
+
+    kinds, precisions = set(), set()
+    for pt in starts:
+        for cap in (16, 64, 256):
+            monkeypatch.setattr(dynamics, "_sub_c", counting)
+            capped = run(pt, cap)
+            monkeypatch.setattr(dynamics, "_sub_c", lambda x, c, p, precision=None:
+                                padics._sub_c(x, c, p))
+            assert capped == run(pt, cap)
+            if isinstance(capped, str):
+                kinds.add("exhausted")
+            else:
+                kinds.add(capped[2].kind)
+                precisions.add(capped[1])
+    assert kinds == {"escaped", "exhausted"} and precisions == {16, 32, 64}
+    assert len(clamped) > 1000 and max(abs(e) for e in clamped) > 1000
 
 
 # --- fixed points ------------------------------------------------------------------

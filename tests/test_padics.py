@@ -1,8 +1,10 @@
+import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padic_henon.padics import (
@@ -428,3 +430,181 @@ def test_sampler_deterministic():
     s2 = [sample_with_norm(2, 5, rng2, 7) for _ in range(20)]
     assert s1 == s2
     assert seq1 == [sample_with_norm(-1, 6, random.Random(99), 7)]
+
+
+# --- the integer pair against a Fraction oracle -------------------------------
+
+_ints = st.one_of(st.integers(-60, 60), st.integers(-(10**40), 10**40))
+_nonzero = _ints.filter(bool)
+_primes = st.sampled_from([3, 5, 7])
+_ops = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def _oracle_valuation(f: Fraction, p: int):
+    """v_p(f) by repeated division; None for 0."""
+    if f == 0:
+        return None
+    v, n, d = 0, f.numerator, f.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def _assert_is(r, f: Fraction, p: int):
+    """r is the PadicRational f at p: lowest terms, den > 0, no cached valuation."""
+    assert type(r) is PadicRational and r.prime == p
+    assert type(r.numerator) is int and type(r.denominator) is int
+    assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
+    assert r.as_fraction() == f and r._v is None
+    assert r.valuation == _oracle_valuation(f, p)
+
+
+@settings(max_examples=600, deadline=None)
+@given(p=_primes, xn=_ints, xd=_nonzero, yn=_ints, yd=_nonzero,
+       kind=st.sampled_from(["padic", "int", "fraction"]), op=st.sampled_from(_ops))
+def test_arithmetic_matches_the_fraction_oracle(p, xn, xd, yn, yd, kind, op):
+    fx = Fraction(xn, xd)
+    fy = Fraction(yn) if kind == "int" else Fraction(yn, yd)
+    x = PadicRational(xn, xd, p)
+    y = {"padic": PadicRational(yn, yd, p), "int": yn, "fraction": fy}[kind]
+    x.valuation  # fill the operands' caches: no result may inherit them
+    if kind == "padic":
+        y.valuation
+    for left, right, fl, fr in ((x, y, fx, fy), (y, x, fy, fx)):
+        if op is operator.truediv and fr == 0:
+            with pytest.raises(ZeroDivisionError):
+                op(left, right)
+        else:
+            _assert_is(op(left, right), op(fl, fr), p)
+    _assert_is(-x, -fx, p)
+    assert x.as_fraction() == fx and x.valuation == _oracle_valuation(fx, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_primes, n=_ints, d=_nonzero)
+def test_construction_is_in_lowest_terms_with_positive_denominator(p, n, d):
+    f = Fraction(n, d)
+    for x in (PadicRational(n, d, p), PadicRational(-n, -d, p), PadicRational(f, 1, p),
+              PadicRational(Fraction(n), Fraction(d), p), PadicRational(n * 6, d * 6, p)):
+        _assert_is(x, f, p)
+    assert PadicRational(n, d, p).bit_size() == f.numerator.bit_length() + f.denominator.bit_length()
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_primes, n=_ints, d=_nonzero)
+def test_hash_agrees_with_equality_for_int_and_fraction(p, n, d):
+    f = Fraction(n, d)
+    x = PadicRational(n, d, p)
+    assert x == f and f == x and hash(x) == hash(f)
+    assert len({x, f}) == 1 and {x: 1}.get(f) == 1 and {f: 1}.get(x) == 1
+    if f.denominator == 1:
+        assert x == f.numerator and hash(x) == hash(f.numerator)
+        assert len({x, f.numerator}) == 1 and {x: 1}.get(f.numerator) == 1
+    same = PadicRational(n * 2, d * 2, p)
+    assert x == same and hash(x) == hash(same)
+    other = PadicRational(n, d, 11)
+    assert x != other and x != f + 1
+
+
+def test_hash_of_an_integer_value_is_the_int_hash():
+    x = PadicRational(2, 1, 3)
+    assert x == 2 and len({x, 2}) == 1 and {x: 1}.get(2) == 1
+    assert hash(PadicRational(-1, 1, 5)) == hash(-1) == hash(Fraction(-1))
+
+
+def _decimal_oracle(n: int) -> str:
+    """str(n) with Python's digit limit lifted for this one call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_big = st.builds(lambda k, r, s: s * (10**k + r), st.integers(0, 6_000),
+                 st.integers(0, 10**6), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_primes, n=_big, d=_big.filter(bool))
+def test_json_str_and_repr_at_any_size(p, n, d):
+    x = PadicRational(n, d, p)
+    num, den = _decimal_oracle(x.numerator), _decimal_oracle(x.denominator)
+    assert x.to_json() == {"num": num, "den": den, "p": p}
+    back = PadicRational.from_json(x.to_json())
+    assert back == x and (back.numerator, back.denominator) == (x.numerator, x.denominator)
+    assert str(x) == (num if den == "1" else f"{num}/{den}")
+    assert repr(x) == f"PadicRational({num}, {den}, prime={p})"
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), PadicRational(0, 1, 5)])
+def test_division_by_every_kind_of_zero(zero):
+    x = PadicRational(3, 4, 5)
+    with pytest.raises(ZeroDivisionError):
+        x / zero
+    with pytest.raises(ZeroDivisionError):
+        zero / PadicRational(0, 7, 5)
+    with pytest.raises(ZeroDivisionError):
+        PadicRational(1, zero, 5)
+
+
+@pytest.mark.parametrize("op", _ops)
+def test_prime_mismatch_rejected_by_every_operation(op):
+    with pytest.raises(ValueError, match="prime mismatch"):
+        op(PadicRational(1, 2, 5), PadicRational(1, 3, 7))
+    assert PadicRational(1, 2, 5) != PadicRational(1, 2, 7)
+
+
+# --- the precision argument of _sub_c -----------------------------------------
+
+
+def _unit(data, p: int, bound: int) -> int:
+    """An integer prime to p, of either sign, below bound in size."""
+    q = data.draw(st.integers(0, bound // p))
+    r = data.draw(st.integers(1, p - 1))
+    return data.draw(st.sampled_from([1, -1])) * (q * p + r)
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=_primes, vx=st.integers(-400, 400), vc=st.integers(-400, 400), kx=st.integers(1, 60),
+       cap=st.integers(1, 120), data=st.data())
+def test_sub_c_capped_is_the_uncapped_result_reduced_to_the_cap(p, vx, vc, kx, cap, data):
+    assume(vx != vc)
+    mod = p**kx
+    x = (vx, _unit(data, p, mod) % mod, _unit(data, p, mod) % mod, kx)
+    c = (vc, _unit(data, p, 10**30), abs(_unit(data, p, 10**30)))
+    full = _sub_c(x, c, p)
+    capped = _sub_c(x, c, p, cap)
+    k = min(full[3], cap)
+    # The valuation is the lower of the two: the cap cannot move it.
+    assert capped[0] == full[0] == min(vx, vc) and capped[3] == k
+    assert capped[1] % p and capped[2] % p
+    assert 0 <= capped[1] < p**k and 0 <= capped[2] < p**k
+    assert capped[1] == full[1] % p**k and capped[2] == full[2] % p**k
+    y = (data.draw(st.integers(-50, 50)), _unit(data, p, p**cap) % p**cap, 1, cap)
+    assert _div(capped, y, p) == _div(full, y, p)
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=_primes, v=st.integers(-400, 400), kx=st.integers(1, 60), cap=st.integers(1, 120),
+       agree=st.integers(0, 70), data=st.data())
+def test_sub_c_cap_does_not_apply_when_the_digits_can_cancel(p, v, kx, cap, agree, data):
+    mod = p**kx
+    nx, mx = _unit(data, p, mod) % mod, _unit(data, p, mod) % mod
+    c_den = abs(_unit(data, p, 10**30))
+    # c agrees with x on its first `agree` digits: nx * c_den = c_num * mx mod p^agree.
+    c_num = nx * c_den * pow(mx, -1, mod) % mod + p**agree * data.draw(st.integers(-(10**6), 10**6))
+    assume(c_num % p)
+    x, c = (v, nx, mx, kx), (v, c_num, c_den)
+    try:
+        full = _sub_c(x, c, p)
+    except PrecisionExhaustedError as exc:
+        with pytest.raises(PrecisionExhaustedError) as capped:
+            _sub_c(x, c, p, cap)
+        assert str(capped.value) == str(exc) and f"below p^{kx} " in str(exc)
+        return
+    assert _sub_c(x, c, p, cap) == full  # k too, where it is above the cap
+    assert agree < kx and full[0] >= v + agree and full[3] == kx - (full[0] - v)

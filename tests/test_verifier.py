@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -414,3 +415,37 @@ def test_transition_target_order_ignores_hash_seed():
         runs.append(json.loads(proc.stdout))
     assert runs[0] == runs[1]
     assert runs[0]["report"]["passes"] == 300 and runs[0]["calls"] >= 300
+
+
+# --- the bundled campaign, pinned -------------------------------------------------
+
+
+def _digest(obj) -> str:
+    """The report digest of perfbench/workloads.py."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _drop_wall_time(obj):
+    """obj without its "wall_time" keys, as perfbench/workloads.py digests reports."""
+    if isinstance(obj, dict):
+        return {k: _drop_wall_time(v) for k, v in obj.items() if k != "wall_time"}
+    if isinstance(obj, list):
+        return [_drop_wall_time(v) for v in obj]
+    return obj
+
+
+def test_all_lemmas_is_pinned_at_the_bundled_seeds_and_at_seed_3101():
+    """No change may move a sampled point, a verdict or a count unnoticed."""
+    reports = run_campaign(builtin_campaign("all-lemmas"))
+    summary = campaign_summary(reports)
+    totals = {k: summary[k] for k in ("specs", "passes", "failures", "skipped",
+                                      "undefined_inverse")}
+    totals["vacuous"] = sum(r.passes == 0 for r in reports)
+    assert totals == {"specs": 135, "passes": 72_592, "failures": 0, "skipped": 4_197,
+                      "undefined_inverse": 2, "vacuous": 24}
+    specs = builtin_campaign("all-lemmas")
+    for spec in specs:
+        spec.seed = 3101
+    summary = campaign_summary(run_campaign(specs))
+    assert _digest(_drop_wall_time(summary["reports"])) == "9f45024f9141ad58"
