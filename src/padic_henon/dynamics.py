@@ -16,7 +16,7 @@ finite trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import isqrt
 
 from .fib import fib
 from .padics import (
@@ -310,18 +310,6 @@ def backward_profile_orbit(
 # ---------------------------------------------------------------------------
 
 
-def _rational_sqrt(f: Fraction):
-    """Exact square root in Q if f is a perfect rational square, else None."""
-    from math import isqrt
-
-    if f < 0:
-        return None
-    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def exact_fixed_points(params: MapParams):
     """Fixed points (a, a) with a^2 - a + c = 0, when computable in Q.
 
@@ -336,12 +324,13 @@ def exact_fixed_points(params: MapParams):
         return [Point(half, half)]
     if not is_square(disc):
         return []
-    q = _rational_sqrt(disc.as_fraction())
-    if q is None:
+    # A square in Q is (q/r)^2 in lowest terms, with roots (1 -+ q/r)/2.
+    num, den = disc.numerator, disc.denominator
+    q, r = isqrt(max(num, 0)), isqrt(den)
+    if q * q != num or r * r != den:
         return None
-    roots = {Fraction(1 - q, 2), Fraction(1 + q, 2)}
-    pts = [Point(PadicRational(r, 1, p), PadicRational(r, 1, p)) for r in sorted(roots)]
-    return pts
+    roots = (PadicRational(r - q, 2 * r, p), PadicRational(r + q, 2 * r, p))
+    return [Point(x, x) for x in roots]
 
 
 def fixed_points(params: MapParams, precision: int):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fib import fib
 from .regions import RegionLabel, region_rows, t_profile
 
 __all__ = [
@@ -46,8 +45,6 @@ def tn_measure(n: int, k: int, p: int) -> Fraction:
     The set is {|x| = p^((k-1)F(n+1))} x {|y| = p^((k-1)F(n))}, a product of
     norm spheres, so its measure is p^((k-1)F(n+2)) (1 - 1/p)^2.
     """
-    if k < 2:
-        raise ValueError(f"overlay family requires k >= 2, got k={k}")
     a, b = t_profile(n, k)
     return profile_measure(a, b, p)
 
@@ -58,9 +55,8 @@ def tn_ball_product(n: int, k: int, p: int) -> Fraction:
     Exceeds the exact sphere-product measure by the factor (1 - 1/p)^(-2); both
     diverge in sum, so either quantity certifies infinite total measure.
     """
-    if k < 2:
-        raise ValueError(f"overlay family requires k >= 2, got k={k}")
-    return ball_measure((k - 1) * fib(n + 1), p) * ball_measure((k - 1) * fib(n), p)
+    a, b = t_profile(n, k)
+    return ball_measure(a, p) * ball_measure(b, p)
 
 
 def tn_rows(n_max: int, k: int, p: int) -> list:

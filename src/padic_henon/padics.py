@@ -477,13 +477,11 @@ def is_square(x: PadicRational) -> bool:
 
     x = 0 counts as a square (of 0), a degenerate case.
     """
-    if x.is_zero:
-        return True
-    v, num, den = _split(x)
-    if v % 2:
+    try:
+        sqrt(x, 1)
+    except NonSquareError:
         return False
-    p = x.prime
-    return _legendre(num * pow(den, -1, p) % p, p) == 1
+    return True
 
 
 def sqrt(x: PadicRational, precision: int):

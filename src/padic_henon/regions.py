@@ -7,7 +7,8 @@ its own total partition of the marker-free profiles.
 
 One catalogue names the regions.  Each regime's table lists every fixed
 label once, in enumeration order; the Fibonacci-indexed families (UNIT M;
-LARGE C, D, B, A, M and the overlay T) are built per index.
+LARGE C, D, B, A, M and the overlay T) are built per index, from the first
+index ``_FAMILIES`` gives; the overlay's d >= 2 is a constraint of its branch.
 ``region_branches``, ``iter_region_labels`` and ``expected_preimage_regions``
 all read it, and each one-step transition rule is written once for every
 regime it holds in.
@@ -180,11 +181,8 @@ _UNIT_TABLE = {
 
 @lru_cache(maxsize=None)
 def _large_indexed_branches(name: str, i: int):
-    odd = i % 2 == 1
+    odd, n = i % 2 == 1, (i - 1) // 2  # i = 2n + 1 or i = 2n + 2
     if name == "C":  # C0 is a fixed label of the LARGE table
-        if i < 1:
-            raise KeyError("C family starts at index 1")
-        n = (i - 1) // 2 if odd else (i - 2) // 2
         if odd:
             return [[
                 (1, 0, fib(2 * n), 0, ">"),
@@ -197,9 +195,6 @@ def _large_indexed_branches(name: str, i: int):
             (-fib(2 * n + 1), fib(2 * n + 2), 1, 0, "=="),
         ]]
     if name == "D":
-        if i < 2:
-            raise KeyError("D family starts at index 2")
-        n = (i - 1) // 2 if odd else (i - 2) // 2
         if odd:
             return [[
                 (1, 0, fib(2 * n), 0, ">"),
@@ -212,8 +207,6 @@ def _large_indexed_branches(name: str, i: int):
             (-fib(2 * n - 1), fib(2 * n), 1, 0, "=="),
         ]]
     if name == "B":
-        if i < 1:
-            raise KeyError("B family starts at index 1")
         if not odd:  # B_{2n}, n >= 1
             n = i // 2
             return [[
@@ -222,57 +215,45 @@ def _large_indexed_branches(name: str, i: int):
                 (fib(2 * n), -fib(2 * n + 1), 1, 0, "<"),
                 (-fib(2 * n - 2), fib(2 * n - 1), -1, 0, "<"),
             ]]
-        n = (i - 1) // 2  # B_{2n+1}, n >= 0 (n = 0 is the first rung)
-        return [[
+        return [[  # B_{2n+1}, n >= 0 (n = 0 is the first rung)
             (1, 0, fib(2 * n + 1), 0, ">"),
             (1, 0, fib(2 * n + 2), 0, "<"),
             (fib(2 * n), -fib(2 * n + 1), 1, 0, "<"),
             (-fib(2 * n - 1), fib(2 * n), 1, 0, "<"),
         ]]
     if name == "A":
-        if i < 1:
-            raise KeyError("A family starts at index 1")
         if odd:  # A_{2n+1}, n >= 0
-            n = (i - 1) // 2
             return [[
                 (1, 0, fib(2 * n + 1), 0, ">"),
                 (1, 0, fib(2 * n + 2), 0, "<="),
                 (-fib(2 * n - 1), fib(2 * n), 1, 0, ">"),
                 (-fib(2 * n + 1), fib(2 * n + 2), 1, 0, "<"),
             ]]
-        n = (i - 2) // 2  # A_{2n+2}, n >= 0
-        return [[
+        return [[  # A_{2n+2}, n >= 0
             (1, 0, fib(2 * n + 2), 0, ">"),
             (1, 0, fib(2 * n + 3), 0, "<"),
             (fib(2 * n), -fib(2 * n + 1), 1, 0, "<"),
             (-fib(2 * n + 1), fib(2 * n + 2), 1, 0, "<"),
         ]]
     if name == "M":
-        if i < 1:
-            raise KeyError("M family starts at index 1")
         if odd:  # M_{2n+1}, n >= 0
-            n = (i - 1) // 2
             return [[
                 (1, 0, fib(2 * n), 0, ">"),
                 (0, 1, fib(2 * n - 1), 0, ">"),
                 (0, 1, fib(2 * n + 1), 0, "<="),
                 (fib(2 * n), -fib(2 * n + 1), 1, 0, ">"),
             ]]
-        n = (i - 2) // 2  # M_{2n+2}, n >= 0
-        return [[
+        return [[  # M_{2n+2}, n >= 0
             (1, 0, fib(2 * n + 1), 0, ">"),
             (1, 0, fib(2 * n + 3), 0, "<="),
             (-fib(2 * n + 1), fib(2 * n + 2), 1, 0, ">"),
         ]]
-    if name == "T":
-        # Overlay family for d >= 2: the norm sphere pair scaled by (d-1).
-        if i < 0:
-            raise KeyError("T family starts at index 0")
-        return [[
-            (1, 0, fib(i + 1), -fib(i + 1), "=="),
-            (0, 1, fib(i), -fib(i), "=="),
-        ]]
-    raise KeyError(f"unknown indexed family {name!r}")
+    # The overlay T: the norm sphere pair scaled by (d - 1), only for d >= 2.
+    return [[
+        (1, 0, fib(i + 1), -fib(i + 1), "=="),
+        (0, 1, fib(i), -fib(i), "=="),
+        (0, 0, 1, -2, "<="),
+    ]]
 
 
 _LARGE_TABLE = {
@@ -290,8 +271,8 @@ _LARGE_TABLE = {
 # Every fixed label, once, in enumeration order.
 _TABLES = {Regime.SMALL: _SMALL_TABLE, Regime.UNIT: _UNIT_TABLE, Regime.LARGE: _LARGE_TABLE}
 
-# The indexed families of each regime, in enumeration order, with the first
-# index that ``iter_region_labels`` yields.
+# The indexed families of each regime, in enumeration order, with their first
+# index: ``region_branches`` rejects any below it.
 _FAMILIES = {
     Regime.SMALL: {},
     Regime.UNIT: {"M": 1},
@@ -301,19 +282,19 @@ _FAMILIES = {
 
 def region_branches(label: RegionLabel):
     """The region's defining inequalities as a union of conjunction branches:
-    its regime's table entry, else its member of an indexed family."""
-    regime, i = label.regime, label.index
+    its regime's table entry, else its member of an indexed family, whose
+    index must be at least the family's first."""
+    regime, name, i = label.regime, label.name, label.index
     try:
-        return _TABLES[regime][(label.name, i)]
+        return _TABLES[regime][(name, i)]
     except KeyError:
         pass
-    first = _FAMILIES[regime].get(label.name)
-    if first is not None and i is not None:
-        if regime is Regime.LARGE:  # each LARGE family checks its own first index
-            return _large_indexed_branches(label.name, i)
-        if i >= first:
-            return _unit_m_branches(i)
-    raise KeyError(f"unknown {regime.name} region {label}")
+    first = _FAMILIES[regime].get(name)
+    if first is None or i is None:
+        raise KeyError(f"unknown {regime.name} region {label}")
+    if i < first:
+        raise KeyError(f"{name} family starts at index {first}")
+    return _large_indexed_branches(name, i) if regime is Regime.LARGE else _unit_m_branches(i)
 
 
 _OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
@@ -559,36 +540,36 @@ def _golden_crossing(a0: int, a1: int, b0: int, b1: int) -> int:
     return (p + (r if q >= 0 else -r - 1)) // m
 
 
+def _golden_last(a0: int, a1: int, b0: int, b1: int) -> int:
+    """The last t with beta*B < A at (A, B) = (a0 + a1*t, b0 + b1*t), where
+    A - beta*B falls in t: the floor of the crossing, ``_golden_crossing``,
+    where ``golden_below`` confirms it; else the crossing is an integer t, at
+    (A, B) = (0, 0), and the last t is one before it."""
+    t = _golden_crossing(a0, a1, b0, b1)
+    return t if golden_below(a0 + a1 * t, b0 + b1 * t) else t - 1
+
+
 def _golden_row(a: int) -> int:
-    """The largest b with beta*b < a, confirmed by ``golden_below``: the
-    Beatty value floor(a/beta), or -1 at a = 0."""
-    b = _golden_crossing(a, 0, 0, 1)
-    return b if golden_below(a, b) else b - 1
+    """The largest b with beta*b < a: the Beatty value floor(a/beta), or -1
+    at a = 0."""
+    return _golden_last(a, 0, 0, 1)
 
 
 def _golden_cut(sign: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int):
     """lo..hi cut to the t with beta*B < A (sign -1) or beta*B > A (sign 1) at
     (A, B) = (a0 + a1*t, b0 + b1*t); the second is the first on (-A, -B).
 
-    A - beta*B is affine in t.  Where it grows, t -> -t mirrors the up-closed
-    set to the down-closed case.  There the test holds at lo, so the cut ends
-    at the floor of the crossing, ``_golden_crossing``, where ``golden_below``
-    confirms it; else the crossing is an integer t, at (A, B) = (0, 0), and
-    the cut ends at t - 1.
+    A - beta*B is affine in t.  Where it falls, the test holds up to
+    ``_golden_last``; where it grows, t -> -t makes it fall, and the test
+    holds from minus the last t of the mirrored segment.
     """
     if sign > 0:
-        return _golden_cut(-1, -a0, -a1, -b0, -b1, lo, hi)
+        a0, a1, b0, b1 = -a0, -a1, -b0, -b1
+    if not (a1 or b1):  # constant: the test holds everywhere or nowhere
+        return (lo, hi) if golden_below(a0, b0) else (lo, lo - 1)
     if golden_below(a1, b1):
-        mlo, mhi = _golden_cut(-1, a0, -a1, b0, -b1, -hi, -lo)
-        return -mhi, -mlo
-    if not golden_below(a0 + a1 * lo, b0 + b1 * lo):
-        return lo, lo - 1
-    if not (a1 or b1):  # constant: the test holds everywhere
-        return lo, hi
-    t = _golden_crossing(a0, a1, b0, b1)
-    if not golden_below(a0 + a1 * t, b0 + b1 * t):
-        t -= 1
-    return lo, min(t, hi)
+        return max(lo, -_golden_last(a0, -a1, b0, -b1)), hi
+    return lo, min(hi, _golden_last(a0, a1, b0, b1))
 
 
 def branch_interval(branch, d: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int):
@@ -641,9 +622,6 @@ def region_rows(label: RegionLabel, d: int, window: int):
     rows.  A row is the union of its branches' intervals of b, merged where
     they overlap or touch, so two intervals of one row are at least two apart.
     """
-    if label.name == "T":
-        a, b = t_profile(label.index, d)
-        return ((a, b, b),) if max(abs(a), abs(b)) <= window else ()
     rows = []
     branches = region_branches(label)
     for branch in branches:

@@ -21,6 +21,7 @@ from .dynamics import (
     BitBudgetError,
     MapParams,
     PrecisionExhaustedError,
+    UndefinedInverseError,
     backward_orbit,
     backward_profile_orbit,
     default_escape_exponent,
@@ -290,20 +291,19 @@ def verify_transition(spec: LemmaSpec) -> VerificationReport:
     targets = _expected_targets(spec)
     rng = random.Random(spec.seed)
     for pt in _samples(report, spec, spec.source, d, spec.samples, rng, "empty region"):
-        current, undefined = pt, False
+        current = pt
         try:
             for _step in range(spec.depth):
-                if current.y.is_zero:
-                    undefined = True
-                    break
                 current = inverse(current, params)
+        except UndefinedInverseError:
+            pass  # `current` has y = 0, so its b_img is None below
         except BitBudgetError:
             # The exact image outgrew the bit budget: nothing was judged.
             report.uncertified += 1
             report.skipped += 1
             continue
         a_img, b_img = current.profile()
-        if undefined or b_img is None:
+        if b_img is None:
             # The branch x = c leaves the domain; excluded-null, reported.
             report.undefined_inverse += 1
             report.skipped += 1

@@ -330,6 +330,36 @@ def test_large_c_family_starts_at_index_1():
             region_branches(lbl(L, "C", i))
 
 
+@pytest.mark.parametrize("regime", [U, L])
+def test_every_family_starts_at_its_first_index_in_the_table(regime):
+    """``region_branches`` checks every family's first index against
+    ``_FAMILIES``, with one message; below it only a fixed label (LARGE C0)
+    still names a region."""
+    for name, first in regions._FAMILIES[regime].items():
+        assert region_branches(lbl(regime, name, first))
+        below = lbl(regime, name, first - 1)
+        if (name, first - 1) in regions._TABLES[regime]:
+            assert region_branches(below) is regions._TABLES[regime][(name, first - 1)]
+            below = lbl(regime, name, first - 2)
+        with pytest.raises(KeyError) as info:
+            region_branches(below)
+        assert info.value.args == (f"{name} family starts at index {first}",)
+
+
+@pytest.mark.parametrize("d", [1, 0, -1])
+def test_overlay_is_empty_below_d_two(d):
+    """The overlay's d >= 2 is a constraint of its own branch, so the table
+    and the rows agree with ``t_profile`` that no T_i exists below d = 2."""
+    rng = random.Random(19)
+    for i in range(9):
+        t = lbl(L, "T", i)
+        assert not any(profile_in_region(t, a, b, d) for a in range(-10, 11) for b in range(-10, 11))
+        assert region_rows(t, d, 10) == ()
+        # At d <= 0 the sampler's regime check speaks first.
+        with pytest.raises(EmptyRegionError if d == 1 else ValueError):
+            sample_in_region(t, d, 3, 10, 4, rng)
+
+
 def test_no_claim_for_boundary_regions():
     with pytest.raises(KeyError):
         expected_preimage_regions(lbl(S, "R"))
