@@ -223,7 +223,7 @@ def forward_orbit(
     escape_exponent=None,
     bit_budget=DEFAULT_BIT_BUDGET,
 ) -> OrbitRecord:
-    """Forward iteration utility (used for fixed-point and cycle checks)."""
+    """Forward iteration utility."""
     states = _exact_states(pt, params, forward, bit_budget)
     return _trace(OrbitRecord("forward", steps=[]), states, Point.profile, max_steps,
                   escape_exponent)

@@ -92,6 +92,8 @@ class PartitionReport:
 def check_partition(d: int, window: int, max_witnesses: int = 10) -> PartitionReport:
     """Certify that the declarative regions tile the window with no overlap."""
     _check_window(window)
+    if max_witnesses < 1:
+        raise ValueError(f"max_witnesses must be >= 1, got {max_witnesses}")
     return _partition_report(d, window, *_window_rows(d, window), max_witnesses)
 
 

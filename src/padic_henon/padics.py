@@ -67,10 +67,10 @@ def _is_prime(n: int) -> bool:
 
 def validate_odd_prime(p: int) -> int:
     """Return p if it is an odd prime, else raise ValueError (p=2 is rejected)."""
-    if p in _validated_primes:
-        return p
     if not isinstance(p, int):
         raise ValueError(f"prime must be an integer, got {p!r}")
+    if p in _validated_primes:
+        return p
     if p < 3 or p % 2 == 0:
         raise ValueError(f"prime must be an odd prime >= 3, got {p}")
     if not _is_prime(p):

@@ -278,12 +278,13 @@ _FAMILIES = {
     Regime.UNIT: {"M": 1},
     Regime.LARGE: {"C": 1, "D": 2, "B": 1, "A": 1, "M": 1, "T": 0},
 }
+_MAX_INDEX = 10_000  # F(10,000) has about 2,090 digits; no enumerable window reaches it
 
 
 def region_branches(label: RegionLabel):
     """The region's defining inequalities as a union of conjunction branches:
     its regime's table entry, else its member of an indexed family, whose
-    index must be at least the family's first."""
+    index must be at least the family's first and at most _MAX_INDEX."""
     regime, name, i = label.regime, label.name, label.index
     try:
         return _TABLES[regime][(name, i)]
@@ -294,6 +295,8 @@ def region_branches(label: RegionLabel):
         raise KeyError(f"unknown {regime.name} region {label}")
     if i < first:
         raise KeyError(f"{name} family starts at index {first}")
+    if i > _MAX_INDEX:
+        raise KeyError(f"{name} family index {i} is above {_MAX_INDEX}")
     return _large_indexed_branches(name, i) if regime is Regime.LARGE else _unit_m_branches(i)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 from .dynamics import (
@@ -74,11 +74,9 @@ class CampaignError(ValueError):
 
 
 _KINDS = ("transition", "exhaustive", "escape", "sandwich", "worked_orbits")
-_INT_FIELDS = {"p": None, "depth": 1, "samples": 200, "window": 12, "seed": 0, "digit_count": 6,
-               "steps": 60}
 
 
-def _label(obj, what: str) -> RegionLabel:
+def _label(obj, what: str = "source") -> RegionLabel:
     try:
         label = RegionLabel.from_json(obj)
         if label.index is not None and type(label.index) is not int:
@@ -89,32 +87,45 @@ def _label(obj, what: str) -> RegionLabel:
     return label
 
 
+def _targets(obj) -> frozenset:
+    if type(obj) is not list or not obj:
+        raise CampaignError(f'"expected" must be a nonempty list of regions, got {obj!r}')
+    return frozenset(_label(t, "target") for t in obj)
+
+
+def _field(kinds, default=MISSING, key=None, **meta):
+    """A spec field that the runners of `kinds` read, under the JSON `key` (else its
+    name).  `integer=True` asks for an int; `load` and `dump` convert a non-null
+    JSON value; `omit_none=True` leaves a null out of `to_json`."""
+    return field(default=default, metadata={"kinds": kinds, "key": key, **meta})
+
+
 @dataclass
 class LemmaSpec:
-    """One verification campaign entry.
+    """One verification campaign entry.  A key that names no field, or a field
+    off its default for a kind whose runner does not read it, is rejected at
+    load time; a default passes, since `to_json` writes every field.  `expected`
+    overrides the transition table (negative controls use it); `growth_check`
+    adds a per-step lower bound to an escape spec ("doubling": tall band,
+    |c| > 1; "schedule": two-band cycle, |c| < 1)."""
 
-    kind is one of "transition", "exhaustive", "escape", "worked_orbits",
-    "sandwich".  `expected` overrides the transition table of a transition
-    or exhaustive spec (used by negative controls); `growth_check` may name an
-    additional per-step lower bound for an escape spec ("doubling" for the
-    tall band when |c| > 1, "schedule" for the |c| < 1 two-band cycle).  Any
-    other kind rejects both fields at load time.
-    """
-
-    identifier: str
-    kind: str
-    p: int
-    c: str | None = None
-    source: RegionLabel | None = None
-    depth: int = 1
-    samples: int = 200
-    window: int = 12
-    seed: int = 0
-    digit_count: int = 6
-    steps: int = 60
-    escape_exponent: int | None = None
-    expected: frozenset | None = None
-    growth_check: str | None = None
+    identifier: str = _field(_KINDS, key="id")
+    kind: str = _field(_KINDS)
+    p: int = _field(_KINDS, integer=True)
+    c: str | None = _field(("transition", "exhaustive", "escape", "sandwich"), None)
+    depth: int = _field(("transition", "exhaustive"), 1, integer=True)
+    samples: int = _field(("transition", "escape", "sandwich"), 200, integer=True)
+    window: int = _field(("transition", "exhaustive", "escape", "sandwich"), 12, integer=True)
+    seed: int = _field(("transition", "escape", "sandwich"), 0, integer=True)
+    digit_count: int = _field(("transition", "escape", "sandwich"), 6, integer=True)
+    steps: int = _field(("escape", "sandwich"), 60, integer=True)
+    escape_exponent: int | None = _field(("escape", "sandwich"), None, "escape_exp", integer=True)
+    growth_check: str | None = _field(("escape",), None)
+    source: RegionLabel | None = _field(("transition", "exhaustive", "escape"), None,
+                                        load=_label, dump=RegionLabel.to_json)
+    expected: frozenset | None = _field(
+        ("transition", "exhaustive"), None, load=_targets, omit_none=True,
+        dump=lambda targets: sorted((t.to_json() for t in targets), key=str))
 
     def params(self) -> MapParams:
         if self.c is None:
@@ -137,43 +148,34 @@ class LemmaSpec:
         kind = obj.get("kind")
         if kind not in _KINDS:
             raise CampaignError(f"unknown kind {kind!r}; expected one of {list(_KINDS)}")
-        ints = {k: obj.get(k, default) for k, default in _INT_FIELDS.items()}
-        escape = obj.get("escape_exp")
-        for k, v in [*ints.items(), ("escape_exp", 0 if escape is None else escape)]:
-            if type(v) is not int:
-                raise CampaignError(f"{k!r} must be an integer, got {v!r}")
+        values = {}
+        for key, f in _FIELDS.items():
+            v = obj.get(key, None if f.default is MISSING else f.default)
+            if f.metadata.get("integer") and type(v) is not int and v is not f.default:
+                raise CampaignError(f"{key!r} must be an integer, got {v!r}")
+            load = f.metadata.get("load")
+            values[f.name] = load(v) if load and v is not None else v
         try:
-            validate_odd_prime(ints["p"])
+            validate_odd_prime(values["p"])
         except ValueError as exc:
             raise CampaignError(str(exc)) from None
-        if ints["depth"] not in (1, 2) or ints["digit_count"] < 1:
+        if values["depth"] not in (1, 2) or values["digit_count"] < 1:
             raise CampaignError("depth must be 1 or 2, and digit_count at least 1")
-        if ints["samples"] < 1 or ints["window"] < 0:
+        if values["samples"] < 1 or values["window"] < 0:
             raise CampaignError("samples must be at least 1, and window at least 0")
-        growth_check = obj.get("growth_check")
-        if growth_check not in (None, "doubling", "schedule"):
-            raise CampaignError(f"unknown growth_check {growth_check!r}")
-        if growth_check is not None and kind != "escape":
-            raise CampaignError(f"growth_check applies only to escape specs, not {kind!r}")
-        expected = obj.get("expected")
-        if expected is not None and (type(expected) is not list or not expected):
-            raise CampaignError(f'"expected" must be a nonempty list of regions, got {expected!r}')
-        if expected is not None and kind not in ("transition", "exhaustive"):
-            raise CampaignError(
-                f'"expected" applies only to transition and exhaustive specs, not {kind!r}'
-            )
-        spec = cls(
-            identifier=obj["id"],
-            kind=kind,
-            c=obj.get("c"),
-            source=_label(obj["source"], "source") if obj.get("source") else None,
-            escape_exponent=escape,
-            expected=None if expected is None else frozenset(_label(t, "target") for t in expected),
-            growth_check=growth_check,
-            **ints,
-        )
+        if values["growth_check"] not in (None, "doubling", "schedule"):
+            raise CampaignError(f"unknown growth_check {values['growth_check']!r}")
+        spec = cls(**values)
         if kind != "worked_orbits":
             spec._check_regions()
+        for key in obj:
+            if key not in _FIELDS:
+                raise CampaignError(f"unknown field {key!r}; expected one of {list(_FIELDS)}")
+        for key, f in _FIELDS.items():
+            kinds = f.metadata["kinds"]
+            if kind not in kinds and values[f.name] != f.default:
+                names = ", ".join(kinds[:-1]) + " and " + kinds[-1] if len(kinds) > 1 else kinds[0]
+                raise CampaignError(f"{key} applies only to {names} specs, not {kind!r}")
         return spec
 
     def _check_regions(self) -> None:
@@ -206,24 +208,18 @@ class LemmaSpec:
                 raise CampaignError(exc.args[0]) from None
 
     def to_json(self) -> dict:
-        obj = {
-            "id": self.identifier,
-            "kind": self.kind,
-            "p": self.p,
-            "c": self.c,
-            "depth": self.depth,
-            "samples": self.samples,
-            "window": self.window,
-            "seed": self.seed,
-            "digit_count": self.digit_count,
-            "steps": self.steps,
-            "escape_exp": self.escape_exponent,
-            "growth_check": self.growth_check,
-        }
-        obj["source"] = self.source.to_json() if self.source else None
-        if self.expected is not None:
-            obj["expected"] = sorted((t.to_json() for t in self.expected), key=str)
+        obj = {}
+        for key, f in _FIELDS.items():
+            value = getattr(self, f.name)
+            if value is not None and f.metadata.get("dump"):
+                value = f.metadata["dump"](value)
+            if value is not None or not f.metadata.get("omit_none"):
+                obj[key] = value
         return obj
+
+
+# Each field of LemmaSpec under its JSON key, in the order to_json writes them.
+_FIELDS = {f.metadata["key"] or f.name: f for f in fields(LemmaSpec)}
 
 
 @dataclass
@@ -535,13 +531,13 @@ def _orbit_profile_check(identifier, params, start, expected, report):
         )
 
 
-def verify_worked_orbits(spec: LemmaSpec, depth: int = 12) -> VerificationReport:
+def verify_worked_orbits(spec: LemmaSpec) -> VerificationReport:
     """Reproduce the worked backward orbits at the spec's prime with exact arithmetic.
 
     Each norm-profile sequence is matched against its closed-form pattern for
-    at least `depth` steps (bounded pieces run longer).
+    at least 12 steps (bounded pieces run longer).
     """
-    p = spec.p
+    p, depth = spec.p, 12
     t0 = time.perf_counter()
     report = VerificationReport(spec=spec)
 
@@ -705,11 +701,9 @@ _RUNNERS = {
 
 
 def run_spec(spec: LemmaSpec) -> VerificationReport:
-    try:
-        runner = _RUNNERS[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown campaign kind {spec.kind!r} in {spec.identifier}") from None
-    return runner(spec)
+    if spec.kind not in _RUNNERS:
+        raise ValueError(f"unknown campaign kind {spec.kind!r} in {spec.identifier}")
+    return _RUNNERS[spec.kind](spec)
 
 
 def _parse_campaign(text: str) -> list:

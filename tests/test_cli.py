@@ -364,11 +364,21 @@ def _one_spec(**fields):
          "growth_check applies only to escape specs"),
         (_one_spec(kind="escape", c="1/9", source={"regime": "large", "name": "C", "index": -1}),
          "C family starts at index 1"),
+        (_one_spec(kind="sandwich", c="1/9"),
+         "source applies only to transition, exhaustive and escape specs, not 'sandwich'"),
+        (json.dumps({"specs": [{"id": "bad", "kind": "worked_orbits", "p": 3, "c": "banana"}]}),
+         "c applies only to transition, exhaustive, escape and sandwich specs, not 'worked_orbits'"),
+        (_one_spec(kind="exhaustive", c="3/1", samples=7),
+         "samples applies only to transition, escape and sandwich specs, not 'exhaustive'"),
+        (_one_spec(c="3/1", sample=7), "unknown field 'sample'"),
+        (_one_spec(kind="escape", c="1/9", source={"regime": "large", "name": "A", "index": 10_001}),
+         "A family index 10001 is above 10000"),
     ],
     ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch", "samples-zero",
          "window-negative", "overlay-exhaustive", "overlay-transition", "overlay-escape",
          "overlay-target", "index-true", "expected-empty", "growth-check-on-sandwich",
-         "large-c-minus-one"],
+         "large-c-minus-one", "source-on-sandwich", "c-on-worked-orbits", "samples-on-exhaustive",
+         "unknown-key", "index-above-bound"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     path = tmp_path / "bad.json"
@@ -489,6 +499,14 @@ def test_measure_unknown_region_usage_error(runner):
     ])
     assert result.exit_code == 2
     assert "unknown LARGE region Q7" in result.output
+
+
+def test_measure_family_index_above_the_bound_usage_error(runner):
+    result = runner.invoke(main, [
+        "measure", "--prime", "3", "--c", "1/9", "--region", "A10001", "--window", "8",
+    ])
+    assert result.exit_code == 2
+    assert "A family index 10001 is above 10000" in result.output and result.stdout == ""
 
 
 @pytest.mark.parametrize(

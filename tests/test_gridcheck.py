@@ -85,6 +85,17 @@ def test_partition_reports_holes_and_overlaps(monkeypatch):
         classifier_agreement(-2, 5)
 
 
+@pytest.mark.parametrize("cap", [0, -4])
+def test_partition_needs_room_for_one_witness(monkeypatch, cap):
+    # With SMALL Z emptied the window has a hole at (0, 0); a cap below 1
+    # would list none and report the window exact.
+    monkeypatch.setitem(regions._SMALL_TABLE, ("Z", None), [])
+    report = check_partition(-1, 4)
+    assert not report.exact and report.uncovered == [{"a": 0, "b": 0, "labels": []}]
+    with pytest.raises(ValueError, match=f"max_witnesses must be >= 1, got {cap}"):
+        check_partition(-1, 4, max_witnesses=cap)
+
+
 # The six d of the window-1000 benchmark, d = -2 and d = 5.
 @pytest.mark.parametrize("d", [-3, -2, -1, 0, 1, 2, 3, 5])
 def test_classifier_agrees_with_table(d):

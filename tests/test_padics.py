@@ -53,6 +53,13 @@ def test_odd_primes_accepted(p):
     assert validate_odd_prime(p) == p
 
 
+def test_a_float_prime_is_rejected_after_the_integer_was_validated():
+    # 3.0 == 3 and hash(3.0) == hash(3): the type is checked before the cache.
+    validate_odd_prime(3)
+    with pytest.raises(ValueError, match="prime must be an integer, got 3.0"):
+        validate_odd_prime(3.0)
+
+
 def test_negative_denominator_normalized():
     x = PadicRational(3, -6, 5)
     assert (x.numerator, x.denominator) == (-1, 2)

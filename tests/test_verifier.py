@@ -317,6 +317,35 @@ def test_campaign_spec_roundtrip(tmp_path):
     assert [s.to_json() for s in reloaded] == [s.to_json() for s in specs]
 
 
+@pytest.mark.parametrize("name", ["all-lemmas", "negative-control", "known-anomalies"])
+def test_every_bundled_spec_round_trips(name):
+    for spec in builtin_campaign(name):
+        assert LemmaSpec.from_json(spec.to_json()) == spec
+
+
+# A value other than the default for every field that some kind does not read.
+_OFF_DEFAULT = {
+    "c": "1/9", "depth": 2, "samples": 7, "window": 5, "seed": 5, "digit_count": 3, "steps": 7,
+    "escape_exp": 100, "growth_check": "doubling",
+    "source": {"regime": "large", "name": "J", "index": 0},
+    "expected": [{"regime": "large", "name": "F", "index": None}],
+}
+_UNREAD = [(kind, key) for key, f in verifier._FIELDS.items()
+           for kind in verifier._KINDS if kind not in f.metadata["kinds"]]
+
+
+@pytest.mark.parametrize("kind,key", _UNREAD, ids=[f"{kind}-{key}" for kind, key in _UNREAD])
+def test_a_field_the_kind_does_not_read_is_rejected(kind, key):
+    spec = {"id": "x", "kind": kind, "p": 3}
+    if kind != "worked_orbits":
+        spec["c"] = "1/9"
+    if kind in ("transition", "exhaustive", "escape"):
+        spec["source"] = _OFF_DEFAULT["source"]
+    LemmaSpec.from_json(spec)
+    with pytest.raises(CampaignError, match=rf"^spec 'x': {key} applies only to .* specs, not '{kind}'$"):
+        LemmaSpec.from_json({**spec, key: _OFF_DEFAULT[key]})
+
+
 @pytest.mark.parametrize(
     "fields,message",
     [
@@ -344,8 +373,11 @@ def test_campaign_spec_roundtrip(tmp_path):
          "growth_check applies only to escape specs, not 'sandwich'"),
         ({"growth_check": "doubling"}, "growth_check applies only to escape specs, not 'transition'"),
         ({"kind": "escape", "expected": [{"regime": "large", "name": "F", "index": None}]},
-         '"expected" applies only to transition and exhaustive specs, not \'escape\''),
+         "expected applies only to transition and exhaustive specs, not 'escape'"),
         ({"source": {"regime": "large", "name": "C", "index": -1}}, "C family starts at index 1"),
+        ({"sample": 7}, "unknown field 'sample'"),
+        ({"source": {"regime": "large", "name": "A", "index": 10_001}},
+         "A family index 10001 is above 10000"),
     ],
 )
 def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
