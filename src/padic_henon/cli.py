@@ -27,9 +27,10 @@ from .dynamics import (
     three_cycle,
 )
 from .measure import fraction_text, measure_report, tn_rows
-from .padics import PrecisionExhaustedError, validate_odd_prime
-from .regions import RegionLabel, classify, regime_of_d, region_branches
+from .padics import PrecisionExhaustedError, _decimal, validate_odd_prime
+from .regions import RegionLabel, classify, regime_of_d, region_branches, t_profile
 from .verifier import (
+    _FIELDS,
     CampaignError,
     builtin_campaign,
     builtin_campaign_names,
@@ -190,11 +191,18 @@ def verify(campaign, seed, samples, list_builtin):
         except CampaignError as exc:
             raise click.UsageError(f"invalid campaign {campaign!r}: {exc}") from None
     overrides = {k: v for k, v in (("seed", seed), ("samples", samples)) if v is not None}
-    reports = run_campaign([dataclasses.replace(spec, **overrides) for spec in specs])
+    # An override goes only to the kinds that read it, so every spec still reloads.
+    reports = run_campaign([dataclasses.replace(spec, **{
+        k: v for k, v in overrides.items() if spec.kind in _FIELDS[k].metadata["kinds"]})
+        for spec in specs])
     summary = campaign_summary(reports)
     click.echo(json.dumps(summary, indent=1))
     if not summary["ok"]:
         sys.exit(1)
+
+
+# The largest number `measure --tn` prints, p^((k-1)F(n+2)), takes about 1 s at this size.
+TN_MAX_BITS = 640_000  # F(n + 2) passes it for n > 64, so fib never sees a larger index
 
 
 @main.command()
@@ -210,12 +218,14 @@ def verify(campaign, seed, samples, list_builtin):
 def measure(prime, c, tn, k, n, region, window):
     """Exact Haar measures: overlay family rows, or a region's window measure."""
     if tn:
+        if n > 64 or sum(t_profile(n, k)) * prime.bit_length() > TN_MAX_BITS:
+            raise click.UsageError(f"p^((k-1)F(n+2)) passes {TN_MAX_BITS} bits; lower --n or --k")
         rows = tn_rows(n, k, prime)
         out = [
             {
                 "n": row["n"],
                 "exact": fraction_text(row["exact"]),
-                "ball_product": str(row["ball_product"]),
+                "ball_product": _decimal(row["ball_product"].numerator),  # an integer
                 "sphere_to_ball_ratio": fraction_text(row["sphere_to_ball_ratio"]),
                 "partial_sum": fraction_text(row["partial_sum"]),
             }

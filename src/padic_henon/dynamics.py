@@ -6,8 +6,8 @@ like p^(2^n) in escaping regions), so orbit computation takes a bit budget and
 fails loudly instead of truncating.
 
 Two engines compute orbits: exact rationals, and the certified residues of
-`padics`.  Each yields its states to one loop, which records their norm
-profiles in one OrbitRecord and applies one verdict rule.  Orbit fates are
+`padics`.  Each yields its states' norm profiles to one loop, which records
+them in one OrbitRecord and applies one verdict rule.  Orbit fates are
 reported as finite-horizon verdicts, never as membership claims about the
 backward Julia set: boundedness of an infinite orbit is not decidable from a
 finite trace.
@@ -24,10 +24,9 @@ from .padics import (
     Point,
     PrecisionExhaustedError,
     TruncatedPadic,
-    _div,
+    _inverse_y,
     _residue,
     _split,
-    _sub_c,
     is_square,
     sqrt,
 )
@@ -155,24 +154,20 @@ class OrbitRecord:
         return out
 
 
-def _trace(record: OrbitRecord, states, profile_of, max_steps: int, escape_exponent):
-    """The one verdict rule: record the states' profiles up to max_steps.
+def _trace(record: OrbitRecord, profiles, max_steps: int, escape_exponent):
+    """The one verdict rule: record up to max_steps + 1 profiles.
 
-    `states` yields the start and then one state per step, and raises
+    `profiles` yields the start's profile and then one per step, and raises
     UndefinedInverseError or BitBudgetError at a step it cannot compute.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    profiles = record.profiles
-    keep = None if record.steps is None else record.steps.append
+    append = record.profiles.append
     seen_max = None
     n = 0
     try:
-        for n, state in zip(range(max_steps + 1), states):
-            profile = profile_of(state)
-            profiles.append(profile)
-            if keep is not None:
-                keep(state)
+        for n, profile in zip(range(max_steps + 1), profiles):
+            append(profile)
             a, b = profile
             m = b if a is None else a if b is None or a >= b else b
             if m is None:
@@ -191,10 +186,12 @@ def _trace(record: OrbitRecord, states, profile_of, max_steps: int, escape_expon
     return record
 
 
-def _exact_states(pt: Point, params: MapParams, step_fn, bit_budget):
-    """The exact engine: pt, then its images under step_fn."""
+def _exact_profiles(pt: Point, params: MapParams, step_fn, bit_budget, keep):
+    """The exact engine: the profiles of pt and of its images under step_fn,
+    each state handed to `keep` before its profile is yielded."""
     while True:
-        yield pt
+        keep(pt)
+        yield pt.profile()
         pt = step_fn(pt, params, bit_budget)
 
 
@@ -211,9 +208,9 @@ def backward_orbit(
     (pass None to disable).  A completed verdict means only that the horizon
     was reached; the maximum observed exponent is attached as evidence.
     """
-    states = _exact_states(pt, params, inverse, bit_budget)
-    return _trace(OrbitRecord("backward", steps=[]), states, Point.profile, max_steps,
-                  escape_exponent)
+    record = OrbitRecord("backward", steps=[])
+    profiles = _exact_profiles(pt, params, inverse, bit_budget, record.steps.append)
+    return _trace(record, profiles, max_steps, escape_exponent)
 
 
 def forward_orbit(
@@ -224,9 +221,9 @@ def forward_orbit(
     bit_budget=DEFAULT_BIT_BUDGET,
 ) -> OrbitRecord:
     """Forward iteration utility."""
-    states = _exact_states(pt, params, forward, bit_budget)
-    return _trace(OrbitRecord("forward", steps=[]), states, Point.profile, max_steps,
-                  escape_exponent)
+    record = OrbitRecord("forward", steps=[])
+    profiles = _exact_profiles(pt, params, forward, bit_budget, record.steps.append)
+    return _trace(record, profiles, max_steps, escape_exponent)
 
 
 def default_escape_exponent(params: MapParams) -> int:
@@ -244,38 +241,29 @@ def default_escape_exponent(params: MapParams) -> int:
 # still has coordinate heights growing like phi^n (the numerators of step 30
 # of a typical bounded orbit already need ~10^5 bits), so horizons beyond ~30
 # steps are not computable exactly.  The engine below runs the same recursion
-# on the residues of `padics`, with c split once per orbit into exact
-# integers.  An orbit starts at START_PRECISION digits and doubles them on
-# each PrecisionExhaustedError up to the caller's cap; a run that finishes has
-# exact profiles at any precision, so only the cost depends on where it stops.
+# on the residues of `padics`, one `_inverse_y` call per step, with c split
+# once per orbit into exact integers.  An orbit starts at START_PRECISION
+# digits and doubles them on each PrecisionExhaustedError up to the caller's
+# cap; a run that finishes has exact profiles at any precision, so only the
+# cost depends on where it stops.
 # ---------------------------------------------------------------------------
 
 START_PRECISION = 16
 
 
-def _residue_states(pt: Point, params: MapParams, digits: int):
-    """The certified engine: (x, y) as residues of `digits` digits, then their
-    backward images; None stands for an exact 0."""
+def _residue_profiles(pt: Point, params: MapParams, digits: int):
+    """The certified engine: the profiles of (x, y), taken as residues of
+    `digits` digits, and of their backward images; None marks an exact 0."""
     p = params.prime
     c = _split(params.c)
-    x = _residue(pt.x, digits)
-    y = _residue(pt.y, digits)
+    x, y = _residue(pt.x, digits), _residue(pt.y, digits)
+    b = None if x is None else -x[0]
     while True:
-        yield x, y
+        a, b = b, None if y is None else -y[0]
+        yield a, b
         if y is None:
             raise UndefinedInverseError("inverse undefined: y = 0")
-        if c is None:
-            t = x
-        elif x is None:
-            t = (c[0], -c[1], c[2], digits)
-        else:
-            t = _sub_c(x, c, p, y[3])
-        x, y = y, None if t is None else _div(t, y, p)
-
-
-def _residue_profile(state) -> tuple:
-    x, y = state
-    return None if x is None else -x[0], None if y is None else -y[0]
+        x, y = y, _inverse_y(x, y, c, p)
 
 
 def backward_profile_orbit(
@@ -295,10 +283,10 @@ def backward_profile_orbit(
     """
     digits = min(START_PRECISION, precision)
     while True:
-        states = _residue_states(pt, params, digits)
+        profiles = _residue_profiles(pt, params, digits)
         try:
-            return _trace(OrbitRecord("backward", precision=digits), states, _residue_profile,
-                          max_steps, escape_exponent)
+            return _trace(OrbitRecord("backward", precision=digits), profiles, max_steps,
+                          escape_exponent)
         except PrecisionExhaustedError:
             if digits >= precision:
                 raise
@@ -338,9 +326,10 @@ def fixed_points(params: MapParams, precision: int):
 
     The two-root case takes the Hensel square root q of 1 - 4c as a residue
     and returns ((1 - q)/2, (1 - q)/2) and ((1 + q)/2, (1 + q)/2), in that
-    order.  Both are computed with the orbit engine's `_sub_c` and `_div`, so
-    a cancellation in 1 - q is certified by the same rule, and one that
-    consumes every digit raises PrecisionExhaustedError.
+    order.  Both are steps (q - c)/y of the orbit engine's `_inverse_y`, whose y
+    = -+2 carries all k_q + max(v_q, 0) digits of q - c, so a cancellation in
+    1 - q is certified by the same rule, and one that consumes every digit
+    raises PrecisionExhaustedError.
     """
     c = params.c
     p = params.prime
@@ -351,10 +340,10 @@ def fixed_points(params: MapParams, precision: int):
     if not is_square(disc):
         return []
     q = sqrt(disc, precision)
-    v, n, m, k = _sub_c(q, (0, 1, 1), p)  # q - 1
+    k = q[3] + max(q[0], 0)
     roots = []
-    for t in ((v, -n, m, k), _sub_c(q, (0, -1, 1), p)):  # 1 - q, then 1 + q
-        alpha = TruncatedPadic.from_residue(p, _div(t, (0, 2, 1, t[3]), p))
+    for one, two in ((1, -2), (-1, 2)):  # (q - 1)/-2 = (1 - q)/2, then (q + 1)/2
+        alpha = TruncatedPadic.from_residue(p, _inverse_y(q, (0, two, 1, k), (0, one, 1), p))
         roots.append((alpha, alpha))
     return roots
 

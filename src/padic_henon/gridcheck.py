@@ -271,8 +271,8 @@ def check_transition_profiles(
 
     # An outcome fails where no target branch holds: the cells of a piece
     # that none of the branches' intervals covers.  At most 25 are listed
-    # per frontier group.
-    branches = [branch for target in targets for branch in region_branches(target)]
+    # per frontier group.  Targets go in name order, whatever their hash order.
+    branches = [branch for target in sorted(targets, key=str) for branch in region_branches(target)]
     for pieces, e in frontier:
         listed = 0
         for sa, lo, hi, a0, a1, b0, b1 in pieces:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .padics import _decimal
 from .regions import RegionLabel, region_rows, t_profile
 
 __all__ = [
@@ -92,8 +93,8 @@ def region_window_measure(label: RegionLabel, d: int, p: int, window: int) -> Fr
 
 
 def fraction_text(f: Fraction) -> str:
-    """f as "numerator/denominator", the denominator written even when it is 1."""
-    return f"{f.numerator}/{f.denominator}"
+    """f as "numerator/denominator" at any length, the denominator written even when 1."""
+    return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
 
 
 def measure_report(label: RegionLabel, d: int, p: int, window: int) -> dict:

@@ -8,8 +8,9 @@ and builds no ``fractions.Fraction``.  Where exact rationals are infeasible
 (long certified orbits) or impossible (square roots and the fixed points built
 from them), values are residues (v, n, m, k): p^v * n/m with n and m p-adic
 units known modulo p^k.  This is the package's only finite-precision
-arithmetic, and every valuation it reports is certified.  `TruncatedPadic` is
-its digit view, used for output.
+arithmetic: its one step `_inverse_y` computes (x - c)/y, for the backward
+orbits and the fixed points alike, and every valuation it reports is
+certified.  `TruncatedPadic` is its digit view, used for output.
 
 Norm convention: for x != 0 with p-adic valuation v = v_p(x), the norm is
 |x|_p = p^(-v) and the *norm exponent* is a = -v, so |x|_p = p^a.  The norm
@@ -286,8 +287,6 @@ class PadicRational:
 
     def expand(self, precision: int) -> "TruncatedPadic":
         """Digit expansion of this value to `precision` significant p-adic digits."""
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
         return TruncatedPadic.from_residue(self.prime, _residue(self, precision))
 
 
@@ -363,10 +362,11 @@ class Point:
 # A residue (v, n, m, k) is the value p^v * n/m, with n and m p-adic units
 # known modulo p^k; None stands for 0.  Numerator and denominator are kept
 # apart, so no operation computes a modular inverse.  An exact value such as c
-# enters as the integers (v_c, c_num, c_den) of p^v_c * c_num/c_den.  Every
-# valuation is certified exact as long as the leading digit stays inside the
-# known window, and a subtraction raises PrecisionExhaustedError the moment it
-# would not.
+# enters as the integers (v_c, c_num, c_den) of p^v_c * c_num/c_den.  The one
+# arithmetic step is `_inverse_y`, (x - c)/y, the second coordinate of the
+# backward map.  Every valuation is certified exact as long as the leading
+# digit stays inside the known window, and the step raises
+# PrecisionExhaustedError the moment it would not.
 
 
 class PrecisionExhaustedError(RuntimeError):
@@ -385,7 +385,9 @@ def _split(x: PadicRational):
 
 
 def _residue(x: PadicRational, k: int):
-    """x as a residue (v, n, m, k), or None for x = 0."""
+    """x as a residue (v, n, m, k), or None for x = 0; k must be at least 1."""
+    if k < 1:
+        raise ValueError("precision must be >= 1")
     split = _split(x)
     if split is None:
         return None
@@ -394,42 +396,47 @@ def _residue(x: PadicRational, k: int):
     return v, num % mod, den % mod, k
 
 
-def _sub_c(x, c, p: int, precision=None):
-    """x - c for a residue x and c = (v_c, c_num, c_den) exact; certifies the valuation.
-
-    `precision` is the number of digits the caller keeps of the result; None
-    keeps them all.  It caps the window only when v_x != v_c: then one term is
-    a unit at the lower valuation and the other is divisible by p, so the
-    difference has exactly that valuation whatever the cap, and the result is
-    the uncapped one reduced to `precision` digits.  The powers of p are taken
-    modulo the window p^n, so one of n or more digits is 0 and never built.
-    When v_x = v_c the digits can cancel, so the full window is kept and the
-    same PrecisionExhaustedError is raised as without a cap.
+def _inverse_y(x, y, c, p: int):
+    """(x - c)/y for residues x and y != None and c = (v_c, c_num, c_den) exact,
+    or None for 0.  The quotient keeps min(k_t, k_y) digits, k_t being those of
+    x - c, and the cross products need no inverse.  When v_x != v_c one term is
+    a unit at the lower valuation and the other is divisible by p, so x - c has
+    that valuation and is computed to k_y digits only: the result is the uncapped
+    one reduced to them, and a power of p at or above the window is 0, never
+    built.  When v_x = v_c the digits can cancel, so the whole window is kept,
+    and a difference with no digit left raises PrecisionExhaustedError.
     """
-    vx, nx, mx, kx = x
-    vc, c_num, c_den = c
-    lo = min(vx, vc)
-    n = vx - lo + kx  # the numerator of the difference is known modulo p^n
-    if precision is not None and vx != vc and n > precision:
-        n = precision
+    vy, ny, my, ky = y
+    if x is None or c is None:  # x - c is -c or x: no digit can cancel
+        if x is None:
+            if c is None:
+                return None
+            x = c[0], -c[1], c[2], ky
+        v, n, m, k = x
+        k = k if k < ky else ky
+        mod = p**k
+        return v - vy, n * my % mod, m * ny % mod, k
+    (vx, nx, mx, n), (vc, c_num, c_den) = x, c  # x - c is known mod p^n at valuation lo
+    a, b = nx * c_den, c_num * mx  # x and c over the denominator mx * c_den
+    e = vx - vc
+    lo = vc if e > 0 else vx
+    if e > 0:
+        n = n + e if n + e < ky else ky
+        a = a * p**e if e < n else 0
+    elif e:
+        n = n if n < ky else ky
+        b = b * p**-e if -e < n else 0
     mod = p**n
-    s = (nx * c_den * pow(p, vx - lo, mod) - c_num * mx * pow(p, vc - lo, mod)) % mod
-    if s == 0:
-        raise PrecisionExhaustedError(
-            f"cancellation below p^{n} at valuation {lo}; raise the precision"
-        )
-    if s % p:
-        return lo, s, mx * c_den % mod, n
-    w = padic_valuation(s, p)
-    k = n - w
-    return lo + w, s // p**w, mx * c_den % p**k, k
-
-
-def _div(t, y, p: int):
-    """t / y for residues; the cross products need no inverse."""
-    k = min(t[3], y[3])
-    mod = p**k
-    return t[0] - y[0], t[1] * y[2] % mod, t[2] * y[1] % mod, k
+    s = (a - b) % mod
+    if not s:
+        raise PrecisionExhaustedError(f"cancellation below p^{n} at valuation {lo}; "
+                                      "raise the precision")
+    w = 0 if s % p else padic_valuation(s, p)
+    k = n - w if n - w < ky else ky
+    if k != n:
+        mod = p**k
+        s //= p**w
+    return lo + w - vy, s * my % mod, mx * c_den * ny % mod, k
 
 
 # -- squares and square roots ----------------------------------------------
@@ -520,14 +527,6 @@ def sqrt(x: PadicRational, precision: int):
     return v // 2, r, 1, precision
 
 
-def _digits_of(u: int, p: int, n: int) -> tuple:
-    digits = []
-    for _ in range(n):
-        u, dig = divmod(u, p)
-        digits.append(dig)
-    return tuple(digits)
-
-
 class TruncatedPadic:
     """The digit view p^val * (d0 + d1 p + d2 p^2 + ...) of a residue, for output.
 
@@ -566,7 +565,8 @@ class TruncatedPadic:
             return cls.zero(prime)
         v, n, m, k = r
         mod = prime**k
-        return cls(prime, v, _digits_of(n * pow(m, -1, mod) % mod, prime, k))
+        u = n * pow(m, -1, mod) % mod
+        return cls(prime, v, (u // prime**i % prime for i in range(k)))
 
     @property
     def is_zero(self) -> bool:

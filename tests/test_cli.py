@@ -424,18 +424,30 @@ def test_cli_import_leaves_numpy_unloaded():
 def test_verify_seed_and_samples_match_library_run(runner):
     from dataclasses import replace
 
-    from padic_henon.verifier import builtin_campaign, campaign_summary, run_campaign
+    from padic_henon.verifier import (
+        LemmaSpec,
+        builtin_campaign,
+        campaign_summary,
+        run_campaign,
+    )
 
     result = runner.invoke(main, ["verify", "negative-control", "--seed", "7", "--samples", "40"])
     assert result.exit_code == 1
-    specs = [replace(s, seed=7, samples=40) for s in builtin_campaign("negative-control")]
+    # The overrides reach only the kinds that read them: the exhaustive spec keeps
+    # its defaults.
+    specs = [replace(s, seed=7, samples=40) if s.kind == "transition" else s
+             for s in builtin_campaign("negative-control")]
+    assert [s.kind for s in specs] == ["transition", "exhaustive"]
     library = campaign_summary(run_campaign(specs))
     cli = json.loads(result.stdout)
     for summary in (cli, library):
         for report in summary["reports"]:
             del report["wall_time"]
     assert cli == library
-    assert [r["spec"]["seed"] for r in cli["reports"]] == [7, 7]
+    overrides = [(r["spec"]["seed"], r["spec"]["samples"]) for r in cli["reports"]]
+    assert overrides == [(7, 40), (0, 200)]
+    for report in cli["reports"]:
+        assert LemmaSpec.from_json(report["spec"]).to_json() == report["spec"]
 
 
 def test_verify_samples_below_one_usage_error(runner):
@@ -457,6 +469,40 @@ def test_measure_tn_rows(runner):
     assert obj["rows"][0]["sphere_to_ball_ratio"] == "4/9"
     sums = [r["partial_sum"] for r in obj["rows"]]
     assert sums[3] == "3040/1"
+
+
+def test_measure_tn_prints_every_digit_past_the_str_limit(runner):
+    from padic_henon.measure import tn_rows
+
+    result = runner.invoke(main, ["measure", "-p", "3", "--tn", "--k", "2", "--n", "18"])
+    assert result.exit_code == 0, result.output
+    rows = json.loads(result.stdout)["rows"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [
+            {"n": row["n"], **{key: str(row[key]) if key == "ball_product"
+                               else f"{row[key].numerator}/{row[key].denominator}"
+                               for key in ("exact", "ball_product", "sphere_to_ball_ratio",
+                                           "partial_sum")}}
+            for row in tn_rows(18, 2, 3)
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(rows[-1]["partial_sum"]) > 4300 and len(rows[-1]["ball_product"]) > 4300
+    assert rows == expected
+
+
+@pytest.mark.parametrize("args", [
+    ["-p", "3", "--n", "26"],  # 2 * F(28) = 1,028,458 bits
+    ["-p", "3", "--n", "1000000000"],
+    ["-p", "3", "--k", "1000000000000", "--n", "0"],
+    ["-p", "1000003", "--n", "21"],  # 20 * F(23) = 927,360 bits
+])
+def test_measure_tn_over_the_size_cap_usage_error(runner, args):
+    result = runner.invoke(main, ["measure", "--tn", *args])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "lower --n or --k" in result.output
 
 
 def test_measure_tn_k_below_two_usage_error(runner):

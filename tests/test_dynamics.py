@@ -21,7 +21,7 @@ from padic_henon.dynamics import (
     three_cycle,
 )
 from padic_henon.gridcheck import _step_pieces
-from padic_henon.padics import PadicRational, Point
+from padic_henon.padics import PadicRational, Point, padic_valuation
 from padic_henon.regions import Regime, RegionLabel, regime_of_d, sample_in_region
 
 
@@ -271,6 +271,17 @@ def test_profile_orbit_refuses_uncertifiable_cancellation():
         backward_profile_orbit(pt, prm, 5, precision=50)
 
 
+@pytest.mark.parametrize("precision", [0, -3])
+def test_profile_orbit_needs_one_digit(precision):
+    # Below one digit no residue exists: a run there must not report profiles.
+    pt = Point(pr(3), pr(7))
+    for c in (0, 5):
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            backward_profile_orbit(pt, params_for(c), 5, precision=precision)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        pr(3).expand(precision)
+
+
 def test_profile_orbit_undefined_inverse():
     prm = params_for(1, 3, 3)
     pt = Point(pr(5, 1, 3), pr(0, 1, 3))
@@ -302,10 +313,27 @@ def test_capped_subtraction_gives_the_uncapped_orbits_at_large_d(monkeypatch):
                for j in (1, 2, 5)]
     clamped = []
 
-    def counting(x, c, p, precision=None):
-        if x[0] != c[0] and x[0] - min(x[0], c[0]) + x[3] > precision:
+    def counting(x, y, c, p):
+        if x is not None and x[0] != c[0] and x[0] - min(x[0], c[0]) + x[3] > y[3]:
             clamped.append(x[0] - c[0])
-        return padics._sub_c(x, c, p, precision)
+        return padics._inverse_y(x, y, c, p)
+
+    def uncapped(x, y, c, p):
+        """(x - c)/y with x - c at every digit it keeps, then divided."""
+        if x is None:
+            return padics._inverse_y(x, y, c, p)
+        (vx, nx, mx, kx), (vc, c_num, c_den) = x, c
+        lo = min(vx, vc)
+        n = vx - lo + kx
+        mod = p**n
+        s = (nx * c_den * pow(p, vx - lo, mod) - c_num * mx * pow(p, vc - lo, mod)) % mod
+        if s == 0:
+            raise PrecisionExhaustedError(
+                f"cancellation below p^{n} at valuation {lo}; raise the precision")
+        w = padic_valuation(s, p)
+        k = min(n - w, y[3])
+        mod = p**k
+        return lo + w - y[0], s // p**w * y[2] % mod, mx * c_den * y[1] % mod, k
 
     def run(pt, cap):
         try:
@@ -317,10 +345,9 @@ def test_capped_subtraction_gives_the_uncapped_orbits_at_large_d(monkeypatch):
     kinds, precisions = set(), set()
     for pt in starts:
         for cap in (16, 64, 256):
-            monkeypatch.setattr(dynamics, "_sub_c", counting)
+            monkeypatch.setattr(dynamics, "_inverse_y", counting)
             capped = run(pt, cap)
-            monkeypatch.setattr(dynamics, "_sub_c", lambda x, c, p, precision=None:
-                                padics._sub_c(x, c, p))
+            monkeypatch.setattr(dynamics, "_inverse_y", uncapped)
             assert capped == run(pt, cap)
             if isinstance(capped, str):
                 kinds.add("exhausted")

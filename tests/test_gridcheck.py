@@ -403,3 +403,29 @@ def test_wrong_targets_on_repeated_images_match_the_cell_oracle():
                 partial += 0 < want[2] < want[1]
                 capped += want[2] > len(want[3])
     assert partial >= 8 and capped >= 8
+
+
+def test_transition_work_does_not_depend_on_target_order(monkeypatch):
+    # The targets are tried in one fixed order, so the same set passed in any
+    # order (a frozenset's follows PYTHONHASHSEED) costs the same number of
+    # cuts and gives the same check, counterexamples and their order included.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return regions.branch_interval(*args)
+
+    monkeypatch.setattr(gridcheck, "branch_interval", counting)
+    S = Regime.SMALL
+    p6 = RegionLabel(S, "P", 6)
+    right = sorted(expected_preimage_regions(p6, depth=1), key=str)
+    wrong = [RegionLabel(S, "R"), RegionLabel(S, "P", 1), RegionLabel(S, "B", 2)]
+    for source, targets in ((p6, right), (p6, wrong), (RegionLabel(S, "Z"), wrong)):
+        assert len(targets) > 1
+        results = []
+        for order in (targets, targets[::-1], targets[1:] + targets[:1]):
+            calls.clear()
+            check = check_transition_profiles(source, -3, 30, targets=order)
+            results.append((len(calls), check))
+        assert results[0] == results[1] == results[2]
+    assert results[0][1].counterexamples

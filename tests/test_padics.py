@@ -13,10 +13,9 @@ from padic_henon.padics import (
     Point,
     PrecisionExhaustedError,
     TruncatedPadic,
-    _div,
+    _inverse_y,
     _residue,
     _split,
-    _sub_c,
     is_square,
     padic_valuation,
     sample_with_norm,
@@ -306,13 +305,14 @@ def test_truncation_rational_arithmetic():
     # Residue arithmetic with exact rationals, read back through the digit view.
     p = 5
     t = _residue(pr(7), 8)  # unit
-    u = _sub_c(t, (0, -3, 1), p)  # 7 + 3
+    one = (0, 1, 1, 8)
+    u = _inverse_y(t, one, (0, -3, 1), p)  # (7 + 3)/1
     assert u[3] == 7  # valuation rose by 1: one digit of accuracy spent
     assert TruncatedPadic.from_residue(p, u) == pr(10).expand(7)
-    v = _div(t, (0, 2, 1, 8), p)
+    v = _inverse_y(t, (0, 2, 1, 8), None, p)  # (7 - 0)/2
     assert TruncatedPadic.from_residue(p, v) == pr(7, 2).expand(8)
     with pytest.raises(PrecisionExhaustedError):
-        _sub_c(_residue(pr(7 + 5**8), 8), (0, 7, 1), p)  # agrees with 7 on all 8 digits
+        _inverse_y(_residue(pr(7 + 5**8), 8), one, (0, 7, 1), p)  # agrees with 7 on all 8 digits
 
 
 def test_truncation_from_residue():
@@ -565,7 +565,7 @@ def test_prime_mismatch_rejected_by_every_operation(op):
     assert PadicRational(1, 2, 5) != PadicRational(1, 2, 7)
 
 
-# --- the precision argument of _sub_c -----------------------------------------
+# --- the certified step (x - c)/y ----------------------------------------------
 
 
 def _unit(data, p: int, bound: int) -> int:
@@ -575,30 +575,37 @@ def _unit(data, p: int, bound: int) -> int:
     return data.draw(st.sampled_from([1, -1])) * (q * p + r)
 
 
+def _reduced(r, k: int, p: int):
+    """The residue r reduced to k digits."""
+    v, n, m, _ = r
+    return v, n % p**k, m % p**k, k
+
+
 @settings(max_examples=500, deadline=None)
 @given(p=_primes, vx=st.integers(-400, 400), vc=st.integers(-400, 400), kx=st.integers(1, 60),
        cap=st.integers(1, 120), data=st.data())
-def test_sub_c_capped_is_the_uncapped_result_reduced_to_the_cap(p, vx, vc, kx, cap, data):
+def test_step_capped_is_the_uncapped_result_reduced_to_the_cap(p, vx, vc, kx, cap, data):
     assume(vx != vc)
     mod = p**kx
     x = (vx, _unit(data, p, mod) % mod, _unit(data, p, mod) % mod, kx)
     c = (vc, _unit(data, p, 10**30), abs(_unit(data, p, 10**30)))
-    full = _sub_c(x, c, p)
-    capped = _sub_c(x, c, p, cap)
+    # y with digits to spare never caps x - c: it keeps all of its kx + max(vx - vc, 0).
+    wide = kx + max(vx - vc, 0) + 1
+    y = (data.draw(st.integers(-50, 50)), _unit(data, p, p**wide) % p**wide, 1, wide)
+    full = _inverse_y(x, y, c, p)
+    capped = _inverse_y(x, _reduced(y, cap, p), c, p)
     k = min(full[3], cap)
     # The valuation is the lower of the two: the cap cannot move it.
-    assert capped[0] == full[0] == min(vx, vc) and capped[3] == k
+    assert capped[0] == full[0] == min(vx, vc) - y[0] and full[3] == wide - 1
     assert capped[1] % p and capped[2] % p
     assert 0 <= capped[1] < p**k and 0 <= capped[2] < p**k
-    assert capped[1] == full[1] % p**k and capped[2] == full[2] % p**k
-    y = (data.draw(st.integers(-50, 50)), _unit(data, p, p**cap) % p**cap, 1, cap)
-    assert _div(capped, y, p) == _div(full, y, p)
+    assert capped == _reduced(full, k, p)
 
 
 @settings(max_examples=500, deadline=None)
 @given(p=_primes, v=st.integers(-400, 400), kx=st.integers(1, 60), cap=st.integers(1, 120),
        agree=st.integers(0, 70), data=st.data())
-def test_sub_c_cap_does_not_apply_when_the_digits_can_cancel(p, v, kx, cap, agree, data):
+def test_step_cap_does_not_apply_when_the_digits_can_cancel(p, v, kx, cap, agree, data):
     mod = p**kx
     nx, mx = _unit(data, p, mod) % mod, _unit(data, p, mod) % mod
     c_den = abs(_unit(data, p, 10**30))
@@ -606,12 +613,66 @@ def test_sub_c_cap_does_not_apply_when_the_digits_can_cancel(p, v, kx, cap, agre
     c_num = nx * c_den * pow(mx, -1, mod) % mod + p**agree * data.draw(st.integers(-(10**6), 10**6))
     assume(c_num % p)
     x, c = (v, nx, mx, kx), (v, c_num, c_den)
+    y = (0, 1, 1, kx)  # x - c over 1, at all of its digits
     try:
-        full = _sub_c(x, c, p)
+        full = _inverse_y(x, y, c, p)
     except PrecisionExhaustedError as exc:
         with pytest.raises(PrecisionExhaustedError) as capped:
-            _sub_c(x, c, p, cap)
+            _inverse_y(x, _reduced(y, cap, p), c, p)
         assert str(capped.value) == str(exc) and f"below p^{kx} " in str(exc)
         return
-    assert _sub_c(x, c, p, cap) == full  # k too, where it is above the cap
+    # The valuation is certified on all kx digits, even where they outnumber the cap.
+    assert _inverse_y(x, _reduced(y, cap, p), c, p) == _reduced(full, min(full[3], cap), p)
     assert agree < kx and full[0] >= v + agree and full[3] == kx - (full[0] - v)
+
+
+def _with_valuation(data, p: int, v: int) -> PadicRational:
+    """A rational of valuation v whose unit part has numerator and denominator
+    of up to 40 digits."""
+    num, den = _unit(data, p, 10**40), abs(_unit(data, p, 10**40))
+    return PadicRational(num * p ** max(v, 0), den * p ** max(-v, 0), p)
+
+
+@settings(max_examples=800, deadline=None)
+@given(p=_primes, kx=st.integers(1, 12), ky=st.integers(1, 12), vx=st.integers(-8, 8),
+       vy=st.integers(-8, 8), shape=st.sampled_from(["cancel", "edge", "any", "x = 0", "c = 0"]),
+       data=st.data())
+def test_step_is_the_residue_of_the_exact_quotient(p, kx, ky, vx, vy, shape, data):
+    """On residues of exact X, Y and the exact C, the step is the residue of
+    (X - C)/Y at the digits it keeps, or raises only when X - C vanishes on
+    all kx digits of x."""
+    X, Y = _with_valuation(data, p, vx), _with_valuation(data, p, vy)
+    if shape == "cancel":  # v_c = v_x, and C agrees with X on its first j digits
+        j = data.draw(st.integers(1, kx + 2))
+        C = X + _with_valuation(data, p, vx + j)
+    elif shape == "edge":  # the power p^|v_x - v_c| at n - 1, n or n + 1 of the window n
+        above = data.draw(st.booleans())  # v_x > v_c: the window is capped at ky
+        e = (ky if above else min(kx, ky)) + data.draw(st.sampled_from([-1, 0, 1]))
+        assume(e > 0)
+        C = _with_valuation(data, p, vx - e if above else vx + e)
+    elif shape == "c = 0":
+        C = PadicRational(0, 1, p)
+    else:
+        C = _with_valuation(data, p, data.draw(st.integers(-20, 20)))
+    if shape == "x = 0":
+        X = PadicRational(0, 1, p)
+    x, y, c = _residue(X, kx), _residue(Y, ky), _split(C)
+    try:
+        r = _inverse_y(x, y, c, p)
+    except PrecisionExhaustedError as exc:
+        assert vx == C.valuation and (X - C).valuation >= vx + kx
+        assert str(exc) == f"cancellation below p^{kx} at valuation {vx}; raise the precision"
+        return
+    Q = (X - C) / Y
+    if Q.is_zero:
+        assert X.is_zero and C.is_zero and r is None
+        return
+    assert r[0] == Q.valuation
+    if X.is_zero:
+        k = ky
+    elif C.is_zero:
+        k = min(kx, ky)
+    else:  # x - c keeps kx digits above v_x, less the digits that cancel
+        k = min(ky, vx + kx - (X - C).valuation)
+    assert r[3] == k and 0 < r[1] < p**k and 0 < r[2] < p**k
+    assert TruncatedPadic.from_residue(p, r) == Q.expand(k)
