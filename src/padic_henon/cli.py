@@ -63,6 +63,19 @@ def _parse_label(text: str, regime) -> RegionLabel:
     return label
 
 
+def _given(c):
+    if c is None:
+        raise click.UsageError("--c is required")
+    return c
+
+
+def _partition_d(c) -> int:
+    """d = log_p|c|, which only a nonzero c has."""
+    if c.is_zero:
+        raise click.UsageError("c = 0 is degenerate: no region partition exists")
+    return c.norm_exponent
+
+
 def _prime(ctx, param, value):
     try:
         return validate_odd_prime(value)
@@ -102,11 +115,9 @@ def main():
 @click.option("--bit-budget", type=click.IntRange(min=1), default=1_000_000, show_default=True)
 def orbit(prime, c, x, y, steps, direction, escape_exp, bit_budget):
     """Run an orbit and print its JSON trace; exit 0 on any verdict."""
-    if c is None:
-        raise click.UsageError("--c is required")
     from .padics import Point
 
-    params = MapParams(c)
+    params = MapParams(_given(c))
     pt = Point(x, y)
     runner = backward_orbit if direction == "backward" else forward_orbit
     rec = runner(pt, params, steps, escape_exponent=escape_exp, bit_budget=bit_budget)
@@ -122,11 +133,7 @@ def orbit(prime, c, x, y, steps, direction, escape_exp, bit_budget):
 @click.option("--b", "b", type=int, default=None, help="Norm exponent of y (profile mode).")
 def classify_cmd(prime, c, x, y, a, b):
     """Classify a point or a norm profile into its region."""
-    if c is None:
-        raise click.UsageError("--c is required")
-    if c.is_zero:
-        raise click.UsageError("c = 0 is degenerate: no region partition exists")
-    d = c.norm_exponent
+    d = _partition_d(_given(c))
     if x is not None and y is not None and a is None and b is None:
         profile = (x.norm_exponent, y.norm_exponent)
     elif a is not None and b is not None and x is None and y is None:
@@ -144,11 +151,7 @@ def classify_cmd(prime, c, x, y, a, b):
 @format_option
 def grid(prime, c, window, fmt):
     """Region label for every integer profile |a|, |b| <= window (CSV or JSON)."""
-    if c is None:
-        raise click.UsageError("--c is required")
-    if c.is_zero:
-        raise click.UsageError("c = 0 is degenerate: no region partition exists")
-    d = c.norm_exponent
+    d = _partition_d(_given(c))
     rows = []
     for a in range(-window, window + 1):
         for b in range(-window, window + 1):
@@ -235,9 +238,7 @@ def measure(prime, c, tn, k, n, region, window):
         return
     if region is None or c is None:
         raise click.UsageError("give --tn, or both --region and --c")
-    if c.is_zero:
-        raise click.UsageError("c = 0 is degenerate: no region partition exists")
-    d = c.norm_exponent
+    d = _partition_d(c)
     label = _parse_label(region, regime_of_d(d))
     if label.name == "T" and d < 2:
         raise click.UsageError(f"overlay region {label} needs d >= 2, but --c has d = {d}")
@@ -250,9 +251,7 @@ def measure(prime, c, tn, k, n, region, window):
 @click.option("--precision", type=click.IntRange(min=1), default=20, show_default=True)
 def fixed_points_cmd(prime, c, precision):
     """Fixed points (digit expansions, exact rationals when they exist) and the 3-cycle."""
-    if c is None:
-        raise click.UsageError("--c is required")
-    if c.is_zero:
+    if _given(c).is_zero:
         raise click.UsageError("c = 0 is degenerate: 1 - q cancels at every precision")
     params = MapParams(c)
     try:

@@ -9,6 +9,10 @@ One catalogue names the regions.  Each regime's table lists every fixed
 label once, in enumeration order; the Fibonacci-indexed families (UNIT M;
 LARGE C, D, B, A, M and the overlay T) are built per index, from the first
 index ``_FAMILIES`` gives; the overlay's d >= 2 is a constraint of its branch.
+Every family but T is written through one linear form,
+phi_k(a, b) = (-1)^(k+1) * (F(k-1)*a - F(k)*b), and the bounds a, b OP d*F(j),
+for odd and even indices alike; the forward profile map (a, b) -> (a + b, a)
+carries phi_k to phi_(k-1).
 ``region_branches``, ``iter_region_labels`` and ``expected_preimage_regions``
 all read it, and each one-step transition rule is written once for every
 regime it holds in.
@@ -149,25 +153,6 @@ _SMALL_TABLE = {
 }
 
 
-# The indexed families are built once per index and shared, like the fixed
-# tables above.
-@lru_cache(maxsize=None)
-def _unit_m_branches(i: int):
-    if i % 2:  # i = 2n+1, n >= 0, with F(-2) = 1 and F(-1) = 0
-        n = (i - 1) // 2
-        return [[
-            (fib(2 * n - 2), -fib(2 * n - 1), 0, 0, ">"),
-            (-fib(2 * n - 1), fib(2 * n), 0, 0, ">"),
-            (fib(2 * n), -fib(2 * n + 1), 0, 0, "<="),
-        ]]
-    n = (i - 2) // 2
-    return [[
-        (-fib(2 * n - 1), fib(2 * n), 0, 0, ">"),
-        (fib(2 * n), -fib(2 * n + 1), 0, 0, ">"),
-        (-fib(2 * n + 1), fib(2 * n + 2), 0, 0, "<="),
-    ]]
-
-
 _UNIT_TABLE = {
     ("C", 0): [
         [(1, 0, 0, 0, "=="), (0, 1, 0, 0, "<=")],
@@ -177,83 +162,6 @@ _UNIT_TABLE = {
     ("G", None): [[(1, 0, 0, 0, "<="), (0, 1, 0, 0, ">")]],
     ("H", None): [[(1, 0, 0, 0, ">"), (0, 1, 0, 0, "<=")]],
 }
-
-
-@lru_cache(maxsize=None)
-def _large_indexed_branches(name: str, i: int):
-    odd, n = i % 2 == 1, (i - 1) // 2  # i = 2n + 1 or i = 2n + 2
-    if name == "C":  # C0 is a fixed label of the LARGE table
-        if odd:
-            return [[
-                (1, 0, fib(2 * n), 0, ">"),
-                (1, 0, fib(2 * n + 2), 0, "<="),
-                (fib(2 * n), -fib(2 * n + 1), 1, 0, "=="),
-            ]]
-        return [[
-            (1, 0, fib(2 * n + 1), 0, ">"),
-            (1, 0, fib(2 * n + 3), 0, "<="),
-            (-fib(2 * n + 1), fib(2 * n + 2), 1, 0, "=="),
-        ]]
-    if name == "D":
-        if odd:
-            return [[
-                (1, 0, fib(2 * n), 0, ">"),
-                (1, 0, fib(2 * n + 1), 0, "<"),
-                (fib(2 * n - 2), -fib(2 * n - 1), 1, 0, "=="),
-            ]]
-        return [[
-            (1, 0, fib(2 * n + 1), 0, ">"),
-            (1, 0, fib(2 * n + 2), 0, "<"),
-            (-fib(2 * n - 1), fib(2 * n), 1, 0, "=="),
-        ]]
-    if name == "B":
-        if not odd:  # B_{2n}, n >= 1
-            n = i // 2
-            return [[
-                (1, 0, fib(2 * n), 0, ">"),
-                (1, 0, fib(2 * n + 1), 0, "<="),
-                (fib(2 * n), -fib(2 * n + 1), 1, 0, "<"),
-                (-fib(2 * n - 2), fib(2 * n - 1), -1, 0, "<"),
-            ]]
-        return [[  # B_{2n+1}, n >= 0 (n = 0 is the first rung)
-            (1, 0, fib(2 * n + 1), 0, ">"),
-            (1, 0, fib(2 * n + 2), 0, "<"),
-            (fib(2 * n), -fib(2 * n + 1), 1, 0, "<"),
-            (-fib(2 * n - 1), fib(2 * n), 1, 0, "<"),
-        ]]
-    if name == "A":
-        if odd:  # A_{2n+1}, n >= 0
-            return [[
-                (1, 0, fib(2 * n + 1), 0, ">"),
-                (1, 0, fib(2 * n + 2), 0, "<="),
-                (-fib(2 * n - 1), fib(2 * n), 1, 0, ">"),
-                (-fib(2 * n + 1), fib(2 * n + 2), 1, 0, "<"),
-            ]]
-        return [[  # A_{2n+2}, n >= 0
-            (1, 0, fib(2 * n + 2), 0, ">"),
-            (1, 0, fib(2 * n + 3), 0, "<"),
-            (fib(2 * n), -fib(2 * n + 1), 1, 0, "<"),
-            (-fib(2 * n + 1), fib(2 * n + 2), 1, 0, "<"),
-        ]]
-    if name == "M":
-        if odd:  # M_{2n+1}, n >= 0
-            return [[
-                (1, 0, fib(2 * n), 0, ">"),
-                (0, 1, fib(2 * n - 1), 0, ">"),
-                (0, 1, fib(2 * n + 1), 0, "<="),
-                (fib(2 * n), -fib(2 * n + 1), 1, 0, ">"),
-            ]]
-        return [[  # M_{2n+2}, n >= 0
-            (1, 0, fib(2 * n + 1), 0, ">"),
-            (1, 0, fib(2 * n + 3), 0, "<="),
-            (-fib(2 * n + 1), fib(2 * n + 2), 1, 0, ">"),
-        ]]
-    # The overlay T: the norm sphere pair scaled by (d - 1), only for d >= 2.
-    return [[
-        (1, 0, fib(i + 1), -fib(i + 1), "=="),
-        (0, 1, fib(i), -fib(i), "=="),
-        (0, 0, 1, -2, "<="),
-    ]]
 
 
 _LARGE_TABLE = {
@@ -281,6 +189,46 @@ _FAMILIES = {
 _MAX_INDEX = 10_000  # F(10,000) has about 2,090 digits; no enumerable window reaches it
 
 
+def _phi(k: int, op: str, cd: int = 1):
+    """The constraint phi_k OP cd*d, k >= -1, where phi_k(a, b) =
+    (-1)^(k+1) * (F(k-1)*a - F(k)*b).  The forward profile map
+    Phi(a, b) = (a + b, a) carries it down an index: phi_k o Phi = phi_(k-1)."""
+    s = 1 if k % 2 else -1
+    return (s * fib(k - 1), -s * fib(k), cd, 0, op)
+
+
+def _a(op: str, j: int):
+    return (1, 0, fib(j), 0, op)  # a OP d*F(j)
+
+
+def _b(op: str, j: int):
+    return (0, 1, fib(j), 0, op)  # b OP d*F(j)
+
+
+# Each family member is built once and shared, like the fixed tables above.
+@lru_cache(maxsize=None)
+def _family_branches(regime: Regime, name: str, i: int):
+    if regime is Regime.UNIT:  # M_i: the band between two Fibonacci slopes
+        return [[_phi(i - 2, ">", 0), _phi(i - 1, ">", 0), _phi(i, "<=", 0)]]
+    if name == "C":
+        return [[_a(">", i - 1), _a("<=", i + 1), _phi(i, "==")]]
+    if name == "D":
+        return [[_a(">", i - 1), _a("<", i), _phi(i - 2, "==")]]
+    if name == "M":
+        if i % 2:
+            return [[_a(">", i - 1), _b(">", i - 2), _b("<=", i), _phi(i, ">")]]
+        return [[_a(">", i - 1), _a("<=", i + 1), _phi(i, ">")]]
+    if name == "T":  # the norm sphere pair scaled by (d - 1), only for d >= 2
+        return [[
+            (1, 0, fib(i + 1), -fib(i + 1), "=="),
+            (0, 1, fib(i), -fib(i), "=="),
+            (0, 0, 1, -2, "<="),
+        ]]
+    if (name == "B") == (i % 2 == 0):  # the upper shell half: B_i, i even; A_i, i odd
+        return [[_a(">", i), _a("<=", i + 1), _phi(i - 1, ">"), _phi(i + 1, "<")]]
+    return [[_a(">", i), _a("<", i + 1), _phi(i - 1, "<"), _phi(i, "<")]]  # the lower half
+
+
 def region_branches(label: RegionLabel):
     """The region's defining inequalities as a union of conjunction branches:
     its regime's table entry, else its member of an indexed family, whose
@@ -297,7 +245,7 @@ def region_branches(label: RegionLabel):
         raise KeyError(f"{name} family starts at index {first}")
     if i > _MAX_INDEX:
         raise KeyError(f"{name} family index {i} is above {_MAX_INDEX}")
-    return _large_indexed_branches(name, i) if regime is Regime.LARGE else _unit_m_branches(i)
+    return _family_branches(regime, name, i)
 
 
 _OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}

@@ -176,6 +176,9 @@ class LemmaSpec:
             if kind not in kinds and values[f.name] != f.default:
                 names = ", ".join(kinds[:-1]) + " and " + kinds[-1] if len(kinds) > 1 else kinds[0]
                 raise CampaignError(f"{key} applies only to {names} specs, not {kind!r}")
+        # A start above the threshold would count as escaped before any step.
+        if kind in ("escape", "sandwich") and (top := _threshold(spec, spec.params())) < spec.window:
+            raise CampaignError(f"escape threshold {top} is below the window {spec.window}")
         return spec
 
     def _check_regions(self) -> None:
@@ -264,17 +267,22 @@ def _expected_targets(spec: LemmaSpec) -> list:
     return sorted(targets, key=str)
 
 
-def _samples(report, spec, label, d, samples, rng, empty_note):
+def _samples(report, spec, label, d, samples, rng, empty_note="empty region", prefix=""):
     """Yield `samples` exact points of `label` in the spec's window.  If the
-    region has no cell there, count them all as skipped and note why."""
+    region has no cell there, count them all as skipped and note why; once
+    all are judged, note how many the caller counted uncertified.  Both
+    notes start with `prefix`."""
+    uncertified = report.uncertified
     for _ in range(samples):
         try:
             pt = sample_in_region(label, d, spec.p, spec.window, spec.digit_count, rng)
         except EmptyRegionError as exc:
             report.skipped += samples
-            report.notes.append(f"{empty_note}: {exc}")
+            report.notes.append(f"{prefix}{empty_note}: {exc}")
             return
         yield pt
+    if report.uncertified > uncertified:
+        report.notes.append(f"{prefix}{report.uncertified - uncertified} samples uncertified")
 
 
 def verify_transition(spec: LemmaSpec) -> VerificationReport:
@@ -286,7 +294,7 @@ def verify_transition(spec: LemmaSpec) -> VerificationReport:
     d = params.d
     targets = _expected_targets(spec)
     rng = random.Random(spec.seed)
-    for pt in _samples(report, spec, spec.source, d, spec.samples, rng, "empty region"):
+    for pt in _samples(report, spec, spec.source, d, spec.samples, rng):
         current = pt
         try:
             for _step in range(spec.depth):
@@ -319,8 +327,6 @@ def verify_transition(spec: LemmaSpec) -> VerificationReport:
                     "expected": [str(t) for t in targets],
                 }
             )
-    if report.uncertified:
-        report.notes.append(f"{report.uncertified} samples uncertified")
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -428,9 +434,8 @@ def _check_escapes(report, spec, label, params, samples, threshold, note_prefix=
     """Sampled backward orbits from `label` must cross the threshold, and meet
     `growth_check` on the way; the verdicts go into `report`, and its notes
     carry `note_prefix`.  The samples are drawn afresh from the spec's seed."""
-    uncertified = report.uncertified
     rng = random.Random(spec.seed)
-    for pt in _samples(report, spec, label, params.d, samples, rng, f"{note_prefix}empty region"):
+    for pt in _samples(report, spec, label, params.d, samples, rng, prefix=note_prefix):
         rec = _sample_orbit(report, pt, params, spec.steps, 256, threshold)
         if rec is None:
             continue
@@ -448,8 +453,6 @@ def _check_escapes(report, spec, label, params, samples, threshold, note_prefix=
                 continue
             why = {"growth_check": growth_check, "violated_at_step": step}
         report.failures.append({"start": pt.to_json(), **why, "profiles": [list(p) for p in profiles]})
-    if report.uncertified > uncertified:
-        report.notes.append(f"{note_prefix}{report.uncertified - uncertified} samples uncertified")
 
 
 def verify_escape(spec: LemmaSpec) -> VerificationReport:
@@ -669,8 +672,6 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
                     {"start": pt.to_json(),
                      "regions": [str(classify(prof, d)) for prof in rec.profiles]}
                 )
-        if report.uncertified:
-            report.notes.append(f"{report.uncertified} samples uncertified")
         if drawn:
             report.notes.append(
                 f"{report.passes}/{drawn} samples of {invariant} stayed for {spec.steps} steps "

@@ -373,12 +373,21 @@ def _one_spec(**fields):
         (_one_spec(c="3/1", sample=7), "unknown field 'sample'"),
         (_one_spec(kind="escape", c="1/9", source={"regime": "large", "name": "A", "index": 10_001}),
          "A family index 10001 is above 10000"),
+        # A start above the escape threshold would count as escaped at step 0.
+        (_one_spec(kind="escape", c="3/1"), "escape threshold 8 is below the window 12"),
+        (_one_spec(kind="escape", c="3/1", source={"regime": "small", "name": "Z", "index": None},
+                   escape_exp=-1),
+         "escape threshold -1 is below the window 12"),
+        (json.dumps({"specs": [{"id": "bad", "kind": "sandwich", "p": 3, "c": "1/9",
+                                "escape_exp": 5, "window": 6}]}),
+         "escape threshold 5 is below the window 6"),
     ],
     ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch", "samples-zero",
          "window-negative", "overlay-exhaustive", "overlay-transition", "overlay-escape",
          "overlay-target", "index-true", "expected-empty", "growth-check-on-sandwich",
          "large-c-minus-one", "source-on-sandwich", "c-on-worked-orbits", "samples-on-exhaustive",
-         "unknown-key", "index-above-bound"],
+         "unknown-key", "index-above-bound", "escape-threshold-default",
+         "escape-threshold-override", "sandwich-threshold"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     path = tmp_path / "bad.json"

@@ -111,6 +111,24 @@ def test_golden_below_matches_golden_cmp_on_fibonacci_pairs():
             assert golden_below(-a, -b) is (sign > 0), (n, k)
 
 
+# --- the Fibonacci form phi_k of the indexed families -------------------------
+
+
+def test_phi_is_carried_down_an_index_by_the_forward_profile_map():
+    """phi_k(a, b) = (-1)^(k+1) * (F(k-1)*a - F(k)*b), and the forward profile
+    map Phi(a, b) = (a + b, a) gives phi_k o Phi = phi_(k-1)."""
+    rng = random.Random(2203)
+    points = [(rng.randint(-(10**30), 10**30), rng.randint(-(10**30), 10**30)) for _ in range(40)]
+    for k in range(91):
+        sign = 1 if k % 2 else -1
+        for op, cd in (("<", 1), ("==", 0), (">", 3)):
+            assert regions._phi(k, op, cd) == (sign * fib(k - 1), -sign * fib(k), cd, 0, op)
+        ca, cb, *_ = regions._phi(k, "==")
+        ca_down, cb_down, *_ = regions._phi(k - 1, "==")
+        for a, b in points:
+            assert ca * (a + b) + cb * a == ca_down * a + cb_down * b, (k, a, b)
+
+
 # --- exhaustive agreement between classifier and declarative table ------------
 
 
@@ -165,9 +183,11 @@ def test_deep_band_search_labels_exactly_one_region(d):
 
 def _band_corner_cells():
     """(a, b, d): the cells within 2 of each band corner (d*F(k), d*F(k-1)),
-    k <= 300, for LARGE d, and of (F(k+1), F(k)) on the UNIT golden line."""
-    for d in (1, 2, 3, 5, 8, 13):
-        corners = [(d * fib(k), d * fib(k - 1)) for k in range(301)]
+    k <= 300, for LARGE d, and of (F(k+1), F(k)) on the UNIT golden line.
+    Each LARGE d takes every third k, from an offset that turns with d, so
+    every k <= 300 has its corner checked at two of the six d."""
+    for j, d in enumerate((1, 2, 3, 5, 8, 13)):
+        corners = [(d * fib(k), d * fib(k - 1)) for k in range(j % 3, 301, 3)]
         yield from ((a + da, b + db, d) for a, b in corners for da in range(-2, 3) for db in range(-2, 3))
     corners = [(fib(k + 1), fib(k)) for k in range(301)]
     yield from ((a + da, b + db, 0) for a, b in corners for da in range(-2, 3) for db in range(-2, 3))
@@ -176,11 +196,21 @@ def _band_corner_cells():
 def test_deep_rung_labels_hold_and_are_shared():
     # Far past any small index: the LARGE search starts at the first rung
     # that can hold the cell, and family labels are built for any index.
+    # Exactly one label holds among every fixed label of the regime and each
+    # family member within 2 of the classifier's index.
+    candidates = {}  # (regime, index) -> the labels to count
     deepest = 0
     for a, b, d in _band_corner_cells():
         got = classify((a, b), d)
-        assert profile_in_region(got, a, b, d), (a, b, d, str(got))
         assert got is regions._label(got.regime, got.name, got.index), (a, b, d, str(got))
+        key = (got.regime, got.index or 0)
+        if key not in candidates:
+            regime, index = key
+            candidates[key] = [lbl(regime, *fixed) for fixed in regions._TABLES[regime]] + [
+                lbl(regime, name, i) for name, first in regions._FAMILIES[regime].items()
+                if name != "T" for i in range(max(first, index - 2), index + 3)]
+        hits = [label for label in candidates[key] if profile_in_region(label, a, b, d)]
+        assert hits == [got], (a, b, d, str(got), [str(label) for label in hits])
         deepest = max(deepest, got.index or 0)
     assert deepest >= 290
 
