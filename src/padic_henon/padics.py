@@ -38,12 +38,15 @@ __all__ = [
 ]
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base above (Sorenson and Webster,
+# Math. Comp. 86, 2017): Miller-Rabin on them is exact below it.
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 _validated_primes: set[int] = set()
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24, ample at desk scale)."""
+    """Deterministic Miller-Rabin, exact for n < _MR_EXACT_BELOW."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -67,13 +70,15 @@ def _is_prime(n: int) -> bool:
 
 
 def validate_odd_prime(p: int) -> int:
-    """Return p if it is an odd prime, else raise ValueError (p=2 is rejected)."""
+    """Return p if it is an odd prime below _MR_EXACT_BELOW, else raise ValueError."""
     if not isinstance(p, int):
         raise ValueError(f"prime must be an integer, got {p!r}")
     if p in _validated_primes:
         return p
     if p < 3 or p % 2 == 0:
         raise ValueError(f"prime must be an odd prime >= 3, got {p}")
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(f"prime must be below {_MR_EXACT_BELOW}, the exact test's bound, got {p}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     _validated_primes.add(p)

@@ -46,11 +46,6 @@ __all__ = [
     "CampaignError",
     "LemmaSpec",
     "VerificationReport",
-    "verify_transition",
-    "verify_transition_exhaustive",
-    "verify_escape",
-    "verify_worked_orbits",
-    "verify_sandwich",
     "load_campaign",
     "builtin_campaign",
     "builtin_campaign_names",
@@ -74,6 +69,9 @@ class CampaignError(ValueError):
 
 
 _KINDS = ("transition", "exhaustive", "escape", "sandwich", "worked_orbits")
+# The largest window a spec may ask for: a sampled region expands all of its
+# cells, about W² of them, so memory grows with the square of the window.
+_MAX_WINDOW = 1000
 
 
 def _label(obj, what: str = "source") -> RegionLabel:
@@ -159,10 +157,10 @@ class LemmaSpec:
             validate_odd_prime(values["p"])
         except ValueError as exc:
             raise CampaignError(str(exc)) from None
-        if values["depth"] not in (1, 2) or values["digit_count"] < 1:
-            raise CampaignError("depth must be 1 or 2, and digit_count at least 1")
-        if values["samples"] < 1 or values["window"] < 0:
-            raise CampaignError("samples must be at least 1, and window at least 0")
+        if values["depth"] not in (1, 2) or values["digit_count"] < 1 or values["steps"] < 1:
+            raise CampaignError("depth must be 1 or 2, and digit_count and steps at least 1")
+        if values["samples"] < 1 or not 0 <= values["window"] <= _MAX_WINDOW:
+            raise CampaignError(f"samples must be at least 1, and window at least 0 and at most {_MAX_WINDOW}")
         if values["growth_check"] not in (None, "doubling", "schedule"):
             raise CampaignError(f"unknown growth_check {values['growth_check']!r}")
         spec = cls(**values)
@@ -285,11 +283,9 @@ def _samples(report, spec, label, d, samples, rng, empty_note="empty region", pr
         report.notes.append(f"{prefix}{report.uncertified - uncertified} samples uncertified")
 
 
-def verify_transition(spec: LemmaSpec) -> VerificationReport:
+def _judge_transition(spec: LemmaSpec, report: VerificationReport) -> None:
     """Sample exact points in the source region and check where one (or two)
     backward steps land.  Failures carry the exact starting point."""
-    t0 = time.perf_counter()
-    report = VerificationReport(spec=spec)
     params = spec.params()
     d = params.d
     targets = _expected_targets(spec)
@@ -327,14 +323,10 @@ def verify_transition(spec: LemmaSpec) -> VerificationReport:
                     "expected": [str(t) for t in targets],
                 }
             )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
-def verify_transition_exhaustive(spec: LemmaSpec) -> VerificationReport:
+def _judge_exhaustive(spec: LemmaSpec, report: VerificationReport) -> None:
     """Window-exhaustive profile-level form of the same claim (see gridcheck)."""
-    t0 = time.perf_counter()
-    report = VerificationReport(spec=spec)
     params = spec.params()
     targets = _expected_targets(spec)
     from . import gridcheck  # deferred: importing it adds milliseconds to every CLI start
@@ -357,8 +349,6 @@ def verify_transition_exhaustive(spec: LemmaSpec) -> VerificationReport:
         report.notes.append(f"{check.failed_outcomes} outcomes fail; at most 25 per frontier group listed")
     if check.profiles_checked == 0:
         report.notes.append("empty region in window")
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 def _doubling_violation(profiles, b0: int, d: int) -> int | None:
@@ -455,7 +445,7 @@ def _check_escapes(report, spec, label, params, samples, threshold, note_prefix=
         report.failures.append({"start": pt.to_json(), **why, "profiles": [list(p) for p in profiles]})
 
 
-def verify_escape(spec: LemmaSpec) -> VerificationReport:
+def _judge_escape(spec: LemmaSpec, report: VerificationReport) -> None:
     """Sampled backward orbits from a proved-escaping region must cross the threshold.
 
     Runs on the certified fixed-precision engine: escaping orbits double their
@@ -463,13 +453,9 @@ def verify_escape(spec: LemmaSpec) -> VerificationReport:
     thresholds, while certified valuations remain exact at modular cost.  A
     sample that exhausts 256 digits is judged on the exact engine instead.
     """
-    t0 = time.perf_counter()
-    report = VerificationReport(spec=spec)
     params = spec.params()
     _check_escapes(report, spec, spec.source, params, spec.samples, _threshold(spec, params),
                    growth_check=spec.growth_check)
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +520,13 @@ def _orbit_profile_check(identifier, params, start, expected, report):
         )
 
 
-def verify_worked_orbits(spec: LemmaSpec) -> VerificationReport:
+def _judge_worked_orbits(spec: LemmaSpec, report: VerificationReport) -> None:
     """Reproduce the worked backward orbits at the spec's prime with exact arithmetic.
 
     Each norm-profile sequence is matched against its closed-form pattern for
     at least 12 steps (bounded pieces run longer).
     """
     p, depth = spec.p, 12
-    t0 = time.perf_counter()
-    report = VerificationReport(spec=spec)
 
     # |c| < 1: escape from the corner sphere pair.
     params = MapParams(PadicRational(p, 1, p))
@@ -609,9 +593,6 @@ def verify_worked_orbits(spec: LemmaSpec) -> VerificationReport:
     else:
         report.failures.append({"orbit": "unit-cycle"})
 
-    report.wall_time = time.perf_counter() - t0
-    return report
-
 
 # ---------------------------------------------------------------------------
 # Two-sided boundedness evidence per regime.
@@ -631,7 +612,7 @@ _ESCAPING = {
 _INVARIANT = {Regime.SMALL: ("Z", None), Regime.LARGE: ("J", 0)}
 
 
-def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
+def _judge_sandwich(spec: LemmaSpec, report: VerificationReport) -> None:
     """Both sides of the regime's boundedness sandwich, at finite horizon.
 
     Lower bound: samples of the invariant region (the unit torus profile for
@@ -641,8 +622,6 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
     Staying bounded for N steps is evidence, not proof, for individual
     points; the invariance of the region is the assertable claim.
     """
-    t0 = time.perf_counter()
-    report = VerificationReport(spec=spec)
     params = spec.params()
     d = params.d
     regime = regime_of_d(d)
@@ -684,27 +663,29 @@ def verify_sandwich(spec: LemmaSpec) -> VerificationReport:
         _check_escapes(report, spec, label, params, max(spec.samples // 4, 25), threshold,
                        f"{label}: ")
 
-    report.wall_time = time.perf_counter() - t0
-    return report
-
 
 # ---------------------------------------------------------------------------
 # Campaign plumbing.
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "transition": verify_transition,
-    "exhaustive": verify_transition_exhaustive,
-    "escape": verify_escape,
-    "sandwich": verify_sandwich,
-    "worked_orbits": verify_worked_orbits,
+_JUDGES = {
+    "transition": _judge_transition,
+    "exhaustive": _judge_exhaustive,
+    "escape": _judge_escape,
+    "sandwich": _judge_sandwich,
+    "worked_orbits": _judge_worked_orbits,
 }
 
 
 def run_spec(spec: LemmaSpec) -> VerificationReport:
-    if spec.kind not in _RUNNERS:
+    """The one entry point for every kind: a fresh report, filled by the kind's judge, timed."""
+    if spec.kind not in _JUDGES:
         raise ValueError(f"unknown campaign kind {spec.kind!r} in {spec.identifier}")
-    return _RUNNERS[spec.kind](spec)
+    t0 = time.perf_counter()
+    report = VerificationReport(spec=spec)
+    _JUDGES[spec.kind](spec, report)
+    report.wall_time = time.perf_counter() - t0
+    return report
 
 
 def _parse_campaign(text: str) -> list:
@@ -714,6 +695,8 @@ def _parse_campaign(text: str) -> list:
         raise CampaignError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("specs"), list):
         raise CampaignError('a campaign is an object with a "specs" list')
+    if not obj["specs"]:
+        raise CampaignError('the "specs" list is empty: a campaign that checks nothing cannot pass')
     return [LemmaSpec.from_json(s) for s in obj["specs"]]
 
 

@@ -43,7 +43,7 @@ from padic_henon.gridcheck import (
 from padic_henon.measure import tn_ball_product, tn_measure, tn_rows
 from padic_henon.padics import PadicRational, Point, _residue, sqrt
 from padic_henon.regions import Regime, RegionLabel, classify, regime_of_d
-from padic_henon.verifier import LemmaSpec, verify_escape, verify_transition
+from padic_henon.verifier import LemmaSpec, run_spec
 
 REGIME_DS = (-3, -1, 0, 1, 2, 3)
 WINDOW = 1000
@@ -432,7 +432,7 @@ def test_criterion_08_sampled_transitions():
             window=30 if name == "T" else 12,
             seed=20240811,
         )
-        report = verify_transition(spec)
+        report = run_spec(spec)
         assert report.ok, (spec.identifier, report.failures[:2])
         assert report.passes + report.skipped == 1000
         total += report.passes
@@ -442,7 +442,7 @@ def test_criterion_08_sampled_transitions():
         source=lbl(Regime.LARGE, "J", 0), samples=200, window=10, seed=1,
         expected=frozenset({lbl(Regime.LARGE, "F", None)}),
     )
-    control_report = verify_transition(control)
+    control_report = run_spec(control)
     assert len(control_report.failures) >= 1
     print(f"criterion 8 PASS: {total} exact-point transitions, negative control detects")
 
@@ -477,7 +477,7 @@ def test_criterion_09_escape_certification():
             samples=500, window=8, seed=20240811, steps=60,
             escape_exponent=threshold, growth_check=growth,
         )
-        report = verify_escape(spec)
+        report = run_spec(spec)
         assert report.ok, (spec.identifier, report.failures[:1])
         assert report.passes + report.skipped == 500
         total += report.passes

@@ -180,6 +180,17 @@ def test_even_prime_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("prime,message", [
+    ("318665857834031151167461", "318665857834031151167461 is not prime"),
+    ("3317044064679887385961981", "prime must be below 3317044064679887385961981"),
+    (str(2**89 - 1), "prime must be below 3317044064679887385961981"),
+], ids=["pseudoprime-below-bound", "pseudoprime-at-bound", "prime-above-bound"])
+def test_prime_without_an_exact_primality_test_exits_2(runner, prime, message):
+    result = runner.invoke(main, ["classify", "--prime", prime, "--c", "1/1", "--a", "1", "--b", "2"])
+    assert result.exit_code == 2
+    assert message in result.output and result.stdout == ""
+
+
 def test_malformed_rational_usage_error(runner):
     result = runner.invoke(main, ["orbit", "--prime", "5", "--c", "5/0", "--x", "1", "--y", "1"])
     assert result.exit_code == 2
@@ -381,13 +392,19 @@ def _one_spec(**fields):
         (json.dumps({"specs": [{"id": "bad", "kind": "sandwich", "p": 3, "c": "1/9",
                                 "escape_exp": 5, "window": 6}]}),
          "escape threshold 5 is below the window 6"),
+        (_one_spec(kind="escape", c="3/1", window=6, steps=0), "steps at least 1"),
+        ('{"specs": []}', 'the "specs" list is empty'),
+        (_one_spec(kind="exhaustive", c="3/1", window=1001), "window at least 0 and at most 1000"),
+        (_one_spec(p=318665857834031151167461), "318665857834031151167461 is not prime"),
+        (_one_spec(p=2**89 - 1), "prime must be below 3317044064679887385961981"),
     ],
     ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch", "samples-zero",
          "window-negative", "overlay-exhaustive", "overlay-transition", "overlay-escape",
          "overlay-target", "index-true", "expected-empty", "growth-check-on-sandwich",
          "large-c-minus-one", "source-on-sandwich", "c-on-worked-orbits", "samples-on-exhaustive",
          "unknown-key", "index-above-bound", "escape-threshold-default",
-         "escape-threshold-override", "sandwich-threshold"],
+         "escape-threshold-override", "sandwich-threshold", "escape-steps-zero", "specs-empty",
+         "window-above-1000", "pseudoprime", "prime-above-bound"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     path = tmp_path / "bad.json"

@@ -41,13 +41,18 @@ def test_zero_denominator_rejected():
         PadicRational(1, 0, 5)
 
 
-@pytest.mark.parametrize("p", [2, 4, 9, 15, 1, -3, 21])
+# 318665857834031151167461 = 399165290221 * 798330580441 and
+# 3317044064679887385961981 = 1287836182261 * 2575672364521 are strong
+# pseudoprimes to the bases 2 to 37 (Sorenson and Webster 2017), the second
+# also to 41; 2^89 - 1 is prime, but above the bound of the exact test.
+@pytest.mark.parametrize("p", [2, 4, 9, 15, 1, -3, 21, 318665857834031151167461,
+                               3317044064679887385961981, 2**89 - 1])
 def test_non_odd_prime_rejected(p):
     with pytest.raises(ValueError):
         PadicRational(1, 1, p)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 104729])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 104729, 2**61 - 1])
 def test_odd_primes_accepted(p):
     assert validate_odd_prime(p) == p
 

@@ -34,11 +34,6 @@ from padic_henon.verifier import (
     parse_rational,
     run_campaign,
     run_spec,
-    verify_escape,
-    verify_worked_orbits,
-    verify_sandwich,
-    verify_transition,
-    verify_transition_exhaustive,
 )
 
 
@@ -55,7 +50,7 @@ def test_parse_rational():
 def test_transition_inner_box_sampled():
     spec = LemmaSpec("inner-box", "transition", p=3, c="1/9",
                      source=lbl(Regime.LARGE, "J", 0), samples=300, window=10, seed=11)
-    report = verify_transition(spec)
+    report = run_spec(spec)
     assert report.ok and report.passes == 300
     assert report.passes + len(report.failures) + report.skipped == spec.samples
 
@@ -63,14 +58,14 @@ def test_transition_inner_box_sampled():
 def test_transition_depth_two_band():
     spec = LemmaSpec("two-step", "transition", p=3, c="9/1",
                      source=lbl(Regime.SMALL, "A", 5), depth=2, samples=200, window=10, seed=3)
-    report = verify_transition(spec)
+    report = run_spec(spec)
     assert report.ok
 
 
 def test_transition_empty_region_skips():
     spec = LemmaSpec("empty", "transition", p=3, c="1/3",
                      source=lbl(Regime.LARGE, "J", 0), samples=50, window=8, seed=1)
-    report = verify_transition(spec)
+    report = run_spec(spec)
     assert report.ok  # skipped, not failed
     assert report.skipped == 50
     assert any("empty region" in n for n in report.notes)
@@ -80,7 +75,7 @@ def test_negative_control_produces_counterexamples():
     spec = LemmaSpec("control", "transition", p=3, c="1/9",
                      source=lbl(Regime.LARGE, "J", 0), samples=100, window=8, seed=2,
                      expected=frozenset({lbl(Regime.LARGE, "F")}))
-    report = verify_transition(spec)
+    report = run_spec(spec)
     assert not report.ok
     assert len(report.failures) == 100
 
@@ -89,7 +84,7 @@ def test_counterexamples_replay_from_report():
     spec = LemmaSpec("control", "transition", p=3, c="1/9",
                      source=lbl(Regime.LARGE, "J", 0), samples=20, window=8, seed=2,
                      expected=frozenset({lbl(Regime.LARGE, "F")}))
-    report = verify_transition(spec)
+    report = run_spec(spec)
     params = MapParams(parse_rational(report.spec.c, report.spec.p))
     for failure in report.failures[:5]:
         pt = Point(
@@ -104,7 +99,7 @@ def test_counterexamples_replay_from_report():
 def test_determinism_same_seed_same_report():
     spec = LemmaSpec("det", "transition", p=3, c="2/1",
                      source=lbl(Regime.UNIT, "M", 2), samples=150, window=9, seed=77)
-    r1, r2 = verify_transition(spec), verify_transition(spec)
+    r1, r2 = run_spec(spec), run_spec(spec)
     j1, j2 = r1.to_json(), r2.to_json()
     j1.pop("wall_time"), j2.pop("wall_time")
     j1["spec"].pop("seed"), j2["spec"].pop("seed")
@@ -119,7 +114,7 @@ def test_exhaustive_runner_counts_every_failed_outcome():
                      source=lbl(Regime.SMALL, "A", 5), depth=2, window=W)
     hand = {(a, b) for a in range(0, W + 1) for b in range(d + 1, 0) if 2 * b - a > d}
     band = [(a, b) for a in range(0, W + 1) for b in range(d + 1, 0)]
-    report = verify_transition_exhaustive(spec)
+    report = run_spec(spec)
     assert spec.params().d == d and len(hand) == 90
     assert len(report.failures) == 25
     assert report.passes == len(band) - 90
@@ -134,7 +129,7 @@ def test_exhaustive_runner_counts_every_failed_outcome():
 def test_exhaustive_runner_matches_gridcheck():
     spec = LemmaSpec("window", "exhaustive", p=3, c="1/9",
                      source=lbl(Regime.LARGE, "G"), window=40)
-    report = verify_transition_exhaustive(spec)
+    report = run_spec(spec)
     assert report.ok and report.passes > 0
 
 
@@ -142,7 +137,7 @@ def test_escape_with_doubling_bound():
     spec = LemmaSpec("tall-band", "escape", p=3, c="1/9",
                      source=lbl(Regime.LARGE, "G"), samples=100, window=8, seed=5,
                      steps=60, escape_exponent=500, growth_check="doubling")
-    report = verify_escape(spec)
+    report = run_spec(spec)
     assert report.ok and report.passes + report.skipped == 100
 
 
@@ -159,7 +154,7 @@ def test_escape_certifies_exhausted_sample_on_exact_engine():
         backward_profile_orbit(pt, params, spec.steps, escape_exponent=threshold)
     exact = backward_orbit(pt, params, spec.steps, escape_exponent=threshold)
     assert (exact.verdict.kind, exact.verdict.step) == ("undefined_inverse", 4)
-    report = verify_escape(spec)
+    report = run_spec(spec)
     assert (report.passes, report.skipped, report.undefined_inverse) == (119, 1, 1)
     assert report.ok and report.uncertified == 0 and report.notes == []
 
@@ -194,7 +189,7 @@ def test_escape_schedule_bound_small_regime():
     spec = LemmaSpec("flat-corner", "escape", p=3, c="3/1",
                      source=lbl(Regime.SMALL, "A", 1), samples=100, window=8, seed=5,
                      steps=60, escape_exponent=500, growth_check="schedule")
-    report = verify_escape(spec)
+    report = run_spec(spec)
     assert report.ok
 
 
@@ -202,7 +197,7 @@ def test_invariant_region_never_escapes():
     spec = LemmaSpec("torus-control", "escape", p=3, c="3/1",
                      source=lbl(Regime.SMALL, "Z"), samples=50, window=6, seed=5,
                      steps=40, escape_exponent=8)
-    report = verify_escape(spec)
+    report = run_spec(spec)
     # Negative control: the unit torus is invariant, so nothing escapes.
     assert len(report.failures) == 50
     assert report.passes == 0
@@ -235,7 +230,7 @@ def test_escape_growth_violation_is_a_failure_record():
     spec = LemmaSpec("unit-M1-doubling", "escape", p=3, c="1/1",
                      source=lbl(Regime.UNIT, "M", 1), samples=3, window=6, seed=1,
                      steps=30, escape_exponent=200, growth_check="doubling")
-    report = verify_escape(spec)
+    report = run_spec(spec)
     assert (report.passes, len(report.failures), report.skipped) == (0, 3, 0)
     for failure in report.failures:
         assert set(failure) == {"start", "growth_check", "violated_at_step", "profiles"}
@@ -256,7 +251,7 @@ def test_run_spec_dispatches_worked_orbits():
 
 @pytest.mark.parametrize("p,expect_ok", [(5, True), (3, False), (7, False)])
 def test_worked_orbits_by_prime(p, expect_ok):
-    report = verify_worked_orbits(LemmaSpec(f"orbits-p{p}", "worked_orbits", p=p))
+    report = run_spec(LemmaSpec(f"orbits-p{p}", "worked_orbits", p=p))
     assert report.spec.identifier == f"orbits-p{p}"
     assert report.ok is expect_ok
     if not expect_ok:
@@ -267,7 +262,7 @@ def test_worked_orbits_by_prime(p, expect_ok):
 def test_sandwich_small_regime():
     spec = LemmaSpec("sandwich", "sandwich", p=3, c="3/1", samples=24, window=6,
                      seed=3, steps=40, escape_exponent=300)
-    report = verify_sandwich(spec)
+    report = run_spec(spec)
     assert report.ok
     assert any("invariance of Z certified" in n for n in report.notes)
 
@@ -275,7 +270,7 @@ def test_sandwich_small_regime():
 def test_sandwich_large_regime():
     spec = LemmaSpec("sandwich", "sandwich", p=3, c="1/9", samples=24, window=6,
                      seed=3, steps=50, escape_exponent=2000)
-    report = verify_sandwich(spec)
+    report = run_spec(spec)
     assert report.ok
     assert any("invariance of J0 certified" in n for n in report.notes)
 
@@ -285,7 +280,7 @@ def test_sandwich_at_d_one_notes_the_empty_lower_bound():
     # invariance nor the lower bound examined anything, and the notes say so.
     spec = LemmaSpec("sandwich", "sandwich", p=3, c="1/3", samples=24, window=6,
                      seed=3, steps=40)
-    report = verify_sandwich(spec)
+    report = run_spec(spec)
     assert report.notes[:2] == [
         "J0 has no cell in window; one-step invariance not checked",
         "lower-bound region empty: region J0 has no profile with window 6 (d=1)",
@@ -297,7 +292,7 @@ def test_sandwich_at_d_one_notes_the_empty_lower_bound():
 def test_sandwich_unit_regime():
     spec = LemmaSpec("sandwich", "sandwich", p=3, c="2/1", samples=24, window=6,
                      seed=3, steps=50, escape_exponent=1000)
-    report = verify_sandwich(spec)
+    report = run_spec(spec)
     assert report.ok
 
 
@@ -378,6 +373,13 @@ def test_a_field_the_kind_does_not_read_is_rejected(kind, key):
         ({"sample": 7}, "unknown field 'sample'"),
         ({"source": {"regime": "large", "name": "A", "index": 10_001}},
          "A family index 10001 is above 10000"),
+        ({"kind": "escape", "steps": 0}, "steps at least 1"),
+        ({"kind": "escape", "steps": -3}, "steps at least 1"),
+        ({"window": 1001}, "window at least 0 and at most 1000"),
+        ({"kind": "exhaustive", "window": 1001}, "window at least 0 and at most 1000"),
+        # Strong pseudoprimes to the bases 2 to 37; the larger one also to 41.
+        ({"p": 318665857834031151167461}, "318665857834031151167461 is not prime"),
+        ({"p": 3317044064679887385961981}, "prime must be below 3317044064679887385961981"),
     ],
 )
 def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
@@ -390,6 +392,14 @@ def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
     with pytest.raises(CampaignError) as info:
         load_campaign(path)
     assert str(info.value).startswith("spec 'bad': ") and message in str(info.value)
+
+
+def test_the_largest_window_loads(tmp_path):
+    spec = {"id": "w", "kind": "exhaustive", "p": 3, "c": "1/9", "window": 1000,
+            "source": {"regime": "large", "name": "J", "index": 0}}
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"specs": [spec]}))
+    assert [s.window for s in load_campaign(path)] == [1000]
 
 
 def test_negative_control_campaign_fails():
