@@ -150,23 +150,34 @@ def classify_cmd(prime, c, x, y, a, b):
 @click.option("--window", type=click.IntRange(min=0), default=12, show_default=True)
 @format_option
 def grid(prime, c, window, fmt):
-    """Region label for every integer profile |a|, |b| <= window (CSV or JSON)."""
+    """Region label for every integer profile |a|, |b| <= window (CSV or JSON).
+
+    Each row of a is printed as soon as it is classified, so memory stays
+    flat in the window; the output is one CSV table or one JSON list."""
     d = _partition_d(_given(c))
-    rows = []
-    for a in range(-window, window + 1):
-        for b in range(-window, window + 1):
-            label = classify((a, b), d)
-            rows.append((a, b, label.name, label.index))
+    span = range(-window, window + 1)
+
+    def row(a):
+        labels = (classify((a, b), d) for b in span)
+        return [(a, b, label.name, label.index) for b, label in zip(span, labels)]
+
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["a", "b", "region_name", "region_index"])
-        writer.writerows(rows)
-        click.echo(out.getvalue(), nl=False)
+        for a in span:
+            writer.writerows(row(a))
+            click.echo(out.getvalue(), nl=False)
+            out.seek(0)
+            out.truncate()
     else:
-        click.echo(json.dumps([
-            {"a": a, "b": b, "name": n, "index": i} for a, b, n, i in rows
-        ]))
+        sep = "["
+        for a in span:
+            # One list per row, its brackets dropped, so the rows join into one list.
+            rows = [{"a": a, "b": b, "name": n, "index": i} for a, b, n, i in row(a)]
+            click.echo(sep + json.dumps(rows)[1:-1], nl=False)
+            sep = ", "
+        click.echo("]")
 
 
 @main.command()

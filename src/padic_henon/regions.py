@@ -31,8 +31,9 @@ Every region is described twice, deliberately:
   it returns is one shared frozen instance per distinct label, built before
   the call: the fixed labels at import, each family member on first use.
 
-One evaluator, ``profile_in_region``, reads the table at a profile and stops
-at the first branch that holds.  Its golden test is ``fib.golden_below``,
+One evaluator, ``branches_hold``, reads a list of table branches at a profile
+and stops at the first branch that holds; ``profile_in_region`` is it on one
+region's branches.  Its golden test is ``fib.golden_below``,
 while ``classify`` keeps ``fib.golden_cmp``, so the agreement check also
 compares two independent golden tests.
 
@@ -68,11 +69,13 @@ __all__ = [
     "classify",
     "region_branches",
     "eval_constraint",
+    "branches_hold",
     "profile_in_region",
     "iter_region_labels",
     "branch_interval",
     "region_rows",
     "region_profiles",
+    "region_sampler",
     "sample_in_region",
     "t_profile",
     "expected_preimage_regions",
@@ -234,10 +237,9 @@ def region_branches(label: RegionLabel):
     its regime's table entry, else its member of an indexed family, whose
     index must be at least the family's first and at most _MAX_INDEX."""
     regime, name, i = label.regime, label.name, label.index
-    try:
-        return _TABLES[regime][(name, i)]
-    except KeyError:
-        pass
+    branches = _TABLES[regime].get((name, i))
+    if branches is not None:
+        return branches
     first = _FAMILIES[regime].get(name)
     if first is None or i is None:
         raise KeyError(f"unknown {regime.name} region {label}")
@@ -259,16 +261,21 @@ def eval_constraint(con, a: int, b: int, d: int) -> bool:
     return _OPS[op](ca * a + cb * b, cd * d + c1)
 
 
-def profile_in_region(label: RegionLabel, a: int, b: int, d: int) -> bool:
-    """The declarative inequalities of `label` at (a, b): true at the first
-    branch whose constraints all hold, each branch left at its first failure."""
-    for branch in region_branches(label):
+def branches_hold(branches, a: int, b: int, d: int) -> bool:
+    """True at the first of `branches` whose constraints all hold at (a, b),
+    each branch left at its first failure."""
+    for branch in branches:
         for con in branch:
             if not eval_constraint(con, a, b, d):
                 break
         else:
             return True
     return False
+
+
+def profile_in_region(label: RegionLabel, a: int, b: int, d: int) -> bool:
+    """The declarative inequalities of `label` at (a, b)."""
+    return branches_hold(region_branches(label), a, b, d)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +632,45 @@ def region_profiles(label: RegionLabel, d: int, window: int):
     return tuple((a, b) for a, lo, hi in region_rows(label, d, window) for b in range(lo, hi + 1))
 
 
+def region_sampler(
+    label: RegionLabel,
+    d: int,
+    p: int,
+    window: int,
+    digit_count: int,
+    rng: random.Random,
+):
+    """Yield exact points whose profiles are uniform over the region's window slice.
+
+    The inputs are checked and the region's cells looked up once, at the first
+    point; each point then draws one cell and a unit of each norm from `rng`,
+    and nothing ahead of the point it yields.  The first point of each cell is
+    re-classified as a self-check; a mismatch would mean the sampler and
+    classifier disagree and raises immediately.  Every later point of the cell
+    has the same profile, so it has the same label.
+    """
+    if regime_of_d(d) is not label.regime:
+        raise ValueError(f"d={d} is not in regime {label.regime.value}")
+    profiles = region_profiles(label, d, window)
+    if not profiles:
+        raise EmptyRegionError(f"region {label} has no profile with window {window} (d={d})")
+    # The overlay is no partition label, so its one cell is never classified.
+    checked = set(profiles) if label.name == "T" else set()
+    draw, count = rng.randrange, len(profiles)
+    while True:
+        a, b = cell = profiles[draw(count)]
+        pt = Point(
+            sample_with_norm(a, digit_count, rng, p),
+            sample_with_norm(b, digit_count, rng, p),
+        )
+        if cell not in checked:
+            got = classify(pt.profile(), d)
+            if got != label:
+                raise AssertionError(f"sampler/classifier mismatch: wanted {label}, got {got}")
+            checked.add(cell)
+        yield pt
+
+
 def sample_in_region(
     label: RegionLabel,
     d: int,
@@ -633,26 +679,8 @@ def sample_in_region(
     digit_count: int,
     rng: random.Random,
 ) -> Point:
-    """Draw an exact point whose profile is uniform over the region's window slice.
-
-    The result is re-classified as a self-check; a mismatch would mean the
-    sampler and classifier disagree and raises immediately.
-    """
-    if regime_of_d(d) is not label.regime:
-        raise ValueError(f"d={d} is not in regime {label.regime.value}")
-    profiles = region_profiles(label, d, window)
-    if not profiles:
-        raise EmptyRegionError(f"region {label} has no profile with window {window} (d={d})")
-    a, b = profiles[rng.randrange(len(profiles))]
-    pt = Point(
-        sample_with_norm(a, digit_count, rng, p),
-        sample_with_norm(b, digit_count, rng, p),
-    )
-    if label.name != "T":
-        got = classify(pt.profile(), d)
-        if got != label:
-            raise AssertionError(f"sampler/classifier mismatch: wanted {label}, got {got}")
-    return pt
+    """One exact point of the region's window slice: the first of ``region_sampler``."""
+    return next(region_sampler(label, d, p, window, digit_count, rng))
 
 
 # ---------------------------------------------------------------------------

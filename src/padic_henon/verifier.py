@@ -34,12 +34,12 @@ from .regions import (
     EmptyRegionError,
     Regime,
     RegionLabel,
+    branches_hold,
     classify,
     expected_preimage_regions,
-    profile_in_region,
     regime_of_d,
     region_branches,
-    sample_in_region,
+    region_sampler,
 )
 
 __all__ = [
@@ -266,14 +266,15 @@ def _expected_targets(spec: LemmaSpec) -> list:
 
 
 def _samples(report, spec, label, d, samples, rng, empty_note="empty region", prefix=""):
-    """Yield `samples` exact points of `label` in the spec's window.  If the
-    region has no cell there, count them all as skipped and note why; once
-    all are judged, note how many the caller counted uncertified.  Both
-    notes start with `prefix`."""
+    """Yield `samples` exact points of `label` in the spec's window, all from
+    one ``region_sampler``.  If the region has no cell there, count them all
+    as skipped and note why; once all are judged, note how many the caller
+    counted uncertified.  Both notes start with `prefix`."""
     uncertified = report.uncertified
+    sampler = region_sampler(label, d, spec.p, spec.window, spec.digit_count, rng)
     for _ in range(samples):
         try:
-            pt = sample_in_region(label, d, spec.p, spec.window, spec.digit_count, rng)
+            pt = next(sampler)
         except EmptyRegionError as exc:
             report.skipped += samples
             report.notes.append(f"{prefix}{empty_note}: {exc}")
@@ -289,6 +290,7 @@ def _judge_transition(spec: LemmaSpec, report: VerificationReport) -> None:
     params = spec.params()
     d = params.d
     targets = _expected_targets(spec)
+    branches = [branch for target in targets for branch in region_branches(target)]
     rng = random.Random(spec.seed)
     for pt in _samples(report, spec, spec.source, d, spec.samples, rng):
         current = pt
@@ -308,10 +310,10 @@ def _judge_transition(spec: LemmaSpec, report: VerificationReport) -> None:
             report.undefined_inverse += 1
             report.skipped += 1
             continue
-        # Membership is decided by the targets' own inequalities (overlay
-        # regions are not partition labels); the partition label is attached
-        # to failures as a diagnostic.
-        if any(profile_in_region(t, a_img, b_img, d) for t in targets):
+        # Membership is decided by the targets' own inequalities, tried in
+        # target order (overlay regions are not partition labels); the
+        # partition label is attached to failures as a diagnostic.
+        if branches_hold(branches, a_img, b_img, d):
             report.passes += 1
         else:
             report.failures.append(

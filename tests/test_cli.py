@@ -284,6 +284,55 @@ def test_grid_small_regime_pins(runner):
     assert by_cell[(-1, -1)] == "R"
 
 
+def _grid(runner, fmt, window, c="1/9"):
+    result = runner.invoke(main, [
+        "grid", "--prime", "3", "--c", c, "--window", str(window), "--format", fmt,
+    ])
+    assert result.exit_code == 0, result.output
+    return result.stdout_bytes
+
+
+def test_grid_exact_bytes(runner):
+    """One CSV table with CRLF rows and an empty index, or one JSON list on
+    one line, in scan order (a, then b)."""
+    from padic_henon.regions import classify
+
+    cells = [(a, b, classify((a, b), 2)) for a in range(-3, 4) for b in range(-3, 4)]
+    csv_text = "a,b,region_name,region_index\r\n" + "".join(
+        f"{a},{b},{label.name},{'' if label.index is None else label.index}\r\n" for a, b, label in cells)
+    json_text = "[" + ", ".join(
+        f'{{"a": {a}, "b": {b}, "name": "{label.name}", "index": {json.dumps(label.index)}}}'
+        for a, b, label in cells) + "]\n"
+    assert _grid(runner, "csv", 3) == csv_text.encode()
+    assert _grid(runner, "json", 3) == json_text.encode()
+
+
+def test_grid_json_rows_in_scan_order_at_window_60(runner):
+    rows = json.loads(_grid(runner, "json", 60))
+    span = range(-60, 61)
+    assert [(r["a"], r["b"]) for r in rows] == [(a, b) for a in span for b in span]
+
+
+def test_grid_prints_each_row_as_it_is_made(runner, monkeypatch):
+    """Rows are printed before the next row of a is classified, so a grid
+    never holds more than one row."""
+    from padic_henon import cli
+
+    def classify(profile, d):
+        if profile[0] == 0:
+            raise RuntimeError("stop at row 0")
+        return inner(profile, d)
+
+    inner = cli.classify
+    monkeypatch.setattr(cli, "classify", classify)
+    for fmt in ("csv", "json"):
+        result = runner.invoke(main, ["grid", "--prime", "3", "--c", "1/9", "--window", "2",
+                                      "--format", fmt])
+        assert isinstance(result.exception, RuntimeError)
+        printed = result.output.splitlines()[1:] if fmt == "csv" else json.loads(result.output + "]")
+        assert len(printed) == 10
+
+
 def test_grid_negative_window_usage_error(runner):
     result = runner.invoke(main, ["grid", "--prime", "3", "--c", "1/9", "--window", "-1"])
     assert result.exit_code == 2

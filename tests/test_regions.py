@@ -11,6 +11,7 @@ from padic_henon.regions import (
     Regime,
     RegionLabel,
     branch_interval,
+    branches_hold,
     classify,
     eval_constraint,
     expected_preimage_regions,
@@ -20,6 +21,7 @@ from padic_henon.regions import (
     region_branches,
     region_profiles,
     region_rows,
+    region_sampler,
     sample_in_region,
     t_profile,
 )
@@ -469,6 +471,77 @@ def test_overlay_sampling():
     rng = random.Random(9)
     pt = sample_in_region(lbl(L, "T", 2), 3, 3, 40, 4, rng)
     assert pt.profile() == t_profile(2, 3)
+
+
+def _take(sampler, n):
+    return [next(sampler) for _ in range(n)]
+
+
+@pytest.mark.parametrize("d", [-3, 0, 2])
+def test_region_sampler_equals_successive_samples(d):
+    """n points of one sampler are the points of n ``sample_in_region`` calls
+    on an rng with the same seed, and leave it in the same state: the
+    sampler draws nothing ahead of the point it yields."""
+    regime = regime_of_d(d)
+    labels = list(iter_region_labels(regime, d, 8, include_t=True))
+    assert any(label.name == "T" for label in labels) == (d == 2)
+    sampled = 0
+    for k, label in enumerate(labels):
+        if not region_profiles(label, d, 8):
+            with pytest.raises(EmptyRegionError):
+                next(region_sampler(label, d, 5, 8, 4, random.Random(k)))
+            continue
+        for n in (1, 2, 13):
+            one, many = random.Random(k), random.Random(k)
+            got = _take(region_sampler(label, d, 5, 8, 4, one), n)
+            want = [sample_in_region(label, d, 5, 8, 4, many) for _ in range(n)]
+            assert [pt.to_json() for pt in got] == [pt.to_json() for pt in want], str(label)
+            assert one.getstate() == many.getstate(), str(label)
+        sampled += 1
+    assert sampled >= 6
+
+
+def test_region_sampler_classifies_each_cell_once(monkeypatch):
+    """The first point of each drawn cell is re-classified, and no later one;
+    a classifier that mislabels one cell stops the sampler at that cell's
+    first point, after other cells were drawn."""
+    label, d = lbl(L, "M", 3), 2
+    calls, bad = [], None
+
+    def mislabel(profile, d):
+        calls.append(profile)
+        return lbl(L, "F") if profile == bad else classify(profile, d)
+
+    monkeypatch.setattr(regions, "classify", mislabel)
+    seen = [pt.profile() for pt in _take(region_sampler(label, d, 3, 12, 4, random.Random(5)), 60)]
+    assert 2 < len(set(seen)) < len(seen) and calls == list(dict.fromkeys(seen))
+    # The first draw of a cell that is not the first cell drawn.
+    at = next(i for i, cell in enumerate(seen) if cell not in seen[:i] and i > 0)
+    bad, calls = seen[at], []
+    sampler = region_sampler(label, d, 3, 12, 4, random.Random(5))
+    assert [pt.profile() for pt in _take(sampler, at)] == seen[:at]
+    assert calls == list(dict.fromkeys(seen[:at]))
+    with pytest.raises(AssertionError, match="wanted M3, got F"):
+        next(sampler)
+    # The same mislabelled cell raises through the one-point form too.
+    rng = random.Random(5)
+    for _ in range(at):
+        sample_in_region(label, d, 3, 12, 4, rng)
+    with pytest.raises(AssertionError):
+        sample_in_region(label, d, 3, 12, 4, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(-6, 6), a=st.integers(-40, 40), b=st.integers(-40, 40), data=st.data())
+def test_branches_hold_equals_any_target(d, a, b, data):
+    """One evaluator: the targets' concatenated branches hold exactly where
+    some target holds, and where some branch has every constraint hold."""
+    labels = list(iter_region_labels(regime_of_d(d), d, 40, include_t=True))
+    targets = data.draw(st.lists(st.sampled_from(labels), max_size=4))
+    branches = [branch for t in targets for branch in region_branches(t)]
+    held = branches_hold(branches, a, b, d)
+    assert held == any(profile_in_region(t, a, b, d) for t in targets)
+    assert held == any(all(eval_constraint(con, a, b, d) for con in branch) for branch in branches)
 
 
 # --- row-interval enumeration ------------------------------------------------

@@ -424,22 +424,22 @@ def test_unknown_kind_rejected():
 
 
 def test_transition_target_order_ignores_hash_seed():
-    """The targets are tried in a fixed order, so the traced number of
-    membership tests of a sampled transition does not depend on
-    PYTHONHASHSEED (set iteration order would)."""
+    """The targets are tried in a fixed order, so the number of constraint
+    evaluations in the membership tests of a sampled transition does not
+    depend on PYTHONHASHSEED (set iteration order would)."""
     code = textwrap.dedent("""
         import json
-        from padic_henon import verifier
+        from padic_henon import regions, verifier
 
         calls = 0
-        inner = verifier.profile_in_region
+        inner = regions.eval_constraint
 
         def counting(*args):
             global calls
             calls += 1
             return inner(*args)
 
-        verifier.profile_in_region = counting
+        regions.eval_constraint = counting
         spec = next(s for s in verifier.builtin_campaign("all-lemmas")
                     if s.identifier == "small-P6-step")
         report = verifier.run_spec(spec).to_json()
