@@ -181,7 +181,7 @@ def grid(prime, c, window, fmt):
 
 
 @main.command()
-@click.argument("campaign")
+@click.argument("campaign", required=False)
 @seed_option
 @click.option("--samples", type=click.IntRange(min=1), default=None,
               help="Override sample counts.")
@@ -195,6 +195,8 @@ def verify(campaign, seed, samples, list_builtin):
     if list_builtin:
         click.echo(json.dumps(builtin_campaign_names()))
         return
+    if campaign is None:
+        raise click.UsageError("Missing argument 'CAMPAIGN' (or give --list).")
     try:
         specs = builtin_campaign(campaign)
     except FileNotFoundError:

@@ -625,10 +625,13 @@ def region_rows(label: RegionLabel, d: int, window: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
+# maxsize=0 memoizes nothing: a cell tuple at W = 1000 takes about 100 MB, and
+# a sampled check builds its region once.  The decorator stays because the
+# benchmark calls `cache_clear` and the tests call `__wrapped__`.
+@lru_cache(maxsize=0)
 def region_profiles(label: RegionLabel, d: int, window: int):
-    """All integer profiles of the region with |a|, |b| <= window (memoized),
-    in the order of a scan over a, then b: ``region_rows`` expanded."""
+    """All integer profiles of the region with |a|, |b| <= window, in the order
+    of a scan over a, then b: ``region_rows`` expanded."""
     return tuple((a, b) for a, lo, hi in region_rows(label, d, window) for b in range(lo, hi + 1))
 
 

@@ -265,23 +265,46 @@ def _expected_targets(spec: LemmaSpec) -> list:
     return sorted(targets, key=str)
 
 
-def _samples(report, spec, label, d, samples, rng, empty_note="empty region", prefix=""):
-    """Yield `samples` exact points of `label` in the spec's window, all from
-    one ``region_sampler``.  If the region has no cell there, count them all
-    as skipped and note why; once all are judged, note how many the caller
-    counted uncertified.  Both notes start with `prefix`."""
-    uncertified = report.uncertified
+# A judge's skips, as `Verdict.kind` names them: an exit from the domain, and
+# an exact orbit past the bit budget, which is also counted uncertified.
+_SKIPS = ("undefined_inverse", "budget_exceeded")
+
+
+def _judge_samples(report, spec, label, d, samples, judge, empty_note="empty region", prefix=""):
+    """Judge `samples` exact points of `label` in the spec's window, all drawn
+    from one ``region_sampler`` seeded from the spec, and count each outcome.
+
+    `judge(pt)` returns None if the sample passes, a dict of the failure's
+    fields after its "start", or one of `_SKIPS`.  If the region has no cell
+    there, every sample counts as skipped and a note says why; otherwise a
+    note counts the uncertified samples, if any.  Both notes start with
+    `prefix`.  Returns how many points were drawn.
+    """
+    rng = random.Random(spec.seed)
     sampler = region_sampler(label, d, spec.p, spec.window, spec.digit_count, rng)
+    uncertified = 0
     for _ in range(samples):
         try:
             pt = next(sampler)
         except EmptyRegionError as exc:
             report.skipped += samples
             report.notes.append(f"{prefix}{empty_note}: {exc}")
-            return
-        yield pt
-    if report.uncertified > uncertified:
-        report.notes.append(f"{prefix}{report.uncertified - uncertified} samples uncertified")
+            return 0
+        outcome = judge(pt)
+        if outcome is None:
+            report.passes += 1
+        elif outcome in _SKIPS:
+            report.skipped += 1
+            if outcome == "undefined_inverse":
+                report.undefined_inverse += 1
+            else:
+                uncertified += 1
+        else:
+            report.failures.append({"start": pt.to_json(), **outcome})
+    if uncertified:
+        report.uncertified += uncertified
+        report.notes.append(f"{prefix}{uncertified} samples uncertified")
+    return samples
 
 
 def _judge_transition(spec: LemmaSpec, report: VerificationReport) -> None:
@@ -291,8 +314,8 @@ def _judge_transition(spec: LemmaSpec, report: VerificationReport) -> None:
     d = params.d
     targets = _expected_targets(spec)
     branches = [branch for target in targets for branch in region_branches(target)]
-    rng = random.Random(spec.seed)
-    for pt in _samples(report, spec, spec.source, d, spec.samples, rng):
+
+    def judge(pt):
         current = pt
         try:
             for _step in range(spec.depth):
@@ -300,31 +323,24 @@ def _judge_transition(spec: LemmaSpec, report: VerificationReport) -> None:
         except UndefinedInverseError:
             pass  # `current` has y = 0, so its b_img is None below
         except BitBudgetError:
-            # The exact image outgrew the bit budget: nothing was judged.
-            report.uncertified += 1
-            report.skipped += 1
-            continue
+            return "budget_exceeded"  # the exact image outgrew the bit budget
         a_img, b_img = current.profile()
         if b_img is None:
             # The branch x = c leaves the domain; excluded-null, reported.
-            report.undefined_inverse += 1
-            report.skipped += 1
-            continue
+            return "undefined_inverse"
         # Membership is decided by the targets' own inequalities, tried in
         # target order (overlay regions are not partition labels); the
         # partition label is attached to failures as a diagnostic.
         if branches_hold(branches, a_img, b_img, d):
-            report.passes += 1
-        else:
-            report.failures.append(
-                {
-                    "start": pt.to_json(),
-                    "start_profile": list(pt.profile()),
-                    "image_profile": [a_img, b_img],
-                    "got": str(classify((a_img, b_img), d)),
-                    "expected": [str(t) for t in targets],
-                }
-            )
+            return None
+        return {
+            "start_profile": list(pt.profile()),
+            "image_profile": [a_img, b_img],
+            "got": str(classify((a_img, b_img), d)),
+            "expected": [str(t) for t in targets],
+        }
+
+    _judge_samples(report, spec, spec.source, d, spec.samples, judge)
 
 
 def _judge_exhaustive(spec: LemmaSpec, report: VerificationReport) -> None:
@@ -398,53 +414,32 @@ def _certified_or_exact(pt, params, steps, precision, threshold):
         return backward_orbit(pt, params, steps, escape_exponent=threshold)
 
 
-def _sample_orbit(report, pt, params, steps, precision, threshold):
-    """The orbit record one sample is judged on, or None if it is skipped.
-
-    An undefined inverse (a real exit from the domain) counts as
-    undefined_inverse and skipped; a budget_exceeded exact rerun counts as
-    skipped and uncertified.
-    """
-    rec = _certified_or_exact(pt, params, steps, precision, threshold)
-    if rec.verdict.kind == "undefined_inverse":
-        report.undefined_inverse += 1
-        report.skipped += 1
-        return None
-    if rec.verdict.kind == "budget_exceeded":
-        report.uncertified += 1
-        report.skipped += 1
-        return None
-    return rec
-
-
 def _threshold(spec: LemmaSpec, params: MapParams) -> int:
     return default_escape_exponent(params) if spec.escape_exponent is None else spec.escape_exponent
 
 
-def _check_escapes(report, spec, label, params, samples, threshold, note_prefix="",
-                   growth_check=None):
-    """Sampled backward orbits from `label` must cross the threshold, and meet
-    `growth_check` on the way; the verdicts go into `report`, and its notes
-    carry `note_prefix`.  The samples are drawn afresh from the spec's seed."""
-    rng = random.Random(spec.seed)
-    for pt in _samples(report, spec, label, params.d, samples, rng, prefix=note_prefix):
-        rec = _sample_orbit(report, pt, params, spec.steps, 256, threshold)
-        if rec is None:
-            continue
-        profiles = rec.profiles
+def _escape_judge(params, steps, threshold, growth_check=None):
+    """The judge of an escaping region: a sample's backward orbit must cross
+    `threshold` within `steps`, and meet `growth_check` on the way."""
+
+    def judge(pt):
+        rec = _certified_or_exact(pt, params, steps, 256, threshold)
+        if rec.verdict.kind in _SKIPS:
+            return rec.verdict.kind
         if rec.verdict.kind != "escaped":
             why = {"verdict": rec.verdict.to_json()}
         else:
             step = None
             if growth_check == "doubling":
-                step = _doubling_violation(profiles, pt.profile()[1], params.d)
+                step = _doubling_violation(rec.profiles, pt.profile()[1], params.d)
             elif growth_check == "schedule":
-                step = _schedule_violation(profiles, params.d)
+                step = _schedule_violation(rec.profiles, params.d)
             if step is None:
-                report.passes += 1
-                continue
+                return None
             why = {"growth_check": growth_check, "violated_at_step": step}
-        report.failures.append({"start": pt.to_json(), **why, "profiles": [list(p) for p in profiles]})
+        return {**why, "profiles": [list(p) for p in rec.profiles]}
+
+    return judge
 
 
 def _judge_escape(spec: LemmaSpec, report: VerificationReport) -> None:
@@ -456,8 +451,8 @@ def _judge_escape(spec: LemmaSpec, report: VerificationReport) -> None:
     sample that exhausts 256 digits is judged on the exact engine instead.
     """
     params = spec.params()
-    _check_escapes(report, spec, spec.source, params, spec.samples, _threshold(spec, params),
-                   growth_check=spec.growth_check)
+    judge = _escape_judge(params, spec.steps, _threshold(spec, params), spec.growth_check)
+    _judge_samples(report, spec, spec.source, params.d, spec.samples, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -639,31 +634,28 @@ def _judge_sandwich(spec: LemmaSpec, report: VerificationReport) -> None:
             report.notes.append(f"one-step invariance of {invariant} certified on window")
         else:
             report.failures.append({"invariance": str(invariant), "counterexamples": cert.failed_outcomes})
-        drawn = 0
-        rng = random.Random(spec.seed)
-        for pt in _samples(report, spec, invariant, d, spec.samples, rng, "lower-bound region empty"):
-            drawn += 1
-            rec = _sample_orbit(report, pt, params, spec.steps, 6 * spec.steps + 64, None)
-            if rec is None:
-                continue
+
+        def stays(pt):
+            rec = _certified_or_exact(pt, params, spec.steps, 6 * spec.steps + 64, None)
+            if rec.verdict.kind in _SKIPS:
+                return rec.verdict.kind
             if all(classify(prof, d) == invariant for prof in rec.profiles):
-                report.passes += 1
-            else:
-                report.failures.append(
-                    {"start": pt.to_json(),
-                     "regions": [str(classify(prof, d)) for prof in rec.profiles]}
-                )
+                return None
+            return {"regions": [str(classify(prof, d)) for prof in rec.profiles]}
+
+        drawn = _judge_samples(report, spec, invariant, d, spec.samples, stays,
+                               "lower-bound region empty")
         if drawn:
             report.notes.append(
                 f"{report.passes}/{drawn} samples of {invariant} stayed for {spec.steps} steps "
                 "(finite-horizon evidence)"
             )
 
-    threshold = _threshold(spec, params)
+    judge = _escape_judge(params, spec.steps, _threshold(spec, params))
     for name, index in _ESCAPING[regime]:
         label = RegionLabel(regime, name, index)
-        _check_escapes(report, spec, label, params, max(spec.samples // 4, 25), threshold,
-                       f"{label}: ")
+        _judge_samples(report, spec, label, d, max(spec.samples // 4, 25), judge,
+                       prefix=f"{label}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,19 @@ def test_verify_builtin_list(runner):
     assert "all-lemmas" in json.loads(result.output)
 
 
+def test_verify_list_needs_no_campaign(runner):
+    result = runner.invoke(main, ["verify", "--list"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout) == ["all-lemmas", "known-anomalies", "negative-control"]
+
+
+def test_verify_without_campaign_or_list_is_a_usage_error(runner):
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "Missing argument 'CAMPAIGN'" in result.output
+    assert result.stdout == ""
+
+
 def test_verify_negative_control_exits_nonzero(runner):
     result = runner.invoke(main, ["verify", "negative-control", "--samples", "30"])
     assert result.exit_code == 1

@@ -19,13 +19,13 @@ from padic_henon.dynamics import (
     inverse,
 )
 from padic_henon.padics import PadicRational, Point
-from padic_henon.regions import Regime, RegionLabel, classify
+from padic_henon.regions import Regime, RegionLabel, classify, regime_of_d, region_profiles
 from padic_henon.verifier import (
     CampaignError,
     LemmaSpec,
     VerificationReport,
     _doubling_violation,
-    _sample_orbit,
+    _judge_samples,
     _schedule_violation,
     builtin_campaign,
     builtin_campaign_names,
@@ -159,30 +159,80 @@ def test_escape_certifies_exhausted_sample_on_exact_engine():
     assert report.ok and report.uncertified == 0 and report.notes == []
 
 
-def test_exhausted_sample_is_judged_on_the_exact_record():
+def _judge_one(monkeypatch, pt, params, steps, precision):
+    """Run the one sample loop on `pt` alone, with a judge that keeps the
+    record `_certified_or_exact` gives it and reports its skip verdict, as
+    the escape and sandwich judges do.  Returns the report and the record."""
+    monkeypatch.setattr(verifier, "region_sampler", lambda *args: iter([pt]))
+    report = VerificationReport(spec=LemmaSpec(identifier="probe", kind="sandwich", p=3))
+    records = []
+
+    def judge(sample):
+        assert sample is pt
+        rec = verifier._certified_or_exact(sample, params, steps, precision, None)
+        records.append(rec)
+        return rec.verdict.kind if rec.verdict.kind in verifier._SKIPS else None
+
+    drawn = _judge_samples(report, report.spec, lbl(Regime.LARGE, "J", 0), params.d, 1, judge)
+    assert drawn == 1
+    (rec,) = records
+    return report, rec
+
+
+def test_exhausted_sample_is_judged_on_the_exact_record(monkeypatch):
     # x - c = 3^20 at valuation -1 cancels 21 digits, past a 16-digit cap: the
     # exact rerun gives the profiles and labels the certified engine gives
     # with room to spare.
     params = MapParams(PadicRational(1, 3, 3))
     pt = Point(PadicRational(1 + 3**21, 3, 3), PadicRational(1, 1, 3))
-    report = VerificationReport(spec=LemmaSpec(identifier="probe", kind="sandwich", p=3))
-    judged = _sample_orbit(report, pt, params, 10, 16, None)
+    report, judged = _judge_one(monkeypatch, pt, params, 10, 16)
     rec = backward_profile_orbit(pt, params, 10, escape_exponent=None)
     assert judged.precision is None  # the exact engine's record
     assert (judged.profiles, judged.verdict) == (rec.profiles, rec.verdict)
     labels = [s["region"] for s in judged.to_json(params.d)["steps"]]
     assert labels == [s["region"] for s in rec.to_json(params.d)["steps"]]
     assert (report.skipped, report.undefined_inverse, report.uncertified) == (0, 0, 0)
+    assert (report.passes, report.failures, report.notes) == (1, [], [])
 
 
-def test_exhausted_sample_past_the_bit_budget_is_uncertified():
+def test_exhausted_sample_past_the_bit_budget_is_uncertified(monkeypatch):
     # x - c = 3^300 exhausts the 256-digit cap, and the exact rerun of a
     # norm-bounded orbit outgrows the default bit budget long before 60 steps.
     params = MapParams(PadicRational(1, 3, 3))
     pt = Point(PadicRational(1 + 3**301, 3, 3), PadicRational(1, 1, 3))
-    report = VerificationReport(spec=LemmaSpec(identifier="probe", kind="sandwich", p=3))
-    assert _sample_orbit(report, pt, params, 60, 256, None) is None
+    report, rec = _judge_one(monkeypatch, pt, params, 60, 256)
+    assert rec.verdict.kind == "budget_exceeded"
     assert (report.skipped, report.undefined_inverse, report.uncertified) == (1, 0, 1)
+    assert (report.passes, report.failures, report.notes) == (0, [], ["1 samples uncertified"])
+
+
+def _samples_drawn(spec) -> int:
+    """The samples a sampled spec judges: for a sandwich, `samples` in the
+    invariant region, where the regime has one, and a quarter (at least 25)
+    in each escaping region."""
+    if spec.kind != "sandwich":
+        return spec.samples
+    regime = regime_of_d(spec.params().d)
+    lower = spec.samples if regime in verifier._INVARIANT else 0
+    return lower + len(verifier._ESCAPING[regime]) * max(spec.samples // 4, 25)
+
+
+@pytest.mark.parametrize("name", ["all-lemmas", "negative-control", "known-anomalies"])
+def test_every_sample_drawn_is_counted_once(name):
+    sampled = [s for s in builtin_campaign(name) if s.kind in ("transition", "escape", "sandwich")]
+    assert sampled
+    for report in run_campaign(sampled):
+        spec = report.spec
+        assert report.passes + len(report.failures) + report.skipped == _samples_drawn(spec), spec.identifier
+        assert report.undefined_inverse + report.uncertified <= report.skipped, spec.identifier
+
+
+def test_a_sampled_region_is_not_kept_after_its_check():
+    spec = LemmaSpec("w", "transition", p=3, c="9/1",
+                     source=lbl(Regime.SMALL, "A", 1), samples=5, window=200, seed=1)
+    report = run_spec(spec)
+    assert report.ok and report.passes == 5
+    assert region_profiles.cache_info().currsize == 0
 
 
 def test_escape_schedule_bound_small_regime():
