@@ -31,6 +31,7 @@ from .padics import PrecisionExhaustedError, _decimal, validate_odd_prime
 from .regions import RegionLabel, classify, regime_of_d, region_branches, t_profile
 from .verifier import (
     _FIELDS,
+    _MAX_WINDOW,
     CampaignError,
     builtin_campaign,
     builtin_campaign_names,
@@ -230,7 +231,9 @@ TN_MAX_BITS = 640_000  # F(n + 2) passes it for n > 64, so fib never sees a larg
 @click.option("--n", type=click.IntRange(min=0), default=8, show_default=True,
               help="Largest index for --tn.")
 @click.option("--region", default=None, help="Region label, e.g. Z, J0, A3, C0.")
-@click.option("--window", type=click.IntRange(min=0), default=8, show_default=True)
+# Each row of a window measure is a fraction of W-digit powers of p, so the
+# window has the campaigns' bound.
+@click.option("--window", type=click.IntRange(min=0, max=_MAX_WINDOW), default=8, show_default=True)
 def measure(prime, c, tn, k, n, region, window):
     """Exact Haar measures: overlay family rows, or a region's window measure."""
     if tn:

@@ -8,9 +8,13 @@ intervals.  A region's cells are the rows of ``regions.region_rows``; a
 transition check carries its source cells as pieces, runs of one source row
 on which each backward step is affine, so ``regions.branch_interval`` decides
 a target constraint on a whole piece at once.  A row that its intervals tile
-passes in one scan, and one sweep over interval ends finds holes, overlaps
-and failing cells elsewhere.  A source row steps whole, and a piece that one
-target branch covers settles without a sweep.
+passes in one scan, and one sweep over interval ends finds its holes and
+overlaps.  A source row steps whole.  The target branches, in name order,
+cut each piece: a branch cuts only the runs that the ones before it left,
+and the runs left over fail.  The last step judges the cancellation column
+with e free: a branch is convex, so two cuts along e, at the two ends of a
+piece, give the e at which it covers the whole piece, and only the e that
+no branch settles are expanded into one group per e.
 """
 
 from __future__ import annotations
@@ -176,7 +180,7 @@ class TransitionCheck:
     depth: int
     profiles_checked: int = 0
     outcomes_checked: int = 0
-    failed_outcomes: int = 0  # exact; counterexamples keeps at most 25 per frontier group
+    failed_outcomes: int = 0  # exact; counterexamples keeps at most 25 per group
     counterexamples: list = field(default_factory=list)
 
     @property
@@ -186,11 +190,13 @@ class TransitionCheck:
 
 # A piece (a, lo, hi, a0, a1, b0, b1) is the run of source cells (a, t),
 # lo <= t <= hi, of one source row, now at the profiles (a0 + a1*t, b0 + b1*t).
+# A column piece is one on a = d stepped with e free: at the cancellation
+# exponent e its profiles are (a0 + a1*t, e + b0 + b1*t).
 # The guards of the inverse below are region-table constraints on a.
 _GUARDS = [(1, 0, 1, 0, "<")], [(1, 0, 1, 0, "==")], [(1, 0, 1, 0, ">")]  # a < d, a = d, a > d
 
 
-def _step_pieces(pieces, d: int, cancel_depth: int):
+def _step_pieces(pieces, d: int):
     """One abstract backward step on pieces; the package's one profile-level inverse.
 
     When a != d the ultrametric gives the single profile (b, max(a, d) - b):
@@ -200,9 +206,9 @@ def _step_pieces(pieces, d: int, cancel_depth: int):
     a piece, since every map is affine.  A row piece (a1 = 0, as at depth 1)
     lies on one side of a = d and steps whole; the guards cut sloped pieces.
 
-    Yields (pieces, e) groups in source order: the deterministic group with
-    e None, then one group per cancellation exponent e = d, d - 1, ...,
-    d - cancel_depth for the cells on a = d.  Empty groups are left out.
+    Returns (det, column), each in source order: the pieces off a = d, and
+    the pieces on it as column pieces, with e free.  ``_cancellation_groups``
+    expands a column into one group per e.
     """
     det, column = [], []
     for sa, lo, hi, a0, a1, b0, b1 in pieces:
@@ -220,11 +226,80 @@ def _step_pieces(pieces, d: int, cancel_depth: int):
         l, h = on
         if l <= h:
             column.append((sa, l, h, b0, b1, -b0, -b1))
-    if det:
-        yield det, None
-    if column:
-        for e in range(d, d - cancel_depth - 1, -1):
-            yield [(sa, l, h, a0, a1, e + b0, b1) for sa, l, h, a0, a1, b0, b1 in column], e
+    return det, column
+
+
+def _cancellation_groups(column, runs):
+    """The column at each cancellation exponent, as (pieces, e) groups with e
+    falling and the pieces in column order.  ``runs[i]`` holds the runs of e
+    at which ``column[i]`` is expanded; an e with no piece gives no group."""
+    groups = {}
+    for (sa, lo, hi, a0, a1, b0, b1), piece_runs in zip(column, runs):
+        for elo, ehi in piece_runs:
+            for e in range(elo, ehi + 1):
+                groups.setdefault(e, []).append((sa, lo, hi, a0, a1, e + b0, b1))
+    return [(groups[e], e) for e in sorted(groups, reverse=True)]
+
+
+def _settled(branch, d: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int, elo: int, ehi: int):
+    """The e in elo..ehi at which the branch holds on all of the column piece
+    lo..hi, whose profiles at e are (a0 + a1*t, e + b0 + b1*t), as (elo', ehi'),
+    empty when elo' > ehi'.  A branch is convex, so it holds on the run exactly
+    where it holds at both end cells: one cut along e at t = lo, and one at
+    t = hi inside the first."""
+    l, h = branch_interval(branch, d, a0 + a1 * lo, 0, b0 + b1 * lo, 1, elo, ehi)
+    if l > h or lo == hi:
+        return l, h
+    return branch_interval(branch, d, a0 + a1 * hi, 0, b0 + b1 * hi, 1, l, h)
+
+
+def _unsettled(branches, d: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int, elo: int, ehi: int):
+    """The runs of e in elo..ehi, in order, at which no branch settles the
+    column piece lo..hi."""
+    settled = []
+    for branch in branches:
+        l, h = _settled(branch, d, a0, a1, b0, b1, lo, hi, elo, ehi)
+        if l == elo and h == ehi:
+            return []
+        if l <= h:
+            settled.append((l, h))
+    return [(first, last) for first, last, n in _coverage(settled, elo, ehi) if not n]
+
+
+def _judge(check: TransitionCheck, pieces, e, branches, d: int) -> None:
+    """Count the failing outcomes of one group and list its first 25.
+
+    The branches cut each piece in turn, each only where the ones before it
+    left cells uncovered, until none is left; the runs left over fail.  A
+    piece whose run and image equal the previous piece's (every row a < d
+    steps to (b, d - b)) reuses its runs.
+    """
+    listed = 0
+    last_image = None
+    for sa, lo, hi, a0, a1, b0, b1 in pieces:
+        image = lo, hi, a0, a1, b0, b1
+        if image != last_image:
+            last_image, runs = image, [(lo, hi)]
+            for branch in branches:
+                left = []
+                for rl, rh in runs:
+                    cl, ch = branch_interval(branch, d, a0, a1, b0, b1, rl, rh)
+                    if cl > ch:
+                        left.append((rl, rh))
+                        continue
+                    if rl < cl:
+                        left.append((rl, cl - 1))
+                    if ch < rh:
+                        left.append((ch + 1, rh))
+                runs = left
+                if not runs:
+                    break
+        for first, last in runs:
+            check.failed_outcomes += last - first + 1
+            for t in range(first, min(last + 1, first + 25 - listed)):
+                outcome = (a0 + a1 * t, b0 + b1 * t)
+                check.counterexamples.append(TransitionCounterexample((sa, t), outcome, e))
+                listed += 1
 
 
 def check_transition_profiles(
@@ -237,13 +312,18 @@ def check_transition_profiles(
 ) -> TransitionCheck:
     """Exhaustively verify one transition claim on every window profile.
 
-    Applies the abstract inverse `depth` times to every profile of the source
-    region inside the window and requires each outcome to satisfy the
-    inequalities of some expected target region.  The cancellation column
-    a = d is enumerated down to e = d - cancel_depth (default: the window;
-    never negative).  A piece settles at the first branch covering all of it.
+    Applies the abstract inverse `depth` (at least 1) times to every profile
+    of the source region inside the window and requires each outcome to
+    satisfy the inequalities of some expected target region.  The
+    cancellation column a = d is enumerated down to e = d - cancel_depth
+    (default: the window; never negative).  Each piece's cells are
+    subtracted branch by branch, and the cells left over fail.  The last
+    step judges its column with e free: only the e that no single branch
+    settles on a whole piece are expanded.
     """
     _check_window(window)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if cancel_depth is None:
         cancel_depth = window
     if cancel_depth < 0:
@@ -260,39 +340,31 @@ def check_transition_profiles(
         rows = region_rows(source, d, window)
     check.profiles_checked = sum(hi - lo + 1 for _, lo, hi in rows)
 
-    # Each frontier entry: (pieces, first cancellation exponent or None).
+    # Each frontier group: (pieces, first cancellation exponent or None).
+    elo = d - cancel_depth
     frontier = [([(a, lo, hi, a, 0, 0, 1) for a, lo, hi in rows], None)]
-    for _ in range(depth):
-        frontier = [
-            (stepped, e0 if e0 is not None else e)
-            for pieces, e0 in frontier
-            for stepped, e in _step_pieces(pieces, d, cancel_depth)
-        ]
+    for _ in range(depth - 1):
+        stepped = []
+        for pieces, e0 in frontier:
+            det, column = _step_pieces(pieces, d)
+            if det:
+                stepped.append((det, e0))
+            for group, e in _cancellation_groups(column, [[(elo, d)]] * len(column)):
+                stepped.append((group, e if e0 is None else e0))
+        frontier = stepped
 
-    # An outcome fails where no target branch holds: the cells of a piece
-    # that none of the branches' intervals covers.  At most 25 are listed
-    # per frontier group.  Targets go in name order, whatever their hash order.
+    # An outcome fails where no target branch holds.  At most 25 failing
+    # outcomes are listed per group: the deterministic pieces of a frontier
+    # group, then its column at each e, falling.  Targets go in name order,
+    # whatever their hash order.
     branches = [branch for target in sorted(targets, key=str) for branch in region_branches(target)]
-    for pieces, e in frontier:
-        listed = 0
-        for sa, lo, hi, a0, a1, b0, b1 in pieces:
-            check.outcomes_checked += hi - lo + 1
-            held = []
-            for branch in branches:
-                l, h = branch_interval(branch, d, a0, a1, b0, b1, lo, hi)
-                if l == lo and h == hi:  # a covered piece settles: no outcome fails
-                    break
-                if l <= h:
-                    held.append((l, h))
-            else:
-                for first, last, n in _coverage(held, lo, hi):
-                    if n:
-                        continue
-                    check.failed_outcomes += last - first + 1
-                    for b in range(first, min(last + 1, first + 25 - listed)):
-                        outcome = (a0 + a1 * b, b0 + b1 * b)
-                        check.counterexamples.append(TransitionCounterexample((sa, b), outcome, e))
-                        listed += 1
+    for pieces, e0 in frontier:
+        det, column = _step_pieces(pieces, d)
+        check.outcomes_checked += sum(piece[2] - piece[1] + 1 for piece in det)
+        check.outcomes_checked += (cancel_depth + 1) * sum(piece[2] - piece[1] + 1 for piece in column)
+        unsettled = [_unsettled(branches, d, a0, a1, b0, b1, lo, hi, elo, d) for _, lo, hi, a0, a1, b0, b1 in column]
+        for group, e in [(det, e0)] + _cancellation_groups(column, unsettled):
+            _judge(check, group, e if e0 is None else e0, branches, d)
     return check
 
 

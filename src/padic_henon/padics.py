@@ -532,6 +532,24 @@ def sqrt(x: PadicRational, precision: int):
     return v // 2, r, 1, precision
 
 
+def _digits(u: int, p: int, k: int) -> list:
+    """The k base-p digits of 0 <= u < p^k, least significant first.
+
+    Divide and conquer: one split at p^(k//2) halves the problem, so the
+    work is that of a few full-size divisions; ``divmod`` digit by digit
+    takes over below 64 digits.  The direct u // p^i % p for each i costs
+    a full-size division per digit.
+    """
+    if k <= 64:
+        digits = []
+        for _ in range(k):
+            u, d = divmod(u, p)
+            digits.append(d)
+        return digits
+    high, low = divmod(u, p ** (k // 2))
+    return _digits(low, p, k // 2) + _digits(high, p, k - k // 2)
+
+
 class TruncatedPadic:
     """The digit view p^val * (d0 + d1 p + d2 p^2 + ...) of a residue, for output.
 
@@ -570,8 +588,7 @@ class TruncatedPadic:
             return cls.zero(prime)
         v, n, m, k = r
         mod = prime**k
-        u = n * pow(m, -1, mod) % mod
-        return cls(prime, v, (u // prime**i % prime for i in range(k)))
+        return cls(prime, v, _digits(n * pow(m, -1, mod) % mod, prime, k))
 
     @property
     def is_zero(self) -> bool:

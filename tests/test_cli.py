@@ -613,6 +613,16 @@ def test_measure_region_negative_window_usage_error(runner):
     assert "--window" in result.output and result.stdout == ""
 
 
+def test_measure_region_window_has_the_campaign_bound(runner):
+    # Each row is a fraction of W-digit powers of p: W = 16,000 took 28 s.
+    args = ["measure", "--prime", "3", "--c", "3/1", "--region", "Z", "--window"]
+    result = runner.invoke(main, [*args, "1001"])
+    assert result.exit_code == 2
+    assert "--window" in result.output and "0<=x<=1000" in result.output and result.stdout == ""
+    result = runner.invoke(main, [*args, "1000"])
+    assert result.exit_code == 0 and json.loads(result.output)["exact"] == "4/9"
+
+
 def test_measure_overlay_below_d_two_usage_error(runner):
     result = runner.invoke(main, ["measure", "--prime", "3", "--c", "1/3", "--region", "T1"])
     assert result.exit_code == 2

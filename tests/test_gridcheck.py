@@ -2,10 +2,15 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padic_henon import gridcheck, regions
 from padic_henon.gridcheck import (
+    _cancellation_groups,
+    _settled,
     _step_pieces,
+    _unsettled,
     check_all_transitions,
     check_partition,
     check_transition_profiles,
@@ -34,11 +39,19 @@ _STEP_CASES = {
 }
 
 
+def _step_groups(pieces, d, cancel_depth):
+    """One step as (pieces, e) groups: the deterministic pieces with e None,
+    then the column expanded at every e from d down to d - cancel_depth."""
+    det, column = _step_pieces(pieces, d)
+    every_e = [[(d - cancel_depth, d)]] * len(column)
+    return ([(det, None)] if det else []) + _cancellation_groups(column, every_e)
+
+
 @pytest.mark.parametrize("case", _STEP_CASES.values(), ids=_STEP_CASES.keys())
 def test_step_profiles(case):
     (a, b), d, cancel_depth, expected = case
     got = []
-    for pieces, e in _step_pieces([(a, b, b, a, 0, 0, 1)], d, cancel_depth):
+    for pieces, e in _step_groups([(a, b, b, a, 0, 0, 1)], d, cancel_depth):
         ((sa, lo, hi, a0, a1, b0, b1),) = pieces
         assert (sa, lo, hi) == (a, b, b)
         got.append((a0 + a1 * b, b0 + b1 * b, e))
@@ -50,7 +63,7 @@ def test_step_pieces_keep_source_order_across_the_column():
     # the column; the deterministic group keeps increasing t for either slope.
     d = 0
     for a1 in (1, -1):
-        (det, e_det), (col0, e0), (col1, e1) = _step_pieces([(7, -3, 3, 0, a1, 0, 0)], d, 1)
+        (det, e_det), (col0, e0), (col1, e1) = _step_groups([(7, -3, 3, 0, a1, 0, 0)], d, 1)
         assert (e_det, e0, e1) == (None, 0, -1)
         outcomes = [(t, (p0 + p1 * t, q0 + q1 * t)) for _, lo, hi, p0, p1, q0, q1 in det for t in range(lo, hi + 1)]
         assert outcomes == [(t, (0, max(a1 * t, d))) for t in (-3, -2, -1, 1, 2, 3)]
@@ -277,6 +290,15 @@ def test_negative_cancel_depth_rejected():
     assert check.profiles_checked == check.outcomes_checked == check.failed_outcomes == 19
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_depth_below_one_rejected(depth):
+    # Every check takes at least one backward step; a depth of 0 would
+    # otherwise judge the depth-1 outcomes and report depth 0.
+    a5 = RegionLabel(Regime.SMALL, "A", 5)
+    with pytest.raises(ValueError, match=rf"^depth must be >= 1, got {depth}$"):
+        check_transition_profiles(a5, -3, 20, depth=depth, targets=[])
+
+
 def test_source_cells_empty_region_and_t_cell():
     a5 = RegionLabel(Regime.SMALL, "A", 5)
     assert region_rows(a5, -1, 30) == ()  # the flat band d < b < 0 is empty at d = -1
@@ -381,20 +403,42 @@ def test_depth_two_counts_cancellation_free():
     assert check.outcomes_checked == check.profiles_checked
 
 
+def _settles_and_fails(source, d, W, labels):
+    """Whether one column piece of the source at depth 1 has both e that one
+    target branch settles on the whole piece and e where an outcome fails."""
+    if source.name == "T":
+        a, b = t_profile(source.index, d)
+        rows = ((a, b, b),)
+    else:
+        rows = region_rows(source, d, W)
+    _, column = _step_pieces([(a, lo, hi, a, 0, 0, 1) for a, lo, hi in rows], d)
+    branches = [branch for label in labels for branch in region_branches(label)]
+    for _, lo, hi, a0, a1, b0, b1 in column:
+        unsettled = _unsettled(branches, d, a0, a1, b0, b1, lo, hi, d - W, d)
+        failing = [e for e in range(d - W, d + 1) for t in range(lo, hi + 1)
+                   if not any(profile_in_region(label, a0 + a1 * t, e + b0 + b1 * t, d) for label in labels)]
+        if failing and sum(h - l + 1 for l, h in unsettled) < W + 1:
+            return True
+    return False
+
+
 def test_wrong_targets_on_repeated_images_match_the_cell_oracle():
     # SMALL A1 has many rows a < d that share one image, and P6 is the
-    # column a = d, stepped into one group per cancellation exponent.
-    # Targets from other labels, UNIT ones included, leave outcomes failing
-    # in part of a piece, so each group's witnesses, their order and the
-    # 25-per-group cap are compared with the cell oracle.
-    d, W = -3, 40
-    U, S = Regime.UNIT, Regime.SMALL
+    # column a = d, judged with e free.  Targets from other labels, UNIT ones
+    # included, leave outcomes failing in part of a piece.  A1 alone, or with
+    # P3, settles P6's column at some e and fails it at others, as T0 does
+    # for the overlay T1 at d = 2.  Each group's witnesses, their order and
+    # the 25-per-group cap are compared with the cell oracle.
+    W = 40
+    U, S, L = Regime.UNIT, Regime.SMALL, Regime.LARGE
     targets = [[(U, "H")], [(U, "G")], [(U, "M", 1), (U, "F")], [(U, "C", 0), (S, "B", 2)],
-               [(S, "P", 1), (S, "P", 3)]]
-    partial = capped = 0
-    for source in (RegionLabel(S, "A", 1), RegionLabel(S, "P", 6)):
+               [(S, "P", 1), (S, "P", 3)], [(S, "A", 1)], [(S, "A", 1), (S, "P", 3)]]
+    cases = [(-3, RegionLabel(S, "A", 1), targets), (-3, RegionLabel(S, "P", 6), targets),
+             (2, RegionLabel(L, "T", 1), [[(L, "T", 0)]])]
+    partial = capped = mixed = 0
+    for d, source, target_keys in cases:
         cells = _cells(source, d, W)
-        for keys in targets:
+        for keys in target_keys:
             labels = [RegionLabel(*key) for key in keys]
             for depth in (1, 2):
                 got = check_transition_profiles(source, d, W, depth=depth, targets=labels)
@@ -402,13 +446,12 @@ def test_wrong_targets_on_repeated_images_match_the_cell_oracle():
                 assert _summary(got) == want, (str(source), keys, depth)
                 partial += 0 < want[2] < want[1]
                 capped += want[2] > len(want[3])
-    assert partial >= 8 and capped >= 8
+            mixed += _settles_and_fails(source, d, W, labels)
+    assert partial >= 8 and capped >= 8 and mixed >= 3
 
 
-def test_transition_work_does_not_depend_on_target_order(monkeypatch):
-    # The targets are tried in one fixed order, so the same set passed in any
-    # order (a frozenset's follows PYTHONHASHSEED) costs the same number of
-    # cuts and gives the same check, counterexamples and their order included.
+def _count_cuts(monkeypatch):
+    """The branch_interval calls of gridcheck from now on, as a growing list."""
     calls = []
 
     def counting(*args):
@@ -416,6 +459,14 @@ def test_transition_work_does_not_depend_on_target_order(monkeypatch):
         return regions.branch_interval(*args)
 
     monkeypatch.setattr(gridcheck, "branch_interval", counting)
+    return calls
+
+
+def test_transition_work_does_not_depend_on_target_order(monkeypatch):
+    # The targets are tried in one fixed order, so the same set passed in any
+    # order (a frozenset's follows PYTHONHASHSEED) costs the same number of
+    # cuts and gives the same check, counterexamples and their order included.
+    calls = _count_cuts(monkeypatch)
     S = Regime.SMALL
     p6 = RegionLabel(S, "P", 6)
     right = sorted(expected_preimage_regions(p6, depth=1), key=str)
@@ -429,3 +480,61 @@ def test_transition_work_does_not_depend_on_target_order(monkeypatch):
             results.append((len(calls), check))
         assert results[0] == results[1] == results[2]
     assert results[0][1].counterexamples
+
+
+@pytest.mark.parametrize("key, d", [((Regime.SMALL, "A", 1), -3), ((Regime.SMALL, "P", 3), -3),
+                                    ((Regime.LARGE, "G"), 3)], ids=["A1", "P3", "G"])
+def test_settled_columns_cost_the_same_at_any_window(monkeypatch, key, d):
+    # Each source has a column on a = d that its targets settle at every e,
+    # and rows a < d that all step to (b, d - b): the cuts do not grow with
+    # W or with cancel_depth = W (3, 2 and 3 cuts; one per e and row before).
+    calls = _count_cuts(monkeypatch)
+    cuts = []
+    for W in (30, 1000):
+        calls.clear()
+        check = check_transition_profiles(RegionLabel(*key), d, W, cancel_depth=W)
+        assert check.ok and check.outcomes_checked > W
+        cuts.append(len(calls))
+    assert cuts[0] == cuts[1] <= 3
+
+
+def test_window_1000_transitions_cut_less_than_one_group_per_e(monkeypatch):
+    # The depth-1 checks of the window-1000 benchmark made 103,898 cuts when
+    # the column was one group per e and every branch cut a whole piece; they
+    # make 74,792 with the column judged with e free and runs subtracted.
+    calls = _count_cuts(monkeypatch)
+    for d in (-3, -1, 0, 1, 2, 3):
+        check_all_transitions(d, 1000, include_t=False, cancel_depth=1000)
+    assert len(calls) == 74_792
+
+
+def _branch_pool():
+    """Every branch of the three regime tables, golden ones and family members
+    included, and the two golden signs alone."""
+    labels = [label for regime, d in ((Regime.SMALL, -3), (Regime.UNIT, 0), (Regime.LARGE, 3))
+              for label in iter_region_labels(regime, d, 200, include_t=True)]
+    assert {"A9", "B2", "M9", "T5"} <= {str(label) for label in labels}
+    return [branch for label in labels for branch in region_branches(label)] + [
+        [regions.GOLDEN_BELOW], [regions.GOLDEN_ABOVE]]
+
+
+_BRANCHES = _branch_pool()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    branch=st.sampled_from(_BRANCHES), d=st.integers(-5, 5),
+    a0=st.integers(-30, 30), a1=st.integers(-3, 3), b0=st.integers(-30, 30), b1=st.integers(-3, 3),
+    lo=st.integers(-12, 12), width=st.integers(0, 15), elo=st.integers(-40, 10), span=st.integers(0, 40),
+)
+# SMALL A1 at d = -3 on the column image (t, e - t): b >= 0 holds from
+# e = -10 at t = -10, but on all of -10..-4 only from e = -4.
+@example(branch=[(1, 0, 1, 0, "<="), (0, 1, 0, 0, ">=")], d=-3, a0=0, a1=1, b0=0, b1=-1,
+         lo=-10, width=6, elo=-20, span=20)
+def test_settled_e_are_those_where_the_branch_covers_the_run(branch, d, a0, a1, b0, b1, lo, width, elo, span):
+    hi, ehi = lo + width, elo + span
+    covered = [e for e in range(elo, ehi + 1)
+               if regions.branch_interval(branch, d, a0, a1, b0 + e, b1, lo, hi) == (lo, hi)]
+    l, h = _settled(branch, d, a0, a1, b0, b1, lo, hi, elo, ehi)
+    assert covered == list(range(l, h + 1)), (l, h)
+    assert elo <= l or l > h

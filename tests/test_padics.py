@@ -13,6 +13,7 @@ from padic_henon.padics import (
     Point,
     PrecisionExhaustedError,
     TruncatedPadic,
+    _digits,
     _inverse_y,
     _residue,
     _split,
@@ -328,6 +329,16 @@ def test_truncation_from_residue():
     u = sum(dig * p**i for i, dig in enumerate(t.digits))
     assert (2 * u + 45) % p**6 == 0  # the digits spell the unit part -45/2 to six places
     assert TruncatedPadic.from_residue(p, None).is_zero
+
+
+def test_digits_match_the_direct_formula():
+    # Split digit extraction against u // p^i % p, across the 64-digit switch
+    # to divmod and at odd splits, with u drawn below p^k and at its ends.
+    rng = random.Random(26)
+    for p in (3, 5, 7, 101):
+        for k in (1, 2, 63, 64, 65, 129, 200, 1001):
+            for u in (0, 1, p**k - 1, rng.randrange(p**k), rng.randrange(p ** (k // 2) + 1)):
+                assert _digits(u, p, k) == [u // p**i % p for i in range(k)], (p, k, u)
 
 
 def test_truncation_serialization_roundtrip():
