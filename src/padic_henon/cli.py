@@ -19,6 +19,7 @@ import sys
 import click
 
 from .dynamics import (
+    MAX_STEPS,
     MapParams,
     backward_orbit,
     exact_fixed_points,
@@ -108,7 +109,7 @@ def main():
 @c_option
 @click.option("--x", "x", required=True, callback=_rational, help="x as 'num/den'.")
 @click.option("--y", "y", required=True, callback=_rational, help="y as 'num/den'.")
-@click.option("--steps", type=click.IntRange(min=1), default=20, show_default=True)
+@click.option("--steps", type=click.IntRange(1, MAX_STEPS), default=20, show_default=True)
 @click.option("--direction", type=click.Choice(["backward", "forward"]), default="backward",
               show_default=True)
 @click.option("--escape-exp", type=int, default=None,

@@ -13,8 +13,8 @@ overlaps.  A source row steps whole.  The target branches, in name order,
 cut each piece: a branch cuts only the runs that the ones before it left,
 and the runs left over fail.  The last step judges the cancellation column
 with e free: a branch is convex, so two cuts along e, at the two ends of a
-piece, give the e at which it covers the whole piece, and only the e that
-no branch settles are expanded into one group per e.
+piece, give the e at which it covers the whole piece, and ``_column_groups``
+expands only the e that no branch settles, one group per e.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ def _step_pieces(pieces, d: int):
     lies on one side of a = d and steps whole; the guards cut sloped pieces.
 
     Returns (det, column), each in source order: the pieces off a = d, and
-    the pieces on it as column pieces, with e free.  ``_cancellation_groups``
-    expands a column into one group per e.
+    the pieces on it as column pieces, with e free.  ``_column_groups``
+    expands a column into one group per e that its targets do not settle.
     """
     det, column = [], []
     for sa, lo, hi, a0, a1, b0, b1 in pieces:
@@ -229,41 +229,28 @@ def _step_pieces(pieces, d: int):
     return det, column
 
 
-def _cancellation_groups(column, runs):
-    """The column at each cancellation exponent, as (pieces, e) groups with e
-    falling and the pieces in column order.  ``runs[i]`` holds the runs of e
-    at which ``column[i]`` is expanded; an e with no piece gives no group."""
-    groups = {}
-    for (sa, lo, hi, a0, a1, b0, b1), piece_runs in zip(column, runs):
-        for elo, ehi in piece_runs:
-            for e in range(elo, ehi + 1):
-                groups.setdefault(e, []).append((sa, lo, hi, a0, a1, e + b0, b1))
-    return [(groups[e], e) for e in sorted(groups, reverse=True)]
-
-
-def _settled(branch, d: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int, elo: int, ehi: int):
-    """The e in elo..ehi at which the branch holds on all of the column piece
-    lo..hi, whose profiles at e are (a0 + a1*t, e + b0 + b1*t), as (elo', ehi'),
-    empty when elo' > ehi'.  A branch is convex, so it holds on the run exactly
+def _column_groups(column, branches, d: int, elo: int):
+    """The column pieces at the cancellation exponents elo..d that no single
+    branch settles, as (pieces, e) groups with e falling and the pieces in
+    column order; an e with no piece gives no group, and with no branches
+    every e is expanded.  A branch is convex, so it holds on the whole column
+    piece lo..hi, whose profiles at e are (a0 + a1*t, e + b0 + b1*t), exactly
     where it holds at both end cells: one cut along e at t = lo, and one at
     t = hi inside the first."""
-    l, h = branch_interval(branch, d, a0 + a1 * lo, 0, b0 + b1 * lo, 1, elo, ehi)
-    if l > h or lo == hi:
-        return l, h
-    return branch_interval(branch, d, a0 + a1 * hi, 0, b0 + b1 * hi, 1, l, h)
-
-
-def _unsettled(branches, d: int, a0: int, a1: int, b0: int, b1: int, lo: int, hi: int, elo: int, ehi: int):
-    """The runs of e in elo..ehi, in order, at which no branch settles the
-    column piece lo..hi."""
-    settled = []
-    for branch in branches:
-        l, h = _settled(branch, d, a0, a1, b0, b1, lo, hi, elo, ehi)
-        if l == elo and h == ehi:
-            return []
-        if l <= h:
-            settled.append((l, h))
-    return [(first, last) for first, last, n in _coverage(settled, elo, ehi) if not n]
+    groups = {}
+    for sa, lo, hi, a0, a1, b0, b1 in column:
+        settled = []
+        for branch in branches:
+            l, h = branch_interval(branch, d, a0 + a1 * lo, 0, b0 + b1 * lo, 1, elo, d)
+            if l <= h and lo < hi:
+                l, h = branch_interval(branch, d, a0 + a1 * hi, 0, b0 + b1 * hi, 1, l, h)
+            if l <= h:
+                settled.append((l, h))
+        for first, last, n in _coverage(settled, elo, d):
+            if not n:
+                for e in range(first, last + 1):
+                    groups.setdefault(e, []).append((sa, lo, hi, a0, a1, e + b0, b1))
+    return [(groups[e], e) for e in sorted(groups, reverse=True)]
 
 
 def _judge(check: TransitionCheck, pieces, e, branches, d: int) -> None:
@@ -349,7 +336,7 @@ def check_transition_profiles(
             det, column = _step_pieces(pieces, d)
             if det:
                 stepped.append((det, e0))
-            for group, e in _cancellation_groups(column, [[(elo, d)]] * len(column)):
+            for group, e in _column_groups(column, (), d, elo):
                 stepped.append((group, e if e0 is None else e0))
         frontier = stepped
 
@@ -362,8 +349,7 @@ def check_transition_profiles(
         det, column = _step_pieces(pieces, d)
         check.outcomes_checked += sum(piece[2] - piece[1] + 1 for piece in det)
         check.outcomes_checked += (cancel_depth + 1) * sum(piece[2] - piece[1] + 1 for piece in column)
-        unsettled = [_unsettled(branches, d, a0, a1, b0, b1, lo, hi, elo, d) for _, lo, hi, a0, a1, b0, b1 in column]
-        for group, e in [(det, e0)] + _cancellation_groups(column, unsettled):
+        for group, e in [(det, e0)] + _column_groups(column, branches, d, elo):
             _judge(check, group, e if e0 is None else e0, branches, d)
     return check
 

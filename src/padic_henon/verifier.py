@@ -18,6 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 from .dynamics import (
+    MAX_STEPS,
     BitBudgetError,
     MapParams,
     PrecisionExhaustedError,
@@ -157,8 +158,9 @@ class LemmaSpec:
             validate_odd_prime(values["p"])
         except ValueError as exc:
             raise CampaignError(str(exc)) from None
-        if values["depth"] not in (1, 2) or values["digit_count"] < 1 or values["steps"] < 1:
-            raise CampaignError("depth must be 1 or 2, and digit_count and steps at least 1")
+        if values["depth"] not in (1, 2) or values["digit_count"] < 1 or not 1 <= values["steps"] <= MAX_STEPS:
+            raise CampaignError(
+                f"depth must be 1 or 2, digit_count at least 1, and steps at least 1 and at most {MAX_STEPS}")
         if values["samples"] < 1 or not 0 <= values["window"] <= _MAX_WINDOW:
             raise CampaignError(f"samples must be at least 1, and window at least 0 and at most {_MAX_WINDOW}")
         if values["growth_check"] not in (None, "doubling", "schedule"):

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import padic_henon
 from padic_henon.cli import main
+from padic_henon.verifier import load_campaign
 
 
 @pytest.fixture()
@@ -202,6 +203,23 @@ def test_orbit_zero_steps_usage_error(runner):
     ])
     assert result.exit_code == 2
     assert "--steps" in result.output
+
+
+def test_orbit_steps_above_the_horizon_bound_usage_error(runner):
+    # A record keeps every step: 20,000 steps of the exact 3-cycle peaked at 92 MB.
+    result = runner.invoke(main, [
+        "orbit", "--prime", "3", "--c", "1/1", "--x", "-1/1", "--y", "-1/1", "--steps", "100001",
+    ])
+    assert result.exit_code == 2
+    assert "--steps" in result.output and "1<=x<=100000" in result.output and result.stdout == ""
+
+
+def test_campaign_steps_at_the_horizon_bound_loads(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"specs": [{"id": "long", "kind": "sandwich", "p": 3, "c": "1/9",
+                                           "steps": 100_000}]}))
+    (spec,) = load_campaign(path)
+    assert spec.steps == 100_000
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
@@ -455,6 +473,8 @@ def _one_spec(**fields):
                                 "escape_exp": 5, "window": 6}]}),
          "escape threshold 5 is below the window 6"),
         (_one_spec(kind="escape", c="3/1", window=6, steps=0), "steps at least 1"),
+        (json.dumps({"specs": [{"id": "bad", "kind": "sandwich", "p": 3, "c": "1/9", "steps": 100_001}]}),
+         "steps at least 1 and at most 100000"),
         ('{"specs": []}', 'the "specs" list is empty'),
         (_one_spec(kind="exhaustive", c="3/1", window=1001), "window at least 0 and at most 1000"),
         (_one_spec(p=318665857834031151167461), "318665857834031151167461 is not prime"),
@@ -465,7 +485,8 @@ def _one_spec(**fields):
          "overlay-target", "index-true", "expected-empty", "growth-check-on-sandwich",
          "large-c-minus-one", "source-on-sandwich", "c-on-worked-orbits", "samples-on-exhaustive",
          "unknown-key", "index-above-bound", "escape-threshold-default",
-         "escape-threshold-override", "sandwich-threshold", "escape-steps-zero", "specs-empty",
+         "escape-threshold-override", "sandwich-threshold", "escape-steps-zero", "sandwich-steps-above-bound",
+         "specs-empty",
          "window-above-1000", "pseudoprime", "prime-above-bound"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):

@@ -20,7 +20,7 @@ from padic_henon.dynamics import (
     inverse,
     three_cycle,
 )
-from padic_henon.gridcheck import _cancellation_groups, _step_pieces
+from padic_henon.gridcheck import _column_groups, _step_pieces
 from padic_henon.padics import PadicRational, Point, padic_valuation
 from padic_henon.regions import Regime, RegionLabel, regime_of_d, sample_in_region
 
@@ -131,7 +131,7 @@ def test_norm_recurrence_matches_abstract_inverse():
     for prev, curr in zip(rec.profiles, rec.profiles[1:]):
         a, b = prev
         det, column = _step_pieces([(a, b, b, a, 0, 0, 1)], d)
-        groups = [det] + [pieces for pieces, _ in _cancellation_groups(column, [[(d - 10, d)]] * len(column))]
+        groups = [det] + [pieces for pieces, _ in _column_groups(column, (), d, d - 10)]
         outcomes = [(a0 + a1 * b, b0 + b1 * b) for pieces in groups for _, _, _, a0, a1, b0, b1 in pieces]
         if prev[0] == d:
             cancellations += 1

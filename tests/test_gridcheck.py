@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from padic_henon import gridcheck, regions
 from padic_henon.gridcheck import (
-    _cancellation_groups,
-    _settled,
+    _column_groups,
     _step_pieces,
-    _unsettled,
     check_all_transitions,
     check_partition,
     check_transition_profiles,
@@ -43,8 +41,7 @@ def _step_groups(pieces, d, cancel_depth):
     """One step as (pieces, e) groups: the deterministic pieces with e None,
     then the column expanded at every e from d down to d - cancel_depth."""
     det, column = _step_pieces(pieces, d)
-    every_e = [[(d - cancel_depth, d)]] * len(column)
-    return ([(det, None)] if det else []) + _cancellation_groups(column, every_e)
+    return ([(det, None)] if det else []) + _column_groups(column, (), d, d - cancel_depth)
 
 
 @pytest.mark.parametrize("case", _STEP_CASES.values(), ids=_STEP_CASES.keys())
@@ -413,11 +410,12 @@ def _settles_and_fails(source, d, W, labels):
         rows = region_rows(source, d, W)
     _, column = _step_pieces([(a, lo, hi, a, 0, 0, 1) for a, lo, hi in rows], d)
     branches = [branch for label in labels for branch in region_branches(label)]
-    for _, lo, hi, a0, a1, b0, b1 in column:
-        unsettled = _unsettled(branches, d, a0, a1, b0, b1, lo, hi, d - W, d)
+    for piece in column:
+        _, lo, hi, a0, a1, b0, b1 = piece
+        expanded = _column_groups([piece], branches, d, d - W)
         failing = [e for e in range(d - W, d + 1) for t in range(lo, hi + 1)
                    if not any(profile_in_region(label, a0 + a1 * t, e + b0 + b1 * t, d) for label in labels)]
-        if failing and sum(h - l + 1 for l, h in unsettled) < W + 1:
+        if failing and len(expanded) < W + 1:
             return True
     return False
 
@@ -523,18 +521,30 @@ _BRANCHES = _branch_pool()
 
 @settings(max_examples=400, deadline=None)
 @given(
-    branch=st.sampled_from(_BRANCHES), d=st.integers(-5, 5),
+    branches=st.lists(st.sampled_from(_BRANCHES), max_size=3), d=st.integers(-5, 5),
     a0=st.integers(-30, 30), a1=st.integers(-3, 3), b0=st.integers(-30, 30), b1=st.integers(-3, 3),
-    lo=st.integers(-12, 12), width=st.integers(0, 15), elo=st.integers(-40, 10), span=st.integers(0, 40),
+    lo=st.integers(-12, 12), width=st.integers(0, 15), depth=st.integers(0, 40),
 )
 # SMALL A1 at d = -3 on the column image (t, e - t): b >= 0 holds from
-# e = -10 at t = -10, but on all of -10..-4 only from e = -4.
-@example(branch=[(1, 0, 1, 0, "<="), (0, 1, 0, 0, ">=")], d=-3, a0=0, a1=1, b0=0, b1=-1,
-         lo=-10, width=6, elo=-20, span=20)
-def test_settled_e_are_those_where_the_branch_covers_the_run(branch, d, a0, a1, b0, b1, lo, width, elo, span):
-    hi, ehi = lo + width, elo + span
-    covered = [e for e in range(elo, ehi + 1)
-               if regions.branch_interval(branch, d, a0, a1, b0 + e, b1, lo, hi) == (lo, hi)]
-    l, h = _settled(branch, d, a0, a1, b0, b1, lo, hi, elo, ehi)
-    assert covered == list(range(l, h + 1)), (l, h)
-    assert elo <= l or l > h
+# e = -10 at t = -10, but on all of -10..-4 only from e = -4.  Mirrored,
+# on (-t, e + t) for t in 4..10, the cut at t = hi alone would settle from
+# e = -10.
+@example(branches=[[(1, 0, 1, 0, "<="), (0, 1, 0, 0, ">=")]], d=-3, a0=0, a1=1, b0=0, b1=-1,
+         lo=-10, width=6, depth=17)
+@example(branches=[[(1, 0, 1, 0, "<="), (0, 1, 0, 0, ">=")]], d=-3, a0=0, a1=-1, b0=0, b1=1,
+         lo=4, width=6, depth=17)
+def test_column_groups_expand_the_e_that_no_branch_settles(branches, d, a0, a1, b0, b1, lo, width, depth):
+    # An e is expanded exactly when no single branch holds on every cell of
+    # the piece there, e falling; with no branches every e is expanded.
+    hi, elo = lo + width, d - depth
+    column = [(7, lo, hi, a0, a1, b0, b1)]
+
+    def settles(branch, e):
+        return all(eval_constraint(con, a0 + a1 * t, e + b0 + b1 * t, d) for t in range(lo, hi + 1) for con in branch)
+
+    def groups(es):
+        return [([(7, lo, hi, a0, a1, e + b0, b1)], e) for e in es]
+
+    unsettled = [e for e in range(d, elo - 1, -1) if not any(settles(branch, e) for branch in branches)]
+    assert _column_groups(column, branches, d, elo) == groups(unsettled)
+    assert _column_groups(column, (), d, elo) == groups(range(d, elo - 1, -1))
