@@ -19,6 +19,9 @@ import sys
 import click
 
 from .dynamics import (
+    DEFAULT_BIT_BUDGET,
+    MAX_BIT_BUDGET,
+    MAX_PRECISION,
     MAX_STEPS,
     MapParams,
     backward_orbit,
@@ -114,7 +117,8 @@ def main():
               show_default=True)
 @click.option("--escape-exp", type=int, default=None,
               help="Escape threshold on max norm exponent (omit to disable).")
-@click.option("--bit-budget", type=click.IntRange(min=1), default=1_000_000, show_default=True)
+@click.option("--bit-budget", type=click.IntRange(1, MAX_BIT_BUDGET), default=DEFAULT_BIT_BUDGET,
+              show_default=True)
 def orbit(prime, c, x, y, steps, direction, escape_exp, bit_budget):
     """Run an orbit and print its JSON trace; exit 0 on any verdict."""
     from .padics import Point
@@ -265,7 +269,7 @@ def measure(prime, c, tn, k, n, region, window):
 @main.command("fixed-points")
 @prime_option
 @c_option
-@click.option("--precision", type=click.IntRange(min=1), default=20, show_default=True)
+@click.option("--precision", type=click.IntRange(1, MAX_PRECISION), default=20, show_default=True)
 def fixed_points_cmd(prime, c, precision):
     """Fixed points (digit expansions, exact rationals when they exist) and the 3-cycle."""
     if _given(c).is_zero:

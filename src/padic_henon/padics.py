@@ -141,8 +141,13 @@ class PadicRational:
 
     The valuation is cached in ``_v``: ``valuation`` fills it on first use,
     and ``_rational`` sets it when the value is built with a known
-    valuation (as ``sample_with_norm`` does).  Every arithmetic result is a
-    new object with an empty cache, so no result inherits a stale valuation.
+    valuation (as ``sample_with_norm`` does).  An arithmetic result fills its
+    cache only where its operands' cached valuations decide it: the sum of
+    the two for ``*``, their difference for ``/``, the smaller one for ``+``
+    and ``-`` when the two differ (the ultrametric inequality is then an
+    equality), and the operand's own for unary minus.  Equal valuations can
+    cancel, and an ``int`` or ``Fraction`` operand carries no cache, so those
+    results start empty and ``valuation`` computes theirs.
     """
 
     __slots__ = ("prime", "numerator", "denominator", "_v")
@@ -196,19 +201,22 @@ class PadicRational:
     # -- arithmetic --------------------------------------------------------
 
     def _pair(self, other):
-        """other as (numerator, denominator) in lowest terms, or NotImplemented."""
+        """other as (numerator, denominator, cached valuation) with the pair in
+        lowest terms, or NotImplemented; an int or Fraction caches none."""
         if isinstance(other, PadicRational):
             if other.prime != self.prime:
                 raise ValueError(f"prime mismatch: {self.prime} vs {other.prime}")
-        elif not isinstance(other, (int, Fraction)):
+            return other.numerator, other.denominator, other._v
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other.numerator, other.denominator
+        return other.numerator, other.denominator, None
 
     def __add__(self, other):
         pair = self._pair(other)
         if pair is NotImplemented:
             return NotImplemented
-        return _sum(self.prime, self.numerator, self.denominator, *pair)
+        c, d, w = pair
+        return _sum(self.prime, self.numerator, self.denominator, c, d, _min_v(self._v, w))
 
     __radd__ = __add__
 
@@ -216,19 +224,23 @@ class PadicRational:
         pair = self._pair(other)
         if pair is NotImplemented:
             return NotImplemented
-        return _sum(self.prime, self.numerator, self.denominator, -pair[0], pair[1])
+        c, d, w = pair
+        return _sum(self.prime, self.numerator, self.denominator, -c, d, _min_v(self._v, w))
 
     def __rsub__(self, other):
         pair = self._pair(other)
         if pair is NotImplemented:
             return NotImplemented
-        return _sum(self.prime, -self.numerator, self.denominator, *pair)
+        return _sum(self.prime, -self.numerator, self.denominator, *pair[:2])
 
     def __mul__(self, other):
         pair = self._pair(other)
         if pair is NotImplemented:
             return NotImplemented
-        return _product(self.prime, self.numerator, self.denominator, *pair)
+        c, d, w = pair
+        v = self._v
+        return _product(self.prime, self.numerator, self.denominator, c, d,
+                        None if v is None or w is None else v + w)
 
     __rmul__ = __mul__
 
@@ -236,12 +248,14 @@ class PadicRational:
         pair = self._pair(other)
         if pair is NotImplemented:
             return NotImplemented
-        c, d = pair
+        c, d, w = pair
         if not c:
             raise ZeroDivisionError("division by zero")
         if c < 0:
             c, d = -c, -d
-        return _product(self.prime, self.numerator, self.denominator, d, c)
+        v = self._v
+        return _product(self.prime, self.numerator, self.denominator, d, c,
+                        None if v is None or w is None else v - w)
 
     def __rtruediv__(self, other):
         pair = self._pair(other)
@@ -252,10 +266,10 @@ class PadicRational:
             raise ZeroDivisionError("division by zero")
         if a < 0:
             a, b = -a, -b
-        return _product(self.prime, *pair, b, a)
+        return _product(self.prime, *pair[:2], b, a)
 
     def __neg__(self):
-        return _rational(-self.numerator, self.denominator, self.prime)
+        return _rational(-self.numerator, self.denominator, self.prime, self._v)
 
     def __eq__(self, other):
         if isinstance(other, PadicRational):
@@ -309,28 +323,38 @@ def _rational(num: int, den: int, prime: int, v=None) -> PadicRational:
     return x
 
 
-def _sum(prime: int, a: int, b: int, c: int, d: int) -> PadicRational:
-    """a/b + c/d in lowest terms, for reduced fractions with b, d > 0."""
+def _min_v(v, w):
+    """v_p(x ± y) from v = v_p(x) and w = v_p(y) when they decide it, else None:
+    the smaller of two different valuations; equal ones can cancel."""
+    if v is None or w is None or v == w:
+        return None
+    return v if v < w else w
+
+
+def _sum(prime: int, a: int, b: int, c: int, d: int, v=None) -> PadicRational:
+    """a/b + c/d in lowest terms, for reduced fractions with b, d > 0; v is its
+    valuation when known."""
     g = gcd(b, d)
     if g == 1:
-        return _rational(a * d + b * c, b * d, prime)
+        return _rational(a * d + b * c, b * d, prime, v)
     s = b // g
     t = a * (d // g) + c * s
     g2 = gcd(t, g)
     if g2 == 1:
-        return _rational(t, s * d, prime)
-    return _rational(t // g2, s * (d // g2), prime)
+        return _rational(t, s * d, prime, v)
+    return _rational(t // g2, s * (d // g2), prime, v)
 
 
-def _product(prime: int, a: int, b: int, c: int, d: int) -> PadicRational:
-    """(a/b) * (c/d) in lowest terms, for reduced fractions with b, d > 0."""
+def _product(prime: int, a: int, b: int, c: int, d: int, v=None) -> PadicRational:
+    """(a/b) * (c/d) in lowest terms, for reduced fractions with b, d > 0; v is
+    its valuation when known."""
     g1 = gcd(a, d)
     if g1 > 1:
         a, d = a // g1, d // g1
     g2 = gcd(c, b)
     if g2 > 1:
         c, b = c // g2, b // g2
-    return _rational(a * c, b * d, prime)
+    return _rational(a * c, b * d, prime, v)
 
 
 @dataclass(frozen=True)
@@ -638,10 +662,24 @@ def sample_with_norm(a: int, digit_count: int, rng: random.Random, p: int) -> Pa
     if digit_count < 1:
         raise ValueError("digit_count must be >= 1")
     validate_odd_prime(p)
-    bound = p**digit_count
-    u = rng.randrange(1, bound)
-    while u % p == 0:
-        u = rng.randrange(1, bound)
+    return _with_norm(a, p, rng.getrandbits, p**digit_count - 1)
+
+
+def _with_norm(a: int, p: int, getrandbits, width: int) -> PadicRational:
+    """`sample_with_norm` for checked inputs and width = p^digit_count - 1;
+    `getrandbits` is the rng's bound method.
+
+    The unit is ``rng.randrange(1, width + 1)``, redrawn until p does not
+    divide it, read from the same stream: CPython's randrange(1, B) is
+    1 + _randbelow(B - 1), which draws getrandbits(k), k the bit length of
+    B - 1, until the value is below B - 1.  Drawing the bits here skips
+    randrange's argument checks and Python frames for every unit.
+    """
+    k = width.bit_length()
+    u = getrandbits(k)
+    while u >= width or not (u + 1) % p:
+        u = getrandbits(k)
+    u += 1
     if a <= 0:
         return _rational(u * p**-a, 1, p, -a)
     return _rational(u, p**a, p, -a)

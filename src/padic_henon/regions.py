@@ -59,7 +59,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .fib import fib, golden_below, golden_cmp
-from .padics import Point, sample_with_norm
+from .padics import Point, _with_norm, validate_odd_prime
 
 __all__ = [
     "Regime",
@@ -647,11 +647,16 @@ def region_sampler(
 
     The inputs are checked and the region's cells looked up once, at the first
     point; each point then draws one cell and a unit of each norm from `rng`,
-    and nothing ahead of the point it yields.  The first point of each cell is
-    re-classified as a self-check; a mismatch would mean the sampler and
-    classifier disagree and raises immediately.  Every later point of the cell
-    has the same profile, so it has the same label.
+    and nothing ahead of the point it yields.  The draws are those of
+    ``rng.randrange(len(cells))`` and two ``sample_with_norm`` calls, read
+    from ``rng.getrandbits`` as randrange reads them.  The first point of each
+    cell is re-classified as a self-check; a mismatch would mean the sampler
+    and classifier disagree and raises immediately.  Every later point of the
+    cell has the same profile, so it has the same label.
     """
+    if digit_count < 1:
+        raise ValueError("digit_count must be >= 1")
+    validate_odd_prime(p)
     if regime_of_d(d) is not label.regime:
         raise ValueError(f"d={d} is not in regime {label.regime.value}")
     profiles = region_profiles(label, d, window)
@@ -659,13 +664,15 @@ def region_sampler(
         raise EmptyRegionError(f"region {label} has no profile with window {window} (d={d})")
     # The overlay is no partition label, so its one cell is never classified.
     checked = set(profiles) if label.name == "T" else set()
-    draw, count = rng.randrange, len(profiles)
+    getrandbits, count = rng.getrandbits, len(profiles)
+    bits = count.bit_length()
+    width = p**digit_count - 1
     while True:
-        a, b = cell = profiles[draw(count)]
-        pt = Point(
-            sample_with_norm(a, digit_count, rng, p),
-            sample_with_norm(b, digit_count, rng, p),
-        )
+        i = getrandbits(bits)
+        while i >= count:
+            i = getrandbits(bits)
+        a, b = cell = profiles[i]
+        pt = Point(_with_norm(a, p, getrandbits, width), _with_norm(b, p, getrandbits, width))
         if cell not in checked:
             got = classify(pt.profile(), d)
             if got != label:

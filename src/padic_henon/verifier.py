@@ -18,6 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 from .dynamics import (
+    DEFAULT_BIT_BUDGET,
     MAX_STEPS,
     BitBudgetError,
     MapParams,
@@ -73,6 +74,13 @@ _KINDS = ("transition", "exhaustive", "escape", "sandwich", "worked_orbits")
 # The largest window a spec may ask for: a sampled region expands all of its
 # cells, about W² of them, so memory grows with the square of the window.
 _MAX_WINDOW = 1000
+# The largest sampled unit p^digit_count, in bits as digit_count times the bit
+# length of p.  A sample's cost grows with the unit's size in bits: at p = 3 one
+# took 0.6 s at 400,000 digits and 3.4 s at 10^6, and 3 samples at 3 * 10^8
+# digits had not finished after 120 s; at p = 2^61 - 1 one took 1.3 s at 16,393
+# digits (10^6 bits).  A unit past the exact engine's bit budget makes every
+# sample uncertified at its first step anyway.
+_MAX_UNIT_BITS = DEFAULT_BIT_BUDGET
 
 
 def _label(obj, what: str = "source") -> RegionLabel:
@@ -158,9 +166,12 @@ class LemmaSpec:
             validate_odd_prime(values["p"])
         except ValueError as exc:
             raise CampaignError(str(exc)) from None
-        if values["depth"] not in (1, 2) or values["digit_count"] < 1 or not 1 <= values["steps"] <= MAX_STEPS:
-            raise CampaignError(
-                f"depth must be 1 or 2, digit_count at least 1, and steps at least 1 and at most {MAX_STEPS}")
+        if values["depth"] not in (1, 2) or not 1 <= values["steps"] <= MAX_STEPS:
+            raise CampaignError(f"depth must be 1 or 2, and steps at least 1 and at most {MAX_STEPS}")
+        most = _MAX_UNIT_BITS // values["p"].bit_length()
+        if not 1 <= values["digit_count"] <= most:
+            raise CampaignError(f"digit_count must be at least 1 and at most {most} at p = {values['p']}: "
+                                f"a unit has at most {_MAX_UNIT_BITS} bits")
         if values["samples"] < 1 or not 0 <= values["window"] <= _MAX_WINDOW:
             raise CampaignError(f"samples must be at least 1, and window at least 0 and at most {_MAX_WINDOW}")
         if values["growth_check"] not in (None, "doubling", "schedule"):

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import padic_henon
 from padic_henon.cli import main
+from padic_henon.dynamics import DEFAULT_BIT_BUDGET, MAX_BIT_BUDGET
 from padic_henon.verifier import load_campaign
 
 
@@ -229,6 +230,28 @@ def test_orbit_non_positive_bit_budget_usage_error(runner, budget):
     ])
     assert result.exit_code == 2
     assert "--bit-budget" in result.output and result.stdout == ""
+
+
+def test_orbit_bit_budget_above_its_bound_usage_error(runner):
+    # 60 steps of this escaping orbit took 36 s at 10^7 bits, and had not
+    # finished in 40 s at 10^12.
+    args = ["orbit", "--prime", "5", "--c", "1/5", "--x", "1/1", "--y", "1/1", "--steps", "60"]
+    result = runner.invoke(main, [*args, "--bit-budget", "10000001"])
+    assert result.exit_code == 2
+    assert "--bit-budget" in result.output and "1<=x<=10000000" in result.output
+    assert result.stdout == ""
+
+
+def test_orbit_bit_budget_at_its_bound_runs(runner):
+    result = runner.invoke(main, ["orbit", "--prime", "3", "--c", "1/1", "--x", "-1/1",
+                                  "--y", "-1/1", "--steps", "9", "--bit-budget", "10000000"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["verdict"]["kind"] == "completed"
+
+
+def test_orbit_bit_budget_default_is_the_library_default():
+    (option,) = [o for o in main.commands["orbit"].params if o.name == "bit_budget"]
+    assert option.default == DEFAULT_BIT_BUDGET and option.type.max == MAX_BIT_BUDGET
 
 
 def test_classify_profile_mode(runner):
@@ -477,6 +500,7 @@ def _one_spec(**fields):
          "steps at least 1 and at most 100000"),
         ('{"specs": []}', 'the "specs" list is empty'),
         (_one_spec(kind="exhaustive", c="3/1", window=1001), "window at least 0 and at most 1000"),
+        (_one_spec(c="3/1", digit_count=500_001), "digit_count must be at least 1 and at most 500000 at p = 3"),
         (_one_spec(p=318665857834031151167461), "318665857834031151167461 is not prime"),
         (_one_spec(p=2**89 - 1), "prime must be below 3317044064679887385961981"),
     ],
@@ -487,7 +511,7 @@ def _one_spec(**fields):
          "unknown-key", "index-above-bound", "escape-threshold-default",
          "escape-threshold-override", "sandwich-threshold", "escape-steps-zero", "sandwich-steps-above-bound",
          "specs-empty",
-         "window-above-1000", "pseudoprime", "prime-above-bound"],
+         "window-above-1000", "digit-count-above-bound", "pseudoprime", "prime-above-bound"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     path = tmp_path / "bad.json"
@@ -725,6 +749,15 @@ def test_fixed_points_precision_below_one_usage_error(runner, precision):
                                   "--precision", precision])
     assert result.exit_code == 2
     assert "--precision" in result.output and result.stdout == ""
+
+
+def test_fixed_points_precision_above_its_bound_usage_error(runner):
+    # 10^6 digits took 8.3 s and 383 MB; 10^7 had not finished in 40 s.
+    result = runner.invoke(main, ["fixed-points", "--prime", "5", "--c", "-2/1",
+                                  "--precision", "1000001"])
+    assert result.exit_code == 2
+    assert "--precision" in result.output and "1<=x<=1000000" in result.output
+    assert result.stdout == ""
 
 
 def test_fixed_points_exhausted_precision_usage_error(runner):

@@ -411,9 +411,11 @@ def test_sample_with_norm_no_drift_bulk():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_sample_with_norm_matches_fraction_formula(p):
-    """Same draws and same value as u * p^(-a) built with Fraction, and the
-    valuation cached at construction equals a fresh padic_valuation."""
-    for digit_count in (1, 2, 6, 13):
+    """Same draws as randrange made before the units came from getrandbits,
+    leaving the rng in the same state, and the same value as u * p^(-a)
+    built with Fraction; the valuation cached at construction equals a fresh
+    padic_valuation."""
+    for digit_count in (*range(1, 9), 13):
         rng, ref = random.Random(1000 * p + digit_count), random.Random(1000 * p + digit_count)
         for a in range(-40, 41):
             x = sample_with_norm(a, digit_count, rng, p)
@@ -475,12 +477,28 @@ def _oracle_valuation(f: Fraction, p: int):
     return v
 
 
-def _assert_is(r, f: Fraction, p: int):
-    """r is the PadicRational f at p: lowest terms, den > 0, no cached valuation."""
+def _ruled(op, x, y):
+    """The valuation that the cache rule gives op(x, y) from the operands'
+    caches, or None where they do not decide it: an int or Fraction operand,
+    an empty cache, or equal valuations under + and -."""
+    v = x._v if type(x) is PadicRational else None
+    w = y._v if type(y) is PadicRational else None
+    if v is None or w is None:
+        return None
+    if op is operator.mul:
+        return v + w
+    if op is operator.truediv:
+        return v - w
+    return None if v == w else min(v, w)
+
+
+def _assert_is(r, f: Fraction, p: int, cached=None):
+    """r is the PadicRational f at p: lowest terms, den > 0, and the valuation
+    `cached` in its cache, as the cache rule sets it (None: empty)."""
     assert type(r) is PadicRational and r.prime == p
     assert type(r.numerator) is int and type(r.denominator) is int
     assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
-    assert r.as_fraction() == f and r._v is None
+    assert r.as_fraction() == f and r._v == cached
     assert r.valuation == _oracle_valuation(f, p)
 
 
@@ -492,7 +510,7 @@ def test_arithmetic_matches_the_fraction_oracle(p, xn, xd, yn, yd, kind, op):
     fy = Fraction(yn) if kind == "int" else Fraction(yn, yd)
     x = PadicRational(xn, xd, p)
     y = {"padic": PadicRational(yn, yd, p), "int": yn, "fraction": fy}[kind]
-    x.valuation  # fill the operands' caches: no result may inherit them
+    x.valuation  # fill the operands' caches: a result keeps only what they decide
     if kind == "padic":
         y.valuation
     for left, right, fl, fr in ((x, y, fx, fy), (y, x, fy, fx)):
@@ -500,9 +518,52 @@ def test_arithmetic_matches_the_fraction_oracle(p, xn, xd, yn, yd, kind, op):
             with pytest.raises(ZeroDivisionError):
                 op(left, right)
         else:
-            _assert_is(op(left, right), op(fl, fr), p)
-    _assert_is(-x, -fx, p)
+            _assert_is(op(left, right), op(fl, fr), p, _ruled(op, left, right))
+    _assert_is(-x, -fx, p, x._v)
     assert x.as_fraction() == fx and x.valuation == _oracle_valuation(fx, p)
+
+
+_terms = st.tuples(st.integers(-30, 30), st.integers(1, 30), st.integers(-4, 4), st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=_primes, first=_terms, steps=st.lists(
+    st.tuples(st.sampled_from([*_ops, operator.neg]), _terms, st.sampled_from(["padic", "int"]),
+              st.booleans(), st.booleans()),
+    min_size=1, max_size=8))
+def test_cached_valuations_follow_the_rule_along_chains(p, first, steps):
+    """Along a chain of results, each result's cache is set exactly where the
+    rule decides it from its operands' caches, and then equals the Fraction
+    oracle's valuation.  A term is n/m * p^e, its cache filled when its flag
+    is set; terms share valuations often, so + and - cancel.  Each step puts
+    the chain on the left or the right, and hands on its result with the
+    cache the rule left or filled by `valuation`."""
+
+    def term(n, m, e, fill):
+        x = PadicRational(n * p**e, m, p) if e >= 0 else PadicRational(n, m * p**-e, p)
+        if fill:
+            x.valuation
+        return x
+
+    acc = term(*first)
+    for op, t, kind, flip, fill in steps:
+        if op is operator.neg:
+            result = -acc
+            assert result._v == acc._v
+            acc = result
+            continue
+        y = term(*t) if kind == "padic" else t[0] * p ** max(t[2], 0)
+        left, right = (y, acc) if flip else (acc, y)
+        if op is operator.truediv and right == 0:
+            continue
+        result = op(left, right)
+        want = op(Fraction(left.numerator, left.denominator), Fraction(right.numerator, right.denominator))
+        assert result._v == _ruled(op, left, right)
+        if result._v is not None:
+            assert result._v == _oracle_valuation(want, p)
+        acc = result
+        if fill:
+            assert acc.valuation == _oracle_valuation(want, p)
 
 
 @settings(max_examples=300, deadline=None)

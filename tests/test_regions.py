@@ -501,6 +501,41 @@ def test_region_sampler_equals_successive_samples(d):
     assert sampled >= 6
 
 
+def _randrange_point(rng, cells, p, digit_count):
+    """One point as `region_sampler` drew it through randrange, as (x, y) pairs:
+    the oracle of the getrandbits draws, which must read the same stream."""
+
+    def unit():
+        bound = p**digit_count
+        u = rng.randrange(1, bound)
+        while u % p == 0:
+            u = rng.randrange(1, bound)
+        return u
+
+    a, b = cells[rng.randrange(len(cells))]
+    x, y = unit(), unit()
+    return [(x * p**-a, 1) if a <= 0 else (x, p**a), (y * p**-b, 1) if b <= 0 else (y, p**b)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3101])
+def test_region_sampler_reads_the_stream_as_randrange_does(p, seed):
+    """The sampler draws from getrandbits the cells and units that randrange
+    drew, and leaves the rng in the same state after each point: every point
+    and every pinned total of a seeded check is unchanged."""
+    label, d = lbl(L, "M", 3), 2
+    cells = region_profiles(label, d, 12)
+    assert 1 < len(cells) and len(cells).bit_count() > 1  # so some cell draws are rejected
+    for digit_count in range(1, 9):
+        rng, ref = random.Random(seed), random.Random(seed)
+        sampler = region_sampler(label, d, p, 12, digit_count, rng)
+        for _ in range(40):
+            pt = next(sampler)
+            want = _randrange_point(ref, cells, p, digit_count)
+            assert [(pt.x.numerator, pt.x.denominator), (pt.y.numerator, pt.y.denominator)] == want
+            assert rng.getstate() == ref.getstate()
+
+
 def test_region_sampler_classifies_each_cell_once(monkeypatch):
     """The first point of each drawn cell is re-classified, and no later one;
     a classifier that mislabels one cell stops the sampler at that cell's

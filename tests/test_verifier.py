@@ -430,6 +430,8 @@ def test_a_field_the_kind_does_not_read_is_rejected(kind, key):
         # Strong pseudoprimes to the bases 2 to 37; the larger one also to 41.
         ({"p": 318665857834031151167461}, "318665857834031151167461 is not prime"),
         ({"p": 3317044064679887385961981}, "prime must be below 3317044064679887385961981"),
+        ({"digit_count": 0}, "digit_count must be at least 1 and at most 500000 at p = 3"),
+        ({"digit_count": 500_001}, "digit_count must be at least 1 and at most 500000 at p = 3"),
     ],
 )
 def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
@@ -450,6 +452,21 @@ def test_the_largest_window_loads(tmp_path):
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps({"specs": [spec]}))
     assert [s.window for s in load_campaign(path)] == [1000]
+
+
+@pytest.mark.parametrize("p,top", [(3, 500_000), (7, 333_333), (2**61 - 1, 16_393)])
+def test_digit_count_is_bounded_by_the_unit_bits(tmp_path, p, top):
+    """digit_count times the bit length of p is at most 10^6: a larger unit
+    passes the exact engine's bit budget, and 3 samples of 3 * 10^8 digits at
+    p = 3 had not finished after 120 s."""
+    spec = {"id": "u", "kind": "transition", "p": p, "c": f"1/{p * p}", "digit_count": top,
+            "source": {"regime": "large", "name": "J", "index": 0}}
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"specs": [spec]}))
+    assert [s.digit_count for s in load_campaign(path)] == [top]
+    path.write_text(json.dumps({"specs": [{**spec, "digit_count": top + 1}]}))
+    with pytest.raises(CampaignError, match=f"digit_count must be at least 1 and at most {top} at p = {p}"):
+        load_campaign(path)
 
 
 def test_negative_control_campaign_fails():
