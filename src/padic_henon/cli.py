@@ -35,6 +35,8 @@ from .padics import PrecisionExhaustedError, _decimal, validate_odd_prime
 from .regions import RegionLabel, classify, regime_of_d, region_branches, t_profile
 from .verifier import (
     _FIELDS,
+    _MAX_PRECISION_BITS,
+    _MAX_SAMPLES,
     _MAX_WINDOW,
     CampaignError,
     builtin_campaign,
@@ -189,7 +191,7 @@ def grid(prime, c, window, fmt):
 @main.command()
 @click.argument("campaign", required=False)
 @seed_option
-@click.option("--samples", type=click.IntRange(min=1), default=None,
+@click.option("--samples", type=click.IntRange(1, _MAX_SAMPLES), default=None,
               help="Override sample counts.")
 @click.option("--list", "list_builtin", is_flag=True, help="List bundled campaign names.")
 def verify(campaign, seed, samples, list_builtin):
@@ -274,6 +276,11 @@ def fixed_points_cmd(prime, c, precision):
     """Fixed points (digit expansions, exact rationals when they exist) and the 3-cycle."""
     if _given(c).is_zero:
         raise click.UsageError("c = 0 is degenerate: 1 - q cancels at every precision")
+    if precision * prime.bit_length() > _MAX_PRECISION_BITS:
+        raise click.BadParameter(
+            f"{precision} digits at p = {prime} are {precision * prime.bit_length()} bits; "
+            f"at most {_MAX_PRECISION_BITS} bits ({_MAX_PRECISION_BITS // prime.bit_length()} digits)",
+            param_hint="'--precision'")
     params = MapParams(c)
     try:
         pts = fixed_points(params, precision)

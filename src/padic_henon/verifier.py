@@ -19,6 +19,7 @@ from importlib import resources
 
 from .dynamics import (
     DEFAULT_BIT_BUDGET,
+    MAX_PRECISION,
     MAX_STEPS,
     BitBudgetError,
     MapParams,
@@ -81,6 +82,14 @@ _MAX_WINDOW = 1000
 # digits (10^6 bits).  A unit past the exact engine's bit budget makes every
 # sample uncertified at its first step anyway.
 _MAX_UNIT_BITS = DEFAULT_BIT_BUDGET
+# The most bits `fixed-points` computes, as --precision times the bit length of
+# p, so MAX_PRECISION digits at p = 3: its square roots and inverses cost by the
+# size in bits.  10^6 digits at p = 3 took 8.3 s and 383 MB; at p = 2^61 - 1,
+# 32,000 digits took 49.7 s, and the bound there, 32,786, took 66.4 s and 38 MB.
+_MAX_PRECISION_BITS = MAX_PRECISION * (3).bit_length()
+# The most samples a spec may ask for: a report keeps every failure, about
+# 1.3 KB each.  80,000 failing samples peaked at 121 MB, and 100,000 at 148 MB.
+_MAX_SAMPLES = 100_000
 
 
 def _label(obj, what: str = "source") -> RegionLabel:
@@ -172,8 +181,9 @@ class LemmaSpec:
         if not 1 <= values["digit_count"] <= most:
             raise CampaignError(f"digit_count must be at least 1 and at most {most} at p = {values['p']}: "
                                 f"a unit has at most {_MAX_UNIT_BITS} bits")
-        if values["samples"] < 1 or not 0 <= values["window"] <= _MAX_WINDOW:
-            raise CampaignError(f"samples must be at least 1, and window at least 0 and at most {_MAX_WINDOW}")
+        if not 1 <= values["samples"] <= _MAX_SAMPLES or not 0 <= values["window"] <= _MAX_WINDOW:
+            raise CampaignError(f"samples must be at least 1 and at most {_MAX_SAMPLES}, "
+                                f"and window at least 0 and at most {_MAX_WINDOW}")
         if values["growth_check"] not in (None, "doubling", "schedule"):
             raise CampaignError(f"unknown growth_check {values['growth_check']!r}")
         spec = cls(**values)
@@ -473,16 +483,9 @@ def _judge_escape(spec: LemmaSpec, report: VerificationReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _expected_small_escape(steps: int) -> list:
-    # start (p + 2p^3, 2p), c = p: explicit first two steps, then the
-    # doubling pattern (2^n - 1, -2^n) / (-2^n, 2^(n+1) - 1) for n >= 1.
-    out = [(-1, -2), (-2, 1)]
-    n = 1
-    while len(out) < steps:
-        out.append((2**n - 1, -(2**n)))
-        out.append((-(2**n), 2 ** (n + 1) - 1))
-        n += 1
-    return out[:steps]
+def _two_per_n(first: list, pair, steps: int) -> list:
+    """The profiles `first`, then the two profiles pair(n) for n = 1, 2, ..., cut to `steps`."""
+    return (first + [prof for n in range(1, steps) for prof in pair(n)])[:steps]
 
 
 def _expected_boundary_escape(steps: int) -> list:
@@ -496,112 +499,87 @@ def _expected_boundary_escape(steps: int) -> list:
     return out[:steps]
 
 
-def _expected_unit_escape(steps: int) -> list:
+def _matches(view: str, expected: list):
+    """The expectation that the record's `view` ("profiles" or "steps") equals
+    `expected` from step 1 on; a mismatch names its first step."""
+    dump = list if view == "profiles" else Point.to_json
+
+    def expect(rec):
+        got = getattr(rec, view)[1:]
+        bad = next((n for n, (g, e) in enumerate(zip(got, expected)) if g != e), None)
+        if bad is None:
+            return None
+        return {"first_mismatch_step": bad + 1, "got": dump(got[bad]), "expected": dump(expected[bad])}
+
+    return expect
+
+
+def _worked_orbits(p: int) -> list:
+    """The paper's worked backward orbits at p, one row each: the identifier,
+    c, the start, the horizon, the certified engine's digits (None: exact
+    arithmetic alone), the expectation and the note of a pass.  An expectation
+    maps a completed record to None if it meets its closed form, else to the
+    mismatch's fields."""
+
+    def q(num, den=1):
+        return PadicRational(num, den, p)
+
+    one = q(1)
+    # start (p + 2p^3, 2p), c = p: explicit first two steps, then the
+    # doubling pattern (2^n - 1, -2^n) / (-2^n, 2^(n+1) - 1) for n >= 1.
+    small = _two_per_n([(-1, -2), (-2, 1)],
+                       lambda n: [(2**n - 1, -(2**n)), (-(2**n), 2 ** (n + 1) - 1)], 12)
     # start (-1, -p), c = 1: explicit first step, then
     # (2^(n-1), -2^(n-1)) / (-2^(n-1), 2^n) for n >= 1.
-    out = [(-1, 1)]
-    n = 1
-    while len(out) < steps:
-        out.append((2 ** (n - 1), -(2 ** (n - 1))))
-        out.append((-(2 ** (n - 1)), 2**n))
-        n += 1
-    return out[:steps]
-
-
-def _orbit_profile_check(identifier, params, start, expected, report):
-    steps = len(expected)
-    rec = backward_orbit(start, params, steps, escape_exponent=None)
-    if rec.verdict.kind != "completed":
-        report.failures.append({"orbit": identifier, "verdict": rec.verdict.to_json()})
-        return
-    got = rec.profiles[1 : steps + 1]
-    if got == expected:
-        report.passes += 1
-        report.notes.append(f"{identifier}: {steps} steps match")
-    else:
-        first_bad = next(i for i, (g, e) in enumerate(zip(got, expected)) if g != e)
-        report.failures.append(
-            {
-                "orbit": identifier,
-                "first_mismatch_step": first_bad + 1,
-                "got": list(got[first_bad]),
-                "expected": list(expected[first_bad]),
-            }
-        )
+    unit = _two_per_n([(-1, 1)],
+                      lambda n: [(2 ** (n - 1), -(2 ** (n - 1))), (-(2 ** (n - 1)), 2**n)], 12)
+    rho, f_rho, f2_rho = three_cycle(MapParams(one))
+    cycle = (rho, f2_rho, f_rho)  # backward orbit visits the cycle in reverse
+    return [
+        # |c| < 1: escape from the corner sphere pair.
+        ("small-escape", q(p), Point(q(p + 2 * p**3), q(2 * p)), 12, None,
+         _matches("profiles", small), "12 steps match"),
+        # |c| < 1: the fixed point (p, p) for c = p - p^2 stays put exactly.
+        ("small-fixed", q(p - p * p), Point(q(p), q(p)), 12, None,
+         _matches("steps", [Point(q(p), q(p))] * 12), "backward orbit constant"),
+        # |c| > 1: escape from the boundary region.
+        ("large-boundary-escape", q(1, p), Point(q(1 + p**3, p), one), 12, None,
+         _matches("profiles", _expected_boundary_escape(12)), "12 steps match"),
+        # |c| > 1: (1, 1) stays within norm p for 50 steps.  Coordinate heights
+        # grow like phi^n even though norms stay bounded, so this runs on the
+        # certified fixed-precision engine.  At p = 3 the orbit genuinely exits
+        # the domain: the fourth backward x-coordinate is (p-2)/p, which equals
+        # c = 1/p exactly when p = 3, so the certified engine cannot certify the
+        # next step and the exact rerun finds the inverse undefined.
+        ("large-bounded", q(1, p), Point(one, one), 50, 300,
+         lambda rec: None if (top := rec.verdict.norm_exponent) <= 1 else {"max_exponent": top},
+         "50 steps, max norm exponent <= 1"),
+        # |c| = 1: escape from (-1, -p).
+        ("unit-escape", one, Point(q(-1), q(-p)), 12, None, _matches("profiles", unit), "12 steps match"),
+        # |c| = 1 (c = 1): (-1, -1) is exactly 3-periodic backward.
+        ("unit-cycle", one, rho, 300, None,
+         _matches("steps", [cycle[n % 3] for n in range(1, 301)]), "exact period 3 over 300 steps"),
+    ]
 
 
 def _judge_worked_orbits(spec: LemmaSpec, report: VerificationReport) -> None:
-    """Reproduce the worked backward orbits at the spec's prime with exact arithmetic.
-
-    Each norm-profile sequence is matched against its closed-form pattern for
-    at least 12 steps (bounded pieces run longer).
-    """
-    p, depth = spec.p, 12
-
-    # |c| < 1: escape from the corner sphere pair.
-    params = MapParams(PadicRational(p, 1, p))
-    start = Point(PadicRational(p + 2 * p**3, 1, p), PadicRational(2 * p, 1, p))
-    _orbit_profile_check("small-escape", params, start, _expected_small_escape(depth), report)
-
-    # |c| < 1: the fixed point (p, p) for c = p - p^2 stays put exactly.
-    params = MapParams(PadicRational(p - p * p, 1, p))
-    fixed = Point(PadicRational(p, 1, p), PadicRational(p, 1, p))
-    rec = backward_orbit(fixed, params, depth, escape_exponent=None)
-    if rec.verdict.kind == "completed" and all(pt == fixed for pt in rec.steps):
-        report.passes += 1
-        report.notes.append("small-fixed: backward orbit constant")
-    else:
-        report.failures.append({"orbit": "small-fixed", "verdict": rec.verdict.to_json()})
-
-    # |c| > 1: escape from the boundary region.
-    params = MapParams(PadicRational(1, p, p))
-    start = Point(PadicRational(1 + p**3, p, p), PadicRational(1, 1, p))
-    _orbit_profile_check(
-        "large-boundary-escape", params, start, _expected_boundary_escape(depth), report
-    )
-
-    # |c| > 1: (1, 1) stays within norm p for 50 steps.  Coordinate heights
-    # grow like phi^n even though norms stay bounded, so this runs on the
-    # certified fixed-precision engine.  At p = 3 the orbit genuinely exits
-    # the domain: the fourth backward x-coordinate is (p-2)/p, which equals
-    # c = 1/p exactly when p = 3, so the certified engine cannot certify the
-    # next step and the exact rerun finds the inverse undefined.
-    one = PadicRational(1, 1, p)
-    rec = _certified_or_exact(Point(one, one), params, 50, 300, None)
-    verdict = rec.verdict
-    if verdict.kind == "completed" and verdict.norm_exponent <= 1:
-        report.passes += 1
-        report.notes.append("large-bounded: 50 steps, max norm exponent <= 1")
-    elif verdict.kind == "undefined_inverse":
-        report.failures.append(
-            {
-                "orbit": "large-bounded",
-                "verdict": verdict.to_json(),
-                "note": "a backward x-coordinate met c exactly; the point is outside the domain",
-            }
-        )
-    else:
-        report.failures.append(
-            {"orbit": "large-bounded", "verdict": verdict.to_json(),
-             "max_exponent": verdict.norm_exponent}
-        )
-
-    # |c| = 1: escape from (-1, -p).
-    params = MapParams(PadicRational(1, 1, p))
-    start = Point(PadicRational(-1, 1, p), PadicRational(-p, 1, p))
-    _orbit_profile_check("unit-escape", params, start, _expected_unit_escape(depth), report)
-
-    # |c| = 1 (c = 1): (-1, -1) is exactly 3-periodic backward.
-    rho, f_rho, f2_rho = three_cycle(params)
-    rec = backward_orbit(rho, params, 300, escape_exponent=None)
-    cycle = (rho, f2_rho, f_rho)  # backward orbit visits the cycle in reverse
-    if rec.verdict.kind == "completed" and all(
-        pt == cycle[i % 3] for i, pt in enumerate(rec.steps)
-    ):
-        report.passes += 1
-        report.notes.append("unit-cycle: exact period 3 over 300 steps")
-    else:
-        report.failures.append({"orbit": "unit-cycle"})
+    """Reproduce the worked backward orbits at the spec's prime, each by one rule:
+    a completed orbit that meets its closed form passes; any other fails with
+    its verdict and the mismatch, and an orbit that left the domain says so."""
+    for ident, c, start, steps, digits, expect, note in _worked_orbits(spec.p):
+        params = MapParams(c)
+        if digits is None:
+            rec = backward_orbit(start, params, steps, escape_exponent=None)
+        else:
+            rec = _certified_or_exact(start, params, steps, digits, None)
+        mismatch = expect(rec) if rec.verdict.kind == "completed" else {}
+        if mismatch is None:
+            report.passes += 1
+            report.notes.append(f"{ident}: {note}")
+            continue
+        if rec.verdict.kind == "undefined_inverse":
+            mismatch["note"] = "a backward x-coordinate met c exactly; the point is outside the domain"
+        report.failures.append({"orbit": ident, "verdict": rec.verdict.to_json(), **mismatch})
 
 
 # ---------------------------------------------------------------------------

@@ -501,6 +501,7 @@ def _one_spec(**fields):
         ('{"specs": []}', 'the "specs" list is empty'),
         (_one_spec(kind="exhaustive", c="3/1", window=1001), "window at least 0 and at most 1000"),
         (_one_spec(c="3/1", digit_count=500_001), "digit_count must be at least 1 and at most 500000 at p = 3"),
+        (_one_spec(c="3/1", samples=100_001), "samples must be at least 1 and at most 100000"),
         (_one_spec(p=318665857834031151167461), "318665857834031151167461 is not prime"),
         (_one_spec(p=2**89 - 1), "prime must be below 3317044064679887385961981"),
     ],
@@ -511,7 +512,7 @@ def _one_spec(**fields):
          "unknown-key", "index-above-bound", "escape-threshold-default",
          "escape-threshold-override", "sandwich-threshold", "escape-steps-zero", "sandwich-steps-above-bound",
          "specs-empty",
-         "window-above-1000", "digit-count-above-bound", "pseudoprime", "prime-above-bound"],
+         "window-above-1000", "digit-count-above-bound", "samples-above-bound", "pseudoprime", "prime-above-bound"],
 )
 def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     path = tmp_path / "bad.json"
@@ -758,6 +759,24 @@ def test_fixed_points_precision_above_its_bound_usage_error(runner):
     assert result.exit_code == 2
     assert "--precision" in result.output and "1<=x<=1000000" in result.output
     assert result.stdout == ""
+
+
+def test_fixed_points_precision_is_bounded_in_bits(runner):
+    # 2 * 10^6 bits: 10^6 digits at p = 3, but only 32,786 at p = 2^61 - 1,
+    # where 32,000 digits took 49.7 s.
+    p = 2305843009213693951
+    result = runner.invoke(main, ["fixed-points", "--prime", str(p), "--c", "2/9",
+                                  "--precision", "32787"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "'--precision': 32787 digits at p = 2305843009213693951 are 2000007 bits" in result.output
+    assert "at most 2000000 bits (32786 digits)" in result.output
+
+
+def test_verify_samples_above_its_bound_usage_error(runner):
+    # A report keeps every failure: 80,000 failing samples peaked at 121 MB.
+    result = runner.invoke(main, ["verify", "negative-control", "--samples", "100001"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "--samples" in result.output and "1<=x<=100000" in result.output
 
 
 def test_fixed_points_exhausted_precision_usage_error(runner):

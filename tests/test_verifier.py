@@ -13,6 +13,7 @@ from padic_henon import verifier
 from padic_henon.dynamics import (
     MapParams,
     PrecisionExhaustedError,
+    Verdict,
     backward_orbit,
     backward_profile_orbit,
     default_escape_exponent,
@@ -309,6 +310,64 @@ def test_worked_orbits_by_prime(p, expect_ok):
         assert [f["orbit"] for f in report.failures] == ["large-bounded"]
 
 
+_WORKED_NOTES = [
+    "small-escape: 12 steps match",
+    "small-fixed: backward orbit constant",
+    "large-boundary-escape: 12 steps match",
+    "large-bounded: 50 steps, max norm exponent <= 1",
+    "unit-escape: 12 steps match",
+    "unit-cycle: exact period 3 over 300 steps",
+]
+_OUTSIDE = "a backward x-coordinate met c exactly; the point is outside the domain"
+
+
+@pytest.mark.parametrize(
+    "p,failures",
+    [
+        # The fourth backward x-coordinate of (1, 1) is (p - 2)/p, which is c = 1/p at p = 3.
+        (3, [{"orbit": "large-bounded", "note": _OUTSIDE,
+              "verdict": {"kind": "undefined_inverse", "step": 6, "norm_exponent": None}}]),
+        (5, []),
+        (7, [{"orbit": "large-bounded", "max_exponent": 16385,
+              "verdict": {"kind": "completed", "step": 50, "norm_exponent": 16385}}]),
+        (11, []),
+        (13, []),
+    ],
+)
+def test_worked_orbit_reports_are_pinned(p, failures):
+    report = run_spec(LemmaSpec("w", "worked_orbits", p=p))
+    assert report.failures == failures
+    assert report.passes == 6 - len(failures)
+    failed = [f["orbit"] + ":" for f in failures]
+    assert report.notes == [n for n in _WORKED_NOTES if not n.startswith(tuple(failed))]
+    assert (report.skipped, report.undefined_inverse, report.uncertified) == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "corrupt,failure",
+    [
+        # The exact engine stops at the third step, as if y were 0 there.
+        (lambda rec: replace(rec, steps=rec.steps[:3], profiles=rec.profiles[:3],
+                             verdict=Verdict("undefined_inverse", 3)),
+         {"note": _OUTSIDE, "verdict": {"kind": "undefined_inverse", "step": 3, "norm_exponent": None}}),
+        # The orbit completes, but its fourth profile is off the doubling pattern (-2^1, 2^2 - 1).
+        (lambda rec: replace(rec, profiles=rec.profiles[:4] + [(0, 0)] + rec.profiles[5:]),
+         {"verdict": {"kind": "completed", "step": 12, "norm_exponent": 63},
+          "first_mismatch_step": 4, "got": [0, 0], "expected": [-2, 3]}),
+    ],
+    ids=["undefined-inverse", "profile-mismatch"],
+)
+def test_an_exact_worked_orbit_fails_by_the_one_rule(monkeypatch, corrupt, failure):
+    def small_escape_corrupted(start, params, steps, **kw):
+        rec = backward_orbit(start, params, steps, **kw)
+        return corrupt(rec) if params.c == 5 else rec  # small-escape has c = p
+
+    monkeypatch.setattr(verifier, "backward_orbit", small_escape_corrupted)
+    report = run_spec(LemmaSpec("w", "worked_orbits", p=5))
+    assert report.failures == [{"orbit": "small-escape", **failure}]
+    assert report.passes == 5 and report.notes == _WORKED_NOTES[1:]
+
+
 def test_sandwich_small_regime():
     spec = LemmaSpec("sandwich", "sandwich", p=3, c="3/1", samples=24, window=6,
                      seed=3, steps=40, escape_exponent=300)
@@ -432,6 +491,7 @@ def test_a_field_the_kind_does_not_read_is_rejected(kind, key):
         ({"p": 3317044064679887385961981}, "prime must be below 3317044064679887385961981"),
         ({"digit_count": 0}, "digit_count must be at least 1 and at most 500000 at p = 3"),
         ({"digit_count": 500_001}, "digit_count must be at least 1 and at most 500000 at p = 3"),
+        ({"samples": 100_001}, "samples must be at least 1 and at most 100000"),
     ],
 )
 def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
