@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import sys
 
@@ -21,7 +22,6 @@ import click
 from .dynamics import (
     DEFAULT_BIT_BUDGET,
     MAX_BIT_BUDGET,
-    MAX_PRECISION,
     MAX_STEPS,
     MapParams,
     backward_orbit,
@@ -35,7 +35,6 @@ from .padics import PrecisionExhaustedError, _decimal, validate_odd_prime
 from .regions import RegionLabel, classify, regime_of_d, region_branches, t_profile
 from .verifier import (
     _FIELDS,
-    _MAX_PRECISION_BITS,
     _MAX_SAMPLES,
     _MAX_WINDOW,
     CampaignError,
@@ -68,6 +67,17 @@ def _parse_label(text: str, regime) -> RegionLabel:
     except KeyError as exc:
         raise click.BadParameter(exc.args[0], param_hint="'--region'") from None
     return label
+
+
+def _print_json(obj) -> None:
+    """Write `obj` to stdout as JSON indented by 1, then a newline, in batches
+    of the encoder's pieces: a large report is never held as one string beside
+    its objects, and one write per piece took twice as long."""
+    pieces = json.JSONEncoder(indent=1).iterencode(obj)
+    while batch := "".join(itertools.islice(pieces, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def _given(c):
@@ -129,7 +139,7 @@ def orbit(prime, c, x, y, steps, direction, escape_exp, bit_budget):
     pt = Point(x, y)
     runner = backward_orbit if direction == "backward" else forward_orbit
     rec = runner(pt, params, steps, escape_exponent=escape_exp, bit_budget=bit_budget)
-    click.echo(json.dumps(rec.to_json(params.d), indent=1))
+    _print_json(rec.to_json(params.d))
 
 
 @main.command()
@@ -220,13 +230,18 @@ def verify(campaign, seed, samples, list_builtin):
         k: v for k, v in overrides.items() if spec.kind in _FIELDS[k].metadata["kinds"]})
         for spec in specs])
     summary = campaign_summary(reports)
-    click.echo(json.dumps(summary, indent=1))
+    _print_json(summary)
     if not summary["ok"]:
         sys.exit(1)
 
 
 # The largest number `measure --tn` prints, p^((k-1)F(n+2)), takes about 1 s at this size.
 TN_MAX_BITS = 640_000  # F(n + 2) passes it for n > 64, so fib never sees a larger index
+# The most bits `fixed-points` computes, as --precision times the bit length of
+# p: its square roots and inverses cost by the size in bits.  10^6 digits at
+# p = 3 took 8.3 s and 383 MB; at p = 2^61 - 1, 32,000 digits took 49.7 s, and
+# the bound there, 32,786, took 66.4 s and 38 MB.
+PRECISION_MAX_BITS = 2_000_000
 
 
 @main.command()
@@ -257,7 +272,7 @@ def measure(prime, c, tn, k, n, region, window):
             }
             for row in rows
         ]
-        click.echo(json.dumps({"k": k, "p": prime, "rows": out}, indent=1))
+        _print_json({"k": k, "p": prime, "rows": out})
         return
     if region is None or c is None:
         raise click.UsageError("give --tn, or both --region and --c")
@@ -265,21 +280,21 @@ def measure(prime, c, tn, k, n, region, window):
     label = _parse_label(region, regime_of_d(d))
     if label.name == "T" and d < 2:
         raise click.UsageError(f"overlay region {label} needs d >= 2, but --c has d = {d}")
-    click.echo(json.dumps(measure_report(label, d, prime, window), indent=1))
+    _print_json(measure_report(label, d, prime, window))
 
 
 @main.command("fixed-points")
 @prime_option
 @c_option
-@click.option("--precision", type=click.IntRange(1, MAX_PRECISION), default=20, show_default=True)
+@click.option("--precision", type=click.IntRange(min=1), default=20, show_default=True)
 def fixed_points_cmd(prime, c, precision):
     """Fixed points (digit expansions, exact rationals when they exist) and the 3-cycle."""
     if _given(c).is_zero:
         raise click.UsageError("c = 0 is degenerate: 1 - q cancels at every precision")
-    if precision * prime.bit_length() > _MAX_PRECISION_BITS:
+    if precision * prime.bit_length() > PRECISION_MAX_BITS:
         raise click.BadParameter(
             f"{precision} digits at p = {prime} are {precision * prime.bit_length()} bits; "
-            f"at most {_MAX_PRECISION_BITS} bits ({_MAX_PRECISION_BITS // prime.bit_length()} digits)",
+            f"at most {PRECISION_MAX_BITS} bits ({PRECISION_MAX_BITS // prime.bit_length()} digits)",
             param_hint="'--precision'")
     params = MapParams(c)
     try:
@@ -298,7 +313,7 @@ def fixed_points_cmd(prime, c, precision):
     }
     if not pts:
         report["note"] = "no fixed points in Q_p^2: 1 - 4c is not a square"
-    click.echo(json.dumps(report, indent=1))
+    _print_json(report)
 
 
 main.add_command(classify_cmd, name="classify")

@@ -50,7 +50,6 @@ __all__ = [
     "default_escape_exponent",
     "DEFAULT_BIT_BUDGET",
     "MAX_BIT_BUDGET",
-    "MAX_PRECISION",
     "MAX_STEPS",
 ]
 
@@ -58,8 +57,6 @@ DEFAULT_BIT_BUDGET = 1_000_000
 # The largest bit budget `orbit` accepts: 60 steps of an escaping orbit at p = 5
 # took 36 s under it, and a budget of 10^12 had not finished in 40 s.
 MAX_BIT_BUDGET = 10_000_000
-# The most digits `fixed-points` computes: 10^6 took 8.3 s and 383 MB.
-MAX_PRECISION = 1_000_000
 # The longest horizon the CLI and a campaign accept.  A record keeps every
 # step: `orbit` peaked at 92 MB for 20,000 steps of the exact 3-cycle.
 MAX_STEPS = 100_000

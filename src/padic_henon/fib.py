@@ -1,6 +1,5 @@
-"""Fibonacci utilities: exact big-integer values, Cassini-type identities,
-golden-ratio comparisons, and the alternating growth schedule used by the
-slow-regime escape bounds.
+"""Fibonacci utilities: exact big-integer values, Cassini-type identities and
+golden-ratio comparisons.
 
 Indexing starts F(-2) = 1, F(-1) = 0, F(0) = F(1) = 1, F(n) = F(n-1) + F(n-2).
 """
@@ -14,7 +13,6 @@ __all__ = [
     "golden_cmp",
     "golden_below",
     "golden_bracket_holds",
-    "growth_schedule",
 ]
 
 _fib_memo = [1, 0, 1, 1]  # F(-2), F(-1), F(0), F(1)
@@ -88,20 +86,3 @@ def golden_bracket_holds(n: int) -> bool:
     hi1 = golden_cmp(fib(2 * n + 3), fib(2 * n + 4)) < 0
     hi2 = fib(2 * n + 4) * fib(2 * n + 1) < fib(2 * n + 2) * fib(2 * n + 3)
     return lo1 and lo2 and hi1 and hi2
-
-
-def growth_schedule(n_max: int) -> list:
-    """K(0..n_max) with K0 = K1 = 1, K(2i) = K(2i-1) + 1, K(2i+1) = K(2i) + K(2i-1).
-
-    These exponents bound coordinate growth along the 2-cycle of bands that
-    escaping orbits enter when |c| < 1; K(2i) = 2^i and K(2i+1) = 2^(i+1) - 1.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    ks = [1, 1]
-    for m in range(2, n_max + 1):
-        if m % 2 == 0:
-            ks.append(ks[m - 1] + 1)
-        else:
-            ks.append(ks[m - 1] + ks[m - 2])
-    return ks[: n_max + 1]

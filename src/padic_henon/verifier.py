@@ -19,7 +19,6 @@ from importlib import resources
 
 from .dynamics import (
     DEFAULT_BIT_BUDGET,
-    MAX_PRECISION,
     MAX_STEPS,
     BitBudgetError,
     MapParams,
@@ -31,7 +30,6 @@ from .dynamics import (
     inverse,
     three_cycle,
 )
-from .fib import growth_schedule
 from .padics import PadicRational, Point, validate_odd_prime
 from .regions import (
     EmptyRegionError,
@@ -82,11 +80,6 @@ _MAX_WINDOW = 1000
 # digits (10^6 bits).  A unit past the exact engine's bit budget makes every
 # sample uncertified at its first step anyway.
 _MAX_UNIT_BITS = DEFAULT_BIT_BUDGET
-# The most bits `fixed-points` computes, as --precision times the bit length of
-# p, so MAX_PRECISION digits at p = 3: its square roots and inverses cost by the
-# size in bits.  10^6 digits at p = 3 took 8.3 s and 383 MB; at p = 2^61 - 1,
-# 32,000 digits took 49.7 s, and the bound there, 32,786, took 66.4 s and 38 MB.
-_MAX_PRECISION_BITS = MAX_PRECISION * (3).bit_length()
 # The most samples a spec may ask for: a report keeps every failure, about
 # 1.3 KB each.  80,000 failing samples peaked at 121 MB, and 100,000 at 148 MB.
 _MAX_SAMPLES = 100_000
@@ -121,9 +114,8 @@ class LemmaSpec:
     """One verification campaign entry.  A key that names no field, or a field
     off its default for a kind whose runner does not read it, is rejected at
     load time; a default passes, since `to_json` writes every field.  `expected`
-    overrides the transition table (negative controls use it); `growth_check`
-    adds a per-step lower bound to an escape spec ("doubling": tall band,
-    |c| > 1; "schedule": two-band cycle, |c| < 1)."""
+    overrides the transition table (negative controls use it).  The growth law
+    an escape spec checks, if any, is its source region's entry in `_ESCAPING`."""
 
     identifier: str = _field(_KINDS, key="id")
     kind: str = _field(_KINDS)
@@ -136,7 +128,6 @@ class LemmaSpec:
     digit_count: int = _field(("transition", "escape", "sandwich"), 6, integer=True)
     steps: int = _field(("escape", "sandwich"), 60, integer=True)
     escape_exponent: int | None = _field(("escape", "sandwich"), None, "escape_exp", integer=True)
-    growth_check: str | None = _field(("escape",), None)
     source: RegionLabel | None = _field(("transition", "exhaustive", "escape"), None,
                                         load=_label, dump=RegionLabel.to_json)
     expected: frozenset | None = _field(
@@ -184,8 +175,6 @@ class LemmaSpec:
         if not 1 <= values["samples"] <= _MAX_SAMPLES or not 0 <= values["window"] <= _MAX_WINDOW:
             raise CampaignError(f"samples must be at least 1 and at most {_MAX_SAMPLES}, "
                                 f"and window at least 0 and at most {_MAX_WINDOW}")
-        if values["growth_check"] not in (None, "doubling", "schedule"):
-            raise CampaignError(f"unknown growth_check {values['growth_check']!r}")
         spec = cls(**values)
         if kind != "worked_orbits":
             spec._check_regions()
@@ -392,36 +381,37 @@ def _judge_exhaustive(spec: LemmaSpec, report: VerificationReport) -> None:
         report.notes.append("empty region in window")
 
 
-def _doubling_violation(profiles, b0: int, d: int) -> int | None:
-    """Index of the first step violating max-norm >= p^(2^(n//2) (b0-d) + d), else None."""
-    for n, (a, b) in enumerate(profiles):
-        bound = (1 << (n // 2)) * (b0 - d) + d
-        vals = [v for v in (a, b) if v is not None]
-        if not vals or max(vals) < bound:
+# The paper's escape claims.  In each regime every escaping region maps to its
+# growth law, or to None where the paper states no rate.  A law is a row
+# (name, bound): bound(n, b0, d) gives, at step n of a backward orbit whose
+# start has y-exponent b0, the coordinates (0: x, 1: y) whose largest norm
+# exponent is at least a bound, as (coordinates, bound), or None where the law
+# says nothing.
+# The tall band G at |c| > 1 doubles: max(a, b) >= 2^(n//2) (b0 - d) + d.
+_DOUBLING = ("doubling", lambda n, b0, d: ((0, 1), (1 << (n // 2)) * (b0 - d) + d))
+# The flat band A1 at |c| < 1 enters the two-band cycle: a at odd n = 2i + 1 and
+# b at even n = 2i + 2, i >= 1, are at least -d K(2i - 1), where K(0) = K(1) = 1,
+# K(2i) = K(2i - 1) + 1 and K(2i + 1) = K(2i) + K(2i - 1), so K(2i - 1) = 2^i - 1.
+_SCHEDULE = ("schedule",
+             lambda n, b0, d: None if n < 3 else ((1 - n % 2,), -d * ((1 << ((n - 1) // 2)) - 1)))
+# For |c| >= 1 the unbounded bands and the first M bands escape in both regimes.
+_BANDS = [("F", None), ("G", None), ("H", None)] + [("M", i) for i in range(1, 5)]
+_ESCAPING = {
+    Regime.SMALL: {**dict.fromkeys([("A", i) for i in range(1, 7)] + [("B", 1), ("B", 2)]
+                                   + [("P", i) for i in range(1, 7)]),
+                   ("A", 1): _SCHEDULE},
+    Regime.UNIT: dict.fromkeys(_BANDS),
+    Regime.LARGE: {**dict.fromkeys(_BANDS), ("G", None): _DOUBLING},
+}
+
+
+def _growth_violation(bound, profiles, b0: int, d: int) -> int | None:
+    """Index of the first step whose bounded coordinates all fall below the
+    law's `bound` (a zero coordinate, with no exponent, falls below any), else None."""
+    for n, profile in enumerate(profiles):
+        rule = bound(n, b0, d)
+        if rule is not None and all(profile[i] is None or profile[i] < rule[1] for i in rule[0]):
             return n
-    return None
-
-
-def _schedule_violation(profiles, d: int) -> int | None:
-    """First index violating the two-band growth schedule for |c| < 1, else None.
-
-    From a start in the flat band: the x-exponent at odd steps 2i+1 and the
-    y-exponent at even steps 2i+2 are at least (-d) K(2i-1), for i >= 1.
-    """
-    n_max = len(profiles)
-    ks = growth_schedule(n_max + 2)
-    for i in range(1, (n_max - 1) // 2 + 1):
-        bound = -d * ks[2 * i - 1]
-        step_odd = 2 * i + 1
-        if step_odd < n_max:
-            a = profiles[step_odd][0]
-            if a is None or a < bound:
-                return step_odd
-        step_even = 2 * i + 2
-        if step_even < n_max:
-            b = profiles[step_even][1]
-            if b is None or b < bound:
-                return step_even
     return None
 
 
@@ -441,28 +431,30 @@ def _threshold(spec: LemmaSpec, params: MapParams) -> int:
     return default_escape_exponent(params) if spec.escape_exponent is None else spec.escape_exponent
 
 
-def _escape_judge(params, steps, threshold, growth_check=None):
-    """The judge of an escaping region: a sample's backward orbit must cross
-    `threshold` within `steps`, and meet `growth_check` on the way."""
+def _judge_escaping(report, spec, params, label, samples, prefix=""):
+    """Judge `samples` points of the escaping region `label` by its entry in
+    `_ESCAPING`: each backward orbit must cross the spec's threshold within
+    its steps, and meet the region's growth law, if any, on the way; a note
+    then names the law."""
+    law = _ESCAPING[label.regime].get((label.name, label.index))
+    threshold = _threshold(spec, params)
 
     def judge(pt):
-        rec = _certified_or_exact(pt, params, steps, 256, threshold)
+        rec = _certified_or_exact(pt, params, spec.steps, 256, threshold)
         if rec.verdict.kind in _SKIPS:
             return rec.verdict.kind
         if rec.verdict.kind != "escaped":
             why = {"verdict": rec.verdict.to_json()}
         else:
-            step = None
-            if growth_check == "doubling":
-                step = _doubling_violation(rec.profiles, pt.profile()[1], params.d)
-            elif growth_check == "schedule":
-                step = _schedule_violation(rec.profiles, params.d)
+            step = None if law is None else _growth_violation(
+                law[1], rec.profiles, pt.profile()[1], params.d)
             if step is None:
                 return None
-            why = {"growth_check": growth_check, "violated_at_step": step}
+            why = {"growth_check": law[0], "violated_at_step": step}
         return {**why, "profiles": [list(p) for p in rec.profiles]}
 
-    return judge
+    if _judge_samples(report, spec, label, params.d, samples, judge, prefix=prefix) and law:
+        report.notes.append(f"{prefix}every escaped orbit checked against the {law[0]} growth law")
 
 
 def _judge_escape(spec: LemmaSpec, report: VerificationReport) -> None:
@@ -473,9 +465,7 @@ def _judge_escape(spec: LemmaSpec, report: VerificationReport) -> None:
     thresholds, while certified valuations remain exact at modular cost.  A
     sample that exhausts 256 digits is judged on the exact engine instead.
     """
-    params = spec.params()
-    judge = _escape_judge(params, spec.steps, _threshold(spec, params), spec.growth_check)
-    _judge_samples(report, spec, spec.source, params.d, spec.samples, judge)
+    _judge_escaping(report, spec, spec.params(), spec.source, spec.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +576,6 @@ def _judge_worked_orbits(spec: LemmaSpec, report: VerificationReport) -> None:
 # Two-sided boundedness evidence per regime.
 # ---------------------------------------------------------------------------
 
-# For |c| >= 1 the unbounded bands and the first M bands escape in both regimes.
-_BANDS_ESCAPING = [("F", None), ("G", None), ("H", None)] + [("M", i) for i in range(1, 5)]
-_ESCAPING = {
-    Regime.SMALL: [("A", i) for i in range(1, 7)]
-    + [("B", 1), ("B", 2)]
-    + [("P", i) for i in range(1, 7)],
-    Regime.UNIT: _BANDS_ESCAPING,
-    Regime.LARGE: _BANDS_ESCAPING,
-}
-
 # The invariant region of the lower bound; |c| = 1 has none.
 _INVARIANT = {Regime.SMALL: ("Z", None), Regime.LARGE: ("J", 0)}
 
@@ -606,7 +586,8 @@ def _judge_sandwich(spec: LemmaSpec, report: VerificationReport) -> None:
     Lower bound: samples of the invariant region (the unit torus profile for
     |c| < 1, the inner box for |c| > 1) never leave it, and the one-step
     invariance is certified exhaustively at the profile level.  Upper bound:
-    samples of every proved-escaping region cross the escape threshold.
+    samples of every proved-escaping region cross the escape threshold, at
+    the region's growth law's rate where it has one.
     Staying bounded for N steps is evidence, not proof, for individual
     points; the invariance of the region is the assertable claim.
     """
@@ -642,11 +623,9 @@ def _judge_sandwich(spec: LemmaSpec, report: VerificationReport) -> None:
                 "(finite-horizon evidence)"
             )
 
-    judge = _escape_judge(params, spec.steps, _threshold(spec, params))
     for name, index in _ESCAPING[regime]:
         label = RegionLabel(regime, name, index)
-        _judge_samples(report, spec, label, d, max(spec.samples // 4, 25), judge,
-                       prefix=f"{label}: ")
+        _judge_escaping(report, spec, params, label, max(spec.samples // 4, 25), f"{label}: ")
 
 
 # ---------------------------------------------------------------------------

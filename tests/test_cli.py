@@ -406,6 +406,20 @@ def test_verify_negative_control_exits_nonzero(runner):
     assert not summary["ok"]
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "negative-control", "--samples", "30"],
+    ["orbit", "--prime", "5", "--c", "5/1", "--x", "255/1", "--y", "10/1", "--steps", "8"],
+    ["measure", "-p", "3", "--tn", "--k", "2", "--n", "8"],
+    ["measure", "-p", "3", "--c", "1/3", "--region", "J0", "--window", "8"],
+    ["fixed-points", "--prime", "5", "--c", "-20/1", "--precision", "20"],
+], ids=["verify", "orbit", "measure-tn", "measure-region", "fixed-points"])
+def test_indented_output_is_one_json_document(runner, args):
+    # Written piece by piece, the output is still exactly json.dumps(indent=1).
+    result = runner.invoke(main, args)
+    assert result.exit_code in (0, 1), result.output
+    assert result.stdout == json.dumps(json.loads(result.stdout), indent=1) + "\n"
+
+
 def test_verify_campaign_file(runner, tmp_path):
     campaign = {
         "name": "mini",
@@ -474,8 +488,8 @@ def _one_spec(**fields):
          "index must be an integer or null, got True"),
         (_one_spec(kind="exhaustive", c="3/1", window=4, expected=[]),
          '"expected" must be a nonempty list'),
-        (_one_spec(kind="sandwich", growth_check="schedule"),
-         "growth_check applies only to escape specs"),
+        # A growth law belongs to its escaping region, so no spec names one.
+        (_one_spec(kind="sandwich", growth_check="schedule"), "unknown field 'growth_check'"),
         (_one_spec(kind="escape", c="1/9", source={"regime": "large", "name": "C", "index": -1}),
          "C family starts at index 1"),
         (_one_spec(kind="sandwich", c="1/9"),
@@ -753,12 +767,12 @@ def test_fixed_points_precision_below_one_usage_error(runner, precision):
 
 
 def test_fixed_points_precision_above_its_bound_usage_error(runner):
-    # 10^6 digits took 8.3 s and 383 MB; 10^7 had not finished in 40 s.
-    result = runner.invoke(main, ["fixed-points", "--prime", "5", "--c", "-2/1",
+    # 10^6 digits at p = 3 took 8.3 s and 383 MB; 10^7 had not finished in 40 s.
+    result = runner.invoke(main, ["fixed-points", "--prime", "3", "--c", "-2/1",
                                   "--precision", "1000001"])
-    assert result.exit_code == 2
-    assert "--precision" in result.output and "1<=x<=1000000" in result.output
-    assert result.stdout == ""
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "'--precision': 1000001 digits at p = 3 are 2000002 bits" in result.output
+    assert "at most 2000000 bits (1000000 digits)" in result.output
 
 
 def test_fixed_points_precision_is_bounded_in_bits(runner):

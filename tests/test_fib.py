@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from padic_henon.fib import cassini, cassini2, fib, golden_bracket_holds, golden_cmp, growth_schedule
+from padic_henon.fib import cassini, cassini2, fib, golden_bracket_holds, golden_cmp
 
 
 def test_base_values():
@@ -94,15 +94,3 @@ def test_fibonacci_brackets_decide_every_profile():
                     exited = True
                     break
             assert exited, (a, b)
-
-
-def test_growth_schedule_closed_form():
-    ks = growth_schedule(25)
-    assert ks[0] == ks[1] == 1
-    for i in range(1, 12):
-        assert ks[2 * i] == ks[2 * i - 1] + 1
-        assert ks[2 * i + 1] == ks[2 * i] + ks[2 * i - 1]
-    # K(2i) = 2^i and K(2i+1) = 2^(i+1) - 1.
-    for i in range(12):
-        assert ks[2 * i] == 2**i
-        assert ks[2 * i + 1] == 2 ** (i + 1) - 1

@@ -25,9 +25,8 @@ from padic_henon.verifier import (
     CampaignError,
     LemmaSpec,
     VerificationReport,
-    _doubling_violation,
+    _growth_violation,
     _judge_samples,
-    _schedule_violation,
     builtin_campaign,
     builtin_campaign_names,
     campaign_summary,
@@ -137,9 +136,10 @@ def test_exhaustive_runner_matches_gridcheck():
 def test_escape_with_doubling_bound():
     spec = LemmaSpec("tall-band", "escape", p=3, c="1/9",
                      source=lbl(Regime.LARGE, "G"), samples=100, window=8, seed=5,
-                     steps=60, escape_exponent=500, growth_check="doubling")
+                     steps=60, escape_exponent=500)
     report = run_spec(spec)
     assert report.ok and report.passes + report.skipped == 100
+    assert report.notes == ["every escaped orbit checked against the doubling growth law"]
 
 
 def test_escape_certifies_exhausted_sample_on_exact_engine():
@@ -239,9 +239,17 @@ def test_a_sampled_region_is_not_kept_after_its_check():
 def test_escape_schedule_bound_small_regime():
     spec = LemmaSpec("flat-corner", "escape", p=3, c="3/1",
                      source=lbl(Regime.SMALL, "A", 1), samples=100, window=8, seed=5,
-                     steps=60, escape_exponent=500, growth_check="schedule")
+                     steps=60, escape_exponent=500)
     report = run_spec(spec)
     assert report.ok
+    assert report.notes == ["every escaped orbit checked against the schedule growth law"]
+
+
+def test_only_g_and_a1_carry_a_growth_law():
+    laws = {(regime, name, index): law for regime, rows in verifier._ESCAPING.items()
+            for (name, index), law in rows.items() if law is not None}
+    assert laws == {(Regime.LARGE, "G", None): verifier._DOUBLING,
+                    (Regime.SMALL, "A", 1): verifier._SCHEDULE}
 
 
 def test_invariant_region_never_escapes():
@@ -254,33 +262,56 @@ def test_invariant_region_never_escapes():
     assert report.passes == 0
 
 
-def test_doubling_violation_on_hand_built_profiles():
-    # b0 - d = 1 at d = 2: the bound 2^(n//2) + 2 reads 3, 3, 4, 4, 6.
+def test_doubling_law_on_hand_built_profiles():
+    name, bound = verifier._DOUBLING
+    assert name == "doubling"
+    # b0 - d = 1 at d = 2: the bound 2^(n//2) + 2 reads 3, 3, 4, 4, 6 on either coordinate.
+    assert [bound(n, 3, 2) for n in range(5)] == [((0, 1), 3), ((0, 1), 3), ((0, 1), 4),
+                                                  ((0, 1), 4), ((0, 1), 6)]
     holds = [(1, 3), (3, 0), (0, 4), (4, 0), (0, 6)]
-    assert _doubling_violation(holds, 3, 2) is None
-    assert _doubling_violation([*holds[:3], (3, 1), holds[4]], 3, 2) == 3
-    assert _doubling_violation([*holds[:2], (None, None), *holds[3:]], 3, 2) == 2
-    assert _doubling_violation([*holds[:2], (None, 5), *holds[3:]], 3, 2) is None
-    assert _doubling_violation([(2, 2)], 3, 2) == 0
+    assert _growth_violation(bound, holds, 3, 2) is None
+    assert _growth_violation(bound, [*holds[:3], (3, 1), holds[4]], 3, 2) == 3
+    assert _growth_violation(bound, [*holds[:2], (None, None), *holds[3:]], 3, 2) == 2
+    assert _growth_violation(bound, [*holds[:2], (None, 5), *holds[3:]], 3, 2) is None
+    assert _growth_violation(bound, [(2, 2)], 3, 2) == 0
 
 
-def test_schedule_violation_on_hand_built_profiles():
+def test_schedule_law_on_hand_built_profiles():
+    name, bound = verifier._SCHEDULE
+    assert name == "schedule"
     # d = -1 and K(1), K(3) = 1, 3: a at step 3 and b at step 4 are at least 1,
     # a at step 5 and b at step 6 at least 3; steps 0 to 2 are not checked.
+    assert [bound(n, 7, -1) for n in range(7)] == [None, None, None, ((0,), 1), ((1,), 1),
+                                                   ((0,), 3), ((1,), 3)]
     holds = [(0, 0), (None, None), (0, 0), (1, 0), (0, 1), (3, 0), (0, 3)]
-    assert _schedule_violation(holds, -1) is None
-    assert _schedule_violation([*holds[:5], (2, 9), holds[6]], -1) == 5
-    assert _schedule_violation([*holds[:4], (9, None), *holds[5:]], -1) == 4
-    assert _schedule_violation([*holds[:6], (9, 2)], -1) == 6
-    assert _schedule_violation(holds[:3], -1) is None
+    assert _growth_violation(bound, holds, 7, -1) is None
+    assert _growth_violation(bound, [*holds[:5], (2, 9), holds[6]], 7, -1) == 5
+    assert _growth_violation(bound, [*holds[:4], (9, None), *holds[5:]], 7, -1) == 4
+    assert _growth_violation(bound, [*holds[:6], (9, 2)], 7, -1) == 6
+    assert _growth_violation(bound, holds[:3], 7, -1) is None
 
 
-def test_escape_growth_violation_is_a_failure_record():
-    # UNIT M1 at c = 1 escapes, but not at the tall band's doubling rate: the
-    # record names the first step whose max exponent is below 2^(n//2) b0.
+def test_schedule_law_meets_the_recurrence():
+    # The paper's K: K(0) = K(1) = 1, K(2i) = K(2i - 1) + 1, K(2i + 1) = K(2i) + K(2i - 1).
+    ks = [1, 1]
+    for m in range(2, 80):
+        ks.append(ks[m - 1] + 1 if m % 2 == 0 else ks[m - 1] + ks[m - 2])
+    bound = verifier._SCHEDULE[1]
+    for d in (-1, -2, -5):
+        for i in range(1, 41):
+            assert bound(2 * i + 1, 0, d) == ((0,), -d * ks[2 * i - 1])
+            assert bound(2 * i + 2, 0, d) == ((1,), -d * ks[2 * i - 1])
+
+
+def test_escape_growth_violation_is_a_failure_record(monkeypatch):
+    # UNIT M1 at c = 1 escapes, but not at the tall band's doubling rate: with
+    # that law patched onto its row, the record names the first step whose max
+    # exponent is below 2^(n//2) b0.
+    monkeypatch.setitem(verifier._ESCAPING[Regime.UNIT], ("M", 1), verifier._DOUBLING)
+    assert verifier._ESCAPING[Regime.LARGE][("M", 1)] is None
     spec = LemmaSpec("unit-M1-doubling", "escape", p=3, c="1/1",
                      source=lbl(Regime.UNIT, "M", 1), samples=3, window=6, seed=1,
-                     steps=30, escape_exponent=200, growth_check="doubling")
+                     steps=30, escape_exponent=200)
     report = run_spec(spec)
     assert (report.passes, len(report.failures), report.skipped) == (0, 3, 0)
     for failure in report.failures:
@@ -430,7 +461,7 @@ def test_every_bundled_spec_round_trips(name):
 # A value other than the default for every field that some kind does not read.
 _OFF_DEFAULT = {
     "c": "1/9", "depth": 2, "samples": 7, "window": 5, "seed": 5, "digit_count": 3, "steps": 7,
-    "escape_exp": 100, "growth_check": "doubling",
+    "escape_exp": 100,
     "source": {"regime": "large", "name": "J", "index": 0},
     "expected": [{"regime": "large", "name": "F", "index": None}],
 }
@@ -460,7 +491,7 @@ def test_a_field_the_kind_does_not_read_is_rejected(kind, key):
         ({"source": {"regime": "large", "name": "C", "index": 3}}, "no transition claim for C3"),
         ({"c": "1/0"}, "bad c '1/0'"),
         ({"c": None}, '"c" must be a "num/den" string'),
-        ({"growth_check": "tripling"}, "unknown growth_check"),
+        ({"growth_check": "tripling"}, "unknown field 'growth_check'"),
         ({"expected": [{"regime": "large", "name": "Q"}]}, "bad target"),
         ({"samples": 0}, "samples must be at least 1"),
         ({"samples": -3}, "samples must be at least 1"),
@@ -473,9 +504,9 @@ def test_a_field_the_kind_does_not_read_is_rejected(kind, key):
          "index must be an integer or null, got 1.0"),
         ({"expected": []}, '"expected" must be a nonempty list'),
         ({"expected": {"regime": "large", "name": "A", "index": 1}}, '"expected" must be a nonempty list'),
-        ({"kind": "sandwich", "growth_check": "schedule"},
-         "growth_check applies only to escape specs, not 'sandwich'"),
-        ({"growth_check": "doubling"}, "growth_check applies only to escape specs, not 'transition'"),
+        # A growth law belongs to its escaping region, so no spec names one.
+        ({"kind": "sandwich", "growth_check": "schedule"}, "unknown field 'growth_check'"),
+        ({"kind": "escape", "growth_check": "doubling"}, "unknown field 'growth_check'"),
         ({"kind": "escape", "expected": [{"regime": "large", "name": "F", "index": None}]},
          "expected applies only to transition and exhaustive specs, not 'escape'"),
         ({"source": {"regime": "large", "name": "C", "index": -1}}, "C family starts at index 1"),
@@ -617,4 +648,4 @@ def test_all_lemmas_is_pinned_at_the_bundled_seeds_and_at_seed_3101():
     for spec in specs:
         spec.seed = 3101
     summary = campaign_summary(run_campaign(specs))
-    assert _digest(_drop_wall_time(summary["reports"])) == "9f45024f9141ad58"
+    assert _digest(_drop_wall_time(summary["reports"])) == "90161fe92b204c89"

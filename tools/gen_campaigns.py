@@ -57,7 +57,7 @@ def exhaustive(ident, p, c, source, *, depth=1, window=60, expected=None):
     return spec
 
 
-def escape(ident, p, c, source, *, samples=120, window=8, steps=60, escape_exp=None, growth=None):
+def escape(ident, p, c, source, *, samples=120, window=8, steps=60, escape_exp=None):
     spec = {
         "id": ident,
         "kind": "escape",
@@ -71,8 +71,6 @@ def escape(ident, p, c, source, *, samples=120, window=8, steps=60, escape_exp=N
     }
     if escape_exp is not None:
         spec["escape_exp"] = escape_exp
-    if growth is not None:
-        spec["growth_check"] = growth
     return spec
 
 
@@ -124,13 +122,12 @@ def all_lemmas():
     # Empty-region skip path: the inner box is empty when |c| = p.
     specs.append(transition("large-J0-empty-at-d1", 3, "1/3", label("large", "J", 0)))
 
-    # --- escape certification with growth bounds.
+    # --- escape certification; G and A1 also meet their regions' growth laws.
     for d_c in ("1/3", "1/9"):
         for name, idx in [("F", None), ("G", None), ("H", None)] + [("M", i) for i in range(1, 5)]:
-            growth = "doubling" if name == "G" else None
             specs.append(
                 escape(f"large-escape-{name}{idx or ''}-c{d_c.replace('/', 'over')}",
-                       3, d_c, label("large", name, idx), growth=growth)
+                       3, d_c, label("large", name, idx))
             )
     for name, idx in [("F", None), ("G", None), ("H", None)] + [("M", i) for i in range(1, 5)]:
         specs.append(escape(f"unit-escape-{name}{idx or ''}", 3, "2/1", label("unit", name, idx)))
@@ -138,9 +135,7 @@ def all_lemmas():
         [("A", i) for i in (1, 2, 3, 4, 6)] + [("B", 1), ("B", 2), ("P", 1), ("P", 6)]
     )
     for name, idx in small_escape:
-        growth = "schedule" if (name, idx) == ("A", 1) else None
-        specs.append(escape(f"small-escape-{name}{idx}", 3, "3/1", label("small", name, idx),
-                            growth=growth))
+        specs.append(escape(f"small-escape-{name}{idx}", 3, "3/1", label("small", name, idx)))
 
     # --- worked orbits and two-sided evidence.
     specs.append({"id": "worked-orbits", "kind": "worked_orbits", "p": 5})
