@@ -6,44 +6,30 @@ point anywhere.  Structured output is JSON (CSV for grids) with stable keys.
 Exit codes: 0 on success (any orbit verdict counts as success), 1 when a
 verification campaign reports failures, 2 on usage errors and malformed
 campaign files.
+
+Each command imports the modules it runs when it runs, so a process loads only
+what its command needs; the bounds its options read live in `padics`.
 """
 
 from __future__ import annotations
 
-import csv
-import dataclasses
-import io
 import itertools
 import json
 import sys
 
 import click
 
-from .dynamics import (
+from .padics import (
+    _MAX_SAMPLES,
+    _MAX_WINDOW,
     DEFAULT_BIT_BUDGET,
     MAX_BIT_BUDGET,
     MAX_STEPS,
-    MapParams,
-    backward_orbit,
-    exact_fixed_points,
-    fixed_points,
-    forward_orbit,
-    three_cycle,
-)
-from .measure import fraction_text, measure_report, tn_rows
-from .padics import PrecisionExhaustedError, _decimal, validate_odd_prime
-from .regions import RegionLabel, classify, regime_of_d, region_branches, t_profile
-from .verifier import (
-    _FIELDS,
-    _MAX_SAMPLES,
-    _MAX_WINDOW,
-    CampaignError,
-    builtin_campaign,
-    builtin_campaign_names,
-    campaign_summary,
-    load_campaign,
+    Point,
+    PrecisionExhaustedError,
+    _decimal,
     parse_rational,
-    run_campaign,
+    validate_odd_prime,
 )
 
 
@@ -57,7 +43,9 @@ def _rational(ctx, param, value):
         raise click.BadParameter(str(exc)) from None
 
 
-def _parse_label(text: str, regime) -> RegionLabel:
+def _parse_label(text: str, regime):
+    from .regions import RegionLabel, region_branches
+
     text = text.strip()
     head = text.rstrip("0123456789")
     tail = text[len(head):]
@@ -133,7 +121,7 @@ def main():
               show_default=True)
 def orbit(prime, c, x, y, steps, direction, escape_exp, bit_budget):
     """Run an orbit and print its JSON trace; exit 0 on any verdict."""
-    from .padics import Point
+    from .dynamics import MapParams, backward_orbit, forward_orbit
 
     params = MapParams(_given(c))
     pt = Point(x, y)
@@ -151,6 +139,8 @@ def orbit(prime, c, x, y, steps, direction, escape_exp, bit_budget):
 @click.option("--b", "b", type=int, default=None, help="Norm exponent of y (profile mode).")
 def classify_cmd(prime, c, x, y, a, b):
     """Classify a point or a norm profile into its region."""
+    from .regions import classify
+
     d = _partition_d(_given(c))
     if x is not None and y is not None and a is None and b is None:
         profile = (x.norm_exponent, y.norm_exponent)
@@ -172,6 +162,11 @@ def grid(prime, c, window, fmt):
 
     Each row of a is printed as soon as it is classified, so memory stays
     flat in the window; the output is one CSV table or one JSON list."""
+    import csv
+    import io
+
+    from .regions import classify
+
     d = _partition_d(_given(c))
     span = range(-window, window + 1)
 
@@ -210,6 +205,18 @@ def verify(campaign, seed, samples, list_builtin):
     Exits 0 iff no check produced a counterexample; skipped-empty regions and
     excluded-null inverse hits are reported but do not fail the run.
     """
+    import dataclasses
+
+    from .verifier import (
+        _FIELDS,
+        CampaignError,
+        builtin_campaign,
+        builtin_campaign_names,
+        campaign_summary,
+        load_campaign,
+        run_campaign,
+    )
+
     if list_builtin:
         click.echo(json.dumps(builtin_campaign_names()))
         return
@@ -258,6 +265,9 @@ PRECISION_MAX_BITS = 2_000_000
 @click.option("--window", type=click.IntRange(min=0, max=_MAX_WINDOW), default=8, show_default=True)
 def measure(prime, c, tn, k, n, region, window):
     """Exact Haar measures: overlay family rows, or a region's window measure."""
+    from .measure import fraction_text, measure_report, tn_rows
+    from .regions import regime_of_d, t_profile
+
     if tn:
         if n > 64 or sum(t_profile(n, k)) * prime.bit_length() > TN_MAX_BITS:
             raise click.UsageError(f"p^((k-1)F(n+2)) passes {TN_MAX_BITS} bits; lower --n or --k")
@@ -289,6 +299,8 @@ def measure(prime, c, tn, k, n, region, window):
 @click.option("--precision", type=click.IntRange(min=1), default=20, show_default=True)
 def fixed_points_cmd(prime, c, precision):
     """Fixed points (digit expansions, exact rationals when they exist) and the 3-cycle."""
+    from .dynamics import MapParams, exact_fixed_points, fixed_points, three_cycle
+
     if _given(c).is_zero:
         raise click.UsageError("c = 0 is degenerate: 1 - q cancels at every precision")
     if precision * prime.bit_length() > PRECISION_MAX_BITS:

@@ -20,6 +20,9 @@ from math import isqrt
 
 from .fib import fib
 from .padics import (
+    DEFAULT_BIT_BUDGET,
+    MAX_BIT_BUDGET,
+    MAX_STEPS,
     PadicRational,
     Point,
     PrecisionExhaustedError,
@@ -52,15 +55,6 @@ __all__ = [
     "MAX_BIT_BUDGET",
     "MAX_STEPS",
 ]
-
-DEFAULT_BIT_BUDGET = 1_000_000
-# The largest bit budget `orbit` accepts: 60 steps of an escaping orbit at p = 5
-# took 36 s under it, and a budget of 10^12 had not finished in 40 s.
-MAX_BIT_BUDGET = 10_000_000
-# The longest horizon the CLI and a campaign accept.  A record keeps every
-# step: `orbit` peaked at 92 MB for 20,000 steps of the exact 3-cycle.
-MAX_STEPS = 100_000
-
 
 class UndefinedInverseError(ZeroDivisionError):
     """Backward step at a point with y = 0 (equivalently, the previous x equals c)."""

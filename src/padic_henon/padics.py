@@ -35,7 +35,25 @@ __all__ = [
     "sample_with_norm",
     "padic_valuation",
     "validate_odd_prime",
+    "parse_rational",
 ]
+
+# Bounds that the CLI's options read when it is imported.  They live here, in
+# the module every command loads, so that `cli` reads them without loading
+# `dynamics` or `verifier`, which enforce them and import them from here.
+DEFAULT_BIT_BUDGET = 1_000_000
+# The largest bit budget `orbit` accepts: 60 steps of an escaping orbit at p = 5
+# took 36 s under it, and a budget of 10^12 had not finished in 40 s.
+MAX_BIT_BUDGET = 10_000_000
+# The longest horizon the CLI and a campaign accept.  A record keeps every
+# step: `orbit` peaked at 92 MB for 20,000 steps of the exact 3-cycle.
+MAX_STEPS = 100_000
+# The largest window a spec may ask for: a sampled region expands all of its
+# cells, about W² of them, so memory grows with the square of the window.
+_MAX_WINDOW = 1000
+# The most samples a spec may ask for: a report keeps every failure, about
+# 1.3 KB each.  80,000 failing samples peaked at 121 MB, and 100,000 at 148 MB.
+_MAX_SAMPLES = 100_000
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -307,6 +325,15 @@ class PadicRational:
     def expand(self, precision: int) -> "TruncatedPadic":
         """Digit expansion of this value to `precision` significant p-adic digits."""
         return TruncatedPadic.from_residue(self.prime, _residue(self, precision))
+
+
+def parse_rational(text: str, p: int) -> PadicRational:
+    """Parse 'num/den' (or 'num') into an exact rational; no floating point anywhere."""
+    text = text.strip()
+    if "/" in text:
+        num_s, den_s = text.split("/", 1)
+        return PadicRational(int(num_s), int(den_s), p)
+    return PadicRational(int(text), 1, p)
 
 
 _new = object.__new__

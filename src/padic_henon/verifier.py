@@ -18,8 +18,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 from .dynamics import (
-    DEFAULT_BIT_BUDGET,
-    MAX_STEPS,
     BitBudgetError,
     MapParams,
     PrecisionExhaustedError,
@@ -30,7 +28,16 @@ from .dynamics import (
     inverse,
     three_cycle,
 )
-from .padics import PadicRational, Point, validate_odd_prime
+from .padics import (
+    _MAX_SAMPLES,
+    _MAX_WINDOW,
+    DEFAULT_BIT_BUDGET,
+    MAX_STEPS,
+    PadicRational,
+    Point,
+    parse_rational,
+    validate_odd_prime,
+)
 from .regions import (
     EmptyRegionError,
     Regime,
@@ -56,23 +63,11 @@ __all__ = [
 ]
 
 
-def parse_rational(text: str, p: int) -> PadicRational:
-    """Parse 'num/den' (or 'num') into an exact rational; no floating point anywhere."""
-    text = text.strip()
-    if "/" in text:
-        num_s, den_s = text.split("/", 1)
-        return PadicRational(int(num_s), int(den_s), p)
-    return PadicRational(int(text), 1, p)
-
-
 class CampaignError(ValueError):
     """A campaign file or spec is malformed; raised at load time, before anything runs."""
 
 
 _KINDS = ("transition", "exhaustive", "escape", "sandwich", "worked_orbits")
-# The largest window a spec may ask for: a sampled region expands all of its
-# cells, about W² of them, so memory grows with the square of the window.
-_MAX_WINDOW = 1000
 # The largest sampled unit p^digit_count, in bits as digit_count times the bit
 # length of p.  A sample's cost grows with the unit's size in bits: at p = 3 one
 # took 0.6 s at 400,000 digits and 3.4 s at 10^6, and 3 samples at 3 * 10^8
@@ -80,9 +75,6 @@ _MAX_WINDOW = 1000
 # digits (10^6 bits).  A unit past the exact engine's bit budget makes every
 # sample uncertified at its first step anyway.
 _MAX_UNIT_BITS = DEFAULT_BIT_BUDGET
-# The most samples a spec may ask for: a report keeps every failure, about
-# 1.3 KB each.  80,000 failing samples peaked at 121 MB, and 100,000 at 148 MB.
-_MAX_SAMPLES = 100_000
 
 
 def _label(obj, what: str = "source") -> RegionLabel:
@@ -435,8 +427,12 @@ def _judge_escaping(report, spec, params, label, samples, prefix=""):
     """Judge `samples` points of the escaping region `label` by its entry in
     `_ESCAPING`: each backward orbit must cross the spec's threshold within
     its steps, and meet the region's growth law, if any, on the way; a note
-    then names the law."""
-    law = _ESCAPING[label.regime].get((label.name, label.index))
+    then names the law.  A region outside the table is judged the same way,
+    under a note that the paper makes no such claim."""
+    claims = _ESCAPING[label.regime]
+    if (label.name, label.index) not in claims:
+        report.notes.append(f"{prefix}not a paper claim: the paper states no escape from {label}")
+    law = claims.get((label.name, label.index))
     threshold = _threshold(spec, params)
 
     def judge(pt):

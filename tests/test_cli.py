@@ -357,15 +357,15 @@ def test_grid_json_rows_in_scan_order_at_window_60(runner):
 def test_grid_prints_each_row_as_it_is_made(runner, monkeypatch):
     """Rows are printed before the next row of a is classified, so a grid
     never holds more than one row."""
-    from padic_henon import cli
+    from padic_henon import regions
 
     def classify(profile, d):
         if profile[0] == 0:
             raise RuntimeError("stop at row 0")
         return inner(profile, d)
 
-    inner = cli.classify
-    monkeypatch.setattr(cli, "classify", classify)
+    inner = regions.classify
+    monkeypatch.setattr(regions, "classify", classify)
     for fmt in ("csv", "json"):
         result = runner.invoke(main, ["grid", "--prime", "3", "--c", "1/9", "--window", "2",
                                       "--format", fmt])
@@ -538,6 +538,16 @@ def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     assert result.stdout == ""
 
 
+def _fresh(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports the package from src/."""
+    src = str(Path(padic_henon.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_cli_import_leaves_numpy_unloaded():
     """Nothing in the package loads numpy: not a cold `import padic_henon.cli`,
     and not the window checks of an exhaustive and a sandwich spec."""
@@ -556,17 +566,77 @@ def test_cli_import_leaves_numpy_unloaded():
                           "gridcheck": "padic_henon.gridcheck" in sys.modules,
                           "reports": [[r.ok, r.passes, r.notes] for r in reports]}))
     """)
-    src = str(Path(padic_henon.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = json.loads(_fresh(code))
     assert out["gridcheck"] and not out["numpy"]
     (ex_ok, ex_passes, _), (sw_ok, sw_passes, sw_notes) = out["reports"]
     assert ex_ok and ex_passes > 0
     assert sw_ok and sw_passes > 0
     assert "one-step invariance of J0 certified on window" in sw_notes
+
+
+_BASE = ["padic_henon", "padic_henon.cli", "padic_henon.fib", "padic_henon.padics",
+         "padic_henon.regions"]
+
+
+@pytest.mark.parametrize("args, extra", [
+    ("classify --prime 3 --c 1/9 --a 1 --b 1", []),
+    ("grid --prime 3 --c 1/9 --window 2 --format csv", []),
+    ("measure -p 3 --tn --k 2 --n 4", ["measure"]),
+    ("measure -p 3 --c 3/1 --region Z --window 4", ["measure"]),
+    ("orbit --prime 3 --c 1/1 --x -1/1 --y -1/1 --steps 9", ["dynamics"]),
+    ("fixed-points --prime 3 --c 2/9", ["dynamics"]),
+    ("verify x --list", ["dynamics", "verifier"]),
+])
+def test_each_command_loads_only_the_modules_it_runs(args, extra):
+    """A fresh process loads the package modules its command runs and no
+    others: classify and grid never load dynamics, verifier, measure or
+    gridcheck; measure never loads dynamics or verifier; orbit and
+    fixed-points never load verifier or measure; verify --list never loads
+    measure."""
+    code = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        from padic_henon.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            main({args.split()!r}, standalone_mode=False)
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("padic_henon"))))
+    """)
+    assert json.loads(_fresh(code)) == sorted(_BASE + [f"padic_henon.{m}" for m in extra])
+
+
+def test_package_root_loads_names_on_first_access():
+    """`import padic_henon` loads no submodule; `import *` binds every name in
+    `__all__`, each the object its home module defines."""
+    code = textwrap.dedent("""
+        import json, sys
+        import padic_henon
+        loaded = sorted(m for m in sys.modules if m.startswith("padic_henon"))
+        namespace = {}
+        exec("from padic_henon import *", namespace)
+        unbound = [n for n in padic_henon.__all__ if n not in namespace]
+        foreign = [n for n in padic_henon.__all__ if n != "__version__"
+                   and namespace[n] is not getattr(sys.modules[namespace[n].__module__], n)]
+        print(json.dumps([loaded, unbound, foreign]))
+    """)
+    assert json.loads(_fresh(code)) == [["padic_henon"], [], []]
+
+
+def test_package_root_names_survive_loaded_submodules():
+    """With every submodule already loaded, each root name is still its home
+    module's object: the function fib is not shadowed by the module fib."""
+    import importlib
+
+    import padic_henon.fib  # noqa: F401  (binds nothing new: the name stays the function)
+
+    for name in padic_henon.__all__:
+        value = getattr(padic_henon, name)
+        if name == "__version__":
+            assert value == "0.1.0"
+            continue
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("padic_henon.") and getattr(home, name) is value, name
+    assert callable(padic_henon.fib)
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        padic_henon.nonesuch
 
 
 def test_verify_seed_and_samples_match_library_run(runner):

@@ -260,6 +260,18 @@ def test_invariant_region_never_escapes():
     # Negative control: the unit torus is invariant, so nothing escapes.
     assert len(report.failures) == 50
     assert report.passes == 0
+    # Z is no key of the escape claims, and the report says so.
+    assert report.notes == ["not a paper claim: the paper states no escape from Z"]
+
+
+def test_bundled_escapes_are_paper_claims():
+    """No bundled report notes an escape outside the claim table.  Only the
+    escape and sandwich kinds judge escapes, so only they are run."""
+    specs = [s for name in builtin_campaign_names() for s in builtin_campaign(name)
+             if s.kind in ("escape", "sandwich")]
+    assert specs
+    notes = [n for r in run_campaign(specs) for n in r.notes]
+    assert not [n for n in notes if "not a paper claim" in n]
 
 
 def test_doubling_law_on_hand_built_profiles():

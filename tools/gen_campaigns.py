@@ -2,7 +2,8 @@
 """Regenerate the bundled verification campaigns in src/padic_henon/data/.
 
 all-lemmas        every transition/escape claim at parameters where the claim
-                  holds and the source region is nonempty; exits 0.
+                  holds; exits 0.  24 of its 135 specs sample or scan a source
+                  region with no cell in their window, and pass with 0 passes.
 negative-control  deliberately falsified targets; must produce counterexamples.
 known-anomalies   the two parameter corners where the classical claims fail
                   (two-step band collapse at |c| = p^-3; overlay descent at
