@@ -243,11 +243,12 @@ def default_escape_exponent(params: MapParams) -> int:
 # still has coordinate heights growing like phi^n (the numerators of step 30
 # of a typical bounded orbit already need ~10^5 bits), so horizons beyond ~30
 # steps are not computable exactly.  The engine below runs the same recursion
-# on the residues of `padics`, one `_inverse_y` call per step, with c split
-# once per orbit into exact integers.  An orbit starts at START_PRECISION
-# digits and doubles them on each PrecisionExhaustedError up to the caller's
-# cap; a run that finishes has exact profiles at any precision, so only the
-# cost depends on where it stops.
+# on the residues of `padics`, with c split once per orbit into exact
+# integers.  Only a step on the column a = d, where x - c can cancel, calls
+# `_inverse_y`; every other step's profile follows the ultrametric rule.  An
+# orbit starts at START_PRECISION digits and doubles them on each
+# PrecisionExhaustedError up to the caller's cap; a run that finishes has
+# exact profiles at any precision, so only the cost depends on where it stops.
 # ---------------------------------------------------------------------------
 
 START_PRECISION = 16
@@ -255,17 +256,32 @@ START_PRECISION = 16
 
 def _residue_profiles(pt: Point, params: MapParams, digits: int):
     """The certified engine: the profiles of (x, y), taken as residues of
-    `digits` digits, and of their backward images; None marks an exact 0."""
+    `digits` digits, and of their backward images; None marks an exact 0.
+
+    Off the column a = d, |x - c| = max(|x|, |c|), so the next profile is
+    (b, max(a, d) - b).  The residues x and y trail the profile by `lag` such
+    steps; a step on a = d first replays them and then takes the cancellation
+    step, so every step that can exhaust the window runs at the digits and in
+    the order of an engine that steps the residues every time."""
     p = params.prime
     c = _split(params.c)
+    d = None if c is None else -c[0]
     x, y = _residue(pt.x, digits), _residue(pt.y, digits)
-    b = None if x is None else -x[0]
+    a, b = None if x is None else -x[0], None if y is None else -y[0]
+    lag = 0
     while True:
-        a, b = b, None if y is None else -y[0]
         yield a, b
-        if y is None:
+        if b is None:
             raise UndefinedInverseError("inverse undefined: y = 0")
-        x, y = y, _inverse_y(x, y, c, p)
+        if a == d and a is not None:
+            for _ in range(lag + 1):
+                x, y = y, _inverse_y(x, y, c, p)
+            lag = 0
+            a, b = b, None if y is None else -y[0]
+        else:
+            lag += 1
+            m = a if d is None or (a is not None and a > d) else d
+            a, b = b, None if m is None else m - b
 
 
 def backward_profile_orbit(

@@ -46,6 +46,14 @@ from padic_henon.regions import Regime, RegionLabel, classify, regime_of_d
 from padic_henon.verifier import LemmaSpec, run_spec
 
 REGIME_DS = (-3, -1, 0, 1, 2, 3)
+# Further d at which the LARGE shells have cells in the window, each with the
+# depth-1 sources (all LARGE) that still have none there.
+SHELL_DS = {
+    4: ["B12", "B13", "B14", "A13", "A14", "M14"],
+    6: ["B12", "B13", "A11", "A12", "A13", "M13"],
+    14: ["B10", "B11", "A10", "A11", "M11"],
+    24: ["B9", "B10", "A9", "A10", "M10"],
+}
 WINDOW = 1000
 
 
@@ -271,7 +279,7 @@ def test_criterion_05_cassini_identities():
 def test_criterion_06_partition_totality():
     t0 = time.perf_counter()
     rng = random.Random(20240811)
-    for d in REGIME_DS:
+    for d in REGIME_DS + tuple(SHELL_DS):
         report = check_partition(d, WINDOW)
         assert report.exact, (
             f"d={d}: uncovered={report.uncovered[:3]} overlaps={report.overlaps[:3]}"
@@ -283,7 +291,8 @@ def test_criterion_06_partition_totality():
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     print(
-        f"criterion 6 PASS: 6 regimes x {(2 * WINDOW + 1) ** 2} profiles, "
+        f"criterion 6 PASS: {len(REGIME_DS) + len(SHELL_DS)} values of d x "
+        f"{(2 * WINDOW + 1) ** 2} profiles, "
         f"exactly one region each, {elapsed:.1f}s"
     )
 
@@ -291,17 +300,21 @@ def test_criterion_06_partition_totality():
 # --- criterion 7: exhaustive transition lemmas -------------------------------------
 
 
-@pytest.mark.parametrize("d", REGIME_DS)
+@pytest.mark.parametrize("d", REGIME_DS + tuple(SHELL_DS))
 def test_criterion_07_window_transitions(d):
     regime = regime_of_d(d)
-    bad = []
+    bad, empty = [], []
     count = 0
     for source in transition_sources(regime, d, WINDOW, include_t=False):
         check = check_transition_profiles(source, d, WINDOW, depth=1, cancel_depth=WINDOW)
         count += 1
         if not check.ok:
             bad.append((str(source), check.counterexamples[:2]))
+        if not check.profiles_checked:
+            empty.append(str(source))
     assert not bad, f"d={d}: counterexamples in {bad}"
+    if d in SHELL_DS:
+        assert empty == SHELL_DS[d], f"d={d}: sources with no cell {empty}"
     print(f"criterion 7 PASS at d={d}: {count} one-step claims exhaustive on the window")
 
 

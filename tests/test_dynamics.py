@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padic_henon import dynamics, padics
 from padic_henon.dynamics import (
@@ -23,6 +25,7 @@ from padic_henon.dynamics import (
 from padic_henon.gridcheck import _column_groups, _step_pieces
 from padic_henon.padics import PadicRational, Point, padic_valuation
 from padic_henon.regions import Regime, RegionLabel, regime_of_d, sample_in_region
+from padic_henon.verifier import builtin_campaign, campaign_summary, run_campaign
 
 
 def pr(num, den=1, p=5):
@@ -300,10 +303,127 @@ def test_profile_orbit_degenerate_c_at_zero_x():
     assert rec.verdict == exact.verdict == Verdict("undefined_inverse", 2)
 
 
-def test_capped_subtraction_gives_the_uncapped_orbits_at_large_d(monkeypatch):
+def _eager_orbit(pt, prm, max_steps, precision, escape_exponent, step=padics._inverse_y):
+    """The reference for the certified engine: a residue step (x - c)/y by
+    `step` after every profile, off the column a = d as on it, from
+    START_PRECISION digits doubled up to `precision`."""
+    p, c = prm.prime, padics._split(prm.c)
+
+    def profiles(digits):
+        x, y = padics._residue(pt.x, digits), padics._residue(pt.y, digits)
+        while True:
+            yield None if x is None else -x[0], None if y is None else -y[0]
+            if y is None:
+                raise UndefinedInverseError("inverse undefined: y = 0")
+            x, y = y, step(x, y, c, p)
+
+    digits = min(dynamics.START_PRECISION, precision)
+    while True:
+        try:
+            return dynamics._trace(dynamics.OrbitRecord("backward", precision=digits),
+                                   profiles(digits), max_steps, escape_exponent)
+        except PrecisionExhaustedError:
+            if digits >= precision:
+                raise
+            digits = min(2 * digits, precision)
+
+
+def _outcome(run, *args):
+    """run(*args)'s profiles, precision and verdict, or the message of the
+    PrecisionExhaustedError it raised."""
+    try:
+        rec = run(*args)
+    except PrecisionExhaustedError as exc:
+        return str(exc)
+    return rec.profiles, rec.precision, rec.verdict
+
+
+def _start(prm: MapParams, shape: str, y: PadicRational, e: int, j: int) -> Point:
+    """A start of the given shape, for y != 0: "on column", x = c + p^(e - d),
+    so |x| = |c| and the first step cancels e digits; "x = 0"; "y = 0"; "hits c",
+    f^j(c, y), whose orbit reaches x = c exactly after j steps, a cancellation
+    that no window certifies; or "any", the point (y, y + 1)."""
+    p, d = prm.prime, prm.d or 0
+    zero = PadicRational(0, 1, p)
+    if shape == "on column":
+        return Point(prm.c + PadicRational(p ** max(e - d, 0), p ** max(d - e, 0), p), y)
+    if shape == "x = 0":
+        return Point(zero, y)
+    if shape == "y = 0":
+        return Point(y, zero)
+    if shape == "hits c":
+        pt = Point(prm.c, y)
+        for _ in range(j):
+            pt = forward(pt, prm)
+        return pt
+    return Point(y, y + 1)
+
+
+_SHAPES = ["on column", "x = 0", "y = 0", "hits c", "any"]
+
+
+def test_profile_orbit_equals_the_eager_reference():
+    # The engine steps residues only on a = d and follows max(a, d) - b off
+    # it.  Every record (profiles, precision, verdict) or exhaustion message
+    # equals the reference's, which steps residues after every profile, at
+    # p = 3, 5, 7 in all three regimes and at c = 0, and at caps 16, 64 and
+    # 256.  At c = 0 the start x = 0 exits at y = 0 after one step.
+    seen = set()
+    for p in (3, 5, 7):
+        for num, den in ((p, 1), (2, 1), (1, p), (1, p**3), (0, 1)):
+            prm = params_for(num, den, p)
+            threshold = default_escape_exponent(prm)
+            for shape in _SHAPES:
+                for e, j in ((3, 0), (20, 1), (70, 2), (300, 3)):
+                    pt = _start(prm, shape, pr(2 + e, p ** (j + 1), p), e, j)
+                    for cap in (16, 64, 256):
+                        for escape in (None, threshold):
+                            args = pt, prm, 40, cap, escape
+                            ref = _outcome(_eager_orbit, *args)
+                            assert _outcome(backward_profile_orbit, *args) == ref
+                            seen.add(("exhausted", cap) if isinstance(ref, str)
+                                     else (ref[2].kind, ref[1]))
+    assert {kind for kind, _ in seen} == {"completed", "escaped", "undefined_inverse",
+                                          "exhausted"}
+    assert {("exhausted", 16), ("exhausted", 64), ("exhausted", 256)} <= seen
+    assert {precision for _, precision in seen} == {16, 32, 64, 128, 256}
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), d=st.none() | st.integers(-4, 4), u=st.integers(1, 200),
+       shape=st.sampled_from(_SHAPES),
+       y_num=st.integers(-10**6, 10**6).filter(bool), vy=st.integers(-6, 6),
+       e=st.integers(1, 300), j=st.integers(0, 4), steps=st.integers(1, 60),
+       cap=st.sampled_from([16, 64, 256]), escape=st.booleans())
+def test_profile_orbit_equals_the_eager_reference_on_random_orbits(p, d, u, shape, y_num, vy,
+                                                                    e, j, steps, cap, escape):
+    assume(u % p)
+    prm = params_for(0, 1, p) if d is None else params_for(u * p ** max(-d, 0), p ** max(d, 0), p)
+    y = pr(y_num * p ** max(vy, 0), p ** max(-vy, 0), p)
+    args = (_start(prm, shape, y, e, j), prm, steps, cap,
+            default_escape_exponent(prm) if escape else None)
+    assert _outcome(backward_profile_orbit, *args) == _outcome(_eager_orbit, *args)
+
+
+def test_profile_orbit_steps_residues_only_on_the_column(monkeypatch):
+    # The bundled all-lemmas campaign makes 60,094 residue steps when every
+    # step takes one; on a = d alone it makes 2,563, replays included.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return padics._inverse_y(*args)
+
+    monkeypatch.setattr(dynamics, "_inverse_y", counting)
+    assert campaign_summary(run_campaign(builtin_campaign("all-lemmas")))["ok"]
+    assert len(calls) == 2_563
+
+
+def test_capped_subtraction_gives_the_uncapped_orbits_at_large_d():
     """LARGE d = 2 (c = 1/9 at p = 3), threshold 3728: each step's x - c keeps
-    only the digits of y, yet every record equals the one from a loop whose
-    subtraction keeps all of its digits, escalations and exhaustion included."""
+    only the digits of y, yet every record of the eager reference equals the
+    one from a loop whose subtraction keeps all of its digits, escalations and
+    exhaustion included, and the engine's record equals both."""
     prm = params_for(1, 9, 3)
     assert prm.d == 2 and default_escape_exponent(prm) == 3728
     rng = random.Random(20240811)
@@ -336,20 +456,13 @@ def test_capped_subtraction_gives_the_uncapped_orbits_at_large_d(monkeypatch):
         mod = p**k
         return lo + w - y[0], s // p**w * y[2] % mod, mx * c_den * y[1] % mod, k
 
-    def run(pt, cap):
-        try:
-            rec = backward_profile_orbit(pt, prm, 60, precision=cap, escape_exponent=3728)
-        except PrecisionExhaustedError as exc:
-            return str(exc)
-        return rec.profiles, rec.precision, rec.verdict
-
     kinds, precisions = set(), set()
     for pt in starts:
         for cap in (16, 64, 256):
-            monkeypatch.setattr(dynamics, "_inverse_y", counting)
-            capped = run(pt, cap)
-            monkeypatch.setattr(dynamics, "_inverse_y", uncapped)
-            assert capped == run(pt, cap)
+            args = pt, prm, 60, cap, 3728
+            capped = _outcome(_eager_orbit, *args, counting)
+            assert capped == _outcome(_eager_orbit, *args, uncapped)
+            assert capped == _outcome(backward_profile_orbit, *args)
             if isinstance(capped, str):
                 kinds.add("exhausted")
             else:

@@ -753,3 +753,29 @@ def test_step_is_the_residue_of_the_exact_quotient(p, kx, ky, vx, vy, shape, dat
         k = min(ky, vx + kx - (X - C).valuation)
     assert r[3] == k and 0 < r[1] < p**k and 0 < r[2] < p**k
     assert TruncatedPadic.from_residue(p, r) == Q.expand(k)
+
+
+@settings(max_examples=800, deadline=None)
+@given(p=_primes, vx=st.integers(-400, 400), vc=st.integers(-400, 400), vy=st.integers(-400, 400),
+       kx=st.integers(1, 60), ky=st.integers(1, 60),
+       shape=st.sampled_from(["apart", "edge", "x = 0", "c = 0", "x = c = 0"]), data=st.data())
+def test_step_off_the_column_follows_the_ultrametric_rule(p, vx, vc, vy, kx, ky, shape, data):
+    """Off the column a = d (v_x != v_c, x = 0 or c = 0) no digit cancels: the
+    step's profile is b' = max(a, d) - b, with a = -v_x, b = -v_y, d = -v_c and
+    an exact 0 left out of the max, whatever digits x and y keep."""
+    if shape == "edge":  # |v_x - v_c| one below, at or one above the digits kept
+        vc = vx + data.draw(st.sampled_from([1, -1])) * max(
+            1, min(kx, ky) + data.draw(st.sampled_from([-1, 0, 1])))
+    assume(vx != vc)
+    x = None if shape in ("x = 0", "x = c = 0") else (
+        vx, _unit(data, p, p**kx) % p**kx, _unit(data, p, p**kx) % p**kx, kx)
+    c = None if shape in ("c = 0", "x = c = 0") else (
+        vc, _unit(data, p, 10**30), abs(_unit(data, p, 10**30)))
+    y = (vy, _unit(data, p, p**ky) % p**ky, _unit(data, p, p**ky) % p**ky, ky)
+    r = _inverse_y(x, y, c, p)
+    a, b, d = -vx, -vy, -vc
+    norms = [n for n, term in ((a, x), (d, c)) if term is not None]
+    if not norms:
+        assert r is None
+        return
+    assert -r[0] == max(norms) - b
