@@ -245,9 +245,10 @@ def verify(campaign, seed, samples, list_builtin):
 # The largest number `measure --tn` prints, p^((k-1)F(n+2)), takes about 1 s at this size.
 TN_MAX_BITS = 640_000  # F(n + 2) passes it for n > 64, so fib never sees a larger index
 # The most bits `fixed-points` computes, as --precision times the bit length of
-# p: its square roots and inverses cost by the size in bits.  10^6 digits at
-# p = 3 took 8.3 s and 383 MB; at p = 2^61 - 1, 32,000 digits took 49.7 s, and
-# the bound there, 32,786, took 66.4 s and 38 MB.
+# p: its square roots and inverses cost by the size in bits and by c.  One CLI
+# run each at the bound: 10^6 digits at p = 3 took 7.6 s and 64 MB at c = 2/9
+# (1 - 4c = 3^-2, unit 1: no digit to lift), 25.0 s and 65 MB at c = -3/4;
+# 32,786 digits at p = 2^61 - 1 took 60.5 s and 25 MB at 2/9, 25.9 s at -3/4.
 PRECISION_MAX_BITS = 2_000_000
 
 

@@ -12,7 +12,6 @@ __all__ = [
     "cassini2",
     "golden_cmp",
     "golden_below",
-    "golden_bracket_holds",
 ]
 
 _fib_memo = [1, 0, 1, 1]  # F(-2), F(-1), F(0), F(1)
@@ -72,17 +71,3 @@ def golden_below(a: int, b: int) -> bool:
     if b >= 0:
         return r > 0 and 5 * b * b < r * r
     return r >= 0 or 5 * b * b > r * r
-
-
-def golden_bracket_holds(n: int) -> bool:
-    """Check F(2n+1)/F(2n) < F(2n+3)/F(2n+2) < beta < F(2n+4)/F(2n+3) < F(2n+2)/F(2n+1).
-
-    All four inequalities are evaluated by exact cross-multiplication; the two
-    involving beta reduce to golden_cmp on (numerator, denominator) pairs.
-    """
-    lo1 = fib(2 * n + 1) * fib(2 * n + 2) < fib(2 * n + 3) * fib(2 * n)
-    # F(2n+3)/F(2n+2) < beta  <=>  beta*F(2n+2) - F(2n+3) > 0
-    lo2 = golden_cmp(fib(2 * n + 2), fib(2 * n + 3)) > 0
-    hi1 = golden_cmp(fib(2 * n + 3), fib(2 * n + 4)) < 0
-    hi2 = fib(2 * n + 4) * fib(2 * n + 1) < fib(2 * n + 2) * fib(2 * n + 3)
-    return lo1 and lo2 and hi1 and hi2

@@ -43,7 +43,7 @@ __all__ = [
     "TransitionCounterexample",
     "TransitionCheck",
     "check_transition_profiles",
-    "check_all_transitions",
+    "transition_sources",
 ]
 
 
@@ -93,16 +93,17 @@ class PartitionReport:
         return not self.uncovered and not self.overlaps
 
 
-def check_partition(d: int, window: int, max_witnesses: int = 10) -> PartitionReport:
+MAX_WITNESSES = 10  # the most holes, and the most overlaps, that a partition report lists
+
+
+def check_partition(d: int, window: int) -> PartitionReport:
     """Certify that the declarative regions tile the window with no overlap."""
     _check_window(window)
-    if max_witnesses < 1:
-        raise ValueError(f"max_witnesses must be >= 1, got {max_witnesses}")
-    return _partition_report(d, window, *_window_rows(d, window), max_witnesses)
+    return _partition_report(d, window, *_window_rows(d, window), MAX_WITNESSES)
 
 
-def _partition_report(d, window, labels, rows, max_witnesses) -> PartitionReport:
-    """The first uncovered and overlapping cells of the rows, in scan order."""
+def _partition_report(d, window, labels, rows, cap) -> PartitionReport:
+    """The first `cap` uncovered and overlapping cells of the rows, in scan order."""
     report = PartitionReport(d=d, window=window, cells=(2 * window + 1) ** 2)
     for a, row in enumerate(rows, -window):
         # A row tiled by its sorted intervals from -W to W needs no sweep.
@@ -115,7 +116,7 @@ def _partition_report(d, window, labels, rows, max_witnesses) -> PartitionReport
             if n == 1:
                 continue
             found = report.uncovered if n == 0 else report.overlaps
-            for b in range(lo, min(hi + 1, lo + max_witnesses - len(found))):
+            for b in range(lo, min(hi + 1, lo + cap - len(found))):
                 names = [str(lbl) for lbl in labels if profile_in_region(lbl, a, b, d)]
                 found.append({"a": a, "b": b, "labels": names})
     return report
@@ -362,15 +363,3 @@ def transition_sources(regime: Regime, d: int, window: int, include_t: bool = Tr
         except KeyError:
             continue
         yield label
-
-
-def check_all_transitions(d: int, window: int, include_t: bool = True, cancel_depth=None):
-    """Run every depth-1 window transition check for this d; returns the list of checks.
-    Every regime has a source, whose check rejects a negative window."""
-    regime = regime_of_d(d)
-    checks = []
-    for label in transition_sources(regime, d, window, include_t=include_t):
-        checks.append(
-            check_transition_profiles(label, d, window, depth=1, cancel_depth=cancel_depth)
-        )
-    return checks

@@ -662,10 +662,6 @@ class TruncatedPadic:
     def to_json(self) -> dict:
         return {"p": self.prime, "val": self.valuation, "digits": list(self.digits)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "TruncatedPadic":
-        return cls(int(obj["p"]), obj["val"], obj["digits"])
-
     def __repr__(self):
         if self.is_zero:
             return f"TruncatedPadic(0, prime={self.prime})"

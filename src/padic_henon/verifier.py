@@ -198,14 +198,13 @@ class LemmaSpec:
             return
         if self.source is None:
             raise CampaignError(f"kind {self.kind!r} needs a source region")
-        if self.source.regime is not regime:
-            raise CampaignError(
-                f"source {self.source} is {self.source.regime.value}, but c = {self.c} "
-                f"is in regime {regime.value}"
-            )
-        overlay = [t for t in [self.source, *(self.expected or ())] if t.name == "T"]
-        if overlay and c.norm_exponent < 2:
-            raise CampaignError(f"overlay region {overlay[0]} needs d >= 2, got d = {c.norm_exponent}")
+        for role, label in [("source", self.source), *(("target", t) for t in self.expected or ())]:
+            if label.regime is not regime:
+                raise CampaignError(
+                    f"{role} {label} is {label.regime.value}, but c = {self.c} is in regime {regime.value}"
+                )
+            if label.name == "T" and c.norm_exponent < 2:
+                raise CampaignError(f"overlay region {label} needs d >= 2, got d = {c.norm_exponent}")
         if self.kind != "escape" and self.expected is None:
             try:
                 _expected_targets(self)

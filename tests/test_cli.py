@@ -484,6 +484,15 @@ def _one_spec(**fields):
         (_one_spec(kind="exhaustive", c="1/3", source={"regime": "large", "name": "J", "index": 0},
                    expected=[{"regime": "large", "name": "T", "index": 0}]),
          "overlay region T0 needs d >= 2"),
+        # A target from another regime used to be judged: the first ran with
+        # 77 failing outcomes and exit 1, the second passed with exit 0.
+        (json.dumps({"specs": [{"id": "bad", "kind": "exhaustive", "p": 3, "c": "9/1", "window": 6,
+                                "source": {"regime": "small", "name": "A", "index": 1},
+                                "expected": [{"regime": "large", "name": "G", "index": None}]}]}),
+         "target G is large, but c = 9/1 is in regime small"),
+        (_one_spec(c="9/1", expected=[{"regime": "small", "name": "A", "index": 2},
+                                      {"regime": "unit", "name": "M", "index": 3}]),
+         "target M3 is unit, but c = 9/1 is in regime small"),
         (_one_spec(source={"regime": "small", "name": "A", "index": True}),
          "index must be an integer or null, got True"),
         (_one_spec(kind="exhaustive", c="3/1", window=4, expected=[]),
@@ -521,7 +530,8 @@ def _one_spec(**fields):
     ],
     ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch", "samples-zero",
          "window-negative", "overlay-exhaustive", "overlay-transition", "overlay-escape",
-         "overlay-target", "index-true", "expected-empty", "growth-check-on-sandwich",
+         "overlay-target", "target-regime-exhaustive", "target-regime-transition", "index-true",
+         "expected-empty", "growth-check-on-sandwich",
          "large-c-minus-one", "source-on-sandwich", "c-on-worked-orbits", "samples-on-exhaustive",
          "unknown-key", "index-above-bound", "escape-threshold-default",
          "escape-threshold-override", "sandwich-threshold", "escape-steps-zero", "sandwich-steps-above-bound",

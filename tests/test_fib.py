@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from padic_henon.fib import cassini, cassini2, fib, golden_bracket_holds, golden_cmp
+from padic_henon.fib import cassini, cassini2, fib, golden_cmp
 
 
 def test_base_values():
@@ -73,8 +73,13 @@ def test_golden_cmp_consecutive_fibonacci():
 
 
 def test_bracketing_chain():
+    # F(2n+1)/F(2n) < F(2n+3)/F(2n+2) < beta < F(2n+4)/F(2n+3) < F(2n+2)/F(2n+1),
+    # the outer two by cross-multiplication and the two around beta by golden_cmp.
     for n in range(41):
-        assert golden_bracket_holds(n)
+        assert fib(2 * n + 1) * fib(2 * n + 2) < fib(2 * n + 3) * fib(2 * n)
+        assert golden_cmp(fib(2 * n + 2), fib(2 * n + 3)) > 0  # beta F(2n+2) > F(2n+3)
+        assert golden_cmp(fib(2 * n + 3), fib(2 * n + 4)) < 0  # beta F(2n+3) < F(2n+4)
+        assert fib(2 * n + 4) * fib(2 * n + 1) < fib(2 * n + 2) * fib(2 * n + 3)
 
 
 def test_fibonacci_brackets_decide_every_profile():

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from padic_henon import gridcheck, regions
 from padic_henon.gridcheck import (
+    MAX_WITNESSES,
     _column_groups,
     _step_pieces,
-    check_all_transitions,
     check_partition,
     check_transition_profiles,
     classifier_agreement,
@@ -79,31 +79,46 @@ def test_partition_exact_medium_window(d, W):
     assert report.exact, (report.uncovered[:3], report.overlaps[:3])
 
 
-def test_partition_reports_holes_and_overlaps(monkeypatch):
+def _break_a1_and_a2(monkeypatch):
     # A1 shrunk to a <= d - 1 leaves the column a = d, b >= 0 uncovered; A2
     # widened to b <= d + 1 overlaps the flat band A5 on b = -1 at d = -2.
     monkeypatch.setitem(regions._SMALL_TABLE, ("A", 1), [[(1, 0, 1, -1, "<="), (0, 1, 0, 0, ">=")]])
     monkeypatch.setitem(regions._SMALL_TABLE, ("A", 2), [[(1, 0, 0, 0, ">="), (0, 1, 1, 1, "<=")]])
+
+
+def test_partition_reports_holes_and_overlaps(monkeypatch):
+    _break_a1_and_a2(monkeypatch)
     report = check_partition(-2, 5)
     assert not report.exact
     assert report.uncovered == [{"a": -2, "b": b, "labels": []} for b in range(6)]
     assert report.overlaps == [{"a": a, "b": -1, "labels": ["A2", "A5"]} for a in range(6)]
-    capped = check_partition(-2, 5, max_witnesses=3)
-    assert capped.uncovered == report.uncovered[:3] and capped.overlaps == report.overlaps[:3]
     # The agreement walk needs an exact tiling and says so before it classifies.
     with pytest.raises(AssertionError, match=r"does not tile the window at d=-2: uncovered \[\{'a': -2, 'b': 0"):
         classifier_agreement(-2, 5)
 
 
-@pytest.mark.parametrize("cap", [0, -4])
-def test_partition_needs_room_for_one_witness(monkeypatch, cap):
-    # With SMALL Z emptied the window has a hole at (0, 0); a cap below 1
-    # would list none and report the window exact.
-    monkeypatch.setitem(regions._SMALL_TABLE, ("Z", None), [])
-    report = check_partition(-1, 4)
-    assert not report.exact and report.uncovered == [{"a": 0, "b": 0, "labels": []}]
-    with pytest.raises(ValueError, match=f"max_witnesses must be >= 1, got {cap}"):
-        check_partition(-1, 4, max_witnesses=cap)
+def test_partition_lists_at_most_ten_witnesses(monkeypatch):
+    # At window 12 the same edit leaves 13 holes and 13 overlaps; the report
+    # lists the first 10 of each, in scan order, and is still not exact.
+    _break_a1_and_a2(monkeypatch)
+    report = check_partition(-2, 12)
+    assert MAX_WITNESSES == 10 and not report.exact
+    assert report.uncovered == [{"a": -2, "b": b, "labels": []} for b in range(10)]
+    assert report.overlaps == [{"a": a, "b": -1, "labels": ["A2", "A5"]} for a in range(10)]
+
+
+@pytest.mark.parametrize("d", [-1, 0, -4])
+def test_partition_needs_room_for_one_witness(monkeypatch, d):
+    # With the region that holds (0, 0) emptied the window has a hole there,
+    # and the report lists it: a report with no witness would read exact.
+    # At d < 0 that region is SMALL Z, and (0, 0) is its one cell.
+    label = regions.classify((0, 0), d)
+    monkeypatch.setitem(regions._TABLES[label.regime], (label.name, label.index), [])
+    report = check_partition(d, 4)
+    hole = {"a": 0, "b": 0, "labels": []}
+    assert not report.exact and hole in report.uncovered
+    if d < 0:
+        assert label.name == "Z" and report.uncovered == [hole]
 
 
 # The six d of the window-1000 benchmark, d = -2 and d = 5.
@@ -149,14 +164,10 @@ def test_agreement_sample_needs_an_rng():
 
 # Each window entry point, called with a window, and what it must report at
 # window 0: the one cell (0, 0).  A negative window used to pass with phantom
-# cells: 1 cell and exact, 1 agreeing cell, 15 ok checks with no profile.
+# cells: 1 cell and exact, 1 agreeing cell, ok transition checks with no profile.
 _WINDOW_ENTRY_POINTS = {
     "check_partition": (lambda w: check_partition(-3, w), lambda r: r.cells == 1 and r.exact),
     "classifier_agreement": (lambda w: classifier_agreement(-3, w), lambda r: r == 1),
-    "check_all_transitions": (
-        lambda w: check_all_transitions(-3, w, cancel_depth=0),
-        lambda r: sum(c.profiles_checked for c in r) == 1 and all(c.ok for c in r),
-    ),
     "check_transition_profiles": (
         lambda w: check_transition_profiles(RegionLabel(Regime.SMALL, "Z"), -3, w),
         lambda r: r.profiles_checked == r.outcomes_checked == 1 and r.ok,
@@ -196,9 +207,9 @@ def test_all_transitions_hold_except_known_corner():
     expected_bad = {(2, "T1")}
     seen_bad = set()
     for d in (-3, -1, 0, 1, 2, 3):
-        for check in check_all_transitions(d, 60):
-            if not check.ok:
-                seen_bad.add((d, str(check.source)))
+        for source in transition_sources(regime_of_d(d), d, 60):
+            if not check_transition_profiles(source, d, 60).ok:
+                seen_bad.add((d, str(source)))
     assert seen_bad == expected_bad
 
 
@@ -502,7 +513,8 @@ def test_window_1000_transitions_cut_less_than_one_group_per_e(monkeypatch):
     # make 74,792 with the column judged with e free and runs subtracted.
     calls = _count_cuts(monkeypatch)
     for d in (-3, -1, 0, 1, 2, 3):
-        check_all_transitions(d, 1000, include_t=False, cancel_depth=1000)
+        for source in transition_sources(regime_of_d(d), d, 1000, include_t=False):
+            check_transition_profiles(source, d, 1000, cancel_depth=1000)
     assert len(calls) == 74_792
 
 

@@ -535,6 +535,14 @@ def test_a_field_the_kind_does_not_read_is_rejected(kind, key):
         ({"digit_count": 0}, "digit_count must be at least 1 and at most 500000 at p = 3"),
         ({"digit_count": 500_001}, "digit_count must be at least 1 and at most 500000 at p = 3"),
         ({"samples": 100_001}, "samples must be at least 1 and at most 100000"),
+        # A target from another regime was judged like any other: the first
+        # ran with 77 failing outcomes, the second passed.
+        ({"kind": "exhaustive", "c": "9/1", "window": 6, "source": {"regime": "small", "name": "A", "index": 1},
+          "expected": [{"regime": "large", "name": "G", "index": None}]},
+         "target G is large, but c = 9/1 is in regime small"),
+        ({"c": "9/1", "source": {"regime": "small", "name": "A", "index": 1},
+          "expected": [{"regime": "small", "name": "A", "index": 2}, {"regime": "unit", "name": "M", "index": 3}]},
+         "target M3 is unit, but c = 9/1 is in regime small"),
     ],
 )
 def test_load_campaign_rejects_malformed_spec(tmp_path, fields, message):
