@@ -28,10 +28,9 @@ _HOMES = {
     **dict.fromkeys(["fib", "cassini", "cassini2", "golden_cmp"], "fib"),
     **dict.fromkeys(["Regime", "RegionLabel", "EmptyRegionError", "classify",
                      "expected_preimage_regions", "sample_in_region"], "regions"),
-    **dict.fromkeys(["MapParams", "OrbitRecord", "UndefinedInverseError", "BitBudgetError",
-                     "forward", "inverse", "backward_orbit", "backward_profile_orbit",
-                     "forward_orbit", "fixed_points", "exact_fixed_points", "three_cycle"],
-                    "dynamics"),
+    **dict.fromkeys(["OrbitRecord", "UndefinedInverseError", "BitBudgetError", "forward",
+                     "inverse", "backward_orbit", "backward_profile_orbit", "forward_orbit",
+                     "fixed_points", "exact_fixed_points", "three_cycle"], "dynamics"),
 }
 
 __all__ = [*_HOMES, "__version__"]

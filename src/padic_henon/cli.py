@@ -121,13 +121,11 @@ def main():
               show_default=True)
 def orbit(prime, c, x, y, steps, direction, escape_exp, bit_budget):
     """Run an orbit and print its JSON trace; exit 0 on any verdict."""
-    from .dynamics import MapParams, backward_orbit, forward_orbit
+    from .dynamics import backward_orbit, forward_orbit
 
-    params = MapParams(_given(c))
-    pt = Point(x, y)
     runner = backward_orbit if direction == "backward" else forward_orbit
-    rec = runner(pt, params, steps, escape_exponent=escape_exp, bit_budget=bit_budget)
-    _print_json(rec.to_json(params.d))
+    rec = runner(Point(x, y), _given(c), steps, escape_exponent=escape_exp, bit_budget=bit_budget)
+    _print_json(rec.to_json(c.norm_exponent))
 
 
 @main.command()
@@ -269,6 +267,8 @@ def measure(prime, c, tn, k, n, region, window):
     from .measure import fraction_text, measure_report, tn_rows
     from .regions import regime_of_d, t_profile
 
+    if tn and (region is not None or c is not None):
+        raise click.UsageError("--tn takes neither --region nor --c: give --tn, or both --region and --c")
     if tn:
         if n > 64 or sum(t_profile(n, k)) * prime.bit_length() > TN_MAX_BITS:
             raise click.UsageError(f"p^((k-1)F(n+2)) passes {TN_MAX_BITS} bits; lower --n or --k")
@@ -300,7 +300,7 @@ def measure(prime, c, tn, k, n, region, window):
 @click.option("--precision", type=click.IntRange(min=1), default=20, show_default=True)
 def fixed_points_cmd(prime, c, precision):
     """Fixed points (digit expansions, exact rationals when they exist) and the 3-cycle."""
-    from .dynamics import MapParams, exact_fixed_points, fixed_points, three_cycle
+    from .dynamics import exact_fixed_points, fixed_points, three_cycle
 
     if _given(c).is_zero:
         raise click.UsageError("c = 0 is degenerate: 1 - q cancels at every precision")
@@ -309,15 +309,14 @@ def fixed_points_cmd(prime, c, precision):
             f"{precision} digits at p = {prime} are {precision * prime.bit_length()} bits; "
             f"at most {PRECISION_MAX_BITS} bits ({PRECISION_MAX_BITS // prime.bit_length()} digits)",
             param_hint="'--precision'")
-    params = MapParams(c)
     try:
-        pts = fixed_points(params, precision)
+        pts = fixed_points(c, precision)
     except PrecisionExhaustedError as exc:
         raise click.UsageError(
             f"fixed points not certified at --precision {precision}: {exc}"
         ) from None
-    exact = exact_fixed_points(params)
-    cycle = three_cycle(params)
+    exact = exact_fixed_points(c)
+    cycle = three_cycle(c)
     report = {
         "count": len(pts),
         "fixed_points": [{"x": a.to_json(), "y": b.to_json()} for a, b in pts],

@@ -36,7 +36,6 @@ from .padics import (
 from .regions import classify
 
 __all__ = [
-    "MapParams",
     "UndefinedInverseError",
     "BitBudgetError",
     "Verdict",
@@ -64,39 +63,23 @@ class BitBudgetError(RuntimeError):
     """Coordinate sizes exceeded the configured bit budget."""
 
 
-@dataclass(frozen=True)
-class MapParams:
-    """The parameter c, with its prime and d = log_p|c|."""
-
-    c: PadicRational
-
-    @property
-    def prime(self) -> int:
-        return self.c.prime
-
-    @property
-    def d(self):
-        """log_p|c|, or None for the degenerate c = 0."""
-        return self.c.norm_exponent
-
-
 def _check_budget(pt: Point, bit_budget) -> None:
     if bit_budget is not None and pt.bit_size() > bit_budget:
         raise BitBudgetError(f"point size {pt.bit_size()} bits exceeds budget {bit_budget}")
 
 
-def forward(pt: Point, params: MapParams, bit_budget=DEFAULT_BIT_BUDGET) -> Point:
+def forward(pt: Point, c: PadicRational, bit_budget=DEFAULT_BIT_BUDGET) -> Point:
     """f(x, y) = (xy + c, x), exactly."""
-    image = Point(pt.x * pt.y + params.c, pt.x)
+    image = Point(pt.x * pt.y + c, pt.x)
     _check_budget(image, bit_budget)
     return image
 
 
-def inverse(pt: Point, params: MapParams, bit_budget=DEFAULT_BIT_BUDGET) -> Point:
+def inverse(pt: Point, c: PadicRational, bit_budget=DEFAULT_BIT_BUDGET) -> Point:
     """f^(-1)(x, y) = (y, (x - c)/y), exactly; raises UndefinedInverseError if y = 0."""
     if pt.y.is_zero:
         raise UndefinedInverseError("inverse undefined: y = 0")
-    image = Point(pt.y, (pt.x - params.c) / pt.y)
+    image = Point(pt.y, (pt.x - c) / pt.y)
     _check_budget(image, bit_budget)
     return image
 
@@ -188,18 +171,18 @@ def _trace(record: OrbitRecord, profiles, max_steps: int, escape_exponent):
     return record
 
 
-def _exact_profiles(pt: Point, params: MapParams, step_fn, bit_budget, keep):
+def _exact_profiles(pt: Point, c: PadicRational, step_fn, bit_budget, keep):
     """The exact engine: the profiles of pt and of its images under step_fn,
     each state handed to `keep` before its profile is yielded."""
     while True:
         keep(pt)
         yield pt.profile()
-        pt = step_fn(pt, params, bit_budget)
+        pt = step_fn(pt, c, bit_budget)
 
 
 def backward_orbit(
     pt: Point,
-    params: MapParams,
+    c: PadicRational,
     max_steps: int,
     escape_exponent=None,
     bit_budget=DEFAULT_BIT_BUDGET,
@@ -211,26 +194,26 @@ def backward_orbit(
     was reached; the maximum observed exponent is attached as evidence.
     """
     record = OrbitRecord("backward", steps=[])
-    profiles = _exact_profiles(pt, params, inverse, bit_budget, record.steps.append)
+    profiles = _exact_profiles(pt, c, inverse, bit_budget, record.steps.append)
     return _trace(record, profiles, max_steps, escape_exponent)
 
 
 def forward_orbit(
     pt: Point,
-    params: MapParams,
+    c: PadicRational,
     max_steps: int,
     escape_exponent=None,
     bit_budget=DEFAULT_BIT_BUDGET,
 ) -> OrbitRecord:
     """Forward iteration utility."""
     record = OrbitRecord("forward", steps=[])
-    profiles = _exact_profiles(pt, params, forward, bit_budget, record.steps.append)
+    profiles = _exact_profiles(pt, c, forward, bit_budget, record.steps.append)
     return _trace(record, profiles, max_steps, escape_exponent)
 
 
-def default_escape_exponent(params: MapParams) -> int:
+def default_escape_exponent(c: PadicRational) -> int:
     """Default escape threshold: 8 for |c| <= 1, widened by the regime scale above."""
-    d = params.d
+    d = c.norm_exponent
     if d is None or d <= 0:
         return 8
     return 8 * d * fib(12)
@@ -254,7 +237,7 @@ def default_escape_exponent(params: MapParams) -> int:
 START_PRECISION = 16
 
 
-def _residue_profiles(pt: Point, params: MapParams, digits: int):
+def _residue_profiles(pt: Point, c: PadicRational, digits: int):
     """The certified engine: the profiles of (x, y), taken as residues of
     `digits` digits, and of their backward images; None marks an exact 0.
 
@@ -263,9 +246,7 @@ def _residue_profiles(pt: Point, params: MapParams, digits: int):
     steps; a step on a = d first replays them and then takes the cancellation
     step, so every step that can exhaust the window runs at the digits and in
     the order of an engine that steps the residues every time."""
-    p = params.prime
-    c = _split(params.c)
-    d = None if c is None else -c[0]
+    p, d, split = c.prime, c.norm_exponent, _split(c)
     x, y = _residue(pt.x, digits), _residue(pt.y, digits)
     a, b = None if x is None else -x[0], None if y is None else -y[0]
     lag = 0
@@ -275,7 +256,7 @@ def _residue_profiles(pt: Point, params: MapParams, digits: int):
             raise UndefinedInverseError("inverse undefined: y = 0")
         if a == d and a is not None:
             for _ in range(lag + 1):
-                x, y = y, _inverse_y(x, y, c, p)
+                x, y = y, _inverse_y(x, y, split, p)
             lag = 0
             a, b = b, None if y is None else -y[0]
         else:
@@ -286,7 +267,7 @@ def _residue_profiles(pt: Point, params: MapParams, digits: int):
 
 def backward_profile_orbit(
     pt: Point,
-    params: MapParams,
+    c: PadicRational,
     max_steps: int,
     precision: int = 256,
     escape_exponent=None,
@@ -301,7 +282,7 @@ def backward_profile_orbit(
     """
     digits = min(START_PRECISION, precision)
     while True:
-        profiles = _residue_profiles(pt, params, digits)
+        profiles = _residue_profiles(pt, c, digits)
         try:
             return _trace(OrbitRecord("backward", precision=digits), profiles, max_steps,
                           escape_exponent)
@@ -316,14 +297,13 @@ def backward_profile_orbit(
 # ---------------------------------------------------------------------------
 
 
-def exact_fixed_points(params: MapParams):
+def exact_fixed_points(c: PadicRational):
     """Fixed points (a, a) with a^2 - a + c = 0, when computable in Q.
 
     Returns a list of Points ([] when 1 - 4c is not a square in Q_p at all),
     or None when fixed points exist in Q_p but are irrational over Q.
     """
-    c = params.c
-    p = params.prime
+    p = c.prime
     disc = 1 - 4 * c  # 1 - 4c = (2a - 1)^2
     if disc.is_zero:
         half = PadicRational(1, 2, p)
@@ -339,7 +319,7 @@ def exact_fixed_points(params: MapParams):
     return [Point(x, x) for x in roots]
 
 
-def fixed_points(params: MapParams, precision: int):
+def fixed_points(c: PadicRational, precision: int):
     """Zero, one or two fixed points, with coordinates as digit expansions.
 
     The two-root case takes the Hensel square root q of 1 - 4c as a residue
@@ -349,8 +329,7 @@ def fixed_points(params: MapParams, precision: int):
     1 - q is certified by the same rule, and one that consumes every digit
     raises PrecisionExhaustedError.
     """
-    c = params.c
-    p = params.prime
+    p = c.prime
     disc = 1 - 4 * c
     if disc.is_zero:
         half = PadicRational(1, 2, p).expand(precision)
@@ -366,12 +345,11 @@ def fixed_points(params: MapParams, precision: int):
     return roots
 
 
-def three_cycle(params: MapParams):
+def three_cycle(c: PadicRational):
     """The exact 3-cycle through (-1, -1): ((-1,-1), (1+c,-1), (-1,1+c))."""
-    p = params.prime
-    minus_one = PadicRational(-1, 1, p)
+    minus_one = PadicRational(-1, 1, c.prime)
     rho = Point(minus_one, minus_one)
-    one_plus_c = params.c + 1
+    one_plus_c = c + 1
     return (rho, Point(one_plus_c, minus_one), Point(minus_one, one_plus_c))
 
 

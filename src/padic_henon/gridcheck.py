@@ -70,7 +70,7 @@ def _check_window(window: int) -> None:
 def _window_rows(d: int, window: int):
     """(labels, rows) with rows[a + window] the (lo, hi, label) intervals of
     every label's ``region_rows`` in row a, sorted by lo."""
-    labels = list(iter_region_labels(regime_of_d(d), d, window))
+    labels = list(iter_region_labels(d, window))
     rows = [[] for _ in range(2 * window + 1)]
     for label in labels:
         for a, lo, hi in region_rows(label, d, window):
@@ -356,8 +356,11 @@ def check_transition_profiles(
 
 
 def transition_sources(regime: Regime, d: int, window: int, include_t: bool = True):
-    """All labels in the window that carry a depth-1 transition claim."""
-    for label in iter_region_labels(regime, d, window, include_t=include_t):
+    """All labels in the window that carry a depth-1 transition claim.  `regime`
+    restates the regime of d, and one that differs raises ValueError."""
+    if regime is not regime_of_d(d):
+        raise ValueError(f"d={d} is not in regime {regime.value}")
+    for label in iter_region_labels(d, window, include_t=include_t):
         try:
             expected_preimage_regions(label, depth=1)
         except KeyError:

@@ -317,7 +317,7 @@ def classify(profile, d: int) -> RegionLabel:
     yields the distinguished OutsideQ label; a = None (x = 0) is treated as
     a = -infinity, for which min(d, 0) - 1 stands in: the tree compares such
     an a only with d and 0.  d = log_p|c| must be an integer, so c = 0 has no
-    regime partition (construct MapParams with nonzero c for classification).
+    regime partition.
     """
     a, b = profile
     if b is None:
@@ -451,15 +451,16 @@ def _classify_large(a: int, b: int, d: int) -> RegionLabel:
 # ---------------------------------------------------------------------------
 
 
-def iter_region_labels(regime: Regime, d: int, window: int, include_t: bool = False):
+def iter_region_labels(d: int, window: int, include_t: bool = False):
     """All region labels that can meet the window |a|, |b| <= window: the
-    regime's table, then its indexed families.
+    table of the regime of d, then its indexed families.
 
     A family is enumerated until Fibonacci growth pushes it past the window;
     one extra (possibly empty) index is included for safety.  The overlay
     family T is enumerated only on request, and only for d >= 2.  The labels
     are the shared instances that ``classify`` returns.
     """
+    regime = regime_of_d(d)
     yield from (_label(regime, name, i) for name, i in _TABLES[regime])
     for name, i in _FAMILIES[regime].items():
         if name == "T" and not (include_t and d >= 2):
@@ -579,7 +580,10 @@ def region_rows(label: RegionLabel, d: int, window: int):
     row's Beatty bound ``_golden_row``; a branch without either gives whole
     rows.  A row is the union of its branches' intervals of b, merged where
     they overlap or touch, so two intervals of one row are at least two apart.
+    A label from a regime other than that of d raises ValueError.
     """
+    if regime_of_d(d) is not label.regime:
+        raise ValueError(f"d={d} is not in regime {label.regime.value}")
     rows = []
     branches = region_branches(label)
     for branch in branches:
@@ -657,8 +661,6 @@ def region_sampler(
     if digit_count < 1:
         raise ValueError("digit_count must be >= 1")
     validate_odd_prime(p)
-    if regime_of_d(d) is not label.regime:
-        raise ValueError(f"d={d} is not in regime {label.regime.value}")
     profiles = region_profiles(label, d, window)
     if not profiles:
         raise EmptyRegionError(f"region {label} has no profile with window {window} (d={d})")

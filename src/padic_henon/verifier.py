@@ -19,7 +19,6 @@ from importlib import resources
 
 from .dynamics import (
     BitBudgetError,
-    MapParams,
     PrecisionExhaustedError,
     UndefinedInverseError,
     backward_orbit,
@@ -126,10 +125,11 @@ class LemmaSpec:
         ("transition", "exhaustive"), None, load=_targets, omit_none=True,
         dump=lambda targets: sorted((t.to_json() for t in targets), key=str))
 
-    def params(self) -> MapParams:
+    def parsed_c(self) -> PadicRational:
+        """The spec's c as an exact rational at its prime."""
         if self.c is None:
             raise ValueError(f"spec {self.identifier} has no parameter c")
-        return MapParams(parse_rational(self.c, self.p))
+        return parse_rational(self.c, self.p)
 
     @classmethod
     def from_json(cls, obj: dict) -> "LemmaSpec":
@@ -179,18 +179,18 @@ class LemmaSpec:
                 names = ", ".join(kinds[:-1]) + " and " + kinds[-1] if len(kinds) > 1 else kinds[0]
                 raise CampaignError(f"{key} applies only to {names} specs, not {kind!r}")
         # A start above the threshold would count as escaped before any step.
-        if kind in ("escape", "sandwich") and (top := _threshold(spec, spec.params())) < spec.window:
+        if kind in ("escape", "sandwich") and (top := _threshold(spec, spec.parsed_c())) < spec.window:
             raise CampaignError(f"escape threshold {top} is below the window {spec.window}")
         return spec
 
     def _check_regions(self) -> None:
         """c is a nonzero rational, and the source and the claim fit its regime."""
+        if not isinstance(self.c, str):
+            raise CampaignError(f'"c" must be a "num/den" string, got {self.c!r}')
         try:
-            c = parse_rational(self.c, self.p) if isinstance(self.c, str) else None
+            c = self.parsed_c()
         except (ValueError, ZeroDivisionError) as exc:
             raise CampaignError(f"bad c {self.c!r}: {exc}") from None
-        if c is None:
-            raise CampaignError(f'"c" must be a "num/den" string, got {self.c!r}')
         if c.is_zero:
             raise CampaignError("c = 0 is degenerate: no region partition exists")
         regime = regime_of_d(c.norm_exponent)
@@ -313,8 +313,8 @@ def _judge_samples(report, spec, label, d, samples, judge, empty_note="empty reg
 def _judge_transition(spec: LemmaSpec, report: VerificationReport) -> None:
     """Sample exact points in the source region and check where one (or two)
     backward steps land.  Failures carry the exact starting point."""
-    params = spec.params()
-    d = params.d
+    c = spec.parsed_c()
+    d = c.norm_exponent
     targets = _expected_targets(spec)
     branches = [branch for target in targets for branch in region_branches(target)]
 
@@ -322,7 +322,7 @@ def _judge_transition(spec: LemmaSpec, report: VerificationReport) -> None:
         current = pt
         try:
             for _step in range(spec.depth):
-                current = inverse(current, params)
+                current = inverse(current, c)
         except UndefinedInverseError:
             pass  # `current` has y = 0, so its b_img is None below
         except BitBudgetError:
@@ -348,12 +348,11 @@ def _judge_transition(spec: LemmaSpec, report: VerificationReport) -> None:
 
 def _judge_exhaustive(spec: LemmaSpec, report: VerificationReport) -> None:
     """Window-exhaustive profile-level form of the same claim (see gridcheck)."""
-    params = spec.params()
     targets = _expected_targets(spec)
     from . import gridcheck  # deferred: importing it adds milliseconds to every CLI start
 
     check = gridcheck.check_transition_profiles(
-        spec.source, params.d, spec.window, depth=spec.depth, targets=targets
+        spec.source, spec.parsed_c().norm_exponent, spec.window, depth=spec.depth, targets=targets
     )
     report.passes = check.outcomes_checked - check.failed_outcomes
     for ce in check.counterexamples:
@@ -406,23 +405,23 @@ def _growth_violation(bound, profiles, b0: int, d: int) -> int | None:
     return None
 
 
-def _certified_or_exact(pt, params, steps, precision, threshold):
+def _certified_or_exact(pt, c, steps, precision, threshold):
     """The backward orbit of pt on the certified engine, capped at `precision`
     digits.  If the cap is exhausted, the exact engine's orbit with the same
     horizon and threshold and the default bit budget instead."""
     try:
         return backward_profile_orbit(
-            pt, params, steps, precision=precision, escape_exponent=threshold
+            pt, c, steps, precision=precision, escape_exponent=threshold
         )
     except PrecisionExhaustedError:
-        return backward_orbit(pt, params, steps, escape_exponent=threshold)
+        return backward_orbit(pt, c, steps, escape_exponent=threshold)
 
 
-def _threshold(spec: LemmaSpec, params: MapParams) -> int:
-    return default_escape_exponent(params) if spec.escape_exponent is None else spec.escape_exponent
+def _threshold(spec: LemmaSpec, c: PadicRational) -> int:
+    return default_escape_exponent(c) if spec.escape_exponent is None else spec.escape_exponent
 
 
-def _judge_escaping(report, spec, params, label, samples, prefix=""):
+def _judge_escaping(report, spec, c, label, samples, prefix=""):
     """Judge `samples` points of the escaping region `label` by its entry in
     `_ESCAPING`: each backward orbit must cross the spec's threshold within
     its steps, and meet the region's growth law, if any, on the way; a note
@@ -432,23 +431,24 @@ def _judge_escaping(report, spec, params, label, samples, prefix=""):
     if (label.name, label.index) not in claims:
         report.notes.append(f"{prefix}not a paper claim: the paper states no escape from {label}")
     law = claims.get((label.name, label.index))
-    threshold = _threshold(spec, params)
+    threshold = _threshold(spec, c)
+    d = c.norm_exponent
 
     def judge(pt):
-        rec = _certified_or_exact(pt, params, spec.steps, 256, threshold)
+        rec = _certified_or_exact(pt, c, spec.steps, 256, threshold)
         if rec.verdict.kind in _SKIPS:
             return rec.verdict.kind
         if rec.verdict.kind != "escaped":
             why = {"verdict": rec.verdict.to_json()}
         else:
             step = None if law is None else _growth_violation(
-                law[1], rec.profiles, pt.profile()[1], params.d)
+                law[1], rec.profiles, pt.profile()[1], d)
             if step is None:
                 return None
             why = {"growth_check": law[0], "violated_at_step": step}
         return {**why, "profiles": [list(p) for p in rec.profiles]}
 
-    if _judge_samples(report, spec, label, params.d, samples, judge, prefix=prefix) and law:
+    if _judge_samples(report, spec, label, d, samples, judge, prefix=prefix) and law:
         report.notes.append(f"{prefix}every escaped orbit checked against the {law[0]} growth law")
 
 
@@ -460,7 +460,7 @@ def _judge_escape(spec: LemmaSpec, report: VerificationReport) -> None:
     thresholds, while certified valuations remain exact at modular cost.  A
     sample that exhausts 256 digits is judged on the exact engine instead.
     """
-    _judge_escaping(report, spec, spec.params(), spec.source, spec.samples)
+    _judge_escaping(report, spec, spec.parsed_c(), spec.source, spec.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +518,7 @@ def _worked_orbits(p: int) -> list:
     # (2^(n-1), -2^(n-1)) / (-2^(n-1), 2^n) for n >= 1.
     unit = _two_per_n([(-1, 1)],
                       lambda n: [(2 ** (n - 1), -(2 ** (n - 1))), (-(2 ** (n - 1)), 2**n)], 12)
-    rho, f_rho, f2_rho = three_cycle(MapParams(one))
+    rho, f_rho, f2_rho = three_cycle(one)
     cycle = (rho, f2_rho, f_rho)  # backward orbit visits the cycle in reverse
     return [
         # |c| < 1: escape from the corner sphere pair.
@@ -552,11 +552,10 @@ def _judge_worked_orbits(spec: LemmaSpec, report: VerificationReport) -> None:
     a completed orbit that meets its closed form passes; any other fails with
     its verdict and the mismatch, and an orbit that left the domain says so."""
     for ident, c, start, steps, digits, expect, note in _worked_orbits(spec.p):
-        params = MapParams(c)
         if digits is None:
-            rec = backward_orbit(start, params, steps, escape_exponent=None)
+            rec = backward_orbit(start, c, steps, escape_exponent=None)
         else:
-            rec = _certified_or_exact(start, params, steps, digits, None)
+            rec = _certified_or_exact(start, c, steps, digits, None)
         mismatch = expect(rec) if rec.verdict.kind == "completed" else {}
         if mismatch is None:
             report.passes += 1
@@ -586,8 +585,8 @@ def _judge_sandwich(spec: LemmaSpec, report: VerificationReport) -> None:
     Staying bounded for N steps is evidence, not proof, for individual
     points; the invariance of the region is the assertable claim.
     """
-    params = spec.params()
-    d = params.d
+    c = spec.parsed_c()
+    d = c.norm_exponent
     regime = regime_of_d(d)
 
     if regime in _INVARIANT:
@@ -603,7 +602,7 @@ def _judge_sandwich(spec: LemmaSpec, report: VerificationReport) -> None:
             report.failures.append({"invariance": str(invariant), "counterexamples": cert.failed_outcomes})
 
         def stays(pt):
-            rec = _certified_or_exact(pt, params, spec.steps, 6 * spec.steps + 64, None)
+            rec = _certified_or_exact(pt, c, spec.steps, 6 * spec.steps + 64, None)
             if rec.verdict.kind in _SKIPS:
                 return rec.verdict.kind
             if all(classify(prof, d) == invariant for prof in rec.profiles):
@@ -620,7 +619,7 @@ def _judge_sandwich(spec: LemmaSpec, report: VerificationReport) -> None:
 
     for name, index in _ESCAPING[regime]:
         label = RegionLabel(regime, name, index)
-        _judge_escaping(report, spec, params, label, max(spec.samples // 4, 25), f"{label}: ")
+        _judge_escaping(report, spec, c, label, max(spec.samples // 4, 25), f"{label}: ")
 
 
 # ---------------------------------------------------------------------------

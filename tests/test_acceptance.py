@@ -25,7 +25,6 @@ from fractions import Fraction
 import pytest
 
 from padic_henon.dynamics import (
-    MapParams,
     PrecisionExhaustedError,
     backward_orbit,
     backward_profile_orbit,
@@ -70,7 +69,7 @@ def lbl(regime, name, index=None):
 
 def test_criterion_01_small_regime_worked_orbit():
     p = 5
-    params = MapParams(pr(p, 1, p))
+    params = pr(p, 1, p)
     start = Point(pr(p + 2 * p**3, 1, p), pr(2 * p, 1, p))
     t0 = time.perf_counter()
     rec = backward_orbit(start, params, 22, escape_exponent=None)
@@ -90,7 +89,7 @@ def test_criterion_01_small_regime_worked_orbit():
 
 def test_criterion_02_boundary_orbit_profiles():
     p = 3
-    params = MapParams(pr(1, p, p))
+    params = pr(1, p, p)
     start = Point(pr(1 + p**3, p, p), pr(1, 1, p))  # x = 1/3 + 9
     rec = backward_orbit(start, params, 12, escape_exponent=None)
     frozen = [(0, -2), (-2, 3), (3, -2), (-2, 5), (5, -4), (-4, 9), (9, -8), (-8, 17)]
@@ -125,7 +124,7 @@ def test_criterion_02_bounded_orbit_50_steps():
     # inverse is undefined at step 6.  The stated bound holds at p = 5.
     p = 3
     c = Fraction(1, p)
-    params = MapParams(pr(1, p, p))
+    params = pr(1, p, p)
     start = Point(pr(1, 1, p), pr(1, 1, p))
 
     hand = [(Fraction(1), Fraction(1))]
@@ -150,7 +149,7 @@ def test_criterion_02_bounded_orbit_50_steps():
     # The stated 50-step bound, at p = 5.
     p = 5
     rec = backward_profile_orbit(
-        Point(pr(1, 1, p), pr(1, 1, p)), MapParams(pr(1, p, p)), 50, precision=400,
+        Point(pr(1, 1, p), pr(1, 1, p)), pr(1, p, p), 50, precision=400,
         escape_exponent=None,
     )
     assert (rec.verdict.kind, rec.verdict.step) == ("completed", 50)
@@ -164,7 +163,7 @@ def test_criterion_02_bounded_orbit_50_steps():
 def test_supplementary_bounded_orbit_at_p5():
     # The generic form of the bounded worked orbit, certified for 50 steps.
     p = 5
-    params = MapParams(pr(1, p, p))
+    params = pr(1, p, p)
     start = Point(pr(1, 1, p), pr(1, 1, p))
     rec = backward_profile_orbit(start, params, 50, precision=400, escape_exponent=None)
     assert rec.verdict.kind == "completed"
@@ -174,7 +173,7 @@ def test_supplementary_bounded_orbit_at_p5():
 def test_supplementary_bounded_orbit_exits_domain_at_p3():
     # Exact arithmetic pins the degeneration: x_{-4} = c, hence y_{-5} = 0.
     p = 3
-    params = MapParams(pr(1, p, p))
+    params = pr(1, p, p)
     rec = backward_orbit(
         Point(pr(1, 1, p), pr(1, 1, p)), params, 50, escape_exponent=None
     )
@@ -188,7 +187,7 @@ def test_supplementary_bounded_orbit_escapes_at_p7():
     # In the domain, norm-bounded for 20 steps, then a deep cancellation drops
     # the orbit into the escaping corner region: boundedness is prime-specific.
     p = 7
-    params = MapParams(pr(1, p, p))
+    params = pr(1, p, p)
     rec = backward_profile_orbit(
         Point(pr(1, 1, p), pr(1, 1, p)), params, 60, precision=400, escape_exponent=100
     )
@@ -206,7 +205,7 @@ def test_supplementary_bounded_orbit_escapes_at_p7():
 
 def test_criterion_03_unit_regime_worked_orbit():
     p = 3
-    params = MapParams(pr(1, 1, p))
+    params = pr(1, 1, p)
     start = Point(pr(-1, 1, p), pr(-p, 1, p))
     rec = backward_orbit(start, params, 8, escape_exponent=None)
     expected = [(-1, 1)]
@@ -219,7 +218,7 @@ def test_criterion_03_unit_regime_worked_orbit():
 
 def test_criterion_03_exact_period_three():
     p = 3
-    params = MapParams(pr(1, 1, p))
+    params = pr(1, 1, p)
     rho = Point(pr(-1, 1, p), pr(-1, 1, p))
     rec = backward_orbit(rho, params, 300, escape_exponent=None)
     assert rec.verdict.kind == "completed"
@@ -233,13 +232,13 @@ def test_criterion_03_exact_period_three():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_criterion_04_fixed_points(p):
-    params = MapParams(pr(p - p * p, 1, p))
+    params = pr(p - p * p, 1, p)
     exact = exact_fixed_points(params)
     assert {pt.x.as_fraction() for pt in exact} == {Fraction(p), Fraction(1 - p)}
     for pt in exact:
         assert forward(pt, params) == pt
     # Hensel square root agrees digitwise with the exact rational root.
-    disc = 1 - 4 * params.c
+    disc = 1 - 4 * params
     vq, r, _, k = sqrt(disc, 20)
     _, root, _, _ = _residue(pr(1 - 2 * p, 1, p), k)  # an integer: its denominator is 1
     assert (vq, k) == (0, 20) and root in (r, -r % p**k)
@@ -251,13 +250,13 @@ def test_criterion_04_fixed_points(p):
         assert sum(alpha == w for w in wanted) == 1
         assert alpha.precision >= 19
 
-    quarter = MapParams(pr(1, 4, p))
+    quarter = pr(1, 4, p)
     single = exact_fixed_points(quarter)
     assert len(single) == 1 and single[0].x.as_fraction() == Fraction(1, 2)
 
     # 1 - 4c a unit non-residue: no fixed points at all.
     nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
-    none_params = MapParams(pr(1 - nonresidue, 4, p))
+    none_params = pr(1 - nonresidue, 4, p)
     assert exact_fixed_points(none_params) == []
     assert fixed_points(none_params, 20) == []
     print(f"criterion 4 PASS at p={p}: pair, single and empty cases, 20 digits")

@@ -116,7 +116,7 @@ def test_orbit_prints_coordinates_past_the_str_digit_limit(runner):
     # Heights grow by about 1.6 per backward step at c = 1/5: from step 23 on
     # a coordinate has more than 4,300 digits, and step 29 outgrows the
     # default bit budget.
-    from padic_henon.dynamics import MapParams, backward_orbit
+    from padic_henon.dynamics import backward_orbit
     from padic_henon.padics import PadicRational, Point
 
     result = runner.invoke(main, [
@@ -126,7 +126,7 @@ def test_orbit_prints_coordinates_past_the_str_digit_limit(runner):
     obj = json.loads(result.stdout)
     assert obj["verdict"] == {"kind": "budget_exceeded", "step": 29, "norm_exponent": None}
     rec = backward_orbit(Point(PadicRational(1, 1, 5), PadicRational(1, 1, 5)),
-                         MapParams(PadicRational(1, 5, 5)), 40)
+                         PadicRational(1, 5, 5), 40)
     assert len(obj["steps"]) == len(rec.steps) == 29
     for step, pt in zip(obj["steps"], rec.steps):
         assert Point(PadicRational.from_json(step["x"]), PadicRational.from_json(step["y"])) == pt
@@ -162,17 +162,17 @@ def test_orbit_stdout_pinned(runner, name):
 
 
 def test_certified_record_json_pinned():
-    from padic_henon.dynamics import MapParams, backward_profile_orbit
+    from padic_henon.dynamics import backward_profile_orbit
     from padic_henon.padics import PadicRational, Point
 
-    params = MapParams(PadicRational(5, 1, 5))
+    params = PadicRational(5, 1, 5)
     start = Point(PadicRational(255, 1, 5), PadicRational(10, 1, 5))
     rec = backward_profile_orbit(start, params, 8)
     rows = [(-1, -1, "R"), (-1, -2, "P6"), (-2, 1, "A1"), (1, -2, "A2"), (-2, 3, "A1"),
             (3, -4, "A2"), (-4, 7, "A1"), (7, -8, "A2"), (-8, 15, "A1")]
     head = {"direction": "backward", "engine": "certified", "precision": 16}
     expected = _pinned_trace(head, rows, ("completed", 8, 15), 5)
-    assert json.dumps(rec.to_json(params.d), indent=1) == expected
+    assert json.dumps(rec.to_json(params.norm_exponent), indent=1) == expected
     unlabelled = [(a, b, None) for a, b, _ in rows]
     assert json.dumps(rec.to_json(), indent=1) == _pinned_trace(head, unlabelled, ("completed", 8, 15), 5)
 
@@ -649,6 +649,12 @@ def test_package_root_names_survive_loaded_submodules():
         padic_henon.nonesuch
 
 
+def test_the_map_is_its_parameter_c():
+    """Every function of the map takes c itself; no wrapper restates it."""
+    with pytest.raises(AttributeError, match="no attribute 'MapParams'"):
+        padic_henon.MapParams
+
+
 def test_verify_seed_and_samples_match_library_run(runner):
     from dataclasses import replace
 
@@ -731,6 +737,17 @@ def test_measure_tn_over_the_size_cap_usage_error(runner, args):
     result = runner.invoke(main, ["measure", "--tn", *args])
     assert result.exit_code == 2 and result.stdout == ""
     assert "lower --n or --k" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--region", "Z", "--c", "3/1"],
+    ["--region", "Z"],
+    ["--c", "3/1"],
+])
+def test_measure_rejects_mixed_modes(runner, args):
+    result = runner.invoke(main, ["measure", "--prime", "3", "--tn", *args, "--n", "1"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "--tn takes neither --region nor --c" in result.output
 
 
 def test_measure_tn_k_below_two_usage_error(runner):

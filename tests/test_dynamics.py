@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from padic_henon import dynamics, padics
 from padic_henon.dynamics import (
     BitBudgetError,
-    MapParams,
     PrecisionExhaustedError,
     UndefinedInverseError,
     Verdict,
@@ -32,49 +31,45 @@ def pr(num, den=1, p=5):
     return PadicRational(num, den, p)
 
 
-def params_for(num, den=1, p=5):
-    return MapParams(pr(num, den, p))
-
-
-# --- map parameters -----------------------------------------------------------
+# --- the map parameter c -----------------------------------------------------------
 
 
 def test_regime_from_c():
-    assert regime_of_d(params_for(5).d) is Regime.SMALL
-    assert regime_of_d(params_for(2).d) is Regime.UNIT
-    assert regime_of_d(params_for(1, 5).d) is Regime.LARGE
+    assert regime_of_d(pr(5).norm_exponent) is Regime.SMALL
+    assert regime_of_d(pr(2).norm_exponent) is Regime.UNIT
+    assert regime_of_d(pr(1, 5).norm_exponent) is Regime.LARGE
 
 
 def test_degenerate_c_zero():
-    prm = params_for(0)
-    assert prm.c.is_zero
-    assert prm.d is None
+    prm = pr(0)
+    assert prm.is_zero
+    assert prm.norm_exponent is None
 
 
 # --- forward / inverse ----------------------------------------------------------
 
 
 def test_forward_of_cycle_point():
-    prm = params_for(7)
+    prm = pr(7)
     img = forward(Point(pr(-1), pr(-1)), prm)
     assert img == Point(pr(8), pr(-1))  # (1 + c, -1)
 
 
 def test_forward_fixed_point():
     p = 5
-    prm = params_for(p - p * p)
+    prm = pr(p - p * p)
     pt = Point(pr(p), pr(p))
     assert forward(pt, prm) == pt
 
 
 def test_forward_of_origin():
-    prm = params_for(3)
+    prm = pr(3)
     assert forward(Point(pr(0), pr(0)), prm) == Point(pr(3), pr(0))
 
 
 def test_inverse_worked_steps():
     p = 5
-    prm = params_for(p)
+    prm = pr(p)
     step1 = inverse(Point(pr(p + 2 * p**3), pr(2 * p)), prm)
     assert step1 == Point(pr(2 * p), pr(p * p))
     step2 = inverse(step1, prm)
@@ -83,19 +78,19 @@ def test_inverse_worked_steps():
 
 def test_inverse_unit_regime_example():
     p = 5
-    prm = params_for(1, 1, p)
+    prm = pr(1, 1, p)
     img = inverse(Point(pr(-1), pr(-p)), prm)
     assert img == Point(pr(-p), pr(2, p))
 
 
 def test_inverse_requires_nonzero_y():
     with pytest.raises(UndefinedInverseError):
-        inverse(Point(pr(1), pr(0)), params_for(1))
+        inverse(Point(pr(1), pr(0)), pr(1))
 
 
 def test_roundtrips():
     rng = random.Random(4)
-    prm = params_for(9, 2, 3)
+    prm = pr(9, 2, 3)
     for _ in range(100):
         x = PadicRational(Fraction(rng.randrange(-50, 51), rng.randrange(1, 30)), 1, 3)
         y = PadicRational(Fraction(rng.randrange(-50, 51), rng.randrange(1, 30)), 1, 3)
@@ -107,7 +102,7 @@ def test_roundtrips():
 
 
 def test_bit_budget_guard():
-    prm = params_for(1, 3, 3)
+    prm = pr(1, 3, 3)
     big = PadicRational(2**2000 + 1, 1, 3)
     with pytest.raises(BitBudgetError):
         forward(Point(big, big), prm, bit_budget=1000)
@@ -117,7 +112,7 @@ def test_bit_budget_guard():
 
 
 def test_backward_orbit_links_coordinates():
-    prm = params_for(5)
+    prm = pr(5)
     rec = backward_orbit(Point(pr(255), pr(10)), prm, 8, escape_exponent=None)
     for prev, curr in zip(rec.steps, rec.steps[1:]):
         assert curr.x == prev.y
@@ -127,9 +122,9 @@ def test_norm_recurrence_matches_abstract_inverse():
     # Along a backward orbit the profile recurrence is exact for a != d, and
     # on the cancellation column a = d the next profile is one of the
     # enumerated outcomes (b, e - b), e <= d.
-    prm = params_for(5)
+    prm = pr(5)
     rec = backward_orbit(Point(pr(255), pr(10)), prm, 10, escape_exponent=None)
-    d = prm.d
+    d = prm.norm_exponent
     cancellations = 0
     for prev, curr in zip(rec.profiles, rec.profiles[1:]):
         a, b = prev
@@ -145,14 +140,14 @@ def test_norm_recurrence_matches_abstract_inverse():
 
 
 def test_escape_verdict():
-    prm = params_for(5)
+    prm = pr(5)
     rec = backward_orbit(Point(pr(255), pr(10)), prm, 40, escape_exponent=30)
     assert rec.verdict.kind == "escaped"
     assert rec.verdict.norm_exponent > 30
 
 
 def test_undefined_inverse_verdict_at_step_one():
-    prm = params_for(5)
+    prm = pr(5)
     rec = backward_orbit(Point(pr(7), pr(0)), prm, 5)
     assert rec.verdict.kind == "undefined_inverse"
     assert rec.verdict.step == 1
@@ -160,14 +155,14 @@ def test_undefined_inverse_verdict_at_step_one():
 
 
 def test_budget_verdict():
-    prm = params_for(1, 5, 5)
+    prm = pr(1, 5, 5)
     one = pr(1)
     rec = backward_orbit(Point(one, one), prm, 50, escape_exponent=None, bit_budget=5000)
     assert rec.verdict.kind == "budget_exceeded"
 
 
 def test_completed_verdict_and_max():
-    prm = params_for(1, 1, 3)
+    prm = pr(1, 1, 3)
     rho = Point(pr(-1, 1, 3), pr(-1, 1, 3))
     rec = backward_orbit(rho, prm, 30, escape_exponent=8)
     assert rec.verdict.kind == "completed"
@@ -175,7 +170,7 @@ def test_completed_verdict_and_max():
 
 
 def test_orbit_serialization_schema():
-    prm = params_for(5)
+    prm = pr(5)
     rec = backward_orbit(Point(pr(255), pr(10)), prm, 4, escape_exponent=None)
     obj = rec.to_json()
     assert obj["direction"] == "backward"
@@ -184,22 +179,22 @@ def test_orbit_serialization_schema():
 
 
 def test_forward_orbit_period_three():
-    prm = params_for(4, 1, 3)
+    prm = pr(4, 1, 3)
     rho = Point(pr(-1, 1, 3), pr(-1, 1, 3))
     rec = forward_orbit(rho, prm, 9, escape_exponent=None)
     assert rec.steps[3] == rho and rec.steps[6] == rho and rec.steps[9] == rho
 
 
 def test_default_escape_exponent():
-    assert default_escape_exponent(params_for(5)) == 8
-    assert default_escape_exponent(params_for(2)) == 8
-    assert default_escape_exponent(params_for(1, 25, 5)) == 8 * 2 * 233
+    assert default_escape_exponent(pr(5)) == 8
+    assert default_escape_exponent(pr(2)) == 8
+    assert default_escape_exponent(pr(1, 25, 5)) == 8 * 2 * 233
 
 
 # --- certified fixed-precision engine ---------------------------------------------
 
 
-def _random_start(rng, prm: MapParams) -> Point:
+def _random_start(rng, prm: PadicRational) -> Point:
     """A rational start.  Half of them are forward images f^j(q), j < 5, of a
     point q with x within p^e of c: the backward orbit reaches q after j steps,
     by then on reduced residues, and its next step cancels about e digits."""
@@ -211,7 +206,7 @@ def _random_start(rng, prm: MapParams) -> Point:
 
     pt = Point(rational(), rational())
     if rng.randrange(2):
-        near_c = prm.c + rng.randrange(1, 50) * p ** rng.randrange(1, 200)
+        near_c = prm + rng.randrange(1, 50) * p ** rng.randrange(1, 200)
         pt = Point(near_c, pt.y)
         for _ in range(rng.randrange(5)):
             pt = forward(pt, prm)
@@ -226,7 +221,7 @@ def test_profile_orbit_matches_exact_engine():
     rng = random.Random(8)
     compared = escalated = 0
     for c_num, c_den, p in ((5, 1, 5), (1, 3, 3), (2, 1, 3), (1, 9, 3), (1, 81, 3)):
-        prm = MapParams(PadicRational(c_num, c_den, p))
+        prm = PadicRational(c_num, c_den, p)
         for _ in range(40):
             pt = _random_start(rng, prm)
             if pt.x.is_zero or pt.y.is_zero:
@@ -245,7 +240,7 @@ def test_profile_orbit_matches_exact_engine():
 
 def test_profile_orbit_escalates_precision():
     # x - c = 3^20 at valuation -1: the first step cancels 21 digits.
-    prm = params_for(1, 3, 3)
+    prm = pr(1, 3, 3)
     pt = Point(pr(1, 3, 3) + pr(3**20, 1, 3), pr(1, 1, 3))
     with pytest.raises(PrecisionExhaustedError):
         backward_profile_orbit(pt, prm, 10, precision=16, escape_exponent=None)
@@ -261,7 +256,7 @@ def test_profile_orbit_escalates_precision():
 
 
 def test_profile_orbit_escape_threshold():
-    prm = params_for(1, 3, 3)
+    prm = pr(1, 3, 3)
     pt = Point(pr(1 + 27, 3, 3), pr(1, 1, 3))
     rec = backward_profile_orbit(pt, prm, 60, escape_exponent=100)
     assert rec.verdict.kind == "escaped"
@@ -269,7 +264,7 @@ def test_profile_orbit_escape_threshold():
 
 def test_profile_orbit_refuses_uncertifiable_cancellation():
     # x = c exactly: the subtraction cancels below any finite window.
-    prm = params_for(1, 3, 3)
+    prm = pr(1, 3, 3)
     pt = Point(pr(1, 3, 3), pr(1, 1, 3))
     with pytest.raises(PrecisionExhaustedError):
         backward_profile_orbit(pt, prm, 5, precision=50)
@@ -281,13 +276,13 @@ def test_profile_orbit_needs_one_digit(precision):
     pt = Point(pr(3), pr(7))
     for c in (0, 5):
         with pytest.raises(ValueError, match="precision must be >= 1"):
-            backward_profile_orbit(pt, params_for(c), 5, precision=precision)
+            backward_profile_orbit(pt, pr(c), 5, precision=precision)
     with pytest.raises(ValueError, match="precision must be >= 1"):
         pr(3).expand(precision)
 
 
 def test_profile_orbit_undefined_inverse():
-    prm = params_for(1, 3, 3)
+    prm = pr(1, 3, 3)
     pt = Point(pr(5, 1, 3), pr(0, 1, 3))
     rec = backward_profile_orbit(pt, prm, 5)
     assert rec.verdict.kind == "undefined_inverse"
@@ -295,7 +290,7 @@ def test_profile_orbit_undefined_inverse():
 
 def test_profile_orbit_degenerate_c_at_zero_x():
     # c = 0 and x = 0: the next y is exactly 0, then the inverse is undefined.
-    prm = params_for(0)
+    prm = pr(0)
     pt = Point(pr(0), pr(5))
     rec = backward_profile_orbit(pt, prm, 5)
     exact = backward_orbit(pt, prm, 5)
@@ -307,7 +302,7 @@ def _eager_orbit(pt, prm, max_steps, precision, escape_exponent, step=padics._in
     """The reference for the certified engine: a residue step (x - c)/y by
     `step` after every profile, off the column a = d as on it, from
     START_PRECISION digits doubled up to `precision`."""
-    p, c = prm.prime, padics._split(prm.c)
+    p, c = prm.prime, padics._split(prm)
 
     def profiles(digits):
         x, y = padics._residue(pt.x, digits), padics._residue(pt.y, digits)
@@ -338,21 +333,21 @@ def _outcome(run, *args):
     return rec.profiles, rec.precision, rec.verdict
 
 
-def _start(prm: MapParams, shape: str, y: PadicRational, e: int, j: int) -> Point:
+def _start(prm: PadicRational, shape: str, y: PadicRational, e: int, j: int) -> Point:
     """A start of the given shape, for y != 0: "on column", x = c + p^(e - d),
     so |x| = |c| and the first step cancels e digits; "x = 0"; "y = 0"; "hits c",
     f^j(c, y), whose orbit reaches x = c exactly after j steps, a cancellation
     that no window certifies; or "any", the point (y, y + 1)."""
-    p, d = prm.prime, prm.d or 0
+    p, d = prm.prime, prm.norm_exponent or 0
     zero = PadicRational(0, 1, p)
     if shape == "on column":
-        return Point(prm.c + PadicRational(p ** max(e - d, 0), p ** max(d - e, 0), p), y)
+        return Point(prm + PadicRational(p ** max(e - d, 0), p ** max(d - e, 0), p), y)
     if shape == "x = 0":
         return Point(zero, y)
     if shape == "y = 0":
         return Point(y, zero)
     if shape == "hits c":
-        pt = Point(prm.c, y)
+        pt = Point(prm, y)
         for _ in range(j):
             pt = forward(pt, prm)
         return pt
@@ -371,7 +366,7 @@ def test_profile_orbit_equals_the_eager_reference():
     seen = set()
     for p in (3, 5, 7):
         for num, den in ((p, 1), (2, 1), (1, p), (1, p**3), (0, 1)):
-            prm = params_for(num, den, p)
+            prm = pr(num, den, p)
             threshold = default_escape_exponent(prm)
             for shape in _SHAPES:
                 for e, j in ((3, 0), (20, 1), (70, 2), (300, 3)):
@@ -398,7 +393,7 @@ def test_profile_orbit_equals_the_eager_reference():
 def test_profile_orbit_equals_the_eager_reference_on_random_orbits(p, d, u, shape, y_num, vy,
                                                                     e, j, steps, cap, escape):
     assume(u % p)
-    prm = params_for(0, 1, p) if d is None else params_for(u * p ** max(-d, 0), p ** max(d, 0), p)
+    prm = pr(0, 1, p) if d is None else pr(u * p ** max(-d, 0), p ** max(d, 0), p)
     y = pr(y_num * p ** max(vy, 0), p ** max(-vy, 0), p)
     args = (_start(prm, shape, y, e, j), prm, steps, cap,
             default_escape_exponent(prm) if escape else None)
@@ -424,8 +419,8 @@ def test_capped_subtraction_gives_the_uncapped_orbits_at_large_d():
     only the digits of y, yet every record of the eager reference equals the
     one from a loop whose subtraction keeps all of its digits, escalations and
     exhaustion included, and the engine's record equals both."""
-    prm = params_for(1, 9, 3)
-    assert prm.d == 2 and default_escape_exponent(prm) == 3728
+    prm = pr(1, 9, 3)
+    assert prm.norm_exponent == 2 and default_escape_exponent(prm) == 3728
     rng = random.Random(20240811)
     starts = [sample_in_region(RegionLabel(Regime.LARGE, name, index), 2, 3, 8, 6, rng)
               for name, index in (("F", None), ("G", None), ("H", None), ("M", 1), ("M", 2),
@@ -477,7 +472,7 @@ def test_capped_subtraction_gives_the_uncapped_orbits_at_large_d():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_exact_fixed_points_constructed(p):
-    prm = MapParams(PadicRational(p - p * p, 1, p))
+    prm = PadicRational(p - p * p, 1, p)
     pts = exact_fixed_points(prm)
     values = {pt.x.as_fraction() for pt in pts}
     assert values == {Fraction(p), Fraction(1 - p)}
@@ -486,7 +481,7 @@ def test_exact_fixed_points_constructed(p):
 
 
 def test_single_fixed_point_at_quarter():
-    prm = MapParams(PadicRational(1, 4, 5))
+    prm = PadicRational(1, 4, 5)
     pts = exact_fixed_points(prm)
     assert len(pts) == 1 and pts[0].x.as_fraction() == Fraction(1, 2)
     trunc = fixed_points(prm, 12)
@@ -496,21 +491,21 @@ def test_single_fixed_point_at_quarter():
 
 def test_no_fixed_points_for_nonresidue():
     # 1 - 4c = 2, a non-residue mod 5.
-    prm = MapParams(PadicRational(-1, 4, 5))
+    prm = PadicRational(-1, 4, 5)
     assert exact_fixed_points(prm) == []
     assert fixed_points(prm, 10) == []
 
 
 def test_no_fixed_points_for_odd_valuation():
     # 1 - 4c = 5.
-    prm = MapParams(PadicRational(-1, 1, 5))
+    prm = PadicRational(-1, 1, 5)
     assert exact_fixed_points(prm) == []
     assert fixed_points(prm, 10) == []
 
 
 def test_hensel_fixed_points_match_exact():
     p = 5
-    prm = MapParams(PadicRational(p - p * p, 1, p))
+    prm = PadicRational(p - p * p, 1, p)
     trunc = fixed_points(prm, 20)
     assert len(trunc) == 2
     wanted = {
@@ -530,14 +525,14 @@ def _residual_valuation(alpha, c):
 
 def test_irrational_fixed_points_satisfy_equation():
     # 1 - 4c = 6, a residue mod 5 but not a rational square.
-    prm = MapParams(PadicRational(-5, 4, 5))
+    prm = PadicRational(-5, 4, 5)
     assert exact_fixed_points(prm) is None
     pts = fixed_points(prm, 24)
     assert len(pts) == 2
     for alpha, _ in pts:
         # The digits are certified to p^(val + precision), and 2a - 1 = -+q is a
         # unit, so a^2 - a + c vanishes there too.
-        res = _residual_valuation(alpha, prm.c)
+        res = _residual_valuation(alpha, prm)
         assert res is None or res >= alpha.valuation + alpha.precision
 
 
@@ -565,7 +560,7 @@ def test_fixed_point_precision_is_k_minus_cancellation(p, c, vq, depths):
     # 1 -+ q is known to k + max(v_q, 0) digits above p^min(v_q, 0); a
     # cancellation of depth w leaves exactly w fewer certified digits.
     k = 12
-    prm = MapParams(PadicRational(c, 1, p))
+    prm = PadicRational(c, 1, p)
     pts = fixed_points(prm, k)
     assert len(pts) == 2
     lo = min(vq, 0)
@@ -573,9 +568,9 @@ def test_fixed_point_precision_is_k_minus_cancellation(p, c, vq, depths):
         assert alpha == beta
         assert alpha.valuation == lo + w
         assert alpha.precision == k + max(vq, 0) - w
-        res = _residual_valuation(alpha, prm.c)
+        res = _residual_valuation(alpha, prm)
         assert res is None or res >= alpha.valuation + alpha.precision + vq
-    assert sum(alpha.valuation for alpha, _ in pts) == prm.c.valuation
+    assert sum(alpha.valuation for alpha, _ in pts) == prm.valuation
 
 
 # --- the 3-cycle ---------------------------------------------------------------------
@@ -588,22 +583,21 @@ def test_three_cycle_exact_for_random_c():
         c = PadicRational(
             Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)), 1, p
         )
-        prm = MapParams(c)
-        rho, f1, f2 = three_cycle(prm)
-        assert forward(rho, prm) == f1
-        assert forward(f1, prm) == f2
-        assert forward(f2, prm) == rho
+        rho, f1, f2 = three_cycle(c)
+        assert forward(rho, c) == f1
+        assert forward(f1, c) == f2
+        assert forward(f2, c) == rho
 
 
 def test_three_cycle_c_zero():
-    prm = params_for(0, 1, 3)
+    prm = pr(0, 1, 3)
     rho, f1, f2 = three_cycle(prm)
     assert f1 == Point(pr(1, 1, 3), pr(-1, 1, 3))
     assert f2 == Point(pr(-1, 1, 3), pr(1, 1, 3))
 
 
 def test_three_cycle_c_minus_one():
-    prm = params_for(-1, 1, 3)
+    prm = pr(-1, 1, 3)
     rho, f1, f2 = three_cycle(prm)
     assert f1 == Point(pr(0, 1, 3), pr(-1, 1, 3))
     assert forward(f2, prm) == rho

@@ -188,7 +188,7 @@ def test_negative_window_rejected(call, at_zero):
 def test_profile_in_region_on_arbitrary_cells():
     h = RegionLabel(Regime.LARGE, "H", None)
     assert [profile_in_region(h, a, b, 2) for a, b in ((1, 1), (5, -1), (-2, 3))] == [False, True, False]
-    seen = {label for d in (-3, 0, 2) for label in iter_region_labels(regime_of_d(d), d, 15, include_t=True)}
+    seen = {label for d in (-3, 0, 2) for label in iter_region_labels(d, 15, include_t=True)}
     golden = {RegionLabel(Regime.SMALL, n, i) for n, i in (("B", 1), ("B", 2), ("P", 4), ("P", 5))}
     multi = {RegionLabel(Regime.SMALL, "P", 6), RegionLabel(Regime.UNIT, "C", 0), RegionLabel(Regime.LARGE, "C", 0)}
     assert golden <= seen and multi <= seen
@@ -211,6 +211,28 @@ def test_all_transitions_hold_except_known_corner():
             if not check_transition_profiles(source, d, 60).ok:
                 seen_bad.add((d, str(source)))
     assert seen_bad == expected_bad
+
+
+@pytest.mark.parametrize("d", [-2, -1, 0, 1, 2, 3])
+def test_labels_come_from_the_regime_of_d(d):
+    """d alone decides the regime, and the enumeration ends at every d."""
+    labels = list(iter_region_labels(d, 10, include_t=True))
+    assert labels and {label.regime for label in labels} == {regime_of_d(d)}
+
+
+@pytest.mark.parametrize("regime,d", [(Regime.LARGE, -1), (Regime.LARGE, 0), (Regime.SMALL, 2)])
+def test_transition_sources_reject_a_regime_that_d_does_not_have(regime, d):
+    with pytest.raises(ValueError, match=f"d={d} is not in regime {regime.value}"):
+        next(transition_sources(regime, d, 10))
+
+
+@pytest.mark.parametrize("source,d", [
+    (RegionLabel(Regime.SMALL, "A", 1), 2),
+    (RegionLabel(Regime.LARGE, "G", None), -1),
+])
+def test_transition_check_rejects_a_source_from_another_regime(source, d):
+    with pytest.raises(ValueError, match=f"d={d} is not in regime {source.regime.value}"):
+        check_transition_profiles(source, d, 10)
 
 
 def test_overlay_descent_counterexample_structure():
@@ -266,7 +288,7 @@ def test_failed_outcomes_counts_past_the_witness_cap():
 def test_source_cells_enumerate_region_mask(d, W):
     scan = [(a, b) for a in range(-W, W + 1) for b in range(-W, W + 1)]
     overlapping = []
-    for label in iter_region_labels(regime_of_d(d), d, W):
+    for label in iter_region_labels(d, W):
         # Reference: the table's own evaluator over the whole window, in scan
         # order, each cell once however many branches hold there.
         cells = [(a, b) for a, lo, hi in region_rows(label, d, W) for b in range(lo, hi + 1)]
@@ -376,7 +398,7 @@ def test_wrong_targets_match_cell_oracle(d):
     # Each label against two other labels as its claimed targets, so most
     # outcomes fail: the witness order and the 25-per-group cap are compared.
     W = 12
-    labels = list(iter_region_labels(regime_of_d(d), d, W, include_t=True))
+    labels = list(iter_region_labels(d, W, include_t=True))
     capped = 0
     for i, label in enumerate(labels):
         cells = _cells(label, d, W)
@@ -521,8 +543,7 @@ def test_window_1000_transitions_cut_less_than_one_group_per_e(monkeypatch):
 def _branch_pool():
     """Every branch of the three regime tables, golden ones and family members
     included, and the two golden signs alone."""
-    labels = [label for regime, d in ((Regime.SMALL, -3), (Regime.UNIT, 0), (Regime.LARGE, 3))
-              for label in iter_region_labels(regime, d, 200, include_t=True)]
+    labels = [label for d in (-3, 0, 3) for label in iter_region_labels(d, 200, include_t=True)]
     assert {"A9", "B2", "M9", "T5"} <= {str(label) for label in labels}
     return [branch for label in labels for branch in region_branches(label)] + [
         [regions.GOLDEN_BELOW], [regions.GOLDEN_ABOVE]]

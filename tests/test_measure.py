@@ -13,7 +13,7 @@ from padic_henon.measure import (
     tn_measure,
     tn_rows,
 )
-from padic_henon.regions import Regime, RegionLabel, iter_region_labels, regime_of_d, region_profiles
+from padic_henon.regions import Regime, RegionLabel, iter_region_labels, region_profiles
 
 
 def test_ball_measures():
@@ -86,6 +86,11 @@ def test_region_window_measure_empty_inner_box():
     assert region_window_measure(j0, 1, 3, 10) == 0
 
 
+def test_region_window_measure_rejects_a_label_from_another_regime():
+    with pytest.raises(ValueError, match="d=-1 is not in regime large"):
+        region_window_measure(RegionLabel(Regime.LARGE, "G", None), -1, 3, 10)
+
+
 def test_region_window_measure_geometric_block():
     # The low corner region at d = 1 is the block {a <= 0} x {b <= -1}:
     # a finite window sums two truncated geometric series.
@@ -103,7 +108,7 @@ def test_region_window_measure_rows_equal_cell_sum(d):
     # profile rectangle per cell.  This meets P6's two-interval row, the
     # golden cuts of B1/B2 and P4/P5, and the T cells.
     for W in (0, 1, 6, 12):
-        for label in iter_region_labels(regime_of_d(d), d, W, include_t=True):
+        for label in iter_region_labels(d, W, include_t=True):
             cells = region_profiles(label, d, W)
             for p in (3, 5):
                 expected = sum((profile_measure(a, b, p) for a, b in cells), Fraction(0))

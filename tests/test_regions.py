@@ -144,8 +144,7 @@ def test_classifier_label_satisfies_own_inequalities(d):
 
 @pytest.mark.parametrize("d", [-2, 0, 2])
 def test_exactly_one_region_per_profile(d):
-    regime = classify((0, 1), d).regime
-    labels = list(iter_region_labels(regime, d, 25))
+    labels = list(iter_region_labels(d, 25))
     for a in range(-25, 26):
         for b in range(-25, 26):
             hits = [str(l) for l in labels if profile_in_region(l, a, b, d)]
@@ -171,11 +170,10 @@ def _deep_band_profiles(d):
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 7])
 def test_deep_band_search_labels_exactly_one_region(d):
-    regime = regime_of_d(d)
     for a, b in _deep_band_profiles(d):
         got = classify((a, b), d)
         assert profile_in_region(got, a, b, d), (a, b, d, str(got))
-        labels = iter_region_labels(regime, d, max(abs(a), abs(b)))
+        labels = iter_region_labels(d, max(abs(a), abs(b)))
         hits = [l for l in labels if profile_in_region(l, a, b, d)]
         assert hits == [got], (a, b, d, [str(l) for l in hits])
         again = classify((a, b), d)
@@ -348,7 +346,7 @@ def test_iter_region_labels_sequence_pinned():
     large = ("F G H J0 C0 C1 C2 C3 C4 C5 D2 D3 D4 D5 B1 B2 B3 B4 B5 A1 A2 A3 A4 A5 "
              "M1 M2 M3 M4 M5 T0 T1 T2 T3")
     for d, names, include_t in ((-2, small, False), (0, unit, False), (3, large, True)):
-        labels = list(iter_region_labels(regime_of_d(d), d, W, include_t=include_t))
+        labels = list(iter_region_labels(d, W, include_t=include_t))
         assert [str(label) for label in labels] == names.split()
         assert all(label.regime is regime_of_d(d) for label in labels)
 
@@ -386,8 +384,12 @@ def test_overlay_is_empty_below_d_two(d):
     for i in range(9):
         t = lbl(L, "T", i)
         assert not any(profile_in_region(t, a, b, d) for a in range(-10, 11) for b in range(-10, 11))
-        assert region_rows(t, d, 10) == ()
-        # At d <= 0 the sampler's regime check speaks first.
+        # At d <= 0 the regime check of the rows speaks first.
+        if d == 1:
+            assert region_rows(t, d, 10) == ()
+        else:
+            with pytest.raises(ValueError, match=f"d={d} is not in regime large"):
+                region_rows(t, d, 10)
         with pytest.raises(EmptyRegionError if d == 1 else ValueError):
             sample_in_region(t, d, 3, 10, 4, rng)
 
@@ -419,7 +421,7 @@ def test_no_claim_for_boundary_regions():
 def test_sample_in_region_self_check():
     rng = random.Random(17)
     d = 2
-    labels = [l for l in iter_region_labels(L, d, 10) if region_profiles(l, d, 10)]
+    labels = [l for l in iter_region_labels(d, 10) if region_profiles(l, d, 10)]
     draws = 0
     while draws < 1200:
         for label in labels:
@@ -428,11 +430,22 @@ def test_sample_in_region_self_check():
             draws += 1
 
 
+def test_sampler_rejects_a_label_from_another_regime():
+    """The one regime check is in ``region_rows``; the sampler reaches it
+    before any draw."""
+    with pytest.raises(ValueError, match="^d=2 is not in regime small$"):
+        region_rows(lbl(S, "A", 1), 2, 10)
+    rng = random.Random(29)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^d=2 is not in regime small$"):
+        sample_in_region(lbl(S, "A", 1), 2, 3, 10, 4, rng)
+    assert rng.getstate() == state
+
+
 def test_sample_every_label_all_regimes():
     rng = random.Random(23)
     for d in (-2, 0, 2):
-        regime = classify((0, 1), d).regime
-        for label in iter_region_labels(regime, d, 8):
+        for label in iter_region_labels(d, 8):
             try:
                 pt = sample_in_region(label, d, 5, 8, 4, rng)
             except EmptyRegionError:
@@ -482,8 +495,7 @@ def test_region_sampler_equals_successive_samples(d):
     """n points of one sampler are the points of n ``sample_in_region`` calls
     on an rng with the same seed, and leave it in the same state: the
     sampler draws nothing ahead of the point it yields."""
-    regime = regime_of_d(d)
-    labels = list(iter_region_labels(regime, d, 8, include_t=True))
+    labels = list(iter_region_labels(d, 8, include_t=True))
     assert any(label.name == "T" for label in labels) == (d == 2)
     sampled = 0
     for k, label in enumerate(labels):
@@ -571,7 +583,7 @@ def test_region_sampler_classifies_each_cell_once(monkeypatch):
 def test_branches_hold_equals_any_target(d, a, b, data):
     """One evaluator: the targets' concatenated branches hold exactly where
     some target holds, and where some branch has every constraint hold."""
-    labels = list(iter_region_labels(regime_of_d(d), d, 40, include_t=True))
+    labels = list(iter_region_labels(d, 40, include_t=True))
     targets = data.draw(st.lists(st.sampled_from(labels), max_size=4))
     branches = [branch for t in targets for branch in region_branches(t)]
     held = branches_hold(branches, a, b, d)
@@ -594,7 +606,7 @@ def test_region_profiles_equal_cell_scan(d):
     scan = [(a, b) for a in range(-top, top + 1) for b in range(-top, top + 1)]
     inside = {}
     for W in windows:
-        for label in iter_region_labels(regime_of_d(d), d, W, include_t=True):
+        for label in iter_region_labels(d, W, include_t=True):
             got = region_profiles.__wrapped__(label, d, W)
             assert len(set(got)) == len(got)
             # Rows are sorted, each interval is nonempty, and two intervals
@@ -661,7 +673,7 @@ def test_branch_interval_matches_pointwise_constraints():
     rng = random.Random(4103)
     cases = []
     for d in range(-4, 6):
-        for label in iter_region_labels(regime_of_d(d), d, 40, include_t=True):
+        for label in iter_region_labels(d, 40, include_t=True):
             cells = [(a, b) for a, lo, hi in region_rows(label, d, 40) for b in range(lo, hi + 1)]
             cases += [(d, branch, cells) for branch in region_branches(label)]
     golden = [[regions.GOLDEN_BELOW], [regions.GOLDEN_ABOVE], [regions.GOLDEN_ABOVE, regions.GOLDEN_BELOW]]
@@ -731,7 +743,7 @@ def test_branch_interval_on_long_segments():
     rng = random.Random(1515)
     ops = ("<", "<=", "==", ">=", ">")
     big = [0, 1, 2, 3] + [fib(k) for k in range(4, 26)]
-    table = [branch for d in (-3, 5) for label in iter_region_labels(regime_of_d(d), d, 10**6)
+    table = [branch for d in (-3, 5) for label in iter_region_labels(d, 10**6)
              if label.name != "T" for branch in region_branches(label)]
     seen, nonempty = set(), 0
     for _ in range(4000):
@@ -834,7 +846,7 @@ def test_region_rows_are_maximal_at_window_1000(d):
     the window stops; O(rows) evaluations per label."""
     W = 1000
     rows_seen = 0
-    for label in iter_region_labels(regime_of_d(d), d, W, include_t=True):
+    for label in iter_region_labels(d, W, include_t=True):
         for a, lo, hi in region_rows(label, d, W):
             assert -W <= lo <= hi <= W and abs(a) <= W
             assert profile_in_region(label, a, lo, d) and profile_in_region(label, a, hi, d), (str(label), a)

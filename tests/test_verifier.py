@@ -11,7 +11,6 @@ import pytest
 
 from padic_henon import verifier
 from padic_henon.dynamics import (
-    MapParams,
     PrecisionExhaustedError,
     Verdict,
     backward_orbit,
@@ -85,7 +84,7 @@ def test_counterexamples_replay_from_report():
                      source=lbl(Regime.LARGE, "J", 0), samples=20, window=8, seed=2,
                      expected=frozenset({lbl(Regime.LARGE, "F")}))
     report = run_spec(spec)
-    params = MapParams(parse_rational(report.spec.c, report.spec.p))
+    params = parse_rational(report.spec.c, report.spec.p)
     for failure in report.failures[:5]:
         pt = Point(
             PadicRational.from_json(failure["start"]["x"]),
@@ -93,7 +92,7 @@ def test_counterexamples_replay_from_report():
         )
         image = inverse(pt, params)
         assert list(image.profile()) == failure["image_profile"]
-        assert str(classify(image.profile(), params.d)) == failure["got"]
+        assert str(classify(image.profile(), params.norm_exponent)) == failure["got"]
 
 
 def test_determinism_same_seed_same_report():
@@ -115,7 +114,7 @@ def test_exhaustive_runner_counts_every_failed_outcome():
     hand = {(a, b) for a in range(0, W + 1) for b in range(d + 1, 0) if 2 * b - a > d}
     band = [(a, b) for a in range(0, W + 1) for b in range(d + 1, 0)]
     report = run_spec(spec)
-    assert spec.params().d == d and len(hand) == 90
+    assert spec.parsed_c().norm_exponent == d and len(hand) == 90
     assert len(report.failures) == 25
     assert report.passes == len(band) - 90
     assert any("90 outcomes fail" in n for n in report.notes)
@@ -148,7 +147,7 @@ def test_escape_certifies_exhausted_sample_on_exact_engine():
     # the domain (x_{-2} = c, so y_{-3} = 0 and step 4 is undefined), counted
     # as before.
     spec = next(s for s in builtin_campaign("all-lemmas") if s.identifier == "small-escape-A4")
-    params = spec.params()
+    params = spec.parsed_c()
     pt = Point(PadicRational(184, 1, 3), PadicRational(181, 3, 3))
     threshold = default_escape_exponent(params)
     with pytest.raises(PrecisionExhaustedError):
@@ -174,7 +173,7 @@ def _judge_one(monkeypatch, pt, params, steps, precision):
         records.append(rec)
         return rec.verdict.kind if rec.verdict.kind in verifier._SKIPS else None
 
-    drawn = _judge_samples(report, report.spec, lbl(Regime.LARGE, "J", 0), params.d, 1, judge)
+    drawn = _judge_samples(report, report.spec, lbl(Regime.LARGE, "J", 0), params.norm_exponent, 1, judge)
     assert drawn == 1
     (rec,) = records
     return report, rec
@@ -184,14 +183,14 @@ def test_exhausted_sample_is_judged_on_the_exact_record(monkeypatch):
     # x - c = 3^20 at valuation -1 cancels 21 digits, past a 16-digit cap: the
     # exact rerun gives the profiles and labels the certified engine gives
     # with room to spare.
-    params = MapParams(PadicRational(1, 3, 3))
+    params = PadicRational(1, 3, 3)
     pt = Point(PadicRational(1 + 3**21, 3, 3), PadicRational(1, 1, 3))
     report, judged = _judge_one(monkeypatch, pt, params, 10, 16)
     rec = backward_profile_orbit(pt, params, 10, escape_exponent=None)
     assert judged.precision is None  # the exact engine's record
     assert (judged.profiles, judged.verdict) == (rec.profiles, rec.verdict)
-    labels = [s["region"] for s in judged.to_json(params.d)["steps"]]
-    assert labels == [s["region"] for s in rec.to_json(params.d)["steps"]]
+    labels = [s["region"] for s in judged.to_json(params.norm_exponent)["steps"]]
+    assert labels == [s["region"] for s in rec.to_json(params.norm_exponent)["steps"]]
     assert (report.skipped, report.undefined_inverse, report.uncertified) == (0, 0, 0)
     assert (report.passes, report.failures, report.notes) == (1, [], [])
 
@@ -199,7 +198,7 @@ def test_exhausted_sample_is_judged_on_the_exact_record(monkeypatch):
 def test_exhausted_sample_past_the_bit_budget_is_uncertified(monkeypatch):
     # x - c = 3^300 exhausts the 256-digit cap, and the exact rerun of a
     # norm-bounded orbit outgrows the default bit budget long before 60 steps.
-    params = MapParams(PadicRational(1, 3, 3))
+    params = PadicRational(1, 3, 3)
     pt = Point(PadicRational(1 + 3**301, 3, 3), PadicRational(1, 1, 3))
     report, rec = _judge_one(monkeypatch, pt, params, 60, 256)
     assert rec.verdict.kind == "budget_exceeded"
@@ -213,7 +212,7 @@ def _samples_drawn(spec) -> int:
     in each escaping region."""
     if spec.kind != "sandwich":
         return spec.samples
-    regime = regime_of_d(spec.params().d)
+    regime = regime_of_d(spec.parsed_c().norm_exponent)
     lower = spec.samples if regime in verifier._INVARIANT else 0
     return lower + len(verifier._ESCAPING[regime]) * max(spec.samples // 4, 25)
 
@@ -403,7 +402,7 @@ def test_worked_orbit_reports_are_pinned(p, failures):
 def test_an_exact_worked_orbit_fails_by_the_one_rule(monkeypatch, corrupt, failure):
     def small_escape_corrupted(start, params, steps, **kw):
         rec = backward_orbit(start, params, steps, **kw)
-        return corrupt(rec) if params.c == 5 else rec  # small-escape has c = p
+        return corrupt(rec) if params == 5 else rec  # small-escape has c = p
 
     monkeypatch.setattr(verifier, "backward_orbit", small_escape_corrupted)
     report = run_spec(LemmaSpec("w", "worked_orbits", p=5))
