@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 # Each public name's home module.
 _HOMES = {
-    **dict.fromkeys(["PadicRational", "TruncatedPadic", "Point", "NonSquareError",
+    **dict.fromkeys(["PadicRational", "digit_view", "Point", "NonSquareError",
                      "PrecisionExhaustedError", "is_square", "sqrt", "sample_with_norm"], "padics"),
     **dict.fromkeys(["fib", "cassini", "cassini2", "golden_cmp"], "fib"),
     **dict.fromkeys(["Regime", "RegionLabel", "EmptyRegionError", "classify",

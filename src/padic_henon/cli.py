@@ -269,6 +269,10 @@ def measure(prime, c, tn, k, n, region, window):
 
     if tn and (region is not None or c is not None):
         raise click.UsageError("--tn takes neither --region nor --c: give --tn, or both --region and --c")
+    ctx = click.get_current_context()
+    for name in ("window",) if tn else ("k", "n"):
+        if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT:
+            raise click.UsageError(f"--{name} is read only {'without' if tn else 'with'} --tn")
     if tn:
         if n > 64 or sum(t_profile(n, k)) * prime.bit_length() > TN_MAX_BITS:
             raise click.UsageError(f"p^((k-1)F(n+2)) passes {TN_MAX_BITS} bits; lower --n or --k")
@@ -301,6 +305,7 @@ def measure(prime, c, tn, k, n, region, window):
 def fixed_points_cmd(prime, c, precision):
     """Fixed points (digit expansions, exact rationals when they exist) and the 3-cycle."""
     from .dynamics import exact_fixed_points, fixed_points, three_cycle
+    from .padics import digit_view
 
     if _given(c).is_zero:
         raise click.UsageError("c = 0 is degenerate: 1 - q cancels at every precision")
@@ -319,7 +324,7 @@ def fixed_points_cmd(prime, c, precision):
     cycle = three_cycle(c)
     report = {
         "count": len(pts),
-        "fixed_points": [{"x": a.to_json(), "y": b.to_json()} for a, b in pts],
+        "fixed_points": [{"x": digit_view(a, prime), "y": digit_view(b, prime)} for a, b in pts],
         "exact_fixed_points": None if exact is None else [pt.to_json() for pt in exact],
         "three_cycle": [pt.to_json() for pt in cycle],
     }

@@ -26,7 +26,6 @@ from .padics import (
     PadicRational,
     Point,
     PrecisionExhaustedError,
-    TruncatedPadic,
     _inverse_y,
     _residue,
     _split,
@@ -320,7 +319,8 @@ def exact_fixed_points(c: PadicRational):
 
 
 def fixed_points(c: PadicRational, precision: int):
-    """Zero, one or two fixed points, with coordinates as digit expansions.
+    """Zero, one or two fixed points, with coordinates as certified residues
+    (v, n, m, k), the type `sqrt` returns; `padics.digit_view` prints them.
 
     The two-root case takes the Hensel square root q of 1 - 4c as a residue
     and returns ((1 - q)/2, (1 - q)/2) and ((1 + q)/2, (1 + q)/2), in that
@@ -332,17 +332,15 @@ def fixed_points(c: PadicRational, precision: int):
     p = c.prime
     disc = 1 - 4 * c
     if disc.is_zero:
-        half = PadicRational(1, 2, p).expand(precision)
+        half = _residue(PadicRational(1, 2, p), precision)
         return [(half, half)]
     if not is_square(disc):
         return []
     q = sqrt(disc, precision)
     k = q[3] + max(q[0], 0)
-    roots = []
-    for one, two in ((1, -2), (-1, 2)):  # (q - 1)/-2 = (1 - q)/2, then (q + 1)/2
-        alpha = TruncatedPadic.from_residue(p, _inverse_y(q, (0, two, 1, k), (0, one, 1), p))
-        roots.append((alpha, alpha))
-    return roots
+    # (q - 1)/-2 = (1 - q)/2, then (q + 1)/2
+    roots = (_inverse_y(q, (0, two, 1, k), (0, one, 1), p) for one, two in ((1, -2), (-1, 2)))
+    return [(alpha, alpha) for alpha in roots]
 
 
 def three_cycle(c: PadicRational):

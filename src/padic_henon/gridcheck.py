@@ -94,6 +94,7 @@ class PartitionReport:
 
 
 MAX_WITNESSES = 10  # the most holes, and the most overlaps, that a partition report lists
+MAX_GROUP_WITNESSES = 25  # the most failing outcomes a transition check lists per frontier group
 
 
 def check_partition(d: int, window: int) -> PartitionReport:
@@ -181,7 +182,7 @@ class TransitionCheck:
     depth: int
     profiles_checked: int = 0
     outcomes_checked: int = 0
-    failed_outcomes: int = 0  # exact; counterexamples keeps at most 25 per group
+    failed_outcomes: int = 0  # exact; counterexamples keeps MAX_GROUP_WITNESSES per group
     counterexamples: list = field(default_factory=list)
 
     @property
@@ -255,7 +256,7 @@ def _column_groups(column, branches, d: int, elo: int):
 
 
 def _judge(check: TransitionCheck, pieces, e, branches, d: int) -> None:
-    """Count the failing outcomes of one group and list its first 25.
+    """Count the failing outcomes of one group and list its first MAX_GROUP_WITNESSES.
 
     The branches cut each piece in turn, each only where the ones before it
     left cells uncovered, until none is left; the runs left over fail.  A
@@ -284,7 +285,7 @@ def _judge(check: TransitionCheck, pieces, e, branches, d: int) -> None:
                     break
         for first, last in runs:
             check.failed_outcomes += last - first + 1
-            for t in range(first, min(last + 1, first + 25 - listed)):
+            for t in range(first, min(last + 1, first + MAX_GROUP_WITNESSES - listed)):
                 outcome = (a0 + a1 * t, b0 + b1 * t)
                 check.counterexamples.append(TransitionCounterexample((sa, t), outcome, e))
                 listed += 1
@@ -341,8 +342,8 @@ def check_transition_profiles(
                 stepped.append((group, e if e0 is None else e0))
         frontier = stepped
 
-    # An outcome fails where no target branch holds.  At most 25 failing
-    # outcomes are listed per group: the deterministic pieces of a frontier
+    # An outcome fails where no target branch holds.  At most MAX_GROUP_WITNESSES
+    # failing outcomes are listed per group: the deterministic pieces of a frontier
     # group, then its column at each e, falling.  Targets go in name order,
     # whatever their hash order.
     branches = [branch for target in sorted(targets, key=str) for branch in region_branches(target)]

@@ -10,7 +10,7 @@ from them), values are residues (v, n, m, k): p^v * n/m with n and m p-adic
 units known modulo p^k.  This is the package's only finite-precision
 arithmetic: its one step `_inverse_y` computes (x - c)/y, for the backward
 orbits and the fixed points alike, and every valuation it reports is
-certified.  `TruncatedPadic` is its digit view, used for output.
+certified.  `digit_view` spells a residue out in base-p digits for output.
 
 Norm convention: for x != 0 with p-adic valuation v = v_p(x), the norm is
 |x|_p = p^(-v) and the *norm exponent* is a = -v, so |x|_p = p^a.  The norm
@@ -26,7 +26,7 @@ from math import gcd
 
 __all__ = [
     "PadicRational",
-    "TruncatedPadic",
+    "digit_view",
     "Point",
     "NonSquareError",
     "PrecisionExhaustedError",
@@ -322,10 +322,6 @@ class PadicRational:
     def from_json(cls, obj: dict) -> "PadicRational":
         return cls(_from_decimal(obj["num"]), _from_decimal(obj["den"]), int(obj["p"]))
 
-    def expand(self, precision: int) -> "TruncatedPadic":
-        """Digit expansion of this value to `precision` significant p-adic digits."""
-        return TruncatedPadic.from_residue(self.prime, _residue(self, precision))
-
 
 def parse_rational(text: str, p: int) -> PadicRational:
     """Parse 'num/den' (or 'num') into an exact rational; no floating point anywhere."""
@@ -601,77 +597,16 @@ def _digits(u: int, p: int, k: int) -> list:
     return _digits(low, p, k // 2) + _digits(high, p, k - k // 2)
 
 
-class TruncatedPadic:
-    """The digit view p^val * (d0 + d1 p + d2 p^2 + ...) of a residue, for output.
-
-    The leading digit d0 is nonzero except for the distinguished zero element
-    (valuation None, no digits).  The value is known modulo p^(val + len(digits)).
-    It carries no arithmetic: compute on residues, then take `from_residue`.
-
-    Two expansions compare equal iff their valuations match and their digits
-    agree on the overlap of the two precisions.
-    """
-
-    __slots__ = ("prime", "valuation", "digits")
-
-    def __init__(self, prime: int, valuation, digits):
-        self.prime = validate_odd_prime(prime)
-        digits = tuple(int(d) for d in digits)
-        if valuation is None:
-            if digits:
-                raise ValueError("zero element carries no digits")
-        else:
-            if not digits or digits[0] == 0:
-                raise ValueError("leading digit must be nonzero")
-            if any(d < 0 or d >= prime for d in digits):
-                raise ValueError(f"digits must lie in [0, {prime})")
-        self.valuation = valuation
-        self.digits = digits
-
-    @classmethod
-    def zero(cls, prime: int) -> "TruncatedPadic":
-        return cls(prime, None, ())
-
-    @classmethod
-    def from_residue(cls, prime: int, r) -> "TruncatedPadic":
-        """The k digits of the residue r = (v, n, m, k); None gives the zero element."""
-        if r is None:
-            return cls.zero(prime)
-        v, n, m, k = r
-        mod = prime**k
-        return cls(prime, v, _digits(n * pow(m, -1, mod) % mod, prime, k))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.valuation is None
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedPadic):
-            return NotImplemented
-        if self.prime != other.prime or self.valuation != other.valuation:
-            return False
-        k = min(len(self.digits), len(other.digits))
-        return self.digits[:k] == other.digits[:k]
-
-    __hash__ = None
-
-    def to_json(self) -> dict:
-        return {"p": self.prime, "val": self.valuation, "digits": list(self.digits)}
-
-    def __repr__(self):
-        if self.is_zero:
-            return f"TruncatedPadic(0, prime={self.prime})"
-        return f"TruncatedPadic({self.prime}, val={self.valuation}, digits={list(self.digits)})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        body = " ".join(str(d) for d in self.digits)
-        return f"({body})*{self.prime}^{self.valuation}"
+def digit_view(r, p: int) -> dict:
+    """The residue r = (v, n, m, k) as p^v * (d0 + d1 p + ... + d_(k-1) p^(k-1)),
+    for output: {"p": p, "val": v, "digits": [d0, ..., d_(k-1)]}, with d0 nonzero.
+    The zero residue None gives "val": None and no digits."""
+    validate_odd_prime(p)
+    if r is None:
+        return {"p": p, "val": None, "digits": []}
+    v, n, m, k = r
+    mod = p**k
+    return {"p": p, "val": v, "digits": _digits(n * pow(m, -1, mod) % mod, p, k)}
 
 
 def sample_with_norm(a: int, digit_count: int, rng: random.Random, p: int) -> PadicRational:

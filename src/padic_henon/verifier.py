@@ -366,7 +366,8 @@ def _judge_exhaustive(spec: LemmaSpec, report: VerificationReport) -> None:
         )
     report.unlisted_failures = check.failed_outcomes - len(check.counterexamples)
     if report.unlisted_failures:
-        report.notes.append(f"{check.failed_outcomes} outcomes fail; at most 25 per frontier group listed")
+        report.notes.append(f"{check.failed_outcomes} outcomes fail; "
+                            f"at most {gridcheck.MAX_GROUP_WITNESSES} per frontier group listed")
     if check.profiles_checked == 0:
         report.notes.append("empty region in window")
 

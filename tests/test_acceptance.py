@@ -40,7 +40,7 @@ from padic_henon.gridcheck import (
     transition_sources,
 )
 from padic_henon.measure import tn_ball_product, tn_measure, tn_rows
-from padic_henon.padics import PadicRational, Point, _residue, sqrt
+from padic_henon.padics import PadicRational, Point, _residue, digit_view, sqrt
 from padic_henon.regions import Regime, RegionLabel, classify, regime_of_d
 from padic_henon.verifier import LemmaSpec, run_spec
 
@@ -242,13 +242,15 @@ def test_criterion_04_fixed_points(p):
     vq, r, _, k = sqrt(disc, 20)
     _, root, _, _ = _residue(pr(1 - 2 * p, 1, p), k)  # an integer: its denominator is 1
     assert (vq, k) == (0, 20) and root in (r, -r % p**k)
-    trunc = fixed_points(params, 20)
-    wanted = [pr(p, 1, p).expand(20), pr(1 - p, 1, p).expand(20)]
-    assert len(trunc) == 2
-    for alpha, beta in trunc:
+    roots = fixed_points(params, 20)
+    wanted = (pr(p, 1, p), pr(1 - p, 1, p))
+    assert len(roots) == 2
+    for alpha, beta in roots:
         assert alpha == beta
-        assert sum(alpha == w for w in wanted) == 1
-        assert alpha.precision >= 19
+        # The printed digits equal the exact root's, to the root's own digit count.
+        view = digit_view(alpha, p)
+        assert sum(view == digit_view(_residue(w, alpha[3]), p) for w in wanted) == 1
+        assert alpha[3] >= 19
 
     quarter = pr(1, 4, p)
     single = exact_fixed_points(quarter)

@@ -655,6 +655,12 @@ def test_the_map_is_its_parameter_c():
         padic_henon.MapParams
 
 
+def test_residues_are_the_one_finite_precision_type():
+    """Fixed points are residues, printed by `digit_view`; no second type holds digits."""
+    with pytest.raises(AttributeError, match="no attribute 'TruncatedPadic'"):
+        padic_henon.TruncatedPadic
+
+
 def test_verify_seed_and_samples_match_library_run(runner):
     from dataclasses import replace
 
@@ -750,6 +756,20 @@ def test_measure_rejects_mixed_modes(runner, args):
     assert "--tn takes neither --region nor --c" in result.output
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--c", "3/1", "--region", "Z", "--k", "5", "--n", "3", "--window", "2"],
+     "--k is read only with --tn"),
+    (["--c", "3/1", "--region", "Z", "--n", "3"], "--n is read only with --tn"),
+    (["--tn", "--n", "1", "--window", "7"], "--window is read only without --tn"),
+    (["--tn", "--window", "8"], "--window is read only without --tn"),
+], ids=["region-k", "region-n", "tn-window", "tn-default-window"])
+def test_measure_rejects_the_options_of_the_other_mode(runner, args, message):
+    # A given value counts even when it equals the default.
+    result = runner.invoke(main, ["measure", "--prime", "3", *args])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert message in result.output
+
+
 def test_measure_tn_k_below_two_usage_error(runner):
     result = runner.invoke(main, ["measure", "--prime", "3", "--tn", "--k", "1"])
     assert result.exit_code == 2
@@ -836,6 +856,16 @@ def test_fixed_points_single(runner):
     obj = json.loads(result.output)
     assert obj["count"] == 1
     assert obj["exact_fixed_points"][0]["x"] == {"num": "1", "den": "2", "p": 5}
+
+
+@pytest.mark.parametrize("c,roots", [
+    ("1/4", [{"p": 5, "val": 0, "digits": [3, 2, 2, 2]}]),
+    ("-20/1", [{"p": 5, "val": 1, "digits": [1, 0, 0]}, {"p": 5, "val": 0, "digits": [1, 4, 4, 4]}]),
+])
+def test_fixed_points_digits_pinned(runner, c, roots):
+    result = runner.invoke(main, ["fixed-points", "--prime", "5", "--c", c, "--precision", "4"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["fixed_points"] == [{"x": r, "y": r} for r in roots]
 
 
 def test_fixed_points_none(runner):

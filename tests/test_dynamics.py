@@ -22,7 +22,7 @@ from padic_henon.dynamics import (
     three_cycle,
 )
 from padic_henon.gridcheck import _column_groups, _step_pieces
-from padic_henon.padics import PadicRational, Point, padic_valuation
+from padic_henon.padics import PadicRational, Point, _residue, digit_view, padic_valuation
 from padic_henon.regions import Regime, RegionLabel, regime_of_d, sample_in_region
 from padic_henon.verifier import builtin_campaign, campaign_summary, run_campaign
 
@@ -278,7 +278,7 @@ def test_profile_orbit_needs_one_digit(precision):
         with pytest.raises(ValueError, match="precision must be >= 1"):
             backward_profile_orbit(pt, pr(c), 5, precision=precision)
     with pytest.raises(ValueError, match="precision must be >= 1"):
-        pr(3).expand(precision)
+        _residue(pr(3), precision)
 
 
 def test_profile_orbit_undefined_inverse():
@@ -486,7 +486,7 @@ def test_single_fixed_point_at_quarter():
     assert len(pts) == 1 and pts[0].x.as_fraction() == Fraction(1, 2)
     trunc = fixed_points(prm, 12)
     assert len(trunc) == 1
-    assert trunc[0][0] == PadicRational(1, 2, 5).expand(12)
+    assert digit_view(trunc[0][0], 5) == digit_view(_residue(PadicRational(1, 2, 5), 12), 5)
 
 
 def test_no_fixed_points_for_nonresidue():
@@ -508,18 +508,18 @@ def test_hensel_fixed_points_match_exact():
     prm = PadicRational(p - p * p, 1, p)
     trunc = fixed_points(prm, 20)
     assert len(trunc) == 2
-    wanted = {
-        tuple(PadicRational(p, 1, p).expand(18).digits),
-        tuple(PadicRational(1 - p, 1, p).expand(18).digits),
-    }
-    got = {t[0].digits[:18] for t in trunc}
-    assert {w[:18] for w in wanted} == got
+    wanted = {tuple(digit_view(_residue(PadicRational(x, 1, p), 18), p)["digits"]) for x in (p, 1 - p)}
+    got = {tuple(digit_view(t[0], p)["digits"][:18]) for t in trunc}
+    assert wanted == got
 
 
 def _residual_valuation(alpha, c):
-    """v_p(a^2 - a + c) at the rational a that the digits of alpha spell out; None if 0."""
-    p = alpha.prime
-    a = sum(dig * Fraction(p) ** (alpha.valuation + i) for i, dig in enumerate(alpha.digits))
+    """v_p(a^2 - a + c) at the rational a that the printed digits of the residue
+    alpha spell out; None if 0."""
+    p = c.prime
+    view = digit_view(alpha, p)
+    assert (view["val"], len(view["digits"])) == (alpha[0], alpha[3])
+    a = sum(dig * Fraction(p) ** (view["val"] + i) for i, dig in enumerate(view["digits"]))
     return PadicRational(a * a - a + c.as_fraction(), 1, p).valuation
 
 
@@ -533,7 +533,7 @@ def test_irrational_fixed_points_satisfy_equation():
         # The digits are certified to p^(val + precision), and 2a - 1 = -+q is a
         # unit, so a^2 - a + c vanishes there too.
         res = _residual_valuation(alpha, prm)
-        assert res is None or res >= alpha.valuation + alpha.precision
+        assert res is None or res >= alpha[0] + alpha[3]
 
 
 # (p, c, v_q, cancellation depth of (1 - q)/2 and of (1 + q)/2).  The roots
@@ -566,11 +566,11 @@ def test_fixed_point_precision_is_k_minus_cancellation(p, c, vq, depths):
     lo = min(vq, 0)
     for (alpha, beta), w in zip(pts, depths):
         assert alpha == beta
-        assert alpha.valuation == lo + w
-        assert alpha.precision == k + max(vq, 0) - w
+        assert alpha[0] == lo + w
+        assert alpha[3] == k + max(vq, 0) - w
         res = _residual_valuation(alpha, prm)
-        assert res is None or res >= alpha.valuation + alpha.precision + vq
-    assert sum(alpha.valuation for alpha, _ in pts) == prm.valuation
+        assert res is None or res >= alpha[0] + alpha[3] + vq
+    assert sum(alpha[0] for alpha, _ in pts) == prm.valuation
 
 
 # --- the 3-cycle ---------------------------------------------------------------------

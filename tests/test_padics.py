@@ -12,7 +12,6 @@ from padic_henon.padics import (
     PadicRational,
     Point,
     PrecisionExhaustedError,
-    TruncatedPadic,
     _digits,
     _inverse_y,
     _residue,
@@ -21,6 +20,7 @@ from padic_henon.padics import (
     padic_valuation,
     sample_with_norm,
     sqrt,
+    digit_view,
     validate_odd_prime,
 )
 
@@ -283,28 +283,20 @@ def test_sqrt_square_roundtrip_random():
 
 
 def test_expand_digits_of_p():
-    t = pr(5).expand(4)
-    assert t.valuation == 1 and t.digits == (1, 0, 0, 0)
-
-
-def test_truncation_equality_on_overlap():
-    a = TruncatedPadic(5, 0, (1, 2, 3))
-    b = TruncatedPadic(5, 0, (1, 2, 3, 4, 0))
-    c = TruncatedPadic(5, 0, (1, 2, 4))
-    assert a == b
-    assert a != c
-    assert a != TruncatedPadic(5, 1, (1, 2, 3))
+    assert digit_view(_residue(pr(5), 4), 5) == {"p": 5, "val": 1, "digits": [1, 0, 0, 0]}
 
 
 def test_truncation_zero_marker():
-    z = TruncatedPadic.zero(5)
-    assert z.is_zero and z.digits == ()
-    assert pr(0).expand(6).is_zero
+    assert _residue(pr(0), 6) is None
+    assert digit_view(None, 5) == {"p": 5, "val": None, "digits": []}
 
 
-def test_truncation_leading_digit_nonzero():
-    with pytest.raises(ValueError):
-        TruncatedPadic(5, 0, (0, 1))
+@pytest.mark.parametrize("p", [2, 9, 5.0])
+def test_digit_view_checks_its_prime(p):
+    with pytest.raises(ValueError, match="prime"):
+        digit_view(None, p)
+    with pytest.raises(ValueError, match="prime"):
+        digit_view((0, 1, 1, 3), p)
 
 
 def test_truncation_rational_arithmetic():
@@ -314,9 +306,9 @@ def test_truncation_rational_arithmetic():
     one = (0, 1, 1, 8)
     u = _inverse_y(t, one, (0, -3, 1), p)  # (7 + 3)/1
     assert u[3] == 7  # valuation rose by 1: one digit of accuracy spent
-    assert TruncatedPadic.from_residue(p, u) == pr(10).expand(7)
+    assert digit_view(u, p) == digit_view(_residue(pr(10), 7), p)
     v = _inverse_y(t, (0, 2, 1, 8), None, p)  # (7 - 0)/2
-    assert TruncatedPadic.from_residue(p, v) == pr(7, 2).expand(8)
+    assert digit_view(v, p) == digit_view(_residue(pr(7, 2), 8), p)
     with pytest.raises(PrecisionExhaustedError):
         _inverse_y(_residue(pr(7 + 5**8), 8), one, (0, 7, 1), p)  # agrees with 7 on all 8 digits
 
@@ -324,11 +316,11 @@ def test_truncation_rational_arithmetic():
 def test_truncation_from_residue():
     p = 7
     x = pr(-45, 14 * 49, p)
-    t = TruncatedPadic.from_residue(p, _residue(x, 6))
-    assert t == x.expand(6) and t.valuation == -3 and t.precision == 6
-    u = sum(dig * p**i for i, dig in enumerate(t.digits))
+    t = digit_view(_residue(x, 6), p)
+    assert t["p"] == p and t["val"] == -3 and len(t["digits"]) == 6
+    u = sum(dig * p**i for i, dig in enumerate(t["digits"]))
     assert (2 * u + 45) % p**6 == 0  # the digits spell the unit part -45/2 to six places
-    assert TruncatedPadic.from_residue(p, None).is_zero
+    assert digit_view(None, p) == {"p": p, "val": None, "digits": []}
 
 
 def test_digits_match_the_direct_formula():
@@ -343,7 +335,7 @@ def test_digits_match_the_direct_formula():
 
 def test_truncation_serializes_its_digits():
     # 45/7 = 5 * 9/7, and 9/7 = 2 + 2*5 + 1*5^2 + 4*5^3 + 2*5^4 + 3*5^5 mod 5^6.
-    assert pr(45, 7).expand(6).to_json() == {"p": 5, "val": 1, "digits": [2, 2, 1, 4, 2, 3]}
+    assert digit_view(_residue(pr(45, 7), 6), 5) == {"p": 5, "val": 1, "digits": [2, 2, 1, 4, 2, 3]}
 
 
 def test_rational_serialization_roundtrip():
@@ -752,7 +744,7 @@ def test_step_is_the_residue_of_the_exact_quotient(p, kx, ky, vx, vy, shape, dat
     else:  # x - c keeps kx digits above v_x, less the digits that cancel
         k = min(ky, vx + kx - (X - C).valuation)
     assert r[3] == k and 0 < r[1] < p**k and 0 < r[2] < p**k
-    assert TruncatedPadic.from_residue(p, r) == Q.expand(k)
+    assert digit_view(r, p) == digit_view(_residue(Q, k), p)
 
 
 @settings(max_examples=800, deadline=None)
