@@ -225,35 +225,35 @@ def default_escape_exponent(c: PadicRational) -> int:
 # still has coordinate heights growing like phi^n (the numerators of step 30
 # of a typical bounded orbit already need ~10^5 bits), so horizons beyond ~30
 # steps are not computable exactly.  The engine below runs the same recursion
-# on the residues of `padics`, with c split once per orbit into exact
-# integers.  Only a step on the column a = d, where x - c can cancel, calls
-# `_inverse_y`; every other step's profile follows the ultrametric rule.  An
-# orbit starts at START_PRECISION digits and doubles them on each
-# PrecisionExhaustedError up to the caller's cap; a run that finishes has
-# exact profiles at any precision, so only the cost depends on where it stops.
+# on the residues of `padics`.  Only a step on the column a = d, where x - c
+# can cancel, calls `_inverse_y`; every other step's profile follows the
+# ultrametric rule, so an orbit that never reaches the column builds no
+# residue.  An orbit runs once, at the digits its caller names, and a
+# cancellation that consumes them all raises PrecisionExhaustedError.
 # ---------------------------------------------------------------------------
-
-START_PRECISION = 16
 
 
 def _residue_profiles(pt: Point, c: PadicRational, digits: int):
-    """The certified engine: the profiles of (x, y), taken as residues of
-    `digits` digits, and of their backward images; None marks an exact 0.
+    """The certified engine: the profiles of (x, y) and of their backward
+    images; None marks an exact 0.
 
     Off the column a = d, |x - c| = max(|x|, |c|), so the next profile is
-    (b, max(a, d) - b).  The residues x and y trail the profile by `lag` such
-    steps; a step on a = d first replays them and then takes the cancellation
-    step, so every step that can exhaust the window runs at the digits and in
-    the order of an engine that steps the residues every time."""
-    p, d, split = c.prime, c.norm_exponent, _split(c)
-    x, y = _residue(pt.x, digits), _residue(pt.y, digits)
-    a, b = None if x is None else -x[0], None if y is None else -y[0]
-    lag = 0
+    (b, max(a, d) - b), and the profile starts exact.  The first step on a = d
+    splits c and takes the start as residues x and y of `digits` digits.  Each
+    step on a = d replays the `lag` steps the residues trail by, then takes the
+    cancellation step, so every step that can exhaust the window runs at the
+    digits and in the order of an engine that steps the residues every time."""
+    p, d = c.prime, c.norm_exponent
+    a, b = pt.profile()
+    split, lag = None, 0
     while True:
         yield a, b
         if b is None:
             raise UndefinedInverseError("inverse undefined: y = 0")
         if a == d and a is not None:
+            if split is None:
+                split = _split(c)
+                x, y = _residue(pt.x, digits), _residue(pt.y, digits)
             for _ in range(lag + 1):
                 x, y = y, _inverse_y(x, y, split, p)
             lag = 0
@@ -274,21 +274,14 @@ def backward_profile_orbit(
     """Backward orbit on certified fixed-precision values; exact in every valuation.
 
     Suited to long horizons over norm-bounded orbits, where exact rationals
-    are infeasible.  Runs at START_PRECISION digits and doubles them whenever
-    a cancellation exhausts the window; `precision` caps the digits, and at
-    the cap it raises PrecisionExhaustedError rather than ever reporting an
-    uncertified norm.
+    are infeasible.  Runs once, on residues of `precision` digits, and raises
+    PrecisionExhaustedError when a cancellation consumes them all rather than
+    ever reporting an uncertified norm.
     """
-    digits = min(START_PRECISION, precision)
-    while True:
-        profiles = _residue_profiles(pt, c, digits)
-        try:
-            return _trace(OrbitRecord("backward", precision=digits), profiles, max_steps,
-                          escape_exponent)
-        except PrecisionExhaustedError:
-            if digits >= precision:
-                raise
-            digits = min(2 * digits, precision)
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    return _trace(OrbitRecord("backward", precision=precision),
+                  _residue_profiles(pt, c, precision), max_steps, escape_exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from .regions import (
     iter_region_labels,
     profile_in_region,
     regime_of_d,
-    region_branches,
     region_rows,
     t_profile,
+    union_branches,
 )
 
 __all__ = [
@@ -308,7 +308,8 @@ def check_transition_profiles(
     (default: the window; never negative).  Each piece's cells are
     subtracted branch by branch, and the cells left over fail.  The last
     step judges its column with e free: only the e that no single branch
-    settles on a whole piece are expanded.
+    settles on a whole piece are expanded.  A source or target from a regime
+    other than that of d raises ValueError.
     """
     _check_window(window)
     if depth < 1:
@@ -319,6 +320,7 @@ def check_transition_profiles(
         raise ValueError(f"cancel_depth must be >= 0, got {cancel_depth}")
     if targets is None:
         targets = expected_preimage_regions(source, depth=depth)
+    branches = union_branches(targets, d)
     check = TransitionCheck(source=source, d=d, window=window, depth=depth)
     if source.name == "T":
         # A single cell; checked even when it sits outside the window, since
@@ -344,9 +346,7 @@ def check_transition_profiles(
 
     # An outcome fails where no target branch holds.  At most MAX_GROUP_WITNESSES
     # failing outcomes are listed per group: the deterministic pieces of a frontier
-    # group, then its column at each e, falling.  Targets go in name order,
-    # whatever their hash order.
-    branches = [branch for target in sorted(targets, key=str) for branch in region_branches(target)]
+    # group, then its column at each e, falling.
     for pieces, e0 in frontier:
         det, column = _step_pieces(pieces, d)
         check.outcomes_checked += sum(piece[2] - piece[1] + 1 for piece in det)

@@ -64,9 +64,7 @@ _validated_primes: set[int] = set()
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < _MR_EXACT_BELOW."""
-    if n < 2:
-        return False
+    """Deterministic Miller-Rabin, exact for 2 < n < _MR_EXACT_BELOW."""
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
@@ -390,10 +388,6 @@ class Point:
     def __post_init__(self):
         if self.x.prime != self.y.prime:
             raise ValueError("coordinates must share one prime")
-
-    @property
-    def prime(self) -> int:
-        return self.x.prime
 
     def profile(self):
         """(norm exponent of x, norm exponent of y); None marks a zero coordinate."""

@@ -68,6 +68,7 @@ __all__ = [
     "regime_of_d",
     "classify",
     "region_branches",
+    "union_branches",
     "eval_constraint",
     "branches_hold",
     "profile_in_region",
@@ -248,6 +249,15 @@ def region_branches(label: RegionLabel):
     if i > _MAX_INDEX:
         raise KeyError(f"{name} family index {i} is above {_MAX_INDEX}")
     return _family_branches(regime, name, i)
+
+
+def union_branches(labels, d: int) -> list:
+    """The branches of `labels`, taken in name order, as one union.  A label
+    from a regime other than that of d raises ValueError."""
+    for label in labels:
+        if label.regime is not regime_of_d(d):
+            raise ValueError(f"d={d} is not in regime {label.regime.value}")
+    return [branch for label in sorted(labels, key=str) for branch in region_branches(label)]
 
 
 _OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
@@ -582,10 +592,8 @@ def region_rows(label: RegionLabel, d: int, window: int):
     they overlap or touch, so two intervals of one row are at least two apart.
     A label from a regime other than that of d raises ValueError.
     """
-    if regime_of_d(d) is not label.regime:
-        raise ValueError(f"d={d} is not in regime {label.regime.value}")
     rows = []
-    branches = region_branches(label)
+    branches = union_branches([label], d)
     for branch in branches:
         # Pure-a constraints (cb = 0) bound the rows and pure-b ones (ca = 0)
         # the columns; a golden sign is neither.

@@ -47,6 +47,7 @@ from .regions import (
     regime_of_d,
     region_branches,
     region_sampler,
+    union_branches,
 )
 
 __all__ = [
@@ -316,7 +317,7 @@ def _judge_transition(spec: LemmaSpec, report: VerificationReport) -> None:
     c = spec.parsed_c()
     d = c.norm_exponent
     targets = _expected_targets(spec)
-    branches = [branch for target in targets for branch in region_branches(target)]
+    branches = union_branches(targets, d)
 
     def judge(pt):
         current = pt
@@ -594,7 +595,7 @@ def _judge_sandwich(spec: LemmaSpec, report: VerificationReport) -> None:
         invariant = RegionLabel(regime, *_INVARIANT[regime])
         from . import gridcheck  # deferred: importing it adds milliseconds to every CLI start
 
-        cert = gridcheck.check_transition_profiles(invariant, d, max(spec.window, 12))
+        cert = gridcheck.check_transition_profiles(invariant, d, max(spec.window, 12), targets=[invariant])
         if cert.profiles_checked == 0:
             report.notes.append(f"{invariant} has no cell in window; one-step invariance not checked")
         elif cert.ok:

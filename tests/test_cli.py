@@ -170,7 +170,7 @@ def test_certified_record_json_pinned():
     rec = backward_profile_orbit(start, params, 8)
     rows = [(-1, -1, "R"), (-1, -2, "P6"), (-2, 1, "A1"), (1, -2, "A2"), (-2, 3, "A1"),
             (3, -4, "A2"), (-4, 7, "A1"), (7, -8, "A2"), (-8, 15, "A1")]
-    head = {"direction": "backward", "engine": "certified", "precision": 16}
+    head = {"direction": "backward", "engine": "certified", "precision": 256}
     expected = _pinned_trace(head, rows, ("completed", 8, 15), 5)
     assert json.dumps(rec.to_json(params.norm_exponent), indent=1) == expected
     unlabelled = [(a, b, None) for a, b, _ in rows]
@@ -404,6 +404,35 @@ def test_verify_negative_control_exits_nonzero(runner):
     assert result.exit_code == 1
     summary = json.loads(result.output)
     assert not summary["ok"]
+
+
+def test_verify_sandwich_with_a_leaking_invariant_region_exits_1(runner, tmp_path, monkeypatch):
+    # A negative control for the lower bound.  With SMALL's invariant region
+    # taken to be A1 = {a <= d, b >= 0}, which maps onto A2, every outcome of
+    # the one-step certificate fails: one per cell off the column a = d, and
+    # window + 1 per cell on it.  Every sample of A1 leaves at step 1, and the
+    # escape half, which passes alone, adds no failure.
+    from padic_henon import verifier
+    from padic_henon.regions import Regime, RegionLabel, region_profiles
+
+    spec = {"id": "leak", "kind": "sandwich", "p": 3, "c": "3/1", "samples": 8, "window": 6,
+            "seed": 3, "steps": 12}
+    path = tmp_path / "leak.json"
+    path.write_text(json.dumps({"specs": [spec]}))
+    assert runner.invoke(main, ["verify", str(path)]).exit_code == 0
+    monkeypatch.setitem(verifier._INVARIANT, Regime.SMALL, ("A", 1))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 1, result.output
+    (report,) = json.loads(result.stdout)["reports"]
+    cells = region_profiles(RegionLabel(Regime.SMALL, "A", 1), -1, 12)
+    outcomes = sum(13 if a == -1 else 1 for a, _ in cells)
+    invariance, *leaving = report["failures"]
+    assert invariance == {"invariance": "A1", "counterexamples": outcomes}
+    assert len(leaving) == spec["samples"]
+    for failure in leaving:
+        assert set(failure) == {"start", "regions"}
+        regions = failure["regions"]
+        assert len(regions) == spec["steps"] + 1 and regions[:2] == ["A1", "A2"]
 
 
 @pytest.mark.parametrize("args", [

@@ -215,11 +215,12 @@ def _random_start(rng, prm: PadicRational) -> Point:
 
 def test_profile_orbit_matches_exact_engine():
     # On every orbit the exact engine completes, the certified engine (default
-    # cap, so escalating as needed) gives the same profiles, hence the same
-    # region labels, at every horizon: a horizon that ends on a deep
-    # cancellation leaves no later step to expose an uncertified valuation.
+    # cap) gives the same profiles, hence the same region labels, at every
+    # horizon: a horizon that ends on a deep cancellation leaves no later step
+    # to expose an uncertified valuation.  At least 10 of them cancel more
+    # than 16 digits, so 16 digits would not certify them.
     rng = random.Random(8)
-    compared = escalated = 0
+    compared = deep = 0
     for c_num, c_den, p in ((5, 1, 5), (1, 3, 3), (2, 1, 3), (1, 9, 3), (1, 81, 3)):
         prm = PadicRational(c_num, c_den, p)
         for _ in range(40):
@@ -234,11 +235,14 @@ def test_profile_orbit_matches_exact_engine():
                 assert cert.profiles == exact.profiles[: n + 1]
             assert cert.verdict == exact.verdict
             compared += 1
-            escalated += cert.precision > 16
-    assert compared >= 150 and escalated >= 10, (compared, escalated)
+            try:
+                backward_profile_orbit(pt, prm, 12, precision=16, escape_exponent=None)
+            except PrecisionExhaustedError:
+                deep += 1
+    assert compared >= 150 and deep >= 10, (compared, deep)
 
 
-def test_profile_orbit_escalates_precision():
+def test_profile_orbit_certifies_a_deep_cancellation_at_the_cap():
     # x - c = 3^20 at valuation -1: the first step cancels 21 digits.
     prm = pr(1, 3, 3)
     pt = Point(pr(1, 3, 3) + pr(3**20, 1, 3), pr(1, 1, 3))
@@ -249,9 +253,9 @@ def test_profile_orbit_escalates_precision():
     assert rec.profiles == exact.profiles
     assert rec.profiles[:3] == [(1, 0), (0, -20), (-20, 21)]
     assert rec.verdict == Verdict("completed", 10, exact.verdict.norm_exponent)
-    assert rec.precision == 32
+    assert rec.precision == 256
     obj = rec.to_json()
-    assert (obj["engine"], obj["precision"]) == ("certified", 32)
+    assert (obj["engine"], obj["precision"]) == ("certified", 256)
     assert [(s["a"], s["b"]) for s in obj["steps"]] == rec.profiles
 
 
@@ -300,27 +304,20 @@ def test_profile_orbit_degenerate_c_at_zero_x():
 
 def _eager_orbit(pt, prm, max_steps, precision, escape_exponent, step=padics._inverse_y):
     """The reference for the certified engine: a residue step (x - c)/y by
-    `step` after every profile, off the column a = d as on it, from
-    START_PRECISION digits doubled up to `precision`."""
+    `step` after every profile, off the column a = d as on it, at `precision`
+    digits."""
     p, c = prm.prime, padics._split(prm)
 
-    def profiles(digits):
-        x, y = padics._residue(pt.x, digits), padics._residue(pt.y, digits)
+    def profiles():
+        x, y = padics._residue(pt.x, precision), padics._residue(pt.y, precision)
         while True:
             yield None if x is None else -x[0], None if y is None else -y[0]
             if y is None:
                 raise UndefinedInverseError("inverse undefined: y = 0")
             x, y = y, step(x, y, c, p)
 
-    digits = min(dynamics.START_PRECISION, precision)
-    while True:
-        try:
-            return dynamics._trace(dynamics.OrbitRecord("backward", precision=digits),
-                                   profiles(digits), max_steps, escape_exponent)
-        except PrecisionExhaustedError:
-            if digits >= precision:
-                raise
-            digits = min(2 * digits, precision)
+    return dynamics._trace(dynamics.OrbitRecord("backward", precision=precision),
+                           profiles(), max_steps, escape_exponent)
 
 
 def _outcome(run, *args):
@@ -381,7 +378,7 @@ def test_profile_orbit_equals_the_eager_reference():
     assert {kind for kind, _ in seen} == {"completed", "escaped", "undefined_inverse",
                                           "exhausted"}
     assert {("exhausted", 16), ("exhausted", 64), ("exhausted", 256)} <= seen
-    assert {precision for _, precision in seen} == {16, 32, 64, 128, 256}
+    assert {precision for _, precision in seen} == {16, 64, 256}
 
 
 @settings(max_examples=300, deadline=None)
@@ -402,7 +399,7 @@ def test_profile_orbit_equals_the_eager_reference_on_random_orbits(p, d, u, shap
 
 def test_profile_orbit_steps_residues_only_on_the_column(monkeypatch):
     # The bundled all-lemmas campaign makes 60,094 residue steps when every
-    # step takes one; on a = d alone it makes 2,563, replays included.
+    # step takes one; on a = d alone it makes 2,547, replays included.
     calls = []
 
     def counting(*args):
@@ -411,14 +408,33 @@ def test_profile_orbit_steps_residues_only_on_the_column(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_inverse_y", counting)
     assert campaign_summary(run_campaign(builtin_campaign("all-lemmas")))["ok"]
-    assert len(calls) == 2_563
+    assert len(calls) == 2_547
+
+
+def test_profile_orbit_builds_residues_only_at_the_column(monkeypatch):
+    # c = 1/5 at p = 5, d = 1.  From (1, 1) the profile runs (0, 0), (0, 1),
+    # (1, 0): the third state is on a = d.  From (1, 5) it runs (0, -1),
+    # (-1, 2), (2, -1), (-1, 3), ... and never has a = 1.
+    calls = []
+
+    def counting(x, k):
+        calls.append(k)
+        return padics._residue(x, k)
+
+    monkeypatch.setattr(dynamics, "_residue", counting)
+    prm, one = pr(1, 5, 5), pr(1, 1, 5)
+    off = backward_profile_orbit(Point(one, pr(5, 1, 5)), prm, 12, precision=40)
+    assert all(a != 1 for a, _ in off.profiles) and calls == []
+    on = backward_profile_orbit(Point(one, one), prm, 12, precision=40)
+    assert on.profiles[2][0] == 1 and calls == [40, 40]
+    assert on.profiles == backward_orbit(Point(one, one), prm, 12).profiles
 
 
 def test_capped_subtraction_gives_the_uncapped_orbits_at_large_d():
     """LARGE d = 2 (c = 1/9 at p = 3), threshold 3728: each step's x - c keeps
     only the digits of y, yet every record of the eager reference equals the
-    one from a loop whose subtraction keeps all of its digits, escalations and
-    exhaustion included, and the engine's record equals both."""
+    one from a loop whose subtraction keeps all of its digits, exhaustion
+    included, and the engine's record equals both."""
     prm = pr(1, 9, 3)
     assert prm.norm_exponent == 2 and default_escape_exponent(prm) == 3728
     rng = random.Random(20240811)
@@ -463,7 +479,7 @@ def test_capped_subtraction_gives_the_uncapped_orbits_at_large_d():
             else:
                 kinds.add(capped[2].kind)
                 precisions.add(capped[1])
-    assert kinds == {"escaped", "exhausted"} and precisions == {16, 32, 64}
+    assert kinds == {"escaped", "exhausted"} and precisions == {16, 64, 256}
     assert len(clamped) > 1000 and max(abs(e) for e in clamped) > 1000
 
 
@@ -487,6 +503,44 @@ def test_single_fixed_point_at_quarter():
     trunc = fixed_points(prm, 12)
     assert len(trunc) == 1
     assert digit_view(trunc[0][0], 5) == digit_view(_residue(PadicRational(1, 2, 5), 12), 5)
+
+
+def _roots_mod(f, p, k):
+    """Every root of the integer polynomial f modulo p^k, by brute force: each
+    root modulo p^j is tried with all p digits in place j."""
+    roots = [r for r in range(p) if f(r) % p == 0]
+    for j in range(1, k):
+        roots = [r + t * p**j for r in roots for t in range(p) if f(r + t * p**j) % p ** (j + 1) == 0]
+    return roots
+
+
+@pytest.mark.parametrize("p", [17, 41, 97])
+def test_square_roots_and_fixed_points_at_p_one_mod_eight(p):
+    # At p = 1 (mod 8), 2 is a residue, so Tonelli-Shanks searches for a
+    # non-residue, and the order of its t can be 4 or more, which runs the inner
+    # squaring loop.  Every unit u is tried: a residue has the brute-force
+    # root of u modulo p^k with leading digit at most (p - 1)/2, and its
+    # c = (1 - u)/4 the fixed points ((1 - q)/2, (1 + q)/2) that solve
+    # a^2 - a + c = 0 modulo p^k; a non-residue has neither.
+    k = 6
+    mod = p**k
+    for u in range(1, p):
+        roots = _roots_mod(lambda t: t * t - u, p, k)
+        c = PadicRational(1 - u, 4, p)
+        if not roots:
+            with pytest.raises(padics.NonSquareError, match="non-residue"):
+                padics.sqrt(pr(u, 1, p), k)
+            assert fixed_points(c, k) == []
+            continue
+        q = min(roots, key=lambda r: r % p)
+        assert padics.sqrt(pr(u, 1, p), k) == (0, q, 1, k)
+        if u == 1:  # c = 0: 1 - q cancels at every precision
+            continue
+        pts = fixed_points(c, k)
+        assert all(x == y for x, y in pts) and [(x[0], x[3]) for x, _ in pts] == [(0, k), (0, k)]
+        got = [n * pow(m, -1, mod) % mod for (_, n, m, _), _ in pts]
+        assert got == [(1 - q) * pow(2, -1, mod) % mod, (1 + q) * pow(2, -1, mod) % mod]
+        assert sorted(got) == sorted(_roots_mod(lambda a: 4 * a * a - 4 * a + 1 - u, p, k))
 
 
 def test_no_fixed_points_for_nonresidue():

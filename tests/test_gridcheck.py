@@ -235,6 +235,14 @@ def test_transition_check_rejects_a_source_from_another_regime(source, d):
         check_transition_profiles(source, d, 10)
 
 
+def test_transition_check_rejects_a_target_from_another_regime():
+    # A target of another regime is a malformed claim: it raises rather than
+    # failing every outcome as a counterexample.
+    with pytest.raises(ValueError, match="^d=-2 is not in regime large$"):
+        check_transition_profiles(RegionLabel(Regime.SMALL, "A", 1), -2, 10,
+                                  targets=[RegionLabel(Regime.LARGE, "G", None)])
+
+
 def test_overlay_descent_counterexample_structure():
     # k = 2, n = 1: the overlay sphere of T1 sits on |x| = |c|, so the
     # difference x - c can cancel; every enumerated cancellation leaves T0.
@@ -453,13 +461,18 @@ def _settles_and_fails(source, d, W, labels):
     return False
 
 
-def test_wrong_targets_on_repeated_images_match_the_cell_oracle():
+def test_wrong_targets_on_repeated_images_match_the_cell_oracle(monkeypatch):
     # SMALL A1 has many rows a < d that share one image, and P6 is the
     # column a = d, judged with e free.  Targets from other labels, UNIT ones
     # included, leave outcomes failing in part of a piece.  A1 alone, or with
     # P3, settles P6's column at some e and fails it at others, as T0 does
     # for the overlay T1 at d = 2.  Each group's witnesses, their order and
-    # the 25-per-group cap are compared with the cell oracle.
+    # the 25-per-group cap are compared with the cell oracle.  Only the UNIT
+    # constraints cut A1's repeated images in part, so they stand in here as
+    # bare constraint sets: the regime check of `union_branches`, which
+    # rejects them as a claim, is bypassed.
+    monkeypatch.setattr(gridcheck, "union_branches", lambda labels, d: [
+        branch for label in sorted(labels, key=str) for branch in region_branches(label)])
     W = 40
     U, S, L = Regime.UNIT, Regime.SMALL, Regime.LARGE
     targets = [[(U, "H")], [(U, "G")], [(U, "M", 1), (U, "F")], [(U, "C", 0), (S, "B", 2)],
