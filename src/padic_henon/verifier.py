@@ -2,8 +2,9 @@
 region-transition claim, escape certification with growth bounds, worked-orbit
 reproduction, and the two-sided boundedness evidence per regime.
 
-Campaigns are declarative (JSON), deterministic under a fixed seed, and emit
-structured reports whose failures carry exact, replayable counterexamples.
+Campaigns are declarative (JSON specs; the bundled ones are built here),
+deterministic under a fixed seed, and emit structured reports whose failures
+carry exact, replayable counterexamples.
 Sampling alone cannot prove a set inclusion, so every transition claim is
 also checked exhaustively at the norm-profile level over a window, including
 full enumeration of the cancellation column a = d.
@@ -15,7 +16,6 @@ import json
 import random
 import time
 from dataclasses import MISSING, dataclass, field, fields
-from importlib import resources
 
 from .dynamics import (
     BitBudgetError,
@@ -440,8 +440,9 @@ def _judge_escaping(report, spec, c, label, samples, prefix=""):
         rec = _certified_or_exact(pt, c, spec.steps, 256, threshold)
         if rec.verdict.kind in _SKIPS:
             return rec.verdict.kind
-        if rec.verdict.kind != "escaped":
-            why = {"verdict": rec.verdict.to_json()}
+        if rec.verdict.kind != "escaped":  # the horizon ran out first
+            why = {"verdict": rec.verdict.to_json(), "note": f"no threshold crossing within the "
+                   f"{spec.steps}-step horizon: the orbit stayed at or below {threshold}"}
         else:
             step = None if law is None else _growth_violation(
                 law[1], rec.profiles, pt.profile()[1], d)
@@ -648,9 +649,14 @@ def run_spec(spec: LemmaSpec) -> VerificationReport:
     return report
 
 
-def _parse_campaign(text: str) -> list:
+def load_campaign(path) -> list:
+    """Read and validate a campaign file: OSError if it cannot be read,
+    CampaignError if it is malformed."""
     try:
-        obj = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            obj = json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise CampaignError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CampaignError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("specs"), list):
@@ -660,29 +666,118 @@ def _parse_campaign(text: str) -> list:
     return [LemmaSpec.from_json(s) for s in obj["specs"]]
 
 
-def load_campaign(path) -> list:
-    """Read and validate a campaign file: OSError if it cannot be read,
-    CampaignError if it is malformed."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise CampaignError(f"not UTF-8 text: {exc}") from None
-    return _parse_campaign(text)
+# ---------------------------------------------------------------------------
+# The bundled campaigns, built fresh on each call.
+# ---------------------------------------------------------------------------
+
+_SEED = 20240811
+# Each kind's bundled fields after "source"; a spec's own fields replace them.
+_BUNDLED_FIELDS = {
+    "transition": {"depth": 1, "samples": 300, "window": 12, "seed": _SEED},
+    "exhaustive": {"depth": 1, "window": 60},
+    "escape": {"samples": 120, "window": 8, "steps": 60, "seed": _SEED},
+}
+
+
+def _spec(kind, ident, p, c, source: RegionLabel, **fields) -> dict:
+    """The JSON of one bundled spec of `kind`."""
+    return {"id": ident, "kind": kind, "p": p, "c": c, "source": source.to_json(),
+            **_BUNDLED_FIELDS[kind], **fields}
+
+
+def _claim(ident, window_ident, p, c, source: RegionLabel, **fields) -> list:
+    """The sampled and the window-exhaustive spec of one transition claim."""
+    return [_spec("transition", ident, p, c, source, **fields),
+            _spec("exhaustive", window_ident, p, c, source, **fields)]
+
+
+def _claims(regime, c, regions) -> list:
+    """The two specs of each region's transition claim at p = 3, named by regime and region."""
+    specs = []
+    for source in (RegionLabel(regime, *region) for region in regions):
+        specs += _claim(f"{regime.value}-{source}-step", f"{regime.value}-{source}-window", 3, c, source)
+    return specs
+
+
+def _all_lemmas() -> list:
+    """Every transition and escape claim at parameters where the claim holds;
+    exits 0.  24 of its 135 specs sample or scan a source region with no cell
+    in their window, and pass with 0 passes."""
+    small, unit, large = Regime.SMALL, Regime.UNIT, Regime.LARGE
+    bands = [("F", None), ("G", None), ("H", None)]
+    # |c| < 1 at d = -2 (every band nonempty except P5, which needs d <= -3).
+    specs = _claims(small, "9/1", [("Z", None), *(("A", i) for i in range(1, 7)), ("B", 1), ("B", 2),
+                                   *(("P", i) for i in (1, 2, 3, 4, 6))])
+    specs += _claim("small-P5-step", "small-P5-window", 3, "27/1", RegionLabel(small, "P", 5))
+    # The two-step collapse of the flat band, where it holds (d = -2).
+    specs += _claim("small-A5-two-step", "small-A5-two-step-window", 3, "9/1",
+                    RegionLabel(small, "A", 5), depth=2)
+    # |c| = 1, then |c| > 1 at d = 2.
+    specs += _claims(unit, "2/1", [*bands, *(("M", i) for i in range(1, 7))])
+    specs += _claims(large, "1/9", [*bands, ("J", 0), *(("M", i) for i in range(1, 7)),
+                                    *(("B", i) for i in range(1, 6)), *(("A", i) for i in range(1, 6))])
+    # Overlay descent where the sphere of T_n clears |c| (d = 3).
+    for n in range(1, 6):
+        specs += _claim(f"large-T{n}-step", f"large-T{n}-window", 3, "1/27", RegionLabel(large, "T", n),
+                        window=40)
+    # The empty-region skip path: the inner box is empty when |c| = p.
+    specs.append(_spec("transition", "large-J0-empty-at-d1", 3, "1/3", RegionLabel(large, "J", 0)))
+
+    # Escape certification of every region in _ESCAPING; G and A1 also meet
+    # their growth laws.  At |c| = p^-1 with window 8, SMALL A5 and P2-P5 have
+    # no cell and are left out; A6 has none either and stays, as a vacuous spec.
+    no_cell = {("A", 5), ("P", 2), ("P", 3), ("P", 4), ("P", 5)}
+    for regime, c, suffix in [(large, "1/3", "-c1over3"), (large, "1/9", "-c1over9"),
+                              (unit, "2/1", ""), (small, "3/1", "")]:
+        for region in _ESCAPING[regime]:
+            if regime is not small or region not in no_cell:
+                source = RegionLabel(regime, *region)
+                specs.append(_spec("escape", f"{regime.value}-escape-{source}{suffix}", 3, c, source))
+
+    # The worked orbits and the two-sided evidence.
+    specs.append({"id": "worked-orbits", "kind": "worked_orbits", "p": 5})
+    for regime, c, steps, top in [(small, "3/1", 50, 200), (large, "1/9", 60, 2000),
+                                  (unit, "2/1", 60, 2000)]:
+        specs.append({"id": f"sandwich-{regime.value}", "kind": "sandwich", "p": 3, "c": c,
+                      "samples": 60, "window": 6, "steps": steps, "seed": _SEED, "escape_exp": top})
+    return specs
+
+
+def _negative_control() -> list:
+    """Deliberately falsified targets; must produce counterexamples."""
+    return [
+        _spec("transition", "falsified-inner-box-target", 3, "1/9", RegionLabel(Regime.LARGE, "J", 0),
+              expected=[RegionLabel(Regime.LARGE, "F").to_json()]),
+        _spec("exhaustive", "falsified-torus-target", 3, "9/1", RegionLabel(Regime.SMALL, "Z"),
+              expected=[RegionLabel(Regime.SMALL, "R").to_json()]),
+    ]
+
+
+def _known_anomalies() -> list:
+    """The two parameter corners where the classical claims fail: the two-step
+    band collapse at |c| = p^-3 and the overlay descent at |c| = p^2.  They are
+    kept apart from all-lemmas, so their failures are explicit."""
+    return [
+        *_claim("two-step-band-collapse-d-3", "two-step-band-collapse-d-3-window", 3, "27/1",
+                RegionLabel(Regime.SMALL, "A", 5), depth=2),
+        *_claim("overlay-descent-k2-n1", "overlay-descent-k2-n1-window", 3, "1/9",
+                RegionLabel(Regime.LARGE, "T", 1), window=40),
+    ]
+
+
+_BUNDLED = {"all-lemmas": _all_lemmas, "negative-control": _negative_control,
+            "known-anomalies": _known_anomalies}
 
 
 def builtin_campaign_names() -> list:
-    files = resources.files("padic_henon").joinpath("data")
-    return sorted(f.name[: -len(".json")] for f in files.iterdir() if f.name.endswith(".json"))
+    return sorted(_BUNDLED)
 
 
 def builtin_campaign(name: str) -> list:
-    ref = resources.files("padic_henon").joinpath("data").joinpath(f"{name}.json")
-    if not ref.is_file():
-        raise FileNotFoundError(
-            f"no builtin campaign {name!r}; available: {builtin_campaign_names()}"
-        )
-    return _parse_campaign(ref.read_text(encoding="utf-8"))
+    """The bundled campaign `name`, each spec checked by `LemmaSpec.from_json` as a file's are."""
+    if name not in _BUNDLED:
+        raise FileNotFoundError(f"no builtin campaign {name!r}; available: {builtin_campaign_names()}")
+    return [LemmaSpec.from_json(s) for s in _BUNDLED[name]()]
 
 
 def run_campaign(specs) -> list:

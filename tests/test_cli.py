@@ -503,6 +503,9 @@ def _one_spec(**fields):
     [
         ('{"specs": [', "not valid JSON"),
         ('{"name": "no specs key"}', 'a campaign is an object with a "specs" list'),
+        ('{"specs": [5]}', 'a spec is an object with a string "id", got 5'),
+        (json.dumps({"specs": [{"id": "bad", "kind": "transition", "p": 3, "c": "1/9"}]}),
+         "kind 'transition' needs a source region"),
         (_one_spec(c="0/1"), "c = 0 is degenerate"),
         (_one_spec(p=4, c="4"), "prime must be an odd prime >= 3, got 4"),
         (_one_spec(c="1/9"), "source A1 is small, but c = 1/9 is in regime large"),
@@ -557,7 +560,7 @@ def _one_spec(**fields):
         (_one_spec(p=318665857834031151167461), "318665857834031151167461 is not prime"),
         (_one_spec(p=2**89 - 1), "prime must be below 3317044064679887385961981"),
     ],
-    ids=["bad-json", "missing-specs", "c-zero", "p-four", "regime-mismatch", "samples-zero",
+    ids=["bad-json", "missing-specs", "spec-not-object", "transition-without-source", "c-zero", "p-four", "regime-mismatch", "samples-zero",
          "window-negative", "overlay-exhaustive", "overlay-transition", "overlay-escape",
          "overlay-target", "target-regime-exhaustive", "target-regime-transition", "index-true",
          "expected-empty", "growth-check-on-sandwich",
@@ -574,6 +577,15 @@ def test_verify_malformed_campaign_exits_2(runner, tmp_path, text, message):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "invalid campaign" in result.output and message in result.output
+    assert result.stdout == ""
+
+
+def test_verify_campaign_that_is_not_utf8_exits_2(runner, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"specs": [{"id": "caf\u00e9"}]}'.encode("latin-1"))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "invalid campaign" in result.output and "not UTF-8 text" in result.output
     assert result.stdout == ""
 
 

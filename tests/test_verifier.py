@@ -335,6 +335,41 @@ def test_escape_growth_violation_is_a_failure_record(monkeypatch):
         assert failure["violated_at_step"] == first
 
 
+def test_an_escape_failure_decided_by_the_horizon_says_so():
+    # Four steps are too few for the SMALL escapes at c = 3 to cross the
+    # default threshold 8.  Each such failure is a completed orbit and still
+    # counts; its note names the horizon.  A growth-law violation carries no
+    # note (see test_escape_growth_violation_is_a_failure_record).
+    report = run_spec(LemmaSpec("sw", "sandwich", p=3, c="3/1", samples=12, window=6, seed=3, steps=4))
+    assert len(report.failures) == 98 and not report.ok
+    for failure in report.failures:
+        assert failure["verdict"]["kind"] == "completed"
+        assert failure["note"] == "no threshold crossing within the 4-step horizon: the orbit stayed at or below 8"
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_sampled_transition_that_leaves_the_domain_is_skipped(monkeypatch, depth):
+    # A start with x = c: its first backward image has y = 0, and a second
+    # backward step is undefined.
+    c = PadicRational(9, 1, 3)
+    monkeypatch.setattr(verifier, "region_sampler", lambda *args: iter([Point(c, PadicRational(1, 1, 3))]))
+    spec = LemmaSpec("x-is-c", "transition", p=3, c="9/1", source=lbl(Regime.SMALL, "A", 5),
+                     depth=depth, samples=1)
+    report = run_spec(spec)
+    assert (report.passes, report.failures, report.skipped, report.undefined_inverse) == (0, [], 1, 1)
+
+
+def test_a_sandwich_sample_that_leaves_the_domain_is_skipped(monkeypatch):
+    # The lower bound alone, on one start with x = c, whose orbit leaves the
+    # domain at its second backward step: a skip, not a pass.
+    c = PadicRational(1, 9, 3)
+    monkeypatch.setattr(verifier, "region_sampler", lambda *args: iter([Point(c, PadicRational(1, 1, 3))]))
+    monkeypatch.setitem(verifier._ESCAPING, Regime.LARGE, {})
+    report = run_spec(LemmaSpec("leaves", "sandwich", p=3, c="1/9", samples=1, window=6, steps=10))
+    assert (report.passes, report.failures, report.skipped, report.undefined_inverse) == (0, [], 1, 1)
+    assert report.notes[1] == "0/1 samples of J0 stayed for 10 steps (finite-horizon evidence)"
+
+
 def test_run_spec_dispatches_worked_orbits():
     spec = LemmaSpec("w", "worked_orbits", p=5)
     report = run_spec(spec)
@@ -453,6 +488,52 @@ def test_sandwich_unit_regime():
 def test_builtin_campaign_names():
     names = builtin_campaign_names()
     assert {"all-lemmas", "negative-control", "known-anomalies"} <= set(names)
+
+
+# Each bundled campaign's spec count and the digest of its specs.
+_BUNDLED_PINS = {"all-lemmas": (135, "070d20028b1a9733"), "known-anomalies": (4, "7bdaee19d433b31a"),
+                 "negative-control": (2, "fc88565ef679ae2c")}
+
+
+def test_bundled_campaigns_are_pinned():
+    """No change may move a bundled spec unnoticed."""
+    assert builtin_campaign_names() == sorted(_BUNDLED_PINS)
+    for name, pin in _BUNDLED_PINS.items():
+        specs = [s.to_json() for s in builtin_campaign(name)]
+        digest = hashlib.sha256(json.dumps(specs, sort_keys=True).encode()).hexdigest()[:16]
+        assert (len(specs), digest) == pin, name
+
+
+def test_each_call_builds_the_bundled_specs_fresh():
+    specs = builtin_campaign("negative-control")
+    specs[0].seed = 7
+    assert builtin_campaign("negative-control")[0].seed == 20240811
+
+
+def test_an_unknown_bundled_name_raises_file_not_found():
+    available = r"\['all-lemmas', 'known-anomalies', 'negative-control'\]"
+    with pytest.raises(FileNotFoundError, match=rf"^no builtin campaign 'nope'; available: {available}$"):
+        builtin_campaign("nope")
+
+
+def test_bundled_escape_specs_read_the_escape_table(monkeypatch):
+    """Which regions escape is stated once: a row added to `_ESCAPING` is an
+    escape spec of all-lemmas, and SMALL leaves out only the regions with no
+    cell at c = 3 and window 8 (A6 stays, as a vacuous spec)."""
+    monkeypatch.setitem(verifier._ESCAPING[Regime.UNIT], ("M", 5), None)
+    escapes = {}
+    for spec in builtin_campaign("all-lemmas"):
+        if spec.kind == "escape":
+            escapes.setdefault((spec.source.regime, spec.c), []).append((spec.source.name, spec.source.index))
+    no_cell = {("A", 5), ("P", 2), ("P", 3), ("P", 4), ("P", 5)}
+    table = verifier._ESCAPING
+    assert escapes == {
+        (Regime.LARGE, "1/3"): list(table[Regime.LARGE]),
+        (Regime.LARGE, "1/9"): list(table[Regime.LARGE]),
+        (Regime.UNIT, "2/1"): list(table[Regime.UNIT]),
+        (Regime.SMALL, "3/1"): [region for region in table[Regime.SMALL] if region not in no_cell],
+    }
+    assert escapes[Regime.UNIT, "2/1"][-1] == ("M", 5)
 
 
 def test_campaign_spec_roundtrip(tmp_path):
